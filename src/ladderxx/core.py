@@ -34,7 +34,6 @@ __all__ = [
     "SectorHamiltonian",
     "EigenSystem",
     "DiagonalizationError",
-    "build_sector_basis",
     "sample_disorder",
     "build_hamiltonian",
     "diagonalize",
@@ -60,6 +59,11 @@ class LadderParams:
     def __post_init__(self) -> None:
         if not (isinstance(self.L, (int, np.integer)) and self.L >= 2):
             raise ValueError(f"L must be an integer >= 2, got {self.L!r}")
+        # Store plain Python numbers so that how a value was typed (1, 1.0,
+        # np.float64(1.0)) never reaches the seed labels built from it.
+        object.__setattr__(self, "L", int(self.L))
+        for name in ("J_par", "alpha", "h"):
+            object.__setattr__(self, name, float(getattr(self, name)))
         if self.J_par <= 0:
             raise ValueError(f"J_par must be positive, got {self.J_par}")
         if self.alpha < 0:
@@ -106,8 +110,8 @@ class SectorBasis:
     ----------
     L : sites per leg.
     num_spins : 2 L.
-    states : int64 array of the C(2L, L) bitmasks with L set bits, ascending.
-    index_of : dict mapping bitmask -> basis index.
+    states : int64 array of the C(2L, L) bitmasks with L set bits, ascending
+        (so ``np.searchsorted(states, mask)`` is the index of a bitmask).
     dim : sector dimension.
     """
 
@@ -125,9 +129,11 @@ class SectorBasis:
         ]
         masks.sort()
         self.states = np.array(masks, dtype=np.int64)
-        self.index_of = {int(s): i for i, s in enumerate(masks)}
         self.dim = len(masks)
-        assert self.dim == comb(self.num_spins, self.L)
+        if self.dim != comb(self.num_spins, self.L):
+            raise RuntimeError(
+                f"enumerated {self.dim} states, expected C({self.num_spins}, {self.L})"
+            )
 
     def __len__(self) -> int:
         return self.dim
@@ -170,9 +176,11 @@ def derive_seed(master_seed: int, *components) -> int:
 
     Ensembles key each realization as derive_seed(master, kind, parameters,
     index). Hashing keeps streams independent and means extending a sweep
-    with new parameter points never perturbs existing realizations.
+    with new parameter points never perturbs existing realizations. NumPy
+    scalars are keyed as the Python numbers they hold.
     """
-    text = repr((int(master_seed),) + components)
+    plain = tuple(c.item() if isinstance(c, np.generic) else c for c in components)
+    text = repr((int(master_seed),) + plain)
     digest = hashlib.sha256(text.encode()).digest()
     return int.from_bytes(digest[:16], "little")
 
@@ -184,15 +192,6 @@ def bit_position(L: int, leg: int, site: int) -> int:
     if not (1 <= site <= L):
         raise ValueError(f"site must be in 1..{L}, got {site}")
     return (leg - 1) * L + (site - 1)
-
-
-def build_sector_basis(L: int) -> SectorBasis:
-    """Enumerate the half-filling sector of the 2 x L ladder.
-
-    Returns all C(2L, L) bitmasks with exactly L up-spins in ascending order,
-    together with the inverse index map.
-    """
-    return SectorBasis(L)
 
 
 def sample_disorder(
@@ -261,30 +260,40 @@ def build_hamiltonian(
     n = basis.dim
     h1 = np.asarray(disorder.fields_for_leg(1))
     h2 = np.asarray(disorder.fields_for_leg(2))
-    bonds = _bonds(params)
+    states = basis.states
+    cols = np.arange(n)
     H = np.zeros((n, n))
 
     # Diagonal: fields only. s = +1 for a set bit, -1 otherwise.
-    states = basis.states
     for site in range(1, L + 1):
         s1 = np.where((states >> bit_position(L, 1, site)) & 1 == 1, 1.0, -1.0)
         s2 = np.where((states >> bit_position(L, 2, site)) & 1 == 1, 1.0, -1.0)
-        H[np.arange(n), np.arange(n)] += h1[site - 1] * s1 + h2[site - 1] * s2
+        H[cols, cols] += h1[site - 1] * s1 + h2[site - 1] * s2
 
-    # Off-diagonal: one excitation hop per bond, amplitude 2J.
-    for k, s in enumerate(states):
-        s = int(s)
-        for a, b, J in bonds:
-            if J == 0.0:
-                continue
-            if ((s >> a) & 1) != ((s >> b) & 1):
-                swapped = s ^ ((1 << a) | (1 << b))
-                # A swap conserves total population, so the image must be in
-                # the sector; this is the structural [H, Sz] = 0 check.
-                assert bin(swapped).count("1") == L
-                H[basis.index_of[swapped], k] += 2.0 * J
+    # Off-diagonal: one excitation hop per bond, amplitude 2J. A bond's hops
+    # hit distinct (row, column) pairs, so the indexed += adds each once.
+    hop_rows, hop_cols = [], []
+    for a, b, J in _bonds(params):
+        if J == 0.0:
+            continue
+        hops = ((states >> a) ^ (states >> b)) & 1 == 1
+        src = cols[hops]
+        swapped = states[hops] ^ ((1 << a) | (1 << b))
+        rows = np.searchsorted(states, swapped)
+        # A swap conserves total population, so the image must be in the
+        # sector; this is the structural [H, Sz] = 0 check.
+        if np.any(states.take(rows, mode="clip") != swapped):
+            raise RuntimeError(f"hop across bits {a}, {b} leaves the Sz = 0 sector")
+        H[rows, src] += 2.0 * J
+        hop_rows.append(rows)
+        hop_cols.append(src)
 
-    assert np.max(np.abs(H - H.T)) <= 1e-12
+    # Symmetry: every other off-diagonal entry is zero, so comparing the
+    # written entries with their transposes checks the whole matrix.
+    r, c = np.concatenate(hop_rows), np.concatenate(hop_cols)
+    asymmetry = np.max(np.abs(H[r, c] - H[c, r]), initial=0.0)
+    if not asymmetry <= 1e-12:
+        raise RuntimeError(f"assembled Hamiltonian is not symmetric ({asymmetry:.3e})")
     return SectorHamiltonian(matrix=H, params=params, disorder=disorder)
 
 
@@ -311,7 +320,9 @@ def evolve_state(eig: EigenSystem, psi: np.ndarray, t: float) -> np.ndarray:
     coeff = eig.eigenvectors.T @ psi
     coeff = coeff * np.exp(-1j * eig.eigenvalues * t)
     out = eig.eigenvectors @ coeff
-    assert abs(np.linalg.norm(out) - 1.0) <= 1e-10
+    out_norm = np.linalg.norm(out)
+    if abs(out_norm - 1.0) > 1e-10:
+        raise RuntimeError(f"evolution broke unitarity: output norm {out_norm}")
     return out
 
 

@@ -116,18 +116,23 @@ def _extract_txy(series, window):
     return t, y, (float(window[0]), float(window[1]))
 
 
+def _r_squared(y: np.ndarray, residuals: np.ndarray) -> float:
+    """Coefficient of determination; 1 for an exact fit of constant data."""
+    ss_res = float(np.sum(residuals**2))
+    ss_tot = float(np.sum((y - y.mean()) ** 2))
+    if ss_tot == 0.0 and ss_res < 1e-28:
+        return 1.0
+    return 1.0 - ss_res / max(ss_tot, 1e-300)
+
+
 def _linear_least_squares(x: np.ndarray, y: np.ndarray):
     """Plain 1D least squares, input sorted by x so results are order-independent."""
     order = np.argsort(x, kind="stable")
     x, y = x[order], y[order]
     A = np.stack([x, np.ones_like(x)], axis=1)
     (slope, intercept), *_ = np.linalg.lstsq(A, y, rcond=None)
-    fitted = slope * x + intercept
-    residuals = y - fitted
-    ss_res = float(np.sum(residuals**2))
-    ss_tot = float(np.sum((y - y.mean()) ** 2))
-    r2 = 1.0 if ss_tot == 0.0 and ss_res < 1e-28 else 1.0 - ss_res / max(ss_tot, 1e-300)
-    return slope, intercept, r2, residuals
+    residuals = y - (slope * x + intercept)
+    return slope, intercept, _r_squared(y, residuals), residuals
 
 
 def fit_exponential(series, window=None) -> FitResult:
@@ -218,16 +223,12 @@ def fit_mbl_form(series, window=None, max_starts: int | None = None) -> FitResul
         raise FitConvergenceError("stretched-form fit failed from every start point")
 
     a, log_b, u = best.x
-    residuals = best.fun
-    ss_res = float(np.sum(residuals**2))
-    ss_tot = float(np.sum((y - y.mean()) ** 2))
-    r2 = 1.0 if ss_tot == 0.0 and ss_res < 1e-28 else 1.0 - ss_res / max(ss_tot, 1e-300)
     return FitResult(
         form="mbl",
         params={"a": float(a), "b": float(np.exp(log_b)), "c": float(-np.exp(u))},
-        r_squared=r2,
+        r_squared=_r_squared(y, best.fun),
         window=window,
-        residuals=residuals,
+        residuals=best.fun,
         meta={"coordinates": "linear", "n_starts": len(starts)},
     )
 

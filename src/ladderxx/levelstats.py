@@ -22,8 +22,8 @@ import numpy as np
 
 from .core import (
     LadderParams,
+    SectorBasis,
     build_hamiltonian,
-    build_sector_basis,
     derive_seed,
     diagonalize,
     sample_disorder,
@@ -103,7 +103,7 @@ def ensemble_gap_ratio(
         raise ValueError("need at least one realization")
     if middle_fraction is not None and not (0.0 < middle_fraction <= 1.0):
         raise ValueError("middle_fraction must be in (0, 1]")
-    basis = build_sector_basis(params.L)
+    basis = SectorBasis(params.L)
     reports = []
     for h in h_list:
         p = LadderParams(L=params.L, J_par=params.J_par, alpha=params.alpha, h=float(h))

@@ -5,11 +5,12 @@ sz_i(t) = U+(t) sz_i U(t), evaluated exactly over the Sz = 0 sector, and its
 estimator: the mean of F_j(t) = <psi_j| sz_i(t) sz_1 sz_i(t) sz_1 |psi_j>
 over M random initial states (Haar vectors or Fock basis states).
 
-`exact_otoc` is the reference implementation. It evaluates two algebraically
-equal but independently coded forms at every time, the 4-operator trace and
-1 - ||[sz_i(t), sz_1]||_F^2 / (2N), and refuses to return if they disagree.
-`pair_otoc_values` and `multi_distance_otoc_values` are the fast single-route
-variants used inside ensemble loops; tests pin them to `exact_otoc`.
+`exact_otoc` is the reference implementation. It evaluates the OTOC by two
+independently coded routes at every time and refuses to return if they
+disagree: the trace route, Tr[A(t) B A(t) B] / N in the eigenbasis, and the
+W-route, `multi_distance_otoc_values`, which builds W(t) = U(t) sz_1 U+(t) in
+the computational basis. The W-route is also the fast kernel of ensemble
+loops, where one W per time serves every probe operator.
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ __all__ = [
     "complete_fock_basis",
     "eon_distribution",
     "effective_dimension",
-    "pair_otoc_values",
     "multi_distance_otoc_values",
     "default_decay_times",
     "default_lightcone_times",
@@ -145,9 +145,10 @@ def exact_otoc(
 ) -> OtocSeries:
     """Exact infinite-temperature OTOC via two independent routes.
 
-    Route 1 evaluates Tr[sz_i(t) sz_1 sz_i(t) sz_1] / N in the eigenbasis.
-    Route 2 forms the Heisenberg operator in the computational basis, takes
-    the explicit commutator with sz_1 and returns 1 - ||K||_F^2 / (2N).
+    The trace route evaluates Tr[sz_i(t) sz_1 sz_i(t) sz_1] / N in the
+    eigenbasis and supplies the returned values. The W-route,
+    `multi_distance_otoc_values`, forms W(t) = U(t) sz_1 U+(t) in the
+    computational basis and sums |W_ab|^2 weighted by the probe diagonal.
     Their maximum discrepancy over the grid is recorded in
     meta["cross_check_max"]; exceeding `cross_check_tol` raises.
 
@@ -157,7 +158,6 @@ def exact_otoc(
     times : evaluation grid in units of 1/J_par.
     """
     times = np.atleast_1d(np.asarray(times, dtype=float))
-    V = eig.eigenvectors
     E = eig.eigenvalues
     n = eig.dim
     if op_i.shape != (n,) or op_1.shape != (n,):
@@ -165,27 +165,17 @@ def exact_otoc(
 
     A = _eigenbasis_diagonal(eig, np.asarray(op_i, dtype=float))
     B = _eigenbasis_diagonal(eig, np.asarray(op_1, dtype=float))
-    d1 = np.asarray(op_1, dtype=float)
 
+    # Trace route: Tr[P^2] with P = A(t) B.
     values = np.empty(times.shape, dtype=complex)
-    discrepancy = 0.0
     for k, t in enumerate(times):
         u = np.exp(1j * E * t)
         At = (u[:, None] * A) * u.conj()[None, :]
-
-        # Route 1: 4-operator trace, Tr[P^2] with P = A(t) B.
         P = _rc_matmul(At, B)
-        f_trace = np.sum(P * P.T) / n
+        values[k] = np.sum(P * P.T) / n
 
-        # Route 2: commutator Frobenius norm in the computational basis.
-        Xt = _rc_matmul(_cr_matmul(V, At), V.T)  # V @ At @ V.T
-        K = Xt * d1[None, :] - d1[:, None] * Xt
-        c0 = np.vdot(K, K).real
-        f_comm = 1.0 - c0 / (2.0 * n)
-
-        discrepancy = max(discrepancy, abs(f_trace - f_comm))
-        values[k] = f_trace
-
+    w_values, _ = multi_distance_otoc_values(eig, op_i[None, :], op_1, times)
+    discrepancy = float(np.max(np.abs(values - w_values[0])))
     if discrepancy > cross_check_tol:
         raise RuntimeError(
             f"exact OTOC routes disagree by {discrepancy:.3e} "
@@ -200,36 +190,6 @@ def exact_otoc(
     return OtocSeries(times=times, values=values, meta=out_meta)
 
 
-def pair_otoc_values(
-    eig: EigenSystem,
-    op_i: np.ndarray,
-    op_1: np.ndarray,
-    times: np.ndarray,
-) -> tuple[np.ndarray, float]:
-    """Fast single-route exact OTOC for one operator pair.
-
-    Trace route only (two real matrix products per time). Returns the real
-    series and a numerical-health figure: ||A(t) B||_F^2 / N equals 1 exactly
-    for unitary evolution, so its worst deviation bounds the rounding error.
-    """
-    times = np.atleast_1d(np.asarray(times, dtype=float))
-    E = eig.eigenvalues
-    n = eig.dim
-    A = _eigenbasis_diagonal(eig, np.asarray(op_i, dtype=float))
-    B = _eigenbasis_diagonal(eig, np.asarray(op_1, dtype=float))
-
-    values = np.empty(times.shape, dtype=float)
-    defect = 0.0
-    for k, t in enumerate(times):
-        u = np.exp(1j * E * t)
-        At = (u[:, None] * A) * u.conj()[None, :]
-        P_re = At.real @ B
-        P_im = At.imag @ B
-        values[k] = (np.sum(P_re * P_re.T) - np.sum(P_im * P_im.T)) / n
-        defect = max(defect, abs((np.sum(P_re * P_re) + np.sum(P_im * P_im)) / n - 1.0))
-    return values, defect
-
-
 def multi_distance_otoc_values(
     eig: EigenSystem,
     probe_ops: np.ndarray,
@@ -240,16 +200,22 @@ def multi_distance_otoc_values(
 
     By trace cyclicity F_i(t) = (1/N) sum_ab (d_i)_a (d_i)_b |W_ab(t)|^2 with
     W(t) = U(t) sz_1 U+(t), so one O(N^3) evaluation of W per time serves
-    every probe operator at O(N^2) extra cost each.
+    every probe operator at O(N^2) extra cost each. Since sz_1 = 2 P - 1
+    with P the projector on its +1 states, W = 2 G G^dagger - 1, where
+    G = V (exp(-i E t) * V[up, :]^T) holds the columns of U(t) on those
+    states (N x N/2 in the Sz = 0 sector). With S = [Re G, Im G] and
+    X = Im G Re G^T, Re W = 2 S S^T - 1 and Im W = 2 (X - X^T).
 
     Parameters
     ----------
     probe_ops : array (n_probes, N) of +-1 diagonals.
+    op_1 : +-1 diagonal; any other entry raises ValueError.
 
     Returns
     -------
-    values : real array (n_probes, n_times); health defect as in
-    `pair_otoc_values` (here ||W||_F^2 / N - 1).
+    values : real array (n_probes, n_times); a numerical-health figure,
+    max over the grid of | ||W||_F^2 / N - 1 |, which is 0 for exactly
+    unitary evolution and so bounds the rounding error.
     """
     times = np.atleast_1d(np.asarray(times, dtype=float))
     V = eig.eigenvectors
@@ -258,17 +224,21 @@ def multi_distance_otoc_values(
     D = np.asarray(probe_ops, dtype=float)
     if D.ndim != 2 or D.shape[1] != n:
         raise ValueError("probe_ops must be (n_probes, N)")
-    A1 = _eigenbasis_diagonal(eig, np.asarray(op_1, dtype=float))
+    d1 = np.asarray(op_1, dtype=float)
+    if d1.shape != (n,) or not np.all(np.abs(d1) == 1.0):
+        raise ValueError("op_1 must be a +-1 diagonal of length N")
+    V_up = V[d1 > 0, :].T
+    m = V_up.shape[1]
+    eye = np.eye(n)
 
     values = np.empty((D.shape[0], times.shape[0]), dtype=float)
     defect = 0.0
     for k, t in enumerate(times):
-        v = np.exp(-1j * E * t)
-        At = (v[:, None] * A1) * v.conj()[None, :]
-        half_re = V @ At.real
-        half_im = V @ At.imag
-        W_re = half_re @ V.T
-        W_im = half_im @ V.T
+        C = np.exp(-1j * E * t)[:, None] * V_up
+        S = V @ np.concatenate([C.real, C.imag], axis=1)
+        W_re = 2.0 * (S @ S.T) - eye
+        X = S[:, m:] @ S[:, :m].T
+        W_im = 2.0 * (X - X.T)
         Q = W_re * W_re + W_im * W_im
         defect = max(defect, abs(Q.sum() / n - 1.0))
         values[:, k] = np.sum((D @ Q) * D, axis=1) / n

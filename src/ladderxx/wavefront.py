@@ -18,12 +18,12 @@ import numpy as np
 from .core import (
     DisorderRealization,
     LadderParams,
+    SectorBasis,
     build_hamiltonian,
-    build_sector_basis,
     diagonalize,
     sigma_z_operator,
 )
-from .fits import FitResult
+from .fits import FitResult, _linear_least_squares
 from .otoc import multi_distance_otoc_values
 
 __all__ = [
@@ -98,7 +98,7 @@ def build_spacetime_grid(
     if len(disorder_ensemble) == 0:
         raise ValueError("need at least one disorder realization")
     times = np.asarray(times, dtype=float)
-    basis = build_sector_basis(params.L)
+    basis = SectorBasis(params.L)
     distances = np.arange(1, params.L)
     probes = np.stack(
         [sigma_z_operator(basis, 1, 1 + dx) for dx in distances]
@@ -206,13 +206,7 @@ def fit_dynamical_exponent(contour: Contour, min_dx: int | None = None) -> FitRe
         )
     if np.any(t <= 0):
         raise ValueError("crossing times must be positive for a log-log fit")
-    A = np.stack([np.log(t), np.ones_like(t)], axis=1)
-    (gamma, log_a), *_ = np.linalg.lstsq(A, np.log(dx), rcond=None)
-    fitted = gamma * np.log(t) + log_a
-    residuals = np.log(dx) - fitted
-    ss_res = float(np.sum(residuals**2))
-    ss_tot = float(np.sum((np.log(dx) - np.log(dx).mean()) ** 2))
-    r2 = 1.0 if ss_tot == 0.0 and ss_res < 1e-28 else 1.0 - ss_res / max(ss_tot, 1e-300)
+    gamma, log_a, r2, residuals = _linear_least_squares(np.log(t), np.log(dx))
     fit = FitResult(
         form="power",
         params={"a": float(np.exp(log_a)), "gamma": float(gamma)},

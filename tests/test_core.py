@@ -1,5 +1,11 @@
 """Basis, Hamiltonian, and evolution checks against independent small-system oracles."""
 
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,9 +14,10 @@ from hypothesis import strategies as st
 from ladderxx.core import (
     DisorderRealization,
     LadderParams,
+    SectorBasis,
     bit_position,
     build_hamiltonian,
-    build_sector_basis,
+    derive_seed,
     diagonalize,
     evolve_state,
     sample_disorder,
@@ -55,6 +62,39 @@ def full_space_hamiltonian(params: LadderParams, disorder: DisorderRealization) 
     return H.real
 
 
+def loop_hamiltonian(
+    params: LadderParams, disorder: DisorderRealization, basis: SectorBasis
+) -> np.ndarray:
+    """Reference sector assembly: one Python pass over every state and bond."""
+    L = params.L
+    n = basis.dim
+    index_of = {int(s): i for i, s in enumerate(basis.states)}
+    h1 = np.asarray(disorder.fields_for_leg(1))
+    h2 = np.asarray(disorder.fields_for_leg(2))
+    bonds = [
+        (bit_position(L, leg, site), bit_position(L, leg, site + 1), params.J_par)
+        for leg in (1, 2)
+        for site in range(1, L)
+    ] + [
+        (bit_position(L, 1, site), bit_position(L, 2, site), params.J_perp)
+        for site in range(1, L + 1)
+    ]
+    H = np.zeros((n, n))
+    states = basis.states
+    for site in range(1, L + 1):
+        s1 = np.where((states >> bit_position(L, 1, site)) & 1 == 1, 1.0, -1.0)
+        s2 = np.where((states >> bit_position(L, 2, site)) & 1 == 1, 1.0, -1.0)
+        H[np.arange(n), np.arange(n)] += h1[site - 1] * s1 + h2[site - 1] * s2
+    for k, s in enumerate(states):
+        s = int(s)
+        for a, b, J in bonds:
+            if J == 0.0:
+                continue
+            if ((s >> a) & 1) != ((s >> b) & 1):
+                H[index_of[s ^ ((1 << a) | (1 << b))], k] += 2.0 * J
+    return H
+
+
 def restrict_to_sector(H_full: np.ndarray, L: int) -> np.ndarray:
     keep = [s for s in range(H_full.shape[0]) if bin(s).count("1") == L]
     keep = np.array(sorted(keep))
@@ -78,31 +118,31 @@ def char_poly_coefficients(M: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------- basis
 
 def test_sector_dimensions():
-    assert build_sector_basis(3).dim == 20
-    assert build_sector_basis(6).dim == 924
-    assert build_sector_basis(2).dim == 6
+    assert SectorBasis(3).dim == 20
+    assert SectorBasis(6).dim == 924
+    assert SectorBasis(2).dim == 6
 
 
 def test_l2_state_enumeration():
-    basis = build_sector_basis(2)
+    basis = SectorBasis(2)
     assert list(basis.states) == [3, 5, 6, 9, 10, 12]
 
 
 def test_index_map_is_inverse():
-    basis = build_sector_basis(4)
-    for i, s in enumerate(basis.states):
-        assert basis.index_of[int(s)] == i
-    assert len(basis.index_of) == basis.dim
+    # States are strictly ascending, so a bisection search is the inverse map.
+    basis = SectorBasis(4)
+    assert np.all(np.diff(basis.states) > 0)
+    assert np.array_equal(np.searchsorted(basis.states, basis.states), np.arange(basis.dim))
 
 
 def test_basis_rejects_out_of_range_l():
     for bad in (1, 0, 9, 12):
         with pytest.raises(ValueError):
-            build_sector_basis(bad)
+            SectorBasis(bad)
 
 
 def test_all_states_half_filled():
-    basis = build_sector_basis(5)
+    basis = SectorBasis(5)
     pops = [bin(int(s)).count("1") for s in basis.states]
     assert set(pops) == {5}
 
@@ -151,7 +191,7 @@ def test_disorder_independent_legs():
 
 def test_uniform_couplings_l2():
     params = LadderParams(L=2, alpha=1.0, h=0.0)
-    basis = build_sector_basis(2)
+    basis = SectorBasis(2)
     H = build_hamiltonian(params, sample_disorder(params, 0), basis).matrix
     off = H[~np.eye(6, dtype=bool)]
     assert set(np.round(off[off != 0.0], 12)) == {2.0}
@@ -162,7 +202,7 @@ def test_trace_is_zero_even_with_disorder():
     # Each sigma^z diagonal sums to zero over the half-filled sector, so the
     # field term is traceless too.
     params = LadderParams(L=4, alpha=0.7, h=3.0)
-    basis = build_sector_basis(4)
+    basis = SectorBasis(4)
     H = build_hamiltonian(params, sample_disorder(params, 5), basis).matrix
     assert abs(np.trace(H)) < 1e-12
 
@@ -171,7 +211,7 @@ def test_trace_is_zero_even_with_disorder():
 def test_sector_matches_full_space_oracle(alpha, h, seed):
     params = LadderParams(L=2, alpha=alpha, h=h)
     disorder = sample_disorder(params, seed)
-    basis = build_sector_basis(2)
+    basis = SectorBasis(2)
     H = build_hamiltonian(params, disorder, basis).matrix
     H_oracle = restrict_to_sector(full_space_hamiltonian(params, disorder), L=2)
     assert np.max(np.abs(H - H_oracle)) < 1e-12
@@ -180,19 +220,31 @@ def test_sector_matches_full_space_oracle(alpha, h, seed):
 def test_sector_matches_full_space_oracle_l3_independent_legs():
     params = LadderParams(L=3, alpha=0.5, h=1.5)
     disorder = sample_disorder(params, 21, independent_legs=True)
-    basis = build_sector_basis(3)
+    basis = SectorBasis(3)
     H = build_hamiltonian(params, disorder, basis).matrix
     H_oracle = restrict_to_sector(full_space_hamiltonian(params, disorder), L=3)
     assert np.max(np.abs(H - H_oracle)) < 1e-12
 
 
+@pytest.mark.parametrize("independent_legs", [False, True])
+@pytest.mark.parametrize("L", [2, 3, 4, 5, 6])
+def test_hamiltonian_matches_loop_reference(L, independent_legs):
+    # The bond-vectorized assembly performs the same additions as the loop,
+    # so the matrices agree bit for bit.
+    params = LadderParams(L=L, alpha=0.8, h=2.0)
+    disorder = sample_disorder(params, 31 + L, independent_legs=independent_legs)
+    basis = SectorBasis(L)
+    H = build_hamiltonian(params, disorder, basis).matrix
+    assert np.array_equal(H, loop_hamiltonian(params, disorder, basis))
+
+
 def test_dimension_mismatch_rejected():
     params = LadderParams(L=3, h=1.0)
     with pytest.raises(ValueError):
-        build_hamiltonian(params, sample_disorder(params, 0), build_sector_basis(4))
+        build_hamiltonian(params, sample_disorder(params, 0), SectorBasis(4))
     with pytest.raises(ValueError):
         build_hamiltonian(
-            params, DisorderRealization(fields=(0.0, 0.0), seed=0), build_sector_basis(3)
+            params, DisorderRealization(fields=(0.0, 0.0), seed=0), SectorBasis(3)
         )
 
 
@@ -200,13 +252,11 @@ def test_leg_swap_symmetry_of_shared_disorder():
     # With column-identical fields, exchanging the two legs permutes the basis
     # but maps H onto itself exactly.
     params = LadderParams(L=4, alpha=1.3, h=2.0)
-    basis = build_sector_basis(4)
+    basis = SectorBasis(4)
     H = build_hamiltonian(params, sample_disorder(params, 17), basis).matrix
     L = params.L
     low = (1 << L) - 1
-    perm = np.array(
-        [basis.index_of[((int(s) & low) << L) | (int(s) >> L)] for s in basis.states]
-    )
+    perm = np.searchsorted(basis.states, ((basis.states & low) << L) | (basis.states >> L))
     assert np.array_equal(H[np.ix_(perm, perm)], H)
 
 
@@ -216,14 +266,14 @@ def test_decoupled_dimer_spectrum():
     # alpha = 0, h = 0, L = 2: two free XX dimers; sector energies are sums of
     # per-leg energies {0, +-2, 0}, giving {-4, 0, 0, 0, 0, 4}.
     params = LadderParams(L=2, alpha=0.0, h=0.0)
-    basis = build_sector_basis(2)
+    basis = SectorBasis(2)
     eig = diagonalize(build_hamiltonian(params, sample_disorder(params, 0), basis))
     assert np.allclose(eig.eigenvalues, [-4.0, 0.0, 0.0, 0.0, 0.0, 4.0], atol=1e-12)
 
 
 def test_spectrum_matches_characteristic_polynomial():
     params = LadderParams(L=2, alpha=1.0, h=0.0)
-    basis = build_sector_basis(2)
+    basis = SectorBasis(2)
     H = build_hamiltonian(params, sample_disorder(params, 0), basis)
     eig = diagonalize(H)
     roots = np.sort(np.roots(char_poly_coefficients(H.matrix)).real)
@@ -232,7 +282,7 @@ def test_spectrum_matches_characteristic_polynomial():
 
 def test_eigensystem_invariants():
     params = LadderParams(L=4, alpha=1.0, h=1.0)
-    basis = build_sector_basis(4)
+    basis = SectorBasis(4)
     H = build_hamiltonian(params, sample_disorder(params, 2), basis)
     eig = diagonalize(H)
     assert np.all(np.diff(eig.eigenvalues) >= 0)
@@ -248,7 +298,7 @@ def test_eigensystem_invariants():
 def test_leg_swap_spectrum_invariance():
     # Same fields on both legs: spectra with legs relabeled must coincide.
     params = LadderParams(L=3, alpha=0.8, h=1.0)
-    basis = build_sector_basis(3)
+    basis = SectorBasis(3)
     disorder = sample_disorder(params, 23)
     eig = diagonalize(build_hamiltonian(params, disorder, basis))
     swapped = DisorderRealization(fields=disorder.fields, seed=disorder.seed)
@@ -261,7 +311,7 @@ def test_leg_swap_spectrum_invariance():
 @pytest.fixture(scope="module")
 def small_eig():
     params = LadderParams(L=3, alpha=1.0, h=1.0)
-    basis = build_sector_basis(3)
+    basis = SectorBasis(3)
     return diagonalize(build_hamiltonian(params, sample_disorder(params, 1), basis))
 
 
@@ -302,15 +352,46 @@ def test_evolve_rejects_unnormalized(small_eig):
         evolve_state(small_eig, np.ones(small_eig.dim), 1.0)
 
 
+def test_evolve_norm_check_survives_optimized_mode():
+    # Eigenvectors 2 I make U(t) scale every state by 4; the output-norm check
+    # must raise even under python -O, which strips assert statements.
+    script = textwrap.dedent(
+        """
+        import sys
+        import numpy as np
+        from ladderxx.core import EigenSystem, evolve_state
+
+        if not sys.flags.optimize:
+            sys.exit(2)
+        eig = EigenSystem(eigenvalues=np.zeros(4), eigenvectors=2.0 * np.eye(4))
+        try:
+            evolve_state(eig, np.array([1.0, 0.0, 0.0, 0.0]), 0.5)
+        except RuntimeError:
+            sys.exit(0)
+        sys.exit(1)
+        """
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
 # ---------------------------------------------------------------- operators
 
 def test_sigma_z_hand_enumeration_l2():
-    basis = build_sector_basis(2)
+    basis = SectorBasis(2)
     assert list(sigma_z_operator(basis, 1, 1)) == [1.0, 1.0, -1.0, 1.0, -1.0, -1.0]
 
 
 def test_sigma_z_sums_to_zero():
-    basis = build_sector_basis(3)
+    basis = SectorBasis(3)
     total = sum(
         sigma_z_operator(basis, leg, site) for leg in (1, 2) for site in (1, 2, 3)
     )
@@ -318,12 +399,12 @@ def test_sigma_z_sums_to_zero():
 
 
 def test_sigma_z_squares_to_identity():
-    basis = build_sector_basis(4)
+    basis = SectorBasis(4)
     assert np.array_equal(sigma_z_operator(basis, 2, 3) ** 2, np.ones(basis.dim))
 
 
 def test_sigma_z_rejects_bad_indices():
-    basis = build_sector_basis(3)
+    basis = SectorBasis(3)
     with pytest.raises(ValueError):
         sigma_z_operator(basis, 3, 1)
     with pytest.raises(ValueError):
@@ -341,10 +422,30 @@ def test_sigma_z_rejects_bad_indices():
 )
 def test_hamiltonian_properties(L, alpha, h, seed):
     params = LadderParams(L=L, alpha=alpha, h=h)
-    basis = build_sector_basis(L)
+    basis = SectorBasis(L)
     H = build_hamiltonian(params, sample_disorder(params, seed), basis).matrix
     assert np.max(np.abs(H - H.T)) <= 1e-12
     assert abs(np.trace(H)) < 1e-10
+
+
+def test_params_store_plain_numbers():
+    a = LadderParams(L=np.int64(4), J_par=1, alpha=1, h=np.float64(2.0))
+    assert a == LadderParams(L=4, J_par=1.0, alpha=1.0, h=2.0)
+    assert type(a.L) is int
+    assert all(type(v) is float for v in (a.J_par, a.alpha, a.h))
+    with pytest.raises(ValueError):
+        LadderParams(L=3.0)
+
+
+def test_seed_does_not_depend_on_numpy_scalar_types():
+    h = 1.5
+    assert derive_seed(7, "level_stats", 4, 1.0, np.float64(h), np.int64(2)) == derive_seed(
+        7, "level_stats", 4, 1.0, float(h), 2
+    )
+    params = LadderParams(L=4, h=h)
+    assert sample_disorder(params, derive_seed(7, np.float64(h))) == sample_disorder(
+        params, derive_seed(7, float(h))
+    )
 
 
 def test_params_validation():

@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 
 from ladderxx.core import (
     LadderParams,
+    SectorBasis,
     build_hamiltonian,
-    build_sector_basis,
     diagonalize,
     sample_disorder,
     sigma_z_operator,
@@ -190,7 +190,7 @@ def test_logarithmic_window_rejects_wrong_form():
 @pytest.fixture(scope="module")
 def small_system():
     params = LadderParams(L=3, alpha=1.0, h=1.0)
-    basis = build_sector_basis(3)
+    basis = SectorBasis(3)
     eig = diagonalize(build_hamiltonian(params, sample_disorder(params, 4), basis))
     d_i = sigma_z_operator(basis, 1, 3)
     d_1 = sigma_z_operator(basis, 1, 1)

@@ -88,6 +88,17 @@ def test_ensemble_seed_streams_are_stable_under_h_list_changes():
     assert solo[0].ensemble_mean == pair[1].ensemble_mean
 
 
+def test_integer_alpha_keys_the_same_streams_as_float_alpha():
+    # Streams are keyed on the parameters, so the same value typed as an int
+    # or a float must draw the same disorder.
+    as_int = ensemble_gap_ratio(LadderParams(L=4, alpha=1), [1.0], realizations=3, seed=2)[0]
+    as_float = ensemble_gap_ratio(LadderParams(L=4, alpha=1.0), [1.0], realizations=3, seed=2)[0]
+    assert np.array_equal(as_int.per_realization_means, as_float.per_realization_means)
+    assert as_int.ensemble_mean == as_float.ensemble_mean
+    assert as_int.stderr == as_float.stderr
+    assert as_int.meta == as_float.meta
+
+
 def test_regime_brackets_small_system():
     # L=4 with leg-independent fields: ergodic near 0.50, strong disorder
     # near the Poisson value. Loose brackets; the L=5 figures are pinned by

@@ -1,4 +1,4 @@
-"""OTOC engine checks: dual-route agreement, estimator limits, state diagnostics."""
+"""OTOC engine checks: trace/W-route agreement, estimator limits, state diagnostics."""
 
 import numpy as np
 import pytest
@@ -6,8 +6,8 @@ import scipy.linalg
 
 from ladderxx.core import (
     LadderParams,
+    SectorBasis,
     build_hamiltonian,
-    build_sector_basis,
     diagonalize,
     sample_disorder,
     sigma_z_operator,
@@ -22,14 +22,13 @@ from ladderxx.otoc import (
     fock_state,
     haar_state,
     multi_distance_otoc_values,
-    pair_otoc_values,
     sampled_otoc,
 )
 
 
 def make_eig(L, alpha=1.0, h=1.0, seed=1, independent_legs=False):
     params = LadderParams(L=L, alpha=alpha, h=h)
-    basis = build_sector_basis(L)
+    basis = SectorBasis(L)
     dis = sample_disorder(params, seed, independent_legs=independent_legs)
     return basis, diagonalize(build_hamiltonian(params, dis, basis))
 
@@ -66,7 +65,7 @@ def test_exact_otoc_same_site_at_t0():
 
 def test_exact_otoc_frozen_clean_values():
     params = LadderParams(L=3, alpha=1.0, h=0.0)
-    basis = build_sector_basis(3)
+    basis = SectorBasis(3)
     eig = diagonalize(build_hamiltonian(params, sample_disorder(params, 0), basis))
     d_i = sigma_z_operator(basis, 1, 3)
     d_1 = sigma_z_operator(basis, 1, 1)
@@ -79,7 +78,7 @@ def test_exact_otoc_frozen_clean_values():
 
 def test_exact_otoc_frozen_disordered_values():
     params = LadderParams(L=3, alpha=0.7, h=1.5)
-    basis = build_sector_basis(3)
+    basis = SectorBasis(3)
     eig = diagonalize(build_hamiltonian(params, sample_disorder(params, 42), basis))
     d_i = sigma_z_operator(basis, 2, 2)
     d_1 = sigma_z_operator(basis, 1, 1)
@@ -90,7 +89,7 @@ def test_exact_otoc_frozen_disordered_values():
 
 def test_exact_otoc_matches_expm_reference():
     params = LadderParams(L=4, alpha=1.3, h=2.0)
-    basis = build_sector_basis(4)
+    basis = SectorBasis(4)
     H = build_hamiltonian(params, sample_disorder(params, 8), basis)
     eig = diagonalize(H)
     d_i = sigma_z_operator(basis, 2, 3)
@@ -126,8 +125,9 @@ def test_pair_route_matches_exact():
     d_1 = sigma_z_operator(basis, 1, 1)
     times = np.linspace(0.0, 8.0, 17)
     reference = exact_otoc(eig, d_i, d_1, times)
-    fast, defect = pair_otoc_values(eig, d_i, d_1, times)
-    assert np.max(np.abs(fast - reference.values.real)) < 1e-10
+    fast, defect = multi_distance_otoc_values(eig, d_i[None, :], d_1, times)
+    assert fast.shape == (1, times.size)
+    assert np.max(np.abs(fast[0] - reference.values.real)) < 1e-10
     assert defect < 1e-10
 
 
@@ -141,6 +141,17 @@ def test_multi_distance_route_matches_exact():
     for row, dx in zip(grid, (1, 2, 3)):
         reference = exact_otoc(eig, probes[dx - 1], d_1, times)
         assert np.max(np.abs(row - reference.values.real)) < 1e-10
+
+
+def test_w_route_rejects_op_1_that_is_not_plus_minus_one():
+    basis, eig = make_eig(3, seed=6)
+    d_i = sigma_z_operator(basis, 1, 3)
+    d_1 = sigma_z_operator(basis, 1, 1)
+    for bad in (0.5 * d_1, d_1 + sigma_z_operator(basis, 2, 1), np.ones(basis.dim + 1)):
+        with pytest.raises(ValueError):
+            multi_distance_otoc_values(eig, d_i[None, :], bad, [0.0, 1.0])
+    with pytest.raises(ValueError):
+        exact_otoc(eig, d_i, 0.5 * d_1, [0.0, 1.0])
 
 
 # ---------------------------------------------------------------- sampled
@@ -220,7 +231,7 @@ def test_otoc_series_rejects_bad_t0():
 # ---------------------------------------------------------------- states
 
 def test_haar_state_norm_and_determinism():
-    basis = build_sector_basis(4)
+    basis = SectorBasis(4)
     a = haar_state(basis, 7)
     b = haar_state(basis, 7)
     assert abs(np.linalg.norm(a.amplitudes) - 1.0) < 1e-12
@@ -229,7 +240,7 @@ def test_haar_state_norm_and_determinism():
 
 
 def test_haar_overlap_statistics():
-    basis = build_sector_basis(3)
+    basis = SectorBasis(3)
     n = basis.dim
     overlaps = []
     for k in range(100):
@@ -242,7 +253,7 @@ def test_haar_overlap_statistics():
 
 
 def test_fock_state_shape_and_determinism():
-    basis = build_sector_basis(3)
+    basis = SectorBasis(3)
     s = fock_state(basis, 3)
     nonzero = np.flatnonzero(s.amplitudes)
     assert nonzero.size == 1
@@ -251,7 +262,7 @@ def test_fock_state_shape_and_determinism():
 
 
 def test_fock_state_covers_all_indices():
-    basis = build_sector_basis(3)
+    basis = SectorBasis(3)
     indices = {int(np.flatnonzero(fock_state(basis, k).amplitudes)[0]) for k in range(10**4)}
     assert indices == set(range(basis.dim))
 

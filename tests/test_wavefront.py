@@ -5,13 +5,13 @@ import pytest
 
 from ladderxx.core import (
     LadderParams,
+    SectorBasis,
     build_hamiltonian,
-    build_sector_basis,
     diagonalize,
     sample_disorder,
     sigma_z_operator,
 )
-from ladderxx.otoc import pair_otoc_values
+from ladderxx.otoc import multi_distance_otoc_values
 from ladderxx.wavefront import (
     Contour,
     WavefrontGrid,
@@ -203,9 +203,9 @@ def test_decoupled_legs_never_scramble_across():
     # alpha = 0 splits the ladder; an OTOC probing the other leg stays at 1,
     # the caricature of a never-crossing grid row.
     params = LadderParams(L=3, alpha=0.0, h=1.0)
-    basis = build_sector_basis(3)
+    basis = SectorBasis(3)
     eig = diagonalize(build_hamiltonian(params, sample_disorder(params, 3), basis))
     d_1 = sigma_z_operator(basis, 1, 1)
     d_other = sigma_z_operator(basis, 2, 3)
-    values, _ = pair_otoc_values(eig, d_other, d_1, np.linspace(0.0, 8.0, 17))
+    values, _ = multi_distance_otoc_values(eig, d_other[None, :], d_1, np.linspace(0.0, 8.0, 17))
     assert np.max(np.abs(values - 1.0)) < 1e-10
