@@ -45,6 +45,9 @@ __all__ = [
 
 L_MIN = 2
 L_MAX = 8
+# Relative tolerance per basis state on sum(lambda^2) = ||H||_F^2 in diagonalize:
+# backward-stable eigensolvers move each eigenvalue by O(N eps ||H||).
+SPECTRAL_WEIGHT_RTOL = 16 * np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -63,7 +66,11 @@ class LadderParams:
         # np.float64(1.0)) never reaches the seed labels built from it.
         object.__setattr__(self, "L", int(self.L))
         for name in ("J_par", "alpha", "h"):
-            object.__setattr__(self, name, float(getattr(self, name)))
+            value = float(getattr(self, name))
+            # NaN slips through every comparison below, so test it first.
+            if not np.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
+            object.__setattr__(self, name, value)
         if self.J_par <= 0:
             raise ValueError(f"J_par must be positive, got {self.J_par}")
         if self.alpha < 0:
@@ -113,6 +120,9 @@ class SectorBasis:
     states : int64 array of the C(2L, L) bitmasks with L set bits, ascending
         (so ``np.searchsorted(states, mask)`` is the index of a bitmask).
     dim : sector dimension.
+    leg_swap : int64 index array of the leg exchange P: ``states[leg_swap[k]]``
+        is ``states[k]`` with the two legs' bit halves swapped. P is an
+        involution; its fixed points (``leg_swap[k] == k``) exist for even L.
     """
 
     def __init__(self, L: int):
@@ -134,6 +144,9 @@ class SectorBasis:
             raise RuntimeError(
                 f"enumerated {self.dim} states, expected C({self.num_spins}, {self.L})"
             )
+        low = (1 << self.L) - 1
+        swapped = ((self.states & low) << self.L) | (self.states >> self.L)
+        self.leg_swap = np.searchsorted(self.states, swapped)
 
     def __len__(self) -> int:
         return self.dim
@@ -144,11 +157,12 @@ class SectorBasis:
 
 @dataclass(frozen=True)
 class SectorHamiltonian:
-    """Dense real symmetric Hamiltonian restricted to the Sz = 0 sector."""
+    """Dense real symmetric Hamiltonian restricted to the Sz = 0 sector of ``basis``."""
 
     matrix: np.ndarray
     params: LadderParams
     disorder: DisorderRealization
+    basis: SectorBasis
 
     @property
     def dim(self) -> int:
@@ -294,19 +308,77 @@ def build_hamiltonian(
     asymmetry = np.max(np.abs(H[r, c] - H[c, r]), initial=0.0)
     if not asymmetry <= 1e-12:
         raise RuntimeError(f"assembled Hamiltonian is not symmetric ({asymmetry:.3e})")
-    return SectorHamiltonian(matrix=H, params=params, disorder=disorder)
+    return SectorHamiltonian(matrix=H, params=params, disorder=disorder, basis=basis)
 
 
-def diagonalize(H: SectorHamiltonian) -> EigenSystem:
-    """Full dense symmetric eigensolve; ascending eigenvalues, column eigenvectors."""
+def _spectral_blocks(H: SectorHamiltonian) -> list[np.ndarray]:
+    """Symmetric matrices whose spectra together make up the spectrum of H.
+
+    With the same fields on both legs, H commutes with the leg swap P, and the
+    blocks are the projections Q^T H Q onto P = -1 and P = +1. The columns of
+    Q are (|s> -+ |Ps>)/sqrt(2) for the states s < Ps, plus the fixed points
+    |f> = |Pf> in the + block at even L; for a P-symmetric H the - block is
+    H[s, s] - H[s, Ps], the + block H[s, s] + H[s, Ps] bordered by
+    sqrt(2) H[s, f] and H[f, f]. Otherwise H is the only block.
+    """
+    if H.disorder.fields_for_leg(1) != H.disorder.fields_for_leg(2):
+        return [H.matrix]
+    M = H.matrix
+    k = np.arange(H.dim)
+    swap = H.basis.leg_swap
+    blocks = []
+    for combine, keep in ((np.subtract, k < swap), (np.add, k <= swap)):
+        a, b = k[keep], swap[keep]
+        # Column j of Q is w_j (|a_j> -+ |b_j>); a fixed point has a_j = b_j.
+        rows = M[a]
+        combine(rows, M[b], out=rows)
+        block = rows.take(a, axis=1)
+        combine(block, rows.take(b, axis=1), out=block)
+        w = np.where(a == b, 0.5, np.sqrt(0.5))
+        block *= w[:, None]
+        block *= w
+        blocks.append(block)
+    return blocks
+
+
+def diagonalize(H: SectorHamiltonian, vectors: bool = True) -> EigenSystem | np.ndarray:
+    """Dense symmetric eigensolve of one realization.
+
+    ``vectors=True`` (the default): one full ``eigh``, returned as an
+    EigenSystem with ascending eigenvalues and column eigenvectors.
+
+    ``vectors=False``: the ascending spectrum alone, as an ndarray. When both
+    legs see the same fields it is merged from the eigenvalues-only solves of
+    the leg-swap blocks P = -1 and P = +1 (see `_spectral_blocks`); each is
+    about N/2 wide, so the two cost about a quarter of one full solve.
+    Otherwise it is one eigenvalues-only solve of the full matrix. It agrees
+    with the eigenvalues of ``vectors=True`` to rounding, not bit for bit.
+    Raises RuntimeError unless sum(lambda^2) equals ||H||_F^2 to rounding:
+    the blocks are projections, so weight goes missing exactly when H couples
+    them, i.e. is not leg-swap symmetric although its fields say it is.
+    """
     try:
-        w, v = scipy.linalg.eigh(H.matrix)
+        if vectors:
+            w, v = scipy.linalg.eigh(H.matrix)
+            return EigenSystem(eigenvalues=w, eigenvectors=v)
+        w = np.sort(
+            np.concatenate(
+                [scipy.linalg.eigh(b, eigvals_only=True) for b in _spectral_blocks(H)]
+            )
+        )
     except scipy.linalg.LinAlgError as exc:
         raise DiagonalizationError(
             f"eigensolver failed for L={H.params.L}, alpha={H.params.alpha}, "
             f"h={H.params.h}, seed={H.disorder.seed}"
         ) from exc
-    return EigenSystem(eigenvalues=w, eigenvectors=v)
+    frobenius2 = float(np.vdot(H.matrix, H.matrix))
+    lost = abs(float(w @ w) - frobenius2)
+    if not lost <= SPECTRAL_WEIGHT_RTOL * H.dim * frobenius2:
+        raise RuntimeError(
+            f"spectrum misses weight of H: |sum(lambda^2) - ||H||_F^2| = {lost:.3e} "
+            f"of {frobenius2:.3e} (L={H.params.L}, seed={H.disorder.seed})"
+        )
+    return w
 
 
 def evolve_state(eig: EigenSystem, psi: np.ndarray, t: float) -> np.ndarray:

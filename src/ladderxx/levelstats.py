@@ -12,6 +12,15 @@ of two independent blocks and the mean ratio never reaches the GOE value
 the localized regime). Gap-ratio ensembles therefore accept
 ``independent_legs=True``, which breaks the symmetry and restores the
 single-block GOE/Poisson dichotomy.
+
+The spectra come from ``diagonalize(H, vectors=False)``. With shared fields
+it solves the leg-swap blocks P = +1 and P = -1 separately, eigenvalues only,
+and merges them into the full ascending spectrum, so the statistic is still
+the ratio of the merged spectrum; it agrees with a full solve to rounding
+(below 5e-13 in the mean ratio at L = 7). Per-block ratios are not computed:
+at odd L the two blocks are exact mirror images, E -> -E (the product of the
+sublattice sign and the global spin flip anticommutes with H and, at odd L,
+with the leg swap), so their means are not independent samples.
 """
 
 from __future__ import annotations
@@ -112,8 +121,7 @@ def ensemble_gap_ratio(
         for k in range(realizations):
             stream = derive_seed(seed, "level_stats", p.L, p.alpha, float(h), k)
             dis = sample_disorder(p, stream, independent_legs=independent_legs)
-            eig = diagonalize(build_hamiltonian(p, dis, basis))
-            E = eig.eigenvalues
+            E = diagonalize(build_hamiltonian(p, dis, basis), vectors=False)
             if middle_fraction is not None:
                 n = E.size
                 keep = max(3, int(round(middle_fraction * n)))

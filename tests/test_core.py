@@ -4,17 +4,22 @@ import os
 import subprocess
 import sys
 import textwrap
+from math import comb
 from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ladderxx.core import (
+    DiagonalizationError,
     DisorderRealization,
     LadderParams,
     SectorBasis,
+    SectorHamiltonian,
+    _spectral_blocks,
     bit_position,
     build_hamiltonian,
     derive_seed,
@@ -141,6 +146,20 @@ def test_basis_rejects_out_of_range_l():
             SectorBasis(bad)
 
 
+@pytest.mark.parametrize("L", [2, 3, 4, 5, 6])
+def test_leg_swap_index_map(L):
+    basis = SectorBasis(L)
+    swap = basis.leg_swap
+    low = (1 << L) - 1
+    for k, s in enumerate(basis.states):
+        legs_swapped = ((int(s) & low) << L) | (int(s) >> L)
+        assert basis.states[swap[k]] == legs_swapped
+    assert np.array_equal(swap[swap], np.arange(basis.dim))
+    # Fixed points repeat one leg's pattern on the other: C(L, L/2) of them at even L.
+    fixed = np.count_nonzero(swap == np.arange(basis.dim))
+    assert fixed == (comb(L, L // 2) if L % 2 == 0 else 0)
+
+
 def test_all_states_half_filled():
     basis = SectorBasis(5)
     pops = [bin(int(s)).count("1") for s in basis.states]
@@ -254,9 +273,7 @@ def test_leg_swap_symmetry_of_shared_disorder():
     params = LadderParams(L=4, alpha=1.3, h=2.0)
     basis = SectorBasis(4)
     H = build_hamiltonian(params, sample_disorder(params, 17), basis).matrix
-    L = params.L
-    low = (1 << L) - 1
-    perm = np.searchsorted(basis.states, ((basis.states & low) << L) | (basis.states >> L))
+    perm = basis.leg_swap
     assert np.array_equal(H[np.ix_(perm, perm)], H)
 
 
@@ -296,14 +313,70 @@ def test_eigensystem_invariants():
 
 
 def test_leg_swap_spectrum_invariance():
-    # Same fields on both legs: spectra with legs relabeled must coincide.
+    # Exchanging the two legs' fields relabels the legs, so the spectrum stays.
     params = LadderParams(L=3, alpha=0.8, h=1.0)
     basis = SectorBasis(3)
-    disorder = sample_disorder(params, 23)
-    eig = diagonalize(build_hamiltonian(params, disorder, basis))
-    swapped = DisorderRealization(fields=disorder.fields, seed=disorder.seed)
-    eig2 = diagonalize(build_hamiltonian(params, swapped, basis))
-    assert np.allclose(eig.eigenvalues, eig2.eigenvalues, atol=1e-9)
+    disorder = sample_disorder(params, 23, independent_legs=True)
+    swapped = DisorderRealization(
+        fields=disorder.leg2_fields, seed=disorder.seed, leg2_fields=disorder.fields
+    )
+    H = build_hamiltonian(params, disorder, basis)
+    H_swapped = build_hamiltonian(params, swapped, basis)
+    assert not np.array_equal(H.matrix, H_swapped.matrix)
+    assert np.max(np.abs(diagonalize(H).eigenvalues - diagonalize(H_swapped).eigenvalues)) < 1e-12
+
+
+def test_default_diagonalize_is_one_full_eigh():
+    # wavefront and decay need the eigensystem bit for bit as a plain eigh gives it.
+    params = LadderParams(L=4, alpha=1.3, h=1.0)
+    H = build_hamiltonian(params, sample_disorder(params, 8), SectorBasis(4))
+    w, v = scipy.linalg.eigh(H.matrix)
+    eig = diagonalize(H)
+    assert np.array_equal(eig.eigenvalues, w)
+    assert np.array_equal(eig.eigenvectors, v)
+
+
+@pytest.mark.parametrize("independent_legs", [False, True])
+@pytest.mark.parametrize("h", [0.0, 1.0, 8.0])
+@pytest.mark.parametrize("alpha", [0.0, 1.3])
+@pytest.mark.parametrize("L", [2, 3, 4, 5, 6])
+def test_eigenvalues_only_matches_full_solve(L, alpha, h, independent_legs):
+    params = LadderParams(L=L, alpha=alpha, h=h)
+    basis = SectorBasis(L)
+    H = build_hamiltonian(params, sample_disorder(params, 40 + L, independent_legs), basis)
+    blocks = _spectral_blocks(H)
+    assert sum(b.shape[0] for b in blocks) == basis.dim
+    assert len(blocks) == (1 if independent_legs and h > 0 else 2)
+    w = diagonalize(H, vectors=False)
+    assert isinstance(w, np.ndarray) and w.shape == (basis.dim,)
+    assert np.all(np.diff(w) >= 0)
+    assert np.max(np.abs(w - diagonalize(H).eigenvalues)) < 1e-12
+
+
+def test_eigenvalues_only_rejects_leg_swap_asymmetric_matrix():
+    # A matrix with independent leg fields, labelled as shared: its P = +-1
+    # blocks are coupled, and the projection drops that coupling's weight.
+    params = LadderParams(L=4, alpha=1.0, h=1.0)
+    basis = SectorBasis(4)
+    independent = sample_disorder(params, 5, independent_legs=True)
+    matrix = build_hamiltonian(params, independent, basis).matrix
+    shared = DisorderRealization(fields=independent.fields, seed=independent.seed)
+    H = SectorHamiltonian(matrix=matrix, params=params, disorder=shared, basis=basis)
+    with pytest.raises(RuntimeError, match="misses weight"):
+        diagonalize(H, vectors=False)
+
+
+@pytest.mark.parametrize("vectors", [True, False])
+def test_eigensolver_failure_is_reported_with_the_realization(vectors, monkeypatch):
+    params = LadderParams(L=3, h=1.0)
+    H = build_hamiltonian(params, sample_disorder(params, 4), SectorBasis(3))
+
+    def failing_eigh(*args, **kwargs):
+        raise scipy.linalg.LinAlgError("did not converge")
+
+    monkeypatch.setattr(scipy.linalg, "eigh", failing_eigh)
+    with pytest.raises(DiagonalizationError, match="seed=4"):
+        diagonalize(H, vectors=vectors)
 
 
 # ---------------------------------------------------------------- evolution
@@ -457,3 +530,7 @@ def test_params_validation():
         LadderParams(L=3, alpha=-0.1)
     with pytest.raises(ValueError):
         LadderParams(L=3, h=-1.0)
+    nan, inf = float("nan"), float("inf")
+    for field, value in (("h", nan), ("alpha", nan), ("J_par", inf), ("h", inf)):
+        with pytest.raises(ValueError, match=field):
+            LadderParams(L=3, **{field: value})

@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ladderxx.core import (
     LadderParams,
@@ -109,6 +111,24 @@ def test_exact_otoc_is_real_and_bounded():
     )
     assert np.max(np.abs(series.values.imag)) <= 1e-10
     assert np.max(np.abs(series.values)) <= 1.0 + 1e-9
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    L=st.integers(min_value=2, max_value=4),
+    alpha=st.floats(min_value=0.0, max_value=3.0),
+    h=st.floats(min_value=0.0, max_value=10.0),
+    seed=st.integers(min_value=0, max_value=2**32),
+)
+def test_exact_otoc_is_bounded_and_one_at_t0(L, alpha, h, seed):
+    basis, eig = make_eig(L, alpha=alpha, h=h, seed=seed)
+    times = np.concatenate([[0.0], default_decay_times(12)])
+    series = exact_otoc(
+        eig, sigma_z_operator(basis, 1, L), sigma_z_operator(basis, 1, 1), times
+    )
+    assert abs(series.values[0] - 1.0) <= 1e-12
+    assert np.all(np.abs(series.values) <= 1.0 + 1e-12)
+    assert np.all(series.re >= -1.0 - 1e-12)
 
 
 def test_exact_otoc_rejects_wrong_dimension():

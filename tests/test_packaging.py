@@ -11,9 +11,14 @@ ROOT = Path(__file__).resolve().parents[1]
 
 
 @pytest.fixture(scope="module")
-def project():
+def pyproject():
     with open(ROOT / "pyproject.toml", "rb") as f:
-        return tomllib.load(f)["project"]
+        return tomllib.load(f)
+
+
+@pytest.fixture(scope="module")
+def project(pyproject):
+    return pyproject["project"]
 
 
 def test_declared_scripts_import(project):
@@ -31,3 +36,10 @@ def test_declared_readme_exists(project):
         return
     path = readme if isinstance(readme, str) else readme["file"]
     assert (ROOT / path).is_file()
+
+
+def test_pytest_pythonpath_entries_exist(pyproject):
+    entries = pyproject["tool"]["pytest"]["ini_options"]["pythonpath"]
+    assert entries
+    for entry in entries:
+        assert (ROOT / entry).is_dir(), entry
