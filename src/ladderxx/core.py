@@ -326,6 +326,27 @@ def _spectral_blocks(H: SectorHamiltonian) -> list[np.ndarray]:
     M = H.matrix
     k = np.arange(H.dim)
     swap = H.basis.leg_swap
+    if H.basis.L % 2:
+        # No fixed points at odd L, so both blocks pair the same states
+        # (a, b): gather the quarters M[a, a], M[a, b], M[b, a], M[b, b] once
+        # and combine them as (M[a, a] -+ M[b, a]) -+ (M[a, b] -+ M[b, b]).
+        a = k[k < swap]
+        b = swap[a]
+        rows = M[a]
+        aa, ab = rows.take(a, axis=1), rows.take(b, axis=1)
+        rows = M[b]
+        ba, bb = rows.take(a, axis=1), rows.take(b, axis=1)
+        del rows
+        minus = aa - ba
+        minus -= ab - bb
+        plus = aa
+        plus += ba
+        ab += bb
+        plus += ab
+        for block in (minus, plus):
+            block *= np.sqrt(0.5)
+            block *= np.sqrt(0.5)
+        return [minus, plus]
     blocks = []
     for combine, keep in ((np.subtract, k < swap), (np.add, k <= swap)):
         a, b = k[keep], swap[keep]

@@ -11,6 +11,13 @@ disagree: the trace route, Tr[A(t) B A(t) B] / N in the eigenbasis, and the
 W-route, `multi_distance_otoc_values`, which builds W(t) = U(t) sz_1 U+(t) in
 the computational basis. The W-route is also the fast kernel of ensemble
 loops, where one W per time serves every probe operator.
+
+`sampled_otoc` evolves its M states in the eigenbasis. Once per call it
+rotates sz_i into the eigenbasis, A~ = V^T sz_i V, and the states and their
+sz_1 images into eigenbasis coefficients [c, b] = V^T [psi, sz_1 psi]. Each
+time step is then two real GEMMs on stacked [Re, Im] columns, one with A~
+between the phases exp(-+i E t) and one with V back to the computational
+basis, where sz_1 acts as a diagonal.
 """
 
 from __future__ import annotations
@@ -253,12 +260,17 @@ def sampled_otoc(
     times: np.ndarray,
     meta: dict | None = None,
 ) -> OtocSeries:
-    """OTOC estimator from M initial states, never forming Heisenberg matrices.
+    """OTOC estimator from M initial states, evolved in the eigenbasis.
 
-    Each F_j(t) = <psi_j| sz_i(t) sz_1 sz_i(t) sz_1 |psi_j> is evaluated by
-    alternating diagonal multiplications with eigenbasis evolutions on the
-    state vectors (states are batched into one matrix, so every step is a
-    BLAS-3 product). values holds the mean over states, per_sample the
+    With A(t) = U+(t) sz_i U(t) Hermitian, each
+    F_j(t) = <psi_j| A sz_1 A sz_1 |psi_j> = (A psi_j)^dagger sz_1 (A sz_1 psi_j).
+    In the eigenbasis A(t) = V Phi* A~ Phi V^T, with Phi = diag(exp(-i E t))
+    and A~ = V^T sz_i V. A~ and the coefficients [c, b] = V^T [psi, sz_1 psi]
+    (N x 2M) are computed once per call; each time step is then two real
+    GEMMs on the stacked [Re, Im] columns (N x N x 4M each),
+    [z, y] = Phi* A~ Phi [c, b] and [Z, Y] = V [z, y], followed by
+    F_j = sum_a conj(Z_aj) (sz_1)_a Y_aj. sz_1 stays a diagonal in the
+    computational basis. values holds the mean over states, per_sample the
     individual complex F_j series.
     """
     if len(states) == 0:
@@ -267,25 +279,30 @@ def sampled_otoc(
     V = eig.eigenvectors
     E = eig.eigenvalues
     n = eig.dim
-    d_i = np.asarray(op_i, dtype=float)[:, None]
-    d_1 = np.asarray(op_1, dtype=float)[:, None]
+    d_i = np.asarray(op_i, dtype=float)
+    d_1 = np.asarray(op_1, dtype=float)
+    if d_i.shape != (n,) or d_1.shape != (n,):
+        raise ValueError("operator diagonals must match the eigensystem dimension")
+    if any(s.amplitudes.shape != (n,) for s in states):
+        raise ValueError(f"every initial state must have {n} amplitudes")
 
+    m = len(states)
     psi = np.stack([s.amplitudes for s in states], axis=1)  # (N, M)
-    per_sample = np.empty((len(states), times.shape[0]), dtype=complex)
+    x = np.concatenate([psi, d_1[:, None] * psi], axis=1)  # (N, 2M)
+    cb = V.T @ np.concatenate([x.real, x.imag], axis=1)
+    cb = cb[:, : 2 * m] + 1j * cb[:, 2 * m :]
+    A = _eigenbasis_diagonal(eig, d_i)
+    per_sample = np.empty((m, times.shape[0]), dtype=complex)
 
     for k, t in enumerate(times):
         w = np.exp(-1j * E * t)[:, None]
-
-        def heisenberg_apply(x: np.ndarray) -> np.ndarray:
-            # U+(t) sz_i U(t) x
-            c = _cr_matmul(V.T, x) * w
-            y = _cr_matmul(V, c) * d_i
-            c = _cr_matmul(V.T, y) * w.conj()
-            return _cr_matmul(V, c)
-
-        x = heisenberg_apply(d_1 * psi)
-        x = heisenberg_apply(d_1 * x)
-        per_sample[:, k] = np.sum(psi.conj() * x, axis=0)
+        g = w * cb
+        zy = A @ np.concatenate([g.real, g.imag], axis=1)
+        g = w.conj() * (zy[:, : 2 * m] + 1j * zy[:, 2 * m :])
+        ZY = V @ np.concatenate([g.real, g.imag], axis=1)
+        Z_conj = ZY[:, :m] - 1j * ZY[:, 2 * m : 3 * m]
+        Y = ZY[:, m : 2 * m] + 1j * ZY[:, 3 * m :]
+        per_sample[:, k] = np.sum(Z_conj * (d_1[:, None] * Y), axis=0)
 
     kinds = {s.kind for s in states}
     out_meta = {

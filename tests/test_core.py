@@ -353,17 +353,58 @@ def test_eigenvalues_only_matches_full_solve(L, alpha, h, independent_legs):
     assert np.max(np.abs(w - diagonalize(H).eigenvalues)) < 1e-12
 
 
-def test_eigenvalues_only_rejects_leg_swap_asymmetric_matrix():
-    # A matrix with independent leg fields, labelled as shared: its P = +-1
-    # blocks are coupled, and the projection drops that coupling's weight.
-    params = LadderParams(L=4, alpha=1.0, h=1.0)
-    basis = SectorBasis(4)
+def reference_spectral_blocks(H: SectorHamiltonian) -> list[np.ndarray]:
+    """One pass per block over its own row gathers, at every L: the reference
+    for the quarter form that `_spectral_blocks` uses at odd L."""
+    M = H.matrix
+    k = np.arange(H.dim)
+    swap = H.basis.leg_swap
+    blocks = []
+    for combine, keep in ((np.subtract, k < swap), (np.add, k <= swap)):
+        a, b = k[keep], swap[keep]
+        rows = M[a]
+        combine(rows, M[b], out=rows)
+        block = rows.take(a, axis=1)
+        combine(block, rows.take(b, axis=1), out=block)
+        w = np.where(a == b, 0.5, np.sqrt(0.5))
+        block *= w[:, None]
+        block *= w
+        blocks.append(block)
+    return blocks
+
+
+@pytest.mark.parametrize("alpha", [0.0, 1.3])
+@pytest.mark.parametrize("L", [2, 3, 4, 5, 6])
+def test_spectral_blocks_match_reference_bitwise(L, alpha):
+    params = LadderParams(L=L, alpha=alpha, h=1.0)
+    H = build_hamiltonian(params, sample_disorder(params, 60 + L), SectorBasis(L))
+    blocks = _spectral_blocks(H)
+    reference = reference_spectral_blocks(H)
+    assert len(blocks) == len(reference) == 2
+    for got, want in zip(blocks, reference):
+        assert np.array_equal(got, want)
+
+
+def mislabelled_shared_hamiltonian(L: int) -> SectorHamiltonian:
+    """A matrix with independent leg fields, labelled as shared: its P = +-1
+    blocks are coupled, and the projection drops that coupling's weight."""
+    params = LadderParams(L=L, alpha=1.0, h=1.0)
+    basis = SectorBasis(L)
     independent = sample_disorder(params, 5, independent_legs=True)
     matrix = build_hamiltonian(params, independent, basis).matrix
     shared = DisorderRealization(fields=independent.fields, seed=independent.seed)
-    H = SectorHamiltonian(matrix=matrix, params=params, disorder=shared, basis=basis)
+    return SectorHamiltonian(matrix=matrix, params=params, disorder=shared, basis=basis)
+
+
+def test_eigenvalues_only_rejects_leg_swap_asymmetric_matrix():
     with pytest.raises(RuntimeError, match="misses weight"):
-        diagonalize(H, vectors=False)
+        diagonalize(mislabelled_shared_hamiltonian(4), vectors=False)
+
+
+def test_eigenvalues_only_rejects_leg_swap_asymmetric_matrix_at_odd_l():
+    # Odd L takes the quarter path of `_spectral_blocks`.
+    with pytest.raises(RuntimeError, match="misses weight"):
+        diagonalize(mislabelled_shared_hamiltonian(5), vectors=False)
 
 
 @pytest.mark.parametrize("vectors", [True, False])

@@ -43,6 +43,29 @@ def expm_otoc(H, d_i, d_1, t):
     return (np.trace(X @ np.diag(d_1) @ X @ np.diag(d_1)) / n).real
 
 
+def heisenberg_reference(eig, op_i, op_1, states, times):
+    """Reference for `sampled_otoc`: F_j(t) = <psi_j| A sz_1 A sz_1 |psi_j> with
+    A = U+(t) sz_i U(t) applied to the state block in the computational basis,
+    by four eigenbasis round trips per time step."""
+    V, E = eig.eigenvectors, eig.eigenvalues
+    d_i, d_1 = op_i[:, None], op_1[:, None]
+    psi = np.stack([s.amplitudes for s in states], axis=1)
+    out = np.empty((len(states), len(times)), dtype=complex)
+    for k, t in enumerate(times):
+        w = np.exp(-1j * E * t)[:, None]
+
+        def heisenberg_apply(x):
+            c = (V.T @ x) * w
+            y = (V @ c) * d_i
+            c = (V.T @ y) * w.conj()
+            return V @ c
+
+        x = heisenberg_apply(d_1 * psi)
+        x = heisenberg_apply(d_1 * x)
+        out[:, k] = np.sum(psi.conj() * x, axis=0)
+    return out
+
+
 # Frozen values from the expm reference above (L=3 pairs, run once and pinned).
 CLEAN_L3_PAIRS = [(0.5, 0.5244233693482946), (1.0, 0.05849352530825291), (2.0, 0.1202365012722026)]
 DISORDERED_L3_PAIRS = [(1.0, 0.12359971276563511), (3.0, 0.14010586527361787)]
@@ -187,6 +210,47 @@ def test_full_fock_basis_reproduces_exact():
     assert np.max(np.abs(sampled.values - exact.values)) < 1e-9
 
 
+@settings(max_examples=15, deadline=None)
+@given(
+    L=st.integers(min_value=2, max_value=4),
+    alpha=st.floats(min_value=0.0, max_value=3.0),
+    h=st.floats(min_value=0.0, max_value=10.0),
+    seed=st.integers(min_value=0, max_value=2**32),
+    leg=st.integers(min_value=1, max_value=2),
+    site=st.integers(min_value=1, max_value=4),
+)
+def test_complete_fock_mean_equals_exact(L, alpha, h, seed, leg, site):
+    basis, eig = make_eig(L, alpha=alpha, h=h, seed=seed)
+    d_i = sigma_z_operator(basis, leg, min(site, L))
+    d_1 = sigma_z_operator(basis, 1, 1)
+    times = np.concatenate([[0.0], default_decay_times(12)])
+    exact = exact_otoc(eig, d_i, d_1, times)
+    sampled = sampled_otoc(eig, d_i, d_1, complete_fock_basis(basis), times)
+    assert np.max(np.abs(sampled.values - exact.values)) <= 1e-12
+
+
+def _states(basis, kind, M):
+    draw = {"haar": haar_state, "fock": fock_state}
+    kinds = ["fock", "haar"] * M if kind == "mixed" else [kind] * M
+    return [draw[k](basis, 100 + j) for j, k in enumerate(kinds[:M])]
+
+
+@pytest.mark.parametrize("independent_legs", [False, True])
+@pytest.mark.parametrize("kind,M", [("haar", 1), ("haar", 3), ("fock", 1), ("fock", 3), ("mixed", 3)])
+@pytest.mark.parametrize("L", [2, 3, 4, 5])
+def test_sampled_matches_computational_basis_reference(L, kind, M, independent_legs):
+    basis, eig = make_eig(L, alpha=1.3, h=2.0, seed=7, independent_legs=independent_legs)
+    d_i = sigma_z_operator(basis, 2, L)
+    d_1 = sigma_z_operator(basis, 1, 1)
+    states = _states(basis, kind, M)
+    times = np.array([0.0, 0.4, 3.0, 25.0, 1000.0])
+    series = sampled_otoc(eig, d_i, d_1, states, times)
+    reference = heisenberg_reference(eig, d_i, d_1, states, times)
+    assert series.per_sample.shape == (M, times.size)
+    assert np.max(np.abs(series.per_sample - reference)) <= 1e-12
+    assert series.meta["estimator"] == kind
+
+
 def test_single_state_is_one_at_t0():
     basis, eig = make_eig(3)
     series = sampled_otoc(
@@ -240,6 +304,31 @@ def test_sampled_rejects_empty_states():
             sigma_z_operator(basis, 1, 1),
             [],
             [0.0],
+        )
+
+
+def test_sampled_rejects_wrong_size_probe():
+    basis, eig = make_eig(3)
+    with pytest.raises(ValueError):
+        sampled_otoc(
+            eig, np.array([1.0]), sigma_z_operator(basis, 1, 1), [haar_state(basis, 0)], [0.0, 1.0]
+        )
+
+
+def test_sampled_rejects_wrong_size_op_1():
+    basis, eig = make_eig(3)
+    with pytest.raises(ValueError):
+        sampled_otoc(
+            eig, sigma_z_operator(basis, 1, 2), np.ones(basis.dim + 1), [haar_state(basis, 0)], [0.0, 1.0]
+        )
+
+
+def test_sampled_rejects_wrong_size_state():
+    basis, eig = make_eig(3)
+    states = [haar_state(basis, 0), haar_state(SectorBasis(2), 1)]
+    with pytest.raises(ValueError, match="amplitudes"):
+        sampled_otoc(
+            eig, sigma_z_operator(basis, 1, 2), sigma_z_operator(basis, 1, 1), states, [0.0, 1.0]
         )
 
 

@@ -43,3 +43,10 @@ def test_pytest_pythonpath_entries_exist(pyproject):
     assert entries
     for entry in entries:
         assert (ROOT / entry).is_dir(), entry
+
+
+def test_pytest_testpaths_entries_exist(pyproject):
+    entries = pyproject["tool"]["pytest"]["ini_options"]["testpaths"]
+    assert entries
+    for entry in entries:
+        assert (ROOT / entry).is_dir(), entry

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ladderxx.core import (
     LadderParams,
@@ -75,6 +77,32 @@ def test_never_crossing_rows_are_flagged():
     empty = extract_contour(synthetic_grid([1, 2], times, lambda dx, t: 1.0), 0.5)
     assert empty.distances.size == 0
     assert empty.meta["missing"] == [1, 2]
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    data=st.data(),
+    n_dist=st.integers(min_value=1, max_value=4),
+    n_times=st.integers(min_value=2, max_value=12),
+)
+def test_contour_is_monotone_in_eta(data, n_dist, n_times):
+    # Lowering eta can only delay a first crossing or lose it. Integer times
+    # keep t0 + (t1 - t0) exact, so an interpolated crossing never rounds
+    # past the grid point that brackets it.
+    steps = data.draw(st.lists(st.integers(1, 10), min_size=n_times, max_size=n_times))
+    row = st.lists(st.floats(-0.5, 1.5), min_size=n_times, max_size=n_times)
+    values = data.draw(st.lists(row, min_size=n_dist, max_size=n_dist))
+    level = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
+    etas = sorted(data.draw(st.lists(level, min_size=2, max_size=6, unique=True)), reverse=True)
+    grid = WavefrontGrid(
+        distances=np.arange(1, n_dist + 1), times=np.cumsum(steps), values=values
+    )
+    contours = [extract_contour(grid, eta) for eta in etas]
+    for high, low in zip(contours, contours[1:]):
+        assert set(high.meta["missing"]) <= set(low.meta["missing"])
+        t_high = dict(high.points)
+        for dx, t in low.points:
+            assert t >= t_high[dx]
 
 
 def test_eta_bounds_are_enforced():
