@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import hashlib
 import itertools
+import os
 from dataclasses import dataclass
 from math import comb
 
@@ -32,10 +33,12 @@ __all__ = [
     "DisorderRealization",
     "SectorBasis",
     "SectorHamiltonian",
+    "LegSwapBlocks",
     "EigenSystem",
     "DiagonalizationError",
     "sample_disorder",
     "build_hamiltonian",
+    "leg_swap_blocks",
     "diagonalize",
     "evolve_state",
     "sigma_z_operator",
@@ -48,6 +51,12 @@ L_MAX = 8
 # Relative tolerance per basis state on sum(lambda^2) = ||H||_F^2 in diagonalize:
 # backward-stable eigensolvers move each eigenvalue by O(N eps ||H||).
 SPECTRAL_WEIGHT_RTOL = 16 * np.finfo(float).eps
+# Peak memory of each dense step in units of one N x N float64 array (8 N^2
+# bytes): the larger tracemalloc peak of L = 5 and 6, rounded up.
+BUILD_COPIES = 1.2  # H and the hop list
+BLOCK_COPIES = 1.7  # per m x m block: the block, its scatter indices and weights
+EIGH_COPIES = 2.2  # eigenvectors and LAPACK's copy of H
+EIGVALS_COPIES = 1.4  # per m x m block: LAPACK's copy of it and its workspace
 
 
 @dataclass(frozen=True)
@@ -66,7 +75,8 @@ class LadderParams:
         # np.float64(1.0)) never reaches the seed labels built from it.
         object.__setattr__(self, "L", int(self.L))
         for name in ("J_par", "alpha", "h"):
-            value = float(getattr(self, name))
+            # + 0.0 turns -0.0 into 0.0, whose repr, and so seed label, differs.
+            value = float(getattr(self, name)) + 0.0
             # NaN slips through every comparison below, so test it first.
             if not np.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value}")
@@ -162,11 +172,30 @@ class SectorHamiltonian:
     matrix: np.ndarray
     params: LadderParams
     disorder: DisorderRealization
-    basis: SectorBasis
 
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
+
+
+@dataclass(frozen=True)
+class LegSwapBlocks:
+    """Symmetric blocks whose spectra make up the spectrum of one realization.
+
+    When ``mirrored``, the spectrum is that of ``blocks`` together with its
+    negation. ``frobenius2`` is ||H||_F^2 of the N x N Hamiltonian they
+    come from, for the spectral-weight check in `diagonalize`.
+    """
+
+    blocks: tuple[np.ndarray, ...]
+    mirrored: bool
+    frobenius2: float
+    params: LadderParams
+    disorder: DisorderRealization
+
+    @property
+    def dim(self) -> int:
+        return sum(b.shape[0] for b in self.blocks) * (2 if self.mirrored else 1)
 
 
 @dataclass(frozen=True)
@@ -183,6 +212,22 @@ class EigenSystem:
 
 class DiagonalizationError(RuntimeError):
     """Eigensolver failure, annotated with the realization that triggered it."""
+
+
+def _physical_memory() -> int:
+    return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+
+
+def check_memory(caller: str, n: int, copies: float) -> None:
+    """Raise MemoryError before `caller` allocates `copies` dense N x N float64
+    arrays, if together they exceed the machine's physical memory."""
+    need = int(copies * 8 * n * n)
+    have = _physical_memory()
+    if need > have:
+        raise MemoryError(
+            f"{caller} at N={n} needs about {need} bytes ({need / 2**30:.1f} GiB), "
+            f"more than the {have} bytes ({have / 2**30:.1f} GiB) of physical memory"
+        )
 
 
 def derive_seed(master_seed: int, *components) -> int:
@@ -252,16 +297,18 @@ def _bonds(params: LadderParams) -> list[tuple[int, int, float]]:
     return bonds
 
 
-def build_hamiltonian(
+def _hamiltonian_entries(
     params: LadderParams,
     disorder: DisorderRealization,
     basis: SectorBasis,
-) -> SectorHamiltonian:
-    """Assemble the dense sector Hamiltonian.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The nonzero entries of the sector Hamiltonian, without forming it.
 
-    Off-diagonal elements are 2 J for every bond whose two occupations differ
-    (J = J_par on intra-leg bonds, alpha * J_par on rungs); the diagonal is
-    sum_i h_i^(leg) s_{leg,i} with s = +-1 read off the bitmask.
+    Returns the diagonal d (the fields: sum_i h_i^(leg) s_{leg,i} with
+    s = +-1 read off the bitmask) and the hop list (rows, cols, values): one
+    entry 2 J per bond and per state whose two occupations across the bond
+    differ (J = J_par on intra-leg bonds, alpha * J_par on rungs). Every hop
+    appears in both directions, and no (row, col) pair appears twice.
     """
     if disorder.L != params.L:
         raise ValueError(
@@ -271,133 +318,181 @@ def build_hamiltonian(
         raise ValueError(f"basis was built for L={basis.L}, params have L={params.L}")
 
     L = params.L
-    n = basis.dim
     h1 = np.asarray(disorder.fields_for_leg(1))
     h2 = np.asarray(disorder.fields_for_leg(2))
     states = basis.states
-    cols = np.arange(n)
-    H = np.zeros((n, n))
-
-    # Diagonal: fields only. s = +1 for a set bit, -1 otherwise.
+    index = np.arange(basis.dim)
+    d = np.zeros(basis.dim)
     for site in range(1, L + 1):
         s1 = np.where((states >> bit_position(L, 1, site)) & 1 == 1, 1.0, -1.0)
         s2 = np.where((states >> bit_position(L, 2, site)) & 1 == 1, 1.0, -1.0)
-        H[cols, cols] += h1[site - 1] * s1 + h2[site - 1] * s2
+        d += h1[site - 1] * s1 + h2[site - 1] * s2
 
-    # Off-diagonal: one excitation hop per bond, amplitude 2J. A bond's hops
-    # hit distinct (row, column) pairs, so the indexed += adds each once.
-    hop_rows, hop_cols = [], []
+    rows, cols, values = [], [], []
     for a, b, J in _bonds(params):
         if J == 0.0:
             continue
         hops = ((states >> a) ^ (states >> b)) & 1 == 1
-        src = cols[hops]
         swapped = states[hops] ^ ((1 << a) | (1 << b))
-        rows = np.searchsorted(states, swapped)
+        target = np.searchsorted(states, swapped)
         # A swap conserves total population, so the image must be in the
         # sector; this is the structural [H, Sz] = 0 check.
-        if np.any(states.take(rows, mode="clip") != swapped):
+        if np.any(states.take(target, mode="clip") != swapped):
             raise RuntimeError(f"hop across bits {a}, {b} leaves the Sz = 0 sector")
-        H[rows, src] += 2.0 * J
-        hop_rows.append(rows)
-        hop_cols.append(src)
+        rows.append(target)
+        cols.append(index[hops])
+        values.append(np.full(target.size, 2.0 * J))
+    return d, np.concatenate(rows), np.concatenate(cols), np.concatenate(values)
+
+
+def build_hamiltonian(
+    params: LadderParams,
+    disorder: DisorderRealization,
+    basis: SectorBasis,
+) -> SectorHamiltonian:
+    """Assemble the dense sector Hamiltonian from its nonzero entries.
+
+    The diagonal holds the fields, the off-diagonal the hops of amplitude 2 J
+    across every bond (see `_hamiltonian_entries`).
+    """
+    d, rows, cols, values = _hamiltonian_entries(params, disorder, basis)
+    n = basis.dim
+    check_memory("build_hamiltonian", n, BUILD_COPIES)
+    H = np.zeros((n, n))
+    np.fill_diagonal(H, d)
+    H[rows, cols] = values
 
     # Symmetry: every other off-diagonal entry is zero, so comparing the
     # written entries with their transposes checks the whole matrix.
-    r, c = np.concatenate(hop_rows), np.concatenate(hop_cols)
-    asymmetry = np.max(np.abs(H[r, c] - H[c, r]), initial=0.0)
+    asymmetry = np.max(np.abs(H[rows, cols] - H[cols, rows]), initial=0.0)
     if not asymmetry <= 1e-12:
         raise RuntimeError(f"assembled Hamiltonian is not symmetric ({asymmetry:.3e})")
-    return SectorHamiltonian(matrix=H, params=params, disorder=disorder, basis=basis)
+    return SectorHamiltonian(matrix=H, params=params, disorder=disorder)
 
 
-def _spectral_blocks(H: SectorHamiltonian) -> list[np.ndarray]:
-    """Symmetric matrices whose spectra together make up the spectrum of H.
+def _leg_swap_map(leg_swap: np.ndarray, parity: int) -> tuple[np.ndarray, np.ndarray, int]:
+    """Each state's row and coefficient in the P = parity block, and the block size.
 
-    With the same fields on both legs, H commutes with the leg swap P, and the
-    blocks are the projections Q^T H Q onto P = -1 and P = +1. The columns of
-    Q are (|s> -+ |Ps>)/sqrt(2) for the states s < Ps, plus the fixed points
-    |f> = |Pf> in the + block at even L; for a P-symmetric H the - block is
-    H[s, s] - H[s, Ps], the + block H[s, s] + H[s, Ps] bordered by
-    sqrt(2) H[s, f] and H[f, f]. Otherwise H is the only block.
+    The block's basis is (|a_j> + parity |b_j>)/sqrt(2) for the pairs
+    (a_j, b_j = P a_j) with a_j < b_j, and in the + block also the fixed
+    points |a_j> = |b_j> of P (even L only), in the order of a_j. A fixed
+    point outside the block keeps coefficient 0.
     """
-    if H.disorder.fields_for_leg(1) != H.disorder.fields_for_leg(2):
-        return [H.matrix]
-    M = H.matrix
-    k = np.arange(H.dim)
-    swap = H.basis.leg_swap
-    if H.basis.L % 2:
-        # No fixed points at odd L, so both blocks pair the same states
-        # (a, b): gather the quarters M[a, a], M[a, b], M[b, a], M[b, b] once
-        # and combine them as (M[a, a] -+ M[b, a]) -+ (M[a, b] -+ M[b, b]).
-        a = k[k < swap]
-        b = swap[a]
-        rows = M[a]
-        aa, ab = rows.take(a, axis=1), rows.take(b, axis=1)
-        rows = M[b]
-        ba, bb = rows.take(a, axis=1), rows.take(b, axis=1)
-        del rows
-        minus = aa - ba
-        minus -= ab - bb
-        plus = aa
-        plus += ba
-        ab += bb
-        plus += ab
-        for block in (minus, plus):
-            block *= np.sqrt(0.5)
-            block *= np.sqrt(0.5)
-        return [minus, plus]
-    blocks = []
-    for combine, keep in ((np.subtract, k < swap), (np.add, k <= swap)):
-        a, b = k[keep], swap[keep]
-        # Column j of Q is w_j (|a_j> -+ |b_j>); a fixed point has a_j = b_j.
-        rows = M[a]
-        combine(rows, M[b], out=rows)
-        block = rows.take(a, axis=1)
-        combine(block, rows.take(b, axis=1), out=block)
-        w = np.where(a == b, 0.5, np.sqrt(0.5))
-        block *= w[:, None]
-        block *= w
-        blocks.append(block)
-    return blocks
+    k = np.arange(leg_swap.size)
+    a = k[k < leg_swap if parity < 0 else k <= leg_swap]
+    b = leg_swap[a]
+    row = np.zeros(k.size, dtype=np.int64)
+    coef = np.zeros(k.size)
+    row[a] = row[b] = np.arange(a.size)
+    coef[b] = parity * np.sqrt(0.5)
+    coef[a] = np.where(a == b, 1.0, np.sqrt(0.5))
+    return row, coef, a.size
 
 
-def diagonalize(H: SectorHamiltonian, vectors: bool = True) -> EigenSystem | np.ndarray:
+def _scatter_block(entries, row: np.ndarray, coef: np.ndarray, size: int) -> np.ndarray:
+    """The block Q^T H Q, where column row[s] of Q has coef[s] on state s."""
+    d, rows, cols, values = entries
+    flat = np.bincount(
+        row[rows] * size + row[cols],
+        weights=coef[rows] * coef[cols] * values,
+        minlength=size * size,
+    )
+    block = flat.reshape(size, size)
+    block[np.diag_indices(size)] += np.bincount(row, weights=coef * coef * d, minlength=size)
+    return block
+
+
+def _check_chiral_symmetry(params: LadderParams, d: np.ndarray) -> None:
+    """Raise unless the sublattice sign times the global spin flip anticommutes with H.
+
+    That operator maps E -> -E and, at odd L, anticommutes with the leg swap,
+    so the P = +1 spectrum is the negated P = -1 spectrum. It anticommutes
+    with H when the diagonal is odd under the flip and every hop joins the two
+    sublattices, (leg + site) even and odd. The flip of states[k] is
+    states[N - 1 - k]: the complement of a bitmask decreases as it increases.
+    """
+    if not np.max(np.abs(d + d[::-1])) <= 1e-12 * (1.0 + np.max(np.abs(d))):
+        raise RuntimeError("diagonal is not odd under the global spin flip")
+    L = params.L
+    for a, b, J in _bonds(params):
+        # Bit p is spin (leg, site) = (p // L + 1, p % L + 1).
+        if (a // L + a % L - b // L - b % L) % 2 == 0:
+            raise RuntimeError(f"bond across bits {a}, {b} joins one sublattice")
+
+
+def leg_swap_blocks(
+    params: LadderParams,
+    disorder: DisorderRealization,
+    basis: SectorBasis,
+) -> LegSwapBlocks:
+    """Blocks for an eigenvalues-only solve, assembled without the N x N matrix.
+
+    With the same fields on both legs, H commutes with the leg swap P and the
+    blocks are its projections onto P = -1 and P = +1, each about N/2 wide
+    (`_leg_swap_map`). At odd L only the P = -1 block is kept: the P = +1
+    spectrum is its mirror image (`_check_chiral_symmetry`, which raises if a
+    term of H breaks that). With independent legs the one block is H.
+    """
+    entries = _hamiltonian_entries(params, disorder, basis)
+    d, _, _, values = entries
+    n = basis.dim
+    mirrored = False
+    if disorder.fields_for_leg(1) != disorder.fields_for_leg(2):
+        maps = [(np.arange(n), np.ones(n), n)]
+    else:
+        mirrored = basis.L % 2 == 1
+        if mirrored:
+            _check_chiral_symmetry(params, d)
+        maps = [_leg_swap_map(basis.leg_swap, p) for p in ((-1,) if mirrored else (-1, 1))]
+    block_elements = sum(size * size for _, _, size in maps)
+    check_memory("leg_swap_blocks", n, BLOCK_COPIES * block_elements / n**2)
+    return LegSwapBlocks(
+        blocks=tuple(_scatter_block(entries, *m) for m in maps),
+        mirrored=mirrored,
+        frobenius2=float(d @ d + values @ values),
+        params=params,
+        disorder=disorder,
+    )
+
+
+def diagonalize(H: SectorHamiltonian | LegSwapBlocks) -> EigenSystem | np.ndarray:
     """Dense symmetric eigensolve of one realization.
 
-    ``vectors=True`` (the default): one full ``eigh``, returned as an
-    EigenSystem with ascending eigenvalues and column eigenvectors.
+    A SectorHamiltonian gets one full ``eigh``: an EigenSystem with ascending
+    eigenvalues and column eigenvectors, as the OTOC routes need them.
 
-    ``vectors=False``: the ascending spectrum alone, as an ndarray. When both
-    legs see the same fields it is merged from the eigenvalues-only solves of
-    the leg-swap blocks P = -1 and P = +1 (see `_spectral_blocks`); each is
-    about N/2 wide, so the two cost about a quarter of one full solve.
-    Otherwise it is one eigenvalues-only solve of the full matrix. It agrees
-    with the eigenvalues of ``vectors=True`` to rounding, not bit for bit.
-    Raises RuntimeError unless sum(lambda^2) equals ||H||_F^2 to rounding:
-    the blocks are projections, so weight goes missing exactly when H couples
-    them, i.e. is not leg-swap symmetric although its fields say it is.
+    LegSwapBlocks get the ascending spectrum alone, as an ndarray: an
+    eigenvalues-only solve per block, merged, with the mirrored P = +1 half
+    appended at odd L. Two blocks of about N/2 cost about a quarter of one
+    full solve, the one mirrored block an eighth. It agrees with a full solve
+    to rounding, not bit for bit. Raises RuntimeError unless sum(lambda^2)
+    equals ||H||_F^2 to rounding: the blocks are projections, so weight goes
+    missing exactly when H couples them, i.e. is not leg-swap symmetric
+    although its fields say it is.
     """
+    blocks = isinstance(H, LegSwapBlocks)
+    if blocks:
+        check_memory("diagonalize", max(b.shape[0] for b in H.blocks), EIGVALS_COPIES)
+    else:
+        check_memory("diagonalize", H.dim, EIGH_COPIES)
     try:
-        if vectors:
+        if not blocks:
             w, v = scipy.linalg.eigh(H.matrix)
             return EigenSystem(eigenvalues=w, eigenvectors=v)
-        w = np.sort(
-            np.concatenate(
-                [scipy.linalg.eigh(b, eigvals_only=True) for b in _spectral_blocks(H)]
-            )
-        )
+        parts = [scipy.linalg.eigh(b, eigvals_only=True) for b in H.blocks]
     except scipy.linalg.LinAlgError as exc:
         raise DiagonalizationError(
             f"eigensolver failed for L={H.params.L}, alpha={H.params.alpha}, "
             f"h={H.params.h}, seed={H.disorder.seed}"
         ) from exc
-    frobenius2 = float(np.vdot(H.matrix, H.matrix))
-    lost = abs(float(w @ w) - frobenius2)
-    if not lost <= SPECTRAL_WEIGHT_RTOL * H.dim * frobenius2:
+    if H.mirrored:
+        parts.append(-parts[0])
+    w = np.sort(np.concatenate(parts))
+    lost = abs(float(w @ w) - H.frobenius2)
+    if not lost <= SPECTRAL_WEIGHT_RTOL * H.dim * H.frobenius2:
         raise RuntimeError(
             f"spectrum misses weight of H: |sum(lambda^2) - ||H||_F^2| = {lost:.3e} "
-            f"of {frobenius2:.3e} (L={H.params.L}, seed={H.disorder.seed})"
+            f"of {H.frobenius2:.3e} (L={H.params.L}, seed={H.disorder.seed})"
         )
     return w
 

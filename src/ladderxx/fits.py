@@ -93,8 +93,11 @@ class ErrorSignal:
             raise ValueError("error signal must be nonnegative")
 
     def saturation_mean(self, fraction: float = SATURATION_FRACTION) -> float:
-        """Mean over the trailing `fraction` of the grid, where the signal has flattened."""
-        start = int(round((1.0 - fraction) * self.times.size))
+        """Mean over the trailing `fraction` of the grid, where the signal has
+        flattened; at least the last point, however short the grid."""
+        if not 0.0 < fraction <= 1.0:
+            raise ValueError(f"fraction must be in (0, 1], got {fraction}")
+        start = min(int(round((1.0 - fraction) * self.times.size)), self.times.size - 1)
         return float(self.eps[start:].mean())
 
 

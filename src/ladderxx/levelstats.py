@@ -13,14 +13,19 @@ the localized regime). Gap-ratio ensembles therefore accept
 ``independent_legs=True``, which breaks the symmetry and restores the
 single-block GOE/Poisson dichotomy.
 
-The spectra come from ``diagonalize(H, vectors=False)``. With shared fields
-it solves the leg-swap blocks P = +1 and P = -1 separately, eigenvalues only,
-and merges them into the full ascending spectrum, so the statistic is still
-the ratio of the merged spectrum; it agrees with a full solve to rounding
-(below 5e-13 in the mean ratio at L = 7). Per-block ratios are not computed:
-at odd L the two blocks are exact mirror images, E -> -E (the product of the
+The spectra come from ``diagonalize(leg_swap_blocks(...))``, eigenvalues
+only, without forming the N x N Hamiltonian: each block is scattered straight
+from the diagonal and the hop list of the bonds. With shared fields the
+blocks are the leg-swap sectors P = -1 and P = +1, merged into the full
+ascending spectrum, so the statistic is still the ratio of the merged
+spectrum; it agrees with a full solve to rounding (below 5e-13 in the mean
+ratio at L = 7). At odd L only the P = -1 block is solved: the product of the
 sublattice sign and the global spin flip anticommutes with H and, at odd L,
-with the leg swap), so their means are not independent samples.
+with the leg swap, so the P = +1 spectrum is its mirror image E -> -E.
+`leg_swap_blocks` checks what that needs of H, a diagonal odd under the
+flip and bonds only between the two sublattices, and raises otherwise.
+Per-block ratios are not computed; at odd L the two blocks' means would not
+be independent samples anyway.
 """
 
 from __future__ import annotations
@@ -32,9 +37,9 @@ import numpy as np
 from .core import (
     LadderParams,
     SectorBasis,
-    build_hamiltonian,
     derive_seed,
     diagonalize,
+    leg_swap_blocks,
     sample_disorder,
 )
 
@@ -119,9 +124,9 @@ def ensemble_gap_ratio(
         means = np.empty(realizations)
         dropped_total = 0
         for k in range(realizations):
-            stream = derive_seed(seed, "level_stats", p.L, p.alpha, float(h), k)
+            stream = derive_seed(seed, "level_stats", p.L, p.alpha, p.h, k)
             dis = sample_disorder(p, stream, independent_legs=independent_legs)
-            E = diagonalize(build_hamiltonian(p, dis, basis), vectors=False)
+            E = diagonalize(leg_swap_blocks(p, dis, basis))
             if middle_fraction is not None:
                 n = E.size
                 keep = max(3, int(round(middle_fraction * n)))
@@ -143,7 +148,7 @@ def ensemble_gap_ratio(
                 meta={
                     "L": p.L,
                     "alpha": p.alpha,
-                    "h": float(h),
+                    "h": p.h,
                     "realizations": realizations,
                     "seed": seed,
                     "independent_legs": independent_legs,

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import EigenSystem, SectorBasis
+from .core import EigenSystem, SectorBasis, check_memory
 
 __all__ = [
     "OtocSeries",
@@ -43,6 +43,17 @@ __all__ = [
     "default_decay_times",
     "default_lightcone_times",
 ]
+
+
+# Peak memory in units of one N x N float64 array (8 N^2 bytes): the larger
+# tracemalloc peak of L = 5 and 6, rounded up. exact_otoc's includes its
+# W-route call.
+EXACT_COPIES = 15.6
+MULTI_DISTANCE_COPIES = 9.6
+# sampled_otoc: 2.1 for V and the rotated operator, plus 35 M / N for the
+# stacked (N, 4M) columns of its M states.
+SAMPLED_COPIES = 2.1
+SAMPLED_COPIES_PER_STATE = 35.0
 
 
 def default_decay_times(n: int = 60) -> np.ndarray:
@@ -169,6 +180,7 @@ def exact_otoc(
     n = eig.dim
     if op_i.shape != (n,) or op_1.shape != (n,):
         raise ValueError("operator diagonals must match the eigensystem dimension")
+    check_memory("exact_otoc", n, EXACT_COPIES)
 
     A = _eigenbasis_diagonal(eig, np.asarray(op_i, dtype=float))
     B = _eigenbasis_diagonal(eig, np.asarray(op_1, dtype=float))
@@ -234,6 +246,7 @@ def multi_distance_otoc_values(
     d1 = np.asarray(op_1, dtype=float)
     if d1.shape != (n,) or not np.all(np.abs(d1) == 1.0):
         raise ValueError("op_1 must be a +-1 diagonal of length N")
+    check_memory("multi_distance_otoc_values", n, MULTI_DISTANCE_COPIES)
     V_up = V[d1 > 0, :].T
     m = V_up.shape[1]
     eye = np.eye(n)
@@ -285,8 +298,9 @@ def sampled_otoc(
         raise ValueError("operator diagonals must match the eigensystem dimension")
     if any(s.amplitudes.shape != (n,) for s in states):
         raise ValueError(f"every initial state must have {n} amplitudes")
-
     m = len(states)
+    check_memory("sampled_otoc", n, SAMPLED_COPIES + SAMPLED_COPIES_PER_STATE * m / n)
+
     psi = np.stack([s.amplitudes for s in states], axis=1)  # (N, M)
     x = np.concatenate([psi, d_1[:, None] * psi], axis=1)  # (N, 2M)
     cb = V.T @ np.concatenate([x.real, x.imag], axis=1)

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 from math import comb
 from pathlib import Path
 
@@ -13,18 +14,20 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ladderxx import core, otoc
 from ladderxx.core import (
     DiagonalizationError,
     DisorderRealization,
     LadderParams,
     SectorBasis,
     SectorHamiltonian,
-    _spectral_blocks,
     bit_position,
     build_hamiltonian,
+    check_memory,
     derive_seed,
     diagonalize,
     evolve_state,
+    leg_swap_blocks,
     sample_disorder,
     sigma_z_operator,
 )
@@ -343,22 +346,36 @@ def test_default_diagonalize_is_one_full_eigh():
 def test_eigenvalues_only_matches_full_solve(L, alpha, h, independent_legs):
     params = LadderParams(L=L, alpha=alpha, h=h)
     basis = SectorBasis(L)
-    H = build_hamiltonian(params, sample_disorder(params, 40 + L, independent_legs), basis)
-    blocks = _spectral_blocks(H)
-    assert sum(b.shape[0] for b in blocks) == basis.dim
-    assert len(blocks) == (1 if independent_legs and h > 0 else 2)
-    w = diagonalize(H, vectors=False)
+    disorder = sample_disorder(params, 40 + L, independent_legs)
+    blocks = leg_swap_blocks(params, disorder, basis)
+    shared = not (independent_legs and h > 0)
+    assert blocks.mirrored == (shared and L % 2 == 1)
+    assert len(blocks.blocks) == (2 if shared and L % 2 == 0 else 1)
+    assert blocks.dim == basis.dim
+    w = diagonalize(blocks)
     assert isinstance(w, np.ndarray) and w.shape == (basis.dim,)
     assert np.all(np.diff(w) >= 0)
-    assert np.max(np.abs(w - diagonalize(H).eigenvalues)) < 1e-12
+    H = build_hamiltonian(params, disorder, basis).matrix
+    assert np.max(np.abs(w - scipy.linalg.eigh(H, eigvals_only=True))) < 1e-12
 
 
-def reference_spectral_blocks(H: SectorHamiltonian) -> list[np.ndarray]:
-    """One pass per block over its own row gathers, at every L: the reference
-    for the quarter form that `_spectral_blocks` uses at odd L."""
+def test_eigenvalues_only_matches_full_solve_at_l7():
+    # The benchmark's size: one mirrored block of 1716 against the N = 3432 solve.
+    params = LadderParams(L=7, alpha=1.3, h=1.0)
+    basis = SectorBasis(7)
+    disorder = sample_disorder(params, 47)
+    w = diagonalize(leg_swap_blocks(params, disorder, basis))
+    H = build_hamiltonian(params, disorder, basis).matrix
+    assert np.max(np.abs(w - scipy.linalg.eigh(H, eigvals_only=True))) < 1e-12
+
+
+def reference_spectral_blocks(H: SectorHamiltonian, basis: SectorBasis) -> list[np.ndarray]:
+    """The projections Q^T H Q onto P = -1 and P = +1, by dense row and column
+    gathers of H: the reference for the blocks `leg_swap_blocks` scatters
+    from the nonzero entries."""
     M = H.matrix
     k = np.arange(H.dim)
-    swap = H.basis.leg_swap
+    swap = basis.leg_swap
     blocks = []
     for combine, keep in ((np.subtract, k < swap), (np.add, k <= swap)):
         a, b = k[keep], swap[keep]
@@ -375,49 +392,147 @@ def reference_spectral_blocks(H: SectorHamiltonian) -> list[np.ndarray]:
 
 @pytest.mark.parametrize("alpha", [0.0, 1.3])
 @pytest.mark.parametrize("L", [2, 3, 4, 5, 6])
-def test_spectral_blocks_match_reference_bitwise(L, alpha):
+def test_spectral_blocks_match_reference(L, alpha):
     params = LadderParams(L=L, alpha=alpha, h=1.0)
-    H = build_hamiltonian(params, sample_disorder(params, 60 + L), SectorBasis(L))
-    blocks = _spectral_blocks(H)
-    reference = reference_spectral_blocks(H)
-    assert len(blocks) == len(reference) == 2
-    for got, want in zip(blocks, reference):
-        assert np.array_equal(got, want)
-
-
-def mislabelled_shared_hamiltonian(L: int) -> SectorHamiltonian:
-    """A matrix with independent leg fields, labelled as shared: its P = +-1
-    blocks are coupled, and the projection drops that coupling's weight."""
-    params = LadderParams(L=L, alpha=1.0, h=1.0)
     basis = SectorBasis(L)
-    independent = sample_disorder(params, 5, independent_legs=True)
-    matrix = build_hamiltonian(params, independent, basis).matrix
-    shared = DisorderRealization(fields=independent.fields, seed=independent.seed)
-    return SectorHamiltonian(matrix=matrix, params=params, disorder=shared, basis=basis)
+    disorder = sample_disorder(params, 60 + L)
+    H = build_hamiltonian(params, disorder, basis)
+    reference = reference_spectral_blocks(H, basis)
+    blocks = leg_swap_blocks(params, disorder, basis).blocks
+    # Same sums in another order: equal to rounding, not bit for bit.
+    tol = 1e-14 * np.linalg.norm(H.matrix, 2)
+    if L % 2:
+        # Only the P = -1 block is assembled; the P = +1 one is its mirror image.
+        assert len(blocks) == 1
+        minus, plus = (scipy.linalg.eigh(b, eigvals_only=True) for b in reference)
+        assert np.max(np.abs(np.sort(-minus) - plus)) < 1e-12
+    assert len(blocks) == (1 if L % 2 else 2)
+    for got, want in zip(blocks, reference):
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= tol
+
+
+def swap_with_spin_flip(basis: SectorBasis) -> SectorBasis:
+    """The basis with its leg swap P replaced by P times the global spin flip:
+    still an involution of the states, but one the fields break, so the
+    blocks it defines are coupled and their projection drops weight."""
+    # The flip of states[k] is states[N - 1 - k].
+    basis.leg_swap = basis.leg_swap[::-1].copy()
+    return basis
+
+
+def blocks_with_spin_flipped_swap(L: int):
+    params = LadderParams(L=L, alpha=1.0, h=1.0)
+    basis = swap_with_spin_flip(SectorBasis(L))
+    return leg_swap_blocks(params, sample_disorder(params, 5), basis)
 
 
 def test_eigenvalues_only_rejects_leg_swap_asymmetric_matrix():
     with pytest.raises(RuntimeError, match="misses weight"):
-        diagonalize(mislabelled_shared_hamiltonian(4), vectors=False)
+        diagonalize(blocks_with_spin_flipped_swap(4))
 
 
 def test_eigenvalues_only_rejects_leg_swap_asymmetric_matrix_at_odd_l():
-    # Odd L takes the quarter path of `_spectral_blocks`.
+    # Odd L solves the P = -1 block alone and mirrors it.
     with pytest.raises(RuntimeError, match="misses weight"):
-        diagonalize(mislabelled_shared_hamiltonian(5), vectors=False)
+        diagonalize(blocks_with_spin_flipped_swap(5))
+
+
+def test_mirror_guard_rejects_a_same_sublattice_bond(monkeypatch):
+    # A next-nearest-neighbour hop on both legs keeps the leg swap but joins
+    # sites of one sublattice, so E -> -E no longer holds.
+    bonds = core._bonds
+
+    def with_next_nearest(params):
+        L = params.L
+        extra = [
+            (bit_position(L, leg, 1), bit_position(L, leg, 3), params.J_par) for leg in (1, 2)
+        ]
+        return bonds(params) + extra
+
+    monkeypatch.setattr(core, "_bonds", with_next_nearest)
+    params = LadderParams(L=5, h=1.0)
+    with pytest.raises(RuntimeError, match="joins one sublattice"):
+        leg_swap_blocks(params, sample_disorder(params, 3), SectorBasis(5))
+
+
+def test_mirror_guard_rejects_an_even_diagonal(monkeypatch):
+    # A constant shift is even under the global spin flip and moves the
+    # spectrum off E -> -E.
+    entries = core._hamiltonian_entries
+
+    def shifted(*args):
+        d, rows, cols, values = entries(*args)
+        return d + 1.0, rows, cols, values
+
+    monkeypatch.setattr(core, "_hamiltonian_entries", shifted)
+    params = LadderParams(L=5, h=1.0)
+    with pytest.raises(RuntimeError, match="not odd under the global spin flip"):
+        leg_swap_blocks(params, sample_disorder(params, 3), SectorBasis(5))
+
+
+@pytest.mark.parametrize("L", [5, 6])
+def test_eigenvalues_only_stays_below_one_dense_matrix(L):
+    params = LadderParams(L=L, h=1.0)
+    basis = SectorBasis(L)
+    disorder = sample_disorder(params, 9)
+    tracemalloc.start()
+    try:
+        diagonalize(leg_swap_blocks(params, disorder, basis))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * basis.dim**2
 
 
 @pytest.mark.parametrize("vectors", [True, False])
 def test_eigensolver_failure_is_reported_with_the_realization(vectors, monkeypatch):
     params = LadderParams(L=3, h=1.0)
-    H = build_hamiltonian(params, sample_disorder(params, 4), SectorBasis(3))
+    disorder = sample_disorder(params, 4)
+    H = build_hamiltonian(params, disorder, SectorBasis(3))
+    blocks = leg_swap_blocks(params, disorder, SectorBasis(3))
 
     def failing_eigh(*args, **kwargs):
         raise scipy.linalg.LinAlgError("did not converge")
 
     monkeypatch.setattr(scipy.linalg, "eigh", failing_eigh)
     with pytest.raises(DiagonalizationError, match="seed=4"):
-        diagonalize(H, vectors=vectors)
+        diagonalize(H if vectors else blocks)
+
+
+def test_dense_steps_check_memory_first(monkeypatch):
+    params = LadderParams(L=3, h=1.0)
+    basis = SectorBasis(3)
+    disorder = sample_disorder(params, 4)
+    H = build_hamiltonian(params, disorder, basis)
+    blocks = leg_swap_blocks(params, disorder, basis)
+    monkeypatch.setattr(core, "_physical_memory", lambda: 1000)
+    for caller, call in [
+        ("build_hamiltonian", lambda: build_hamiltonian(params, disorder, basis)),
+        ("leg_swap_blocks", lambda: leg_swap_blocks(params, disorder, basis)),
+        ("diagonalize", lambda: diagonalize(H)),
+        ("diagonalize", lambda: diagonalize(blocks)),
+    ]:
+        with pytest.raises(MemoryError, match=rf"{caller} at N=\d+ needs about .* 1000 bytes"):
+            call()
+
+
+def test_memory_check_admits_l7_and_stops_the_l8_w_route(monkeypatch):
+    monkeypatch.setattr(core, "_physical_memory", lambda: 8 * 2**30)
+    n7, n8 = comb(14, 7), comb(16, 8)
+    for copies in (
+        core.BUILD_COPIES,
+        core.BLOCK_COPIES,
+        core.EIGH_COPIES,
+        core.EIGVALS_COPIES,
+        otoc.EXACT_COPIES,
+        otoc.MULTI_DISTANCE_COPIES,
+        otoc.SAMPLED_COPIES + otoc.SAMPLED_COPIES_PER_STATE * 64 / n7,
+    ):
+        check_memory("step", n7, copies)
+    # At L = 8 one N x N array is 1.3 GB and the W-route holds about ten.
+    with pytest.raises(MemoryError, match="multi_distance_otoc_values at N=12870"):
+        check_memory("multi_distance_otoc_values", n8, otoc.MULTI_DISTANCE_COPIES)
 
 
 # ---------------------------------------------------------------- evolution
@@ -547,6 +662,8 @@ def test_params_store_plain_numbers():
     assert a == LadderParams(L=4, J_par=1.0, alpha=1.0, h=2.0)
     assert type(a.L) is int
     assert all(type(v) is float for v in (a.J_par, a.alpha, a.h))
+    signed = LadderParams(L=4, alpha=-0.0, h=-0.0)
+    assert (repr(signed.alpha), repr(signed.h)) == ("0.0", "0.0")
     with pytest.raises(ValueError):
         LadderParams(L=3.0)
 

@@ -236,6 +236,27 @@ def test_saturation_mean_uses_trailing_quarter():
     assert sig.saturation_mean() == pytest.approx(2.0)
 
 
+def test_saturation_mean_keeps_the_last_point_of_short_grids():
+    for eps in ([3.0], [9.0, 3.0]):
+        sig = ErrorSignal(times=np.arange(len(eps), dtype=float), eps=np.array(eps), kind="eps1", M=1)
+        assert sig.saturation_mean() == 3.0
+
+
+def test_saturation_mean_rejects_fractions_outside_unit_interval():
+    sig = ErrorSignal(times=np.arange(8.0), eps=np.arange(8.0), kind="eps1", M=1)
+    assert sig.saturation_mean(1.0) == pytest.approx(3.5)
+    for fraction in (0.0, -0.25, 1.5, float("nan")):
+        with pytest.raises(ValueError, match="fraction"):
+            sig.saturation_mean(fraction)
+
+
+def test_saturation_mean_of_the_decay_grid_is_the_trailing_15_points():
+    # The decay study's 60-point grid: the same window, and bits, as before.
+    eps = np.random.default_rng(0).random(60)
+    sig = ErrorSignal(times=np.geomspace(0.1, 1000.0, 60), eps=eps, kind="eps2", M=4)
+    assert sig.saturation_mean() == float(eps[45:].mean())
+
+
 # ---------------------------------------------------------------- scaling fits
 
 def test_scaling_exp_exact():

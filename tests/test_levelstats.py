@@ -106,6 +106,16 @@ def test_integer_alpha_keys_the_same_streams_as_float_alpha():
     assert as_int.meta == as_float.meta
 
 
+def test_signed_zero_keys_the_same_streams_as_zero():
+    # -0.0 and 0.0 are the same parameter, but their reprs differ.
+    plus = ensemble_gap_ratio(LadderParams(L=4, alpha=0.0), [1.0], realizations=3, seed=2)[0]
+    minus = ensemble_gap_ratio(LadderParams(L=4, alpha=-0.0), [1.0], realizations=3, seed=2)[0]
+    assert np.array_equal(plus.per_realization_means, minus.per_realization_means)
+    assert repr(minus.meta["alpha"]) == "0.0"
+    (report,) = ensemble_gap_ratio(LadderParams(L=3), [-0.0], realizations=1, seed=2)
+    assert repr(report.meta["h"]) == "0.0"
+
+
 def full_solve_means(params, h_list, realizations, seed, independent_legs):
     """Reference: per-realization mean ratios from the eigenvalues of a full eigh."""
     basis = SectorBasis(params.L)

@@ -6,6 +6,7 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ladderxx import core
 from ladderxx.core import (
     LadderParams,
     SectorBasis,
@@ -416,3 +417,17 @@ def test_effective_dimension_of_fock_states_near_third_of_n():
     ]
     ratio = np.mean(d_es) / basis.dim
     assert 0.2 < ratio < 0.45
+
+
+def test_otoc_routes_check_memory_first(monkeypatch):
+    basis, eig = make_eig(3)
+    d_1, d_i = sigma_z_operator(basis, 1, 1), sigma_z_operator(basis, 1, 2)
+    times = np.linspace(0.0, 1.0, 3)
+    monkeypatch.setattr(core, "_physical_memory", lambda: 1000)
+    for caller, call in [
+        ("exact_otoc", lambda: exact_otoc(eig, d_i, d_1, times)),
+        ("multi_distance_otoc_values", lambda: multi_distance_otoc_values(eig, d_i[None, :], d_1, times)),
+        ("sampled_otoc", lambda: sampled_otoc(eig, d_i, d_1, [fock_state(basis, 0)], times)),
+    ]:
+        with pytest.raises(MemoryError, match=f"{caller} at N=20 needs about .* 1000 bytes"):
+            call()
