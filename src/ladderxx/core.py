@@ -59,6 +59,13 @@ EIGH_COPIES = 2.2  # eigenvectors and LAPACK's copy of H
 EIGVALS_COPIES = 1.4  # per m x m block: LAPACK's copy of it and its workspace
 
 
+def _checked_L(L) -> int:
+    """L as a plain int; raises unless it is an integer (not a bool) >= L_MIN."""
+    if isinstance(L, bool) or not isinstance(L, (int, np.integer)) or L < L_MIN:
+        raise ValueError(f"L must be an integer >= {L_MIN}, got {L!r}")
+    return int(L)
+
+
 @dataclass(frozen=True)
 class LadderParams:
     """Couplings of one ladder: L sites per leg, J_perp = alpha * J_par, field strength h."""
@@ -69,11 +76,9 @@ class LadderParams:
     h: float = 0.0
 
     def __post_init__(self) -> None:
-        if not (isinstance(self.L, (int, np.integer)) and self.L >= 2):
-            raise ValueError(f"L must be an integer >= 2, got {self.L!r}")
         # Store plain Python numbers so that how a value was typed (1, 1.0,
         # np.float64(1.0)) never reaches the seed labels built from it.
-        object.__setattr__(self, "L", int(self.L))
+        object.__setattr__(self, "L", _checked_L(self.L))
         for name in ("J_par", "alpha", "h"):
             # + 0.0 turns -0.0 into 0.0, whose repr, and so seed label, differs.
             value = float(getattr(self, name)) + 0.0
@@ -136,12 +141,12 @@ class SectorBasis:
     """
 
     def __init__(self, L: int):
-        if not (L_MIN <= L <= L_MAX):
+        self.L = _checked_L(L)
+        if self.L > L_MAX:
             raise ValueError(
                 f"L={L} outside the supported dense-diagonalization range "
                 f"[{L_MIN}, {L_MAX}]"
             )
-        self.L = int(L)
         self.num_spins = 2 * self.L
         masks = [
             sum(1 << p for p in positions)
@@ -266,8 +271,8 @@ def sample_disorder(
     field term h_i (sz_{1,i} + sz_{2,i}). With ``independent_legs=True`` a
     second, independent set of L values is drawn for leg 2 from the same
     stream; level statistics in the ergodic regime need this variant because
-    column-identical fields leave the leg-swap symmetry of the clean ladder
-    intact (see levelstats module notes).
+    with column-identical fields H keeps a conserved charge, the dressed rung
+    exchange of the levelstats module notes, whatever the fields.
     """
     rng = np.random.Generator(np.random.Philox(key=seed))
     n = 2 * params.L if independent_legs else params.L

@@ -128,51 +128,54 @@ def _r_squared(y: np.ndarray, residuals: np.ndarray) -> float:
     return 1.0 - ss_res / max(ss_tot, 1e-300)
 
 
-def _linear_least_squares(x: np.ndarray, y: np.ndarray):
-    """Plain 1D least squares, input sorted by x so results are order-independent."""
-    order = np.argsort(x, kind="stable")
-    x, y = x[order], y[order]
-    A = np.stack([x, np.ones_like(x)], axis=1)
-    (slope, intercept), *_ = np.linalg.lstsq(A, y, rcond=None)
-    residuals = y - (slope * x + intercept)
-    return slope, intercept, _r_squared(y, residuals), residuals
+def _fit_log_law(x, y, form: str, slope: tuple, min_points: int, points="points", window=None):
+    """Least squares of ln y against x (the exp forms) or ln x (the power forms).
+
+    Returns a = exp(intercept) and, under the name slope[0], the fitted slope
+    times slope[1]. Points are sorted by abscissa first, so the result does
+    not depend on their order. `points` names the input in error messages;
+    `window` defaults to the range of x.
+    """
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    log_x = form.endswith("power")
+    if x.size < min_points:
+        raise ValueError(f"need at least {min_points} {points}, have {x.size}")
+    if np.any(y <= 0):
+        raise ValueError(f"{form} fit needs positive y on its {points}")
+    if log_x and np.any(x <= 0):
+        raise ValueError(f"{form} fit needs positive x on its {points}")
+    X = np.log(x) if log_x else x
+    if np.ptp(X) == 0.0:
+        raise ValueError(f"the abscissae of the {points} are degenerate")
+    order = np.argsort(X, kind="stable")
+    X, Y = X[order], np.log(y)[order]
+    A = np.stack([X, np.ones_like(X)], axis=1)
+    (b, intercept), *_ = np.linalg.lstsq(A, Y, rcond=None)
+    residuals = Y - (b * X + intercept)
+    name, sign = slope
+    return FitResult(
+        form=form,
+        params={"a": float(np.exp(intercept)), name: float(sign * b)},
+        r_squared=_r_squared(Y, residuals),
+        window=(float(x.min()), float(x.max())) if window is None else window,
+        residuals=residuals,
+        meta={"coordinates": "loglog" if log_x else "semilog"},
+    )
 
 
 def fit_exponential(series, window=None) -> FitResult:
     """Fit Re F = a exp(-lambda t) by linear least squares on (t, ln Re F)."""
     t, y, window = _extract_txy(series, window)
-    if t.size < 4:
-        raise ValueError(f"need at least 4 points in the window, have {t.size}")
-    if np.any(y <= 0):
-        raise ValueError("exponential fit needs positive values on the window")
-    slope, intercept, r2, residuals = _linear_least_squares(t, np.log(y))
-    return FitResult(
-        form="exp",
-        params={"a": float(np.exp(intercept)), "lam": float(-slope)},
-        r_squared=r2,
-        window=window,
-        residuals=residuals,
-        meta={"coordinates": "semilog"},
-    )
+    return _fit_log_law(t, y, "exp", ("lam", -1), 4, "points in the window", window)
 
 
 def fit_power_law(series_or_xy, window=None) -> FitResult:
     """Fit Re F = a t^(-b) on (ln t, ln Re F); b is positive for decaying data."""
     t, y, window = _extract_txy(series_or_xy, window)
     keep = t > 0
-    t, y = t[keep], y[keep]
-    if t.size < 4:
-        raise ValueError(f"need at least 4 positive-t points in the window, have {t.size}")
-    if np.any(y <= 0):
-        raise ValueError("power-law fit needs positive values on the window")
-    slope, intercept, r2, residuals = _linear_least_squares(np.log(t), np.log(y))
-    return FitResult(
-        form="power",
-        params={"a": float(np.exp(intercept)), "b": float(-slope)},
-        r_squared=r2,
-        window=window,
-        residuals=residuals,
-        meta={"coordinates": "loglog"},
+    return _fit_log_law(
+        t[keep], y[keep], "power", ("b", -1), 4, "positive-t points in the window", window
     )
 
 
@@ -181,7 +184,7 @@ def mbl_curve(t: np.ndarray, a: float, b: float, c: float) -> np.ndarray:
     return 1.0 - a * np.exp(-b * np.asarray(t, dtype=float) ** c)
 
 
-def fit_mbl_form(series, window=None, max_starts: int | None = None) -> FitResult:
+def fit_mbl_form(series, window=None) -> FitResult:
     """Fit Re F = 1 - a exp(-b t^c) with c < 0 enforced via c = -exp(u).
 
     Damped nonlinear least squares from a grid of start points (several
@@ -209,8 +212,6 @@ def fit_mbl_form(series, window=None, max_starts: int | None = None) -> FitResul
         log_b0 = np.log(np.log(2.0)) - c0 * np.log(max(t_half, 1e-6))
         for a0 in (a_data, 0.5):
             starts.append((a0, log_b0, np.log(-c0)))
-    if max_starts is not None:
-        starts = starts[:max_starts]
 
     best = None
     for x0 in starts:
@@ -273,8 +274,6 @@ def error_signal(
     M = sampled.meta.get("M") or (
         sampled.per_sample.shape[0] if sampled.per_sample is not None else 1
     )
-    if n_dim is None:
-        n_dim = sampled.meta.get("N") or exact.meta.get("N")
     return ErrorSignal(times=exact.times, eps=eps, kind=kind, M=int(M), N=n_dim)
 
 
@@ -284,33 +283,10 @@ def fit_error_scaling(points, form: str) -> FitResult:
     `points` is an (x, y) pair of sequences. The slope b keeps its sign, so
     decaying errors give negative b in both forms.
     """
-    x, y = points
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if x.size < 3:
-        raise ValueError("need at least 3 points")
-    if np.ptp(x) == 0.0:
-        raise ValueError("abscissae are degenerate")
-    if np.any(y <= 0):
-        raise ValueError("scaling fits need positive error values")
-    if form == "scaling_exp":
-        slope, intercept, r2, residuals = _linear_least_squares(x, np.log(y))
-        coords = "semilog"
-    elif form == "scaling_power":
-        if np.any(x <= 0):
-            raise ValueError("scaling_power needs positive abscissae")
-        slope, intercept, r2, residuals = _linear_least_squares(np.log(x), np.log(y))
-        coords = "loglog"
-    else:
+    if form not in ("scaling_exp", "scaling_power"):
         raise ValueError(f"form must be scaling_exp or scaling_power, got {form!r}")
-    return FitResult(
-        form=form,
-        params={"a": float(np.exp(intercept)), "b": float(slope)},
-        r_squared=r2,
-        window=(float(x.min()), float(x.max())),
-        residuals=residuals,
-        meta={"coordinates": coords},
-    )
+    x, y = points
+    return _fit_log_law(x, y, form, ("b", 1), 3)
 
 
 def decay_onset(series: OtocSeries, threshold: float = 0.999) -> float:

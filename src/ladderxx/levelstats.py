@@ -5,13 +5,14 @@ d_n = E_n - E_{n-1} the adjacent level spacings. Its ensemble mean sits near
 0.5307 for GOE (ergodic) spectra and near 2 ln 2 - 1 = 0.3863 for Poisson
 (localized) spectra, so sweeping the disorder strength traces the crossover.
 
-Note on the disorder mode: with the default column-identical fields the
-ladder keeps its exact leg-swap symmetry, so the spectrum is a superposition
-of two independent blocks and the mean ratio never reaches the GOE value
-(it lands near 0.41 at L=5, h=1, and shows excess near-degeneracies deep in
-the localized regime). Gap-ratio ensembles therefore accept
-``independent_legs=True``, which breaks the symmetry and restores the
-single-block GOE/Poisson dichotomy.
+Note on the disorder mode: with the default column-identical fields H
+commutes, whatever alpha and the fields, with the dressed rung exchange
+Q = sum_i (-1)^(N_<i) (s+_{1,i} s-_{2,i} + h.c.), N_<i the up spins in columns
+1..i-1. Its sectors q = -L, -L+2, ..., L, of sizes C(L, (L+q)/2)^2, split each
+leg-swap block further, so the mean ratio of the merged spectrum, or of one
+block, never reaches the GOE value (it lands near 0.41 at L=5, h=1). Gap-ratio
+ensembles therefore accept ``independent_legs=True``, which breaks Q and
+restores the GOE/Poisson dichotomy. Ratios per q sector are not computed yet.
 
 The spectra come from ``diagonalize(leg_swap_blocks(...))``, eigenvalues
 only, without forming the N x N Hamiltonian: each block is scattered straight
@@ -54,6 +55,7 @@ __all__ = [
 
 R_GOE = 0.5307
 R_POISSON = 2.0 * np.log(2.0) - 1.0
+ZERO_GAP_TOL = 1e-12
 
 
 @dataclass
@@ -70,26 +72,22 @@ class GapRatioReport:
             raise ValueError(f"mean ratio {self.ensemble_mean} outside [0, 1]")
 
 
-def gap_ratios(
-    eigenvalues: np.ndarray,
-    zero_tol: float = 1e-12,
-    return_dropped: bool = False,
-):
+def gap_ratios(eigenvalues: np.ndarray, return_dropped: bool = False):
     """Ratios of adjacent spacings for one ascending spectrum.
 
-    Pairs whose two spacings are both below ``zero_tol`` (exact degeneracies)
+    Pairs whose two spacings are both below ``ZERO_GAP_TOL`` (exact degeneracies)
     are excluded; a single vanishing spacing gives r = 0. Returns the N - 2
     ratios minus exclusions, optionally with the exclusion count.
     """
     E = np.asarray(eigenvalues, dtype=float)
     if E.ndim != 1 or E.size < 3:
         raise ValueError("need at least three eigenvalues")
-    if np.any(np.diff(E) < -zero_tol):
+    if np.any(np.diff(E) < -ZERO_GAP_TOL):
         raise ValueError("eigenvalues must be ascending")
     gaps = np.abs(np.diff(E))
     lo = np.minimum(gaps[:-1], gaps[1:])
     hi = np.maximum(gaps[:-1], gaps[1:])
-    keep = hi >= zero_tol
+    keep = hi >= ZERO_GAP_TOL
     ratios = lo[keep] / hi[keep]
     if return_dropped:
         return ratios, int(np.count_nonzero(~keep))

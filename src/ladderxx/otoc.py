@@ -54,6 +54,8 @@ MULTI_DISTANCE_COPIES = 9.6
 # stacked (N, 4M) columns of its M states.
 SAMPLED_COPIES = 2.1
 SAMPLED_COPIES_PER_STATE = 35.0
+# exact_otoc raises when its two routes differ by more than this anywhere.
+CROSS_CHECK_TOL = 1e-9
 
 
 def default_decay_times(n: int = 60) -> np.ndarray:
@@ -143,23 +145,11 @@ def _eigenbasis_diagonal(eig: EigenSystem, diag: np.ndarray) -> np.ndarray:
     return V.T @ (diag[:, None] * V)
 
 
-def _cr_matmul(real_mat: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """real_mat @ z for complex z via two real products (BLAS stays in dgemm)."""
-    return real_mat @ z.real + 1j * (real_mat @ z.imag)
-
-
-def _rc_matmul(z: np.ndarray, real_mat: np.ndarray) -> np.ndarray:
-    """z @ real_mat for complex z, split the same way."""
-    return z.real @ real_mat + 1j * (z.imag @ real_mat)
-
-
 def exact_otoc(
     eig: EigenSystem,
     op_i: np.ndarray,
     op_1: np.ndarray,
     times: np.ndarray,
-    cross_check_tol: float = 1e-9,
-    meta: dict | None = None,
 ) -> OtocSeries:
     """Exact infinite-temperature OTOC via two independent routes.
 
@@ -168,7 +158,7 @@ def exact_otoc(
     `multi_distance_otoc_values`, forms W(t) = U(t) sz_1 U+(t) in the
     computational basis and sums |W_ab|^2 weighted by the probe diagonal.
     Their maximum discrepancy over the grid is recorded in
-    meta["cross_check_max"]; exceeding `cross_check_tol` raises.
+    meta["cross_check_max"]; exceeding `CROSS_CHECK_TOL` raises.
 
     Parameters
     ----------
@@ -190,23 +180,25 @@ def exact_otoc(
     for k, t in enumerate(times):
         u = np.exp(1j * E * t)
         At = (u[:, None] * A) * u.conj()[None, :]
-        P = _rc_matmul(At, B)
+        # Two real products keep BLAS in dgemm.
+        P = At.real @ B + 1j * (At.imag @ B)
         values[k] = np.sum(P * P.T) / n
 
     w_values, _ = multi_distance_otoc_values(eig, op_i[None, :], op_1, times)
     discrepancy = float(np.max(np.abs(values - w_values[0])))
-    if discrepancy > cross_check_tol:
+    if discrepancy > CROSS_CHECK_TOL:
         raise RuntimeError(
             f"exact OTOC routes disagree by {discrepancy:.3e} "
-            f"(tolerance {cross_check_tol:.1e})"
+            f"(tolerance {CROSS_CHECK_TOL:.1e})"
         )
     if np.max(np.abs(values.imag)) > 1e-10:
         raise RuntimeError("exact OTOC acquired an imaginary part above 1e-10")
 
-    out_meta = {"estimator": "exact", "cross_check_max": discrepancy}
-    if meta:
-        out_meta.update(meta)
-    return OtocSeries(times=times, values=values, meta=out_meta)
+    return OtocSeries(
+        times=times,
+        values=values,
+        meta={"estimator": "exact", "cross_check_max": discrepancy},
+    )
 
 
 def multi_distance_otoc_values(
@@ -271,7 +263,6 @@ def sampled_otoc(
     op_1: np.ndarray,
     states: list[InitialState],
     times: np.ndarray,
-    meta: dict | None = None,
 ) -> OtocSeries:
     """OTOC estimator from M initial states, evolved in the eigenbasis.
 
@@ -319,18 +310,15 @@ def sampled_otoc(
         per_sample[:, k] = np.sum(Z_conj * (d_1[:, None] * Y), axis=0)
 
     kinds = {s.kind for s in states}
-    out_meta = {
-        "estimator": kinds.pop() if len(kinds) == 1 else "mixed",
-        "M": len(states),
-        "seeds": [s.seed for s in states],
-    }
-    if meta:
-        out_meta.update(meta)
     return OtocSeries(
         times=times,
         values=per_sample.mean(axis=0),
         per_sample=per_sample,
-        meta=out_meta,
+        meta={
+            "estimator": kinds.pop() if len(kinds) == 1 else "mixed",
+            "M": len(states),
+            "seeds": [s.seed for s in states],
+        },
     )
 
 
@@ -358,7 +346,8 @@ def complete_fock_basis(basis: SectorBasis) -> list[InitialState]:
 
 def eon_distribution(eig: EigenSystem, state: InitialState) -> EonDistribution:
     """Overlap weights |<eigenstate_beta | psi>|^2 against the full spectrum."""
-    c = _cr_matmul(eig.eigenvectors.T, state.amplitudes)
+    Vt, psi = eig.eigenvectors.T, state.amplitudes
+    c = Vt @ psi.real + 1j * (Vt @ psi.imag)
     return EonDistribution(weights=np.abs(c) ** 2, energies=eig.eigenvalues.copy())
 
 

@@ -23,7 +23,7 @@ from .core import (
     diagonalize,
     sigma_z_operator,
 )
-from .fits import FitResult, _linear_least_squares
+from .fits import FitResult, _fit_log_law
 from .otoc import multi_distance_otoc_values
 
 __all__ = [
@@ -157,29 +157,22 @@ def extract_contour(grid: WavefrontGrid, eta: float, per_realization: bool = Fal
     """
     if not (0.0 < eta < 1.0):
         raise ValueError(f"eta must lie strictly inside (0, 1), got {eta}")
-    dists, crossings, missing = [], [], []
-    if per_realization:
-        if grid.per_realization is None:
-            raise ValueError("grid was built without per-realization values")
-        for i, dx in enumerate(grid.distances):
-            per = [
-                _first_crossing(grid.times, row[i], eta)
-                for row in grid.per_realization
-            ]
-            found = [t for t in per if t is not None]
-            if found:
-                dists.append(int(dx))
-                crossings.append(float(np.mean(found)))
-            else:
-                missing.append(int(dx))
+    if not per_realization:
+        rows = grid.values[None]
+    elif grid.per_realization is None:
+        raise ValueError("grid was built without per-realization values")
     else:
-        for i, dx in enumerate(grid.distances):
-            t = _first_crossing(grid.times, grid.values[i], eta)
-            if t is None:
-                missing.append(int(dx))
-            else:
-                dists.append(int(dx))
-                crossings.append(t)
+        rows = grid.per_realization
+    dists, crossings, missing = [], [], []
+    for i, dx in enumerate(grid.distances):
+        # The mean of a single crossing time is that time exactly.
+        per = [_first_crossing(grid.times, row[i], eta) for row in rows]
+        found = [t for t in per if t is not None]
+        if found:
+            dists.append(int(dx))
+            crossings.append(float(np.mean(found)))
+        else:
+            missing.append(int(dx))
     return Contour(
         eta=eta,
         distances=np.array(dists, dtype=int),
@@ -198,23 +191,15 @@ def fit_dynamical_exponent(contour: Contour, min_dx: int | None = None) -> FitRe
     if min_dx is None:
         min_dx = 3 if contour.eta < 0.5 else 1
     keep = contour.distances >= min_dx
-    dx = contour.distances[keep].astype(float)
-    t = contour.t_cross[keep]
-    if dx.size < 3:
-        raise ValueError(
-            f"need at least 3 contour points with dx >= {min_dx}, have {dx.size}"
-        )
-    if np.any(t <= 0):
-        raise ValueError("crossing times must be positive for a log-log fit")
-    gamma, log_a, r2, residuals = _linear_least_squares(np.log(t), np.log(dx))
-    fit = FitResult(
-        form="power",
-        params={"a": float(np.exp(log_a)), "gamma": float(gamma)},
-        r_squared=r2,
-        window=(float(t.min()), float(t.max())),
-        residuals=residuals,
-        meta={"coordinates": "loglog", "eta": contour.eta, "min_dx": min_dx},
+    fit = _fit_log_law(
+        contour.t_cross[keep],
+        contour.distances[keep],
+        "power",
+        ("gamma", 1),
+        3,
+        f"contour points with dx >= {min_dx}",
     )
+    fit.meta.update(eta=contour.eta, min_dx=min_dx)
     contour.fit = fit
     return fit
 

@@ -149,6 +149,16 @@ def test_basis_rejects_out_of_range_l():
             SectorBasis(bad)
 
 
+def test_l_must_be_an_integer_in_params_and_basis():
+    for bad in (3.5, 4.0, True, "4"):
+        with pytest.raises(ValueError, match="integer"):
+            SectorBasis(bad)
+        with pytest.raises(ValueError, match="integer"):
+            LadderParams(L=bad)
+    assert SectorBasis(np.int64(3)).L == 3
+    assert type(SectorBasis(np.int64(3)).L) is int
+
+
 @pytest.mark.parametrize("L", [2, 3, 4, 5, 6])
 def test_leg_swap_index_map(L):
     basis = SectorBasis(L)

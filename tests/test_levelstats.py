@@ -1,5 +1,7 @@
 """Gap-ratio statistics: formula checks, invariances, and regime brackets."""
 
+from math import comb
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,6 +10,7 @@ from hypothesis import strategies as st
 from ladderxx.core import (
     LadderParams,
     SectorBasis,
+    bit_position,
     build_hamiltonian,
     derive_seed,
     diagonalize,
@@ -191,3 +194,45 @@ def test_csv_emission():
     assert lines[0] == "h,L,alpha,realizations,mean_r,stderr"
     assert len(lines) == 3
     assert lines[1].startswith("1.0,3,1.0,2,")
+
+
+# ---------------------------------------------------------------- hidden charge
+
+def dressed_rung_charge(basis: SectorBasis) -> np.ndarray:
+    """Q = sum_i (-1)^(N_<i) (s+_{1,i} s-_{2,i} + h.c.) on the sector basis, where
+    N_<i counts the up spins in columns 1..i-1 (a Jordan-Wigner string)."""
+    L = basis.L
+    Q = np.zeros((basis.dim, basis.dim))
+    for k, state in enumerate(basis.states.tolist()):
+        for site in range(1, L + 1):
+            b1, b2 = bit_position(L, 1, site), bit_position(L, 2, site)
+            if (state >> b1 & 1) == (state >> b2 & 1):
+                continue
+            below = (1 << (site - 1)) - 1
+            n_below = bin(state & (below | below << L)).count("1")
+            target = np.searchsorted(basis.states, state ^ (1 << b1 | 1 << b2))
+            Q[target, k] = (-1.0) ** n_below
+    return Q
+
+
+@pytest.mark.parametrize("L", [2, 3, 4, 5, 6])
+def test_shared_fields_conserve_the_dressed_rung_charge(L):
+    # The charge that keeps shared-field gap ratios below R_GOE (module notes).
+    params = LadderParams(L=L, alpha=1.3, h=2.0)
+    basis = SectorBasis(L)
+    Q = dressed_rung_charge(basis)
+    assert np.array_equal(Q, Q.T)
+    shared = build_hamiltonian(params, sample_disorder(params, 11), basis).matrix
+    assert np.max(np.abs(shared @ Q - Q @ shared)) == 0.0
+    legs = sample_disorder(params, 11, independent_legs=True)
+    independent = build_hamiltonian(params, legs, basis).matrix
+    assert np.max(np.abs(independent @ Q - Q @ independent)) > 1.0
+
+
+@pytest.mark.parametrize("L", [2, 3, 4])
+def test_dressed_rung_charge_sectors_have_squared_binomial_sizes(L):
+    q = np.linalg.eigvalsh(dressed_rung_charge(SectorBasis(L)))
+    values, sizes = np.unique(np.round(q).astype(int), return_counts=True)
+    assert np.max(np.abs(q - np.round(q))) < 1e-9
+    assert values.tolist() == list(range(-L, L + 1, 2))
+    assert sizes.tolist() == [comb(L, k) ** 2 for k in range(L + 1)]
