@@ -19,6 +19,7 @@ Conventions
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import itertools
 import os
@@ -27,18 +28,20 @@ from math import comb
 
 import numpy as np
 import scipy.linalg
+import scipy.sparse
 
 __all__ = [
     "LadderParams",
     "DisorderRealization",
     "SectorBasis",
     "SectorHamiltonian",
-    "LegSwapBlocks",
+    "ChargeBlocks",
     "EigenSystem",
+    "SectorSpectra",
     "DiagonalizationError",
     "sample_disorder",
     "build_hamiltonian",
-    "leg_swap_blocks",
+    "charge_blocks",
     "diagonalize",
     "evolve_state",
     "sigma_z_operator",
@@ -54,9 +57,14 @@ SPECTRAL_WEIGHT_RTOL = 16 * np.finfo(float).eps
 # Peak memory of each dense step in units of one N x N float64 array (8 N^2
 # bytes): the larger tracemalloc peak of L = 5 and 6, rounded up.
 BUILD_COPIES = 1.2  # H and the hop list
-BLOCK_COPIES = 1.7  # per m x m block: the block, its scatter indices and weights
+BLOCK_COPIES = 3.2  # per m x m block: the block, its sparse product and the charge map
 EIGH_COPIES = 2.2  # eigenvectors and LAPACK's copy of H
-EIGVALS_COPIES = 1.4  # per m x m block: LAPACK's copy of it and its workspace
+EIGVALS_COPIES = 1.5  # per m x m block: LAPACK's copy of it and its workspace
+# Bit t is set where the t-th singly occupied column of a column pattern
+# carries the Jordan-Wigner sign s_t = -1 in the dressed rung charge (see
+# SectorBasis.charge_sectors): s_t = (-1)^t.
+_STRING_SIGNS = sum(1 << t for t in range(1, L_MAX, 2))
+_POPCOUNT = np.array([bin(k).count("1") for k in range(1 << L_MAX)])
 
 
 def _checked_L(L) -> int:
@@ -135,9 +143,8 @@ class SectorBasis:
     states : int64 array of the C(2L, L) bitmasks with L set bits, ascending
         (so ``np.searchsorted(states, mask)`` is the index of a bitmask).
     dim : sector dimension.
-    leg_swap : int64 index array of the leg exchange P: ``states[leg_swap[k]]``
-        is ``states[k]`` with the two legs' bit halves swapped. P is an
-        involution; its fixed points (``leg_swap[k] == k``) exist for even L.
+    charge_sectors : the eigenvectors of the dressed rung charge, per
+        eigenvalue; built on first use.
     """
 
     def __init__(self, L: int):
@@ -159,9 +166,59 @@ class SectorBasis:
             raise RuntimeError(
                 f"enumerated {self.dim} states, expected C({self.num_spins}, {self.L})"
             )
-        low = (1 << self.L) - 1
-        swapped = ((self.states & low) << self.L) | (self.states >> self.L)
-        self.leg_swap = np.searchsorted(self.states, swapped)
+
+    @functools.cached_property
+    def charge_sectors(self) -> dict[int, scipy.sparse.csc_array]:
+        """Orthonormal eigenvectors of the dressed rung charge, one N x C(L, k)^2
+        sparse matrix U_q per eigenvalue q = 2k - L.
+
+        Q = sum_i (-1)^(N_<i) (s+_{1,i} s-_{2,i} + h.c.), with N_<i the up spins
+        in columns 1..i-1, commutes with H when both legs see the same fields.
+        Q keeps each column's occupation n_i in {0, 1, 2}; on one occupation
+        pattern it is sum_t s_t X_t over the z columns with n_i = 1, where X_t
+        moves that column's up spin to the other leg. The columns between two
+        such columns hold 0 or 2 up spins, so s_t = (-1)^t. The eigenvectors
+        are therefore the z-fold Hadamard transform of the pattern: label m
+        (bit t set where X_t = -1) has entry 2^(-z/2) (-1)^popcount(b & m) on
+        the state whose leg-2 bits on those columns read b, and
+        q = z - 2 popcount((m ^ _STRING_SIGNS) & (2^z - 1)).
+        """
+        L, states = self.L, self.states
+        leg1, leg2 = states & ((1 << L) - 1), states >> L
+        single = leg1 ^ leg2
+        # b: leg 2's bits on the singly occupied columns, packed; z counts them.
+        b = np.zeros_like(states)
+        z = np.zeros_like(states)
+        for i in range(L):
+            on = (single >> i) & 1
+            b |= (leg2 >> i & on) << z
+            z += on
+        # A pattern holds the 2^z states b = 0..2^z - 1, and its Hadamard
+        # transform as many labels: label m is numbered like the state b = m.
+        _, pattern = np.unique(single | (leg1 & leg2) << L, return_inverse=True)
+        size = np.bincount(pattern)
+        offset = (np.cumsum(size) - size)[pattern]
+        label_q = np.empty(self.dim, dtype=np.int64)
+        label_q[offset + b] = z - 2 * _POPCOUNT[(b ^ _STRING_SIGNS) & ((1 << z) - 1)]
+        column = np.empty(self.dim, dtype=np.int64)
+        column[np.argsort(label_q, kind="stable")] = np.arange(self.dim)
+        rows, cols, coefs = [], [], []
+        for width in np.unique(z):
+            on = np.flatnonzero(z == width)
+            m = np.arange(1 << width)
+            sign = 1 - 2 * (_POPCOUNT[b[on, None] & m] & 1)
+            rows.append(np.repeat(on, m.size))
+            cols.append(column[offset[on, None] + m].ravel())
+            coefs.append((sign * 2.0 ** (-width / 2)).ravel())
+        U = scipy.sparse.csc_array(
+            (np.concatenate(coefs), (np.concatenate(rows), np.concatenate(cols))),
+            shape=(self.dim, self.dim),
+        )
+        charges, counts = np.unique(label_q, return_counts=True)
+        ends = np.cumsum(counts)
+        return {
+            int(q): U[:, end - count : end] for q, count, end in zip(charges, counts, ends)
+        }
 
     def __len__(self) -> int:
         return self.dim
@@ -184,23 +241,26 @@ class SectorHamiltonian:
 
 
 @dataclass(frozen=True)
-class LegSwapBlocks:
+class ChargeBlocks:
     """Symmetric blocks whose spectra make up the spectrum of one realization.
 
-    When ``mirrored``, the spectrum is that of ``blocks`` together with its
-    negation. ``frobenius2`` is ||H||_F^2 of the N x N Hamiltonian they
-    come from, for the spectral-weight check in `diagonalize`.
+    ``charges[j]`` is the dressed rung charge q of ``blocks[j]``; a block with
+    q > 0 also stands for the sector -q, whose spectrum is its negation.
+    ``charges`` is None when H conserves no charge and the one block is H.
+    ``frobenius2`` is ||H||_F^2 of the N x N Hamiltonian they come from, for
+    the spectral-weight check in `diagonalize`.
     """
 
     blocks: tuple[np.ndarray, ...]
-    mirrored: bool
+    charges: tuple[int, ...] | None
     frobenius2: float
     params: LadderParams
     disorder: DisorderRealization
 
     @property
     def dim(self) -> int:
-        return sum(b.shape[0] for b in self.blocks) * (2 if self.mirrored else 1)
+        mirrored = sum(b.shape[0] for b, q in zip(self.blocks, self.charges or ()) if q > 0)
+        return sum(b.shape[0] for b in self.blocks) + mirrored
 
 
 @dataclass(frozen=True)
@@ -213,6 +273,19 @@ class EigenSystem:
     @property
     def dim(self) -> int:
         return self.eigenvalues.shape[0]
+
+
+@dataclass(frozen=True)
+class SectorSpectra:
+    """Eigenvalues of one realization from an eigenvalues-only solve.
+
+    ``eigenvalues`` is the whole ascending spectrum, mirrored sectors
+    included; ``sectors`` maps each solved charge q >= 0 to its ascending
+    spectrum, and is empty when H conserves no charge.
+    """
+
+    eigenvalues: np.ndarray
+    sectors: dict[int, np.ndarray]
 
 
 class DiagonalizationError(RuntimeError):
@@ -375,44 +448,13 @@ def build_hamiltonian(
     return SectorHamiltonian(matrix=H, params=params, disorder=disorder)
 
 
-def _leg_swap_map(leg_swap: np.ndarray, parity: int) -> tuple[np.ndarray, np.ndarray, int]:
-    """Each state's row and coefficient in the P = parity block, and the block size.
-
-    The block's basis is (|a_j> + parity |b_j>)/sqrt(2) for the pairs
-    (a_j, b_j = P a_j) with a_j < b_j, and in the + block also the fixed
-    points |a_j> = |b_j> of P (even L only), in the order of a_j. A fixed
-    point outside the block keeps coefficient 0.
-    """
-    k = np.arange(leg_swap.size)
-    a = k[k < leg_swap if parity < 0 else k <= leg_swap]
-    b = leg_swap[a]
-    row = np.zeros(k.size, dtype=np.int64)
-    coef = np.zeros(k.size)
-    row[a] = row[b] = np.arange(a.size)
-    coef[b] = parity * np.sqrt(0.5)
-    coef[a] = np.where(a == b, 1.0, np.sqrt(0.5))
-    return row, coef, a.size
-
-
-def _scatter_block(entries, row: np.ndarray, coef: np.ndarray, size: int) -> np.ndarray:
-    """The block Q^T H Q, where column row[s] of Q has coef[s] on state s."""
-    d, rows, cols, values = entries
-    flat = np.bincount(
-        row[rows] * size + row[cols],
-        weights=coef[rows] * coef[cols] * values,
-        minlength=size * size,
-    )
-    block = flat.reshape(size, size)
-    block[np.diag_indices(size)] += np.bincount(row, weights=coef * coef * d, minlength=size)
-    return block
-
-
 def _check_chiral_symmetry(params: LadderParams, d: np.ndarray) -> None:
     """Raise unless the sublattice sign times the global spin flip anticommutes with H.
 
-    That operator maps E -> -E and, at odd L, anticommutes with the leg swap,
-    so the P = +1 spectrum is the negated P = -1 spectrum. It anticommutes
-    with H when the diagonal is odd under the flip and every hop joins the two
+    That operator maps E -> -E and anticommutes with the dressed rung charge
+    (the flip keeps Q, the sublattice sign negates each rung exchange), so the
+    sector -q spectrum is the negated sector q spectrum. It anticommutes with
+    H when the diagonal is odd under the flip and every hop joins the two
     sublattices, (leg + site) even and odd. The flip of states[k] is
     states[N - 1 - k]: the complement of a bitmask decreases as it increases.
     """
@@ -425,57 +467,65 @@ def _check_chiral_symmetry(params: LadderParams, d: np.ndarray) -> None:
             raise RuntimeError(f"bond across bits {a}, {b} joins one sublattice")
 
 
-def leg_swap_blocks(
+def charge_blocks(
     params: LadderParams,
     disorder: DisorderRealization,
     basis: SectorBasis,
-) -> LegSwapBlocks:
+) -> ChargeBlocks:
     """Blocks for an eigenvalues-only solve, assembled without the N x N matrix.
 
-    With the same fields on both legs, H commutes with the leg swap P and the
-    blocks are its projections onto P = -1 and P = +1, each about N/2 wide
-    (`_leg_swap_map`). At odd L only the P = -1 block is kept: the P = +1
-    spectrum is its mirror image (`_check_chiral_symmetry`, which raises if a
-    term of H breaks that). With independent legs the one block is H.
+    With the same fields on both legs, H conserves the dressed rung charge Q
+    and the blocks are U_q^T H U_q for its sectors q >= 0
+    (`SectorBasis.charge_sectors`), multiplied out sparse from the diagonal
+    and the hop list. The q < 0 spectra are the mirror images of the q > 0
+    ones (`_check_chiral_symmetry`, which raises if a term of H breaks that).
+    With independent legs the one block is H.
     """
-    entries = _hamiltonian_entries(params, disorder, basis)
-    d, _, _, values = entries
+    d, rows, cols, values = _hamiltonian_entries(params, disorder, basis)
     n = basis.dim
-    mirrored = False
     if disorder.fields_for_leg(1) != disorder.fields_for_leg(2):
-        maps = [(np.arange(n), np.ones(n), n)]
+        charges = None
+        sizes = [n]
     else:
-        mirrored = basis.L % 2 == 1
-        if mirrored:
-            _check_chiral_symmetry(params, d)
-        maps = [_leg_swap_map(basis.leg_swap, p) for p in ((-1,) if mirrored else (-1, 1))]
-    block_elements = sum(size * size for _, _, size in maps)
-    check_memory("leg_swap_blocks", n, BLOCK_COPIES * block_elements / n**2)
-    return LegSwapBlocks(
-        blocks=tuple(_scatter_block(entries, *m) for m in maps),
-        mirrored=mirrored,
+        _check_chiral_symmetry(params, d)
+        sectors = {q: U for q, U in basis.charge_sectors.items() if q >= 0}
+        charges = tuple(sectors)
+        sizes = [U.shape[1] for U in sectors.values()]
+    check_memory("charge_blocks", n, BLOCK_COPIES * sum(s * s for s in sizes) / n**2)
+    index = np.arange(n)
+    H = scipy.sparse.csr_array(
+        (np.concatenate([d, values]), (np.concatenate([index, rows]), np.concatenate([index, cols]))),
+        shape=(n, n),
+    )
+    if charges is None:
+        blocks = (H.toarray(),)
+    else:
+        blocks = tuple((U.T @ (H @ U)).toarray() for U in sectors.values())
+    return ChargeBlocks(
+        blocks=blocks,
+        charges=charges,
         frobenius2=float(d @ d + values @ values),
         params=params,
         disorder=disorder,
     )
 
 
-def diagonalize(H: SectorHamiltonian | LegSwapBlocks) -> EigenSystem | np.ndarray:
+def diagonalize(H: SectorHamiltonian | ChargeBlocks) -> EigenSystem | SectorSpectra:
     """Dense symmetric eigensolve of one realization.
 
     A SectorHamiltonian gets one full ``eigh``: an EigenSystem with ascending
     eigenvalues and column eigenvectors, as the OTOC routes need them.
 
-    LegSwapBlocks get the ascending spectrum alone, as an ndarray: an
-    eigenvalues-only solve per block, merged, with the mirrored P = +1 half
-    appended at odd L. Two blocks of about N/2 cost about a quarter of one
-    full solve, the one mirrored block an eighth. It agrees with a full solve
-    to rounding, not bit for bit. Raises RuntimeError unless sum(lambda^2)
-    equals ||H||_F^2 to rounding: the blocks are projections, so weight goes
-    missing exactly when H couples them, i.e. is not leg-swap symmetric
-    although its fields say it is.
+    ChargeBlocks get SectorSpectra: an eigenvalues-only solve per block, the
+    negation of each q > 0 spectrum standing in for sector -q, all merged
+    into the ascending spectrum. At L = 7 the solved sectors are 1225, 441,
+    49 and 1 wide, about 1/21 of the flops of one solve at N = 3432. It
+    agrees with a full solve to rounding, not bit for bit.
+    Raises RuntimeError unless sum(lambda^2) equals ||H||_F^2 to rounding:
+    the blocks are projections, so weight goes missing exactly when H couples
+    them, i.e. does not conserve the charge although its fields say it does.
     """
-    blocks = isinstance(H, LegSwapBlocks)
+    blocks = isinstance(H, ChargeBlocks)
     if blocks:
         check_memory("diagonalize", max(b.shape[0] for b in H.blocks), EIGVALS_COPIES)
     else:
@@ -490,16 +540,16 @@ def diagonalize(H: SectorHamiltonian | LegSwapBlocks) -> EigenSystem | np.ndarra
             f"eigensolver failed for L={H.params.L}, alpha={H.params.alpha}, "
             f"h={H.params.h}, seed={H.disorder.seed}"
         ) from exc
-    if H.mirrored:
-        parts.append(-parts[0])
-    w = np.sort(np.concatenate(parts))
+    sectors = dict(zip(H.charges, parts)) if H.charges is not None else {}
+    mirrors = [-e for q, e in sectors.items() if q > 0]
+    w = np.sort(np.concatenate(parts + mirrors))
     lost = abs(float(w @ w) - H.frobenius2)
     if not lost <= SPECTRAL_WEIGHT_RTOL * H.dim * H.frobenius2:
         raise RuntimeError(
             f"spectrum misses weight of H: |sum(lambda^2) - ||H||_F^2| = {lost:.3e} "
             f"of {H.frobenius2:.3e} (L={H.params.L}, seed={H.disorder.seed})"
         )
-    return w
+    return SectorSpectra(eigenvalues=w, sectors=sectors)
 
 
 def evolve_state(eig: EigenSystem, psi: np.ndarray, t: float) -> np.ndarray:

@@ -102,7 +102,10 @@ class ErrorSignal:
 
 
 def _extract_txy(series, window):
-    """Pull (t, Re y) from an OtocSeries or an (x, y) pair, window-restricted."""
+    """Pull (t, Re y) from an OtocSeries or an (x, y) pair, window-restricted.
+
+    Without a window the returned window is None: each fit then reports the
+    range of the points it keeps."""
     if isinstance(series, OtocSeries):
         t = series.times
         y = series.values.real
@@ -113,10 +116,8 @@ def _extract_txy(series, window):
     if window is not None:
         lo, hi = window
         keep = (t >= lo) & (t <= hi)
-        t, y = t[keep], y[keep]
-    else:
-        window = (float(t.min()), float(t.max())) if t.size else (0.0, 0.0)
-    return t, y, (float(window[0]), float(window[1]))
+        return t[keep], y[keep], (float(lo), float(hi))
+    return t, y, None
 
 
 def _r_squared(y: np.ndarray, residuals: np.ndarray) -> float:
@@ -171,7 +172,10 @@ def fit_exponential(series, window=None) -> FitResult:
 
 
 def fit_power_law(series_or_xy, window=None) -> FitResult:
-    """Fit Re F = a t^(-b) on (ln t, ln Re F); b is positive for decaying data."""
+    """Fit Re F = a t^(-b) on (ln t, ln Re F); b is positive for decaying data.
+
+    Points at t <= 0 are dropped; the window defaults to the range of the rest.
+    """
     t, y, window = _extract_txy(series_or_xy, window)
     keep = t > 0
     return _fit_log_law(
@@ -190,6 +194,7 @@ def fit_mbl_form(series, window=None) -> FitResult:
     Damped nonlinear least squares from a grid of start points (several
     stretch exponents crossed with data-driven amplitude guesses); the best
     converged start wins. Raises FitConvergenceError when every start fails.
+    Points at t <= 0 are dropped; the window defaults to the range of the rest.
     """
     t, y, window = _extract_txy(series, window)
     keep = t > 0
@@ -198,6 +203,8 @@ def fit_mbl_form(series, window=None) -> FitResult:
         raise ValueError("need at least 5 positive-t points")
     if t.max() / t.min() < 100.0:
         raise ValueError("stretched-form fit needs data spanning >= 2 decades in t")
+    if window is None:
+        window = (float(t.min()), float(t.max()))
 
     def residual(p):
         a, log_b, u = p

@@ -8,25 +8,27 @@ d_n = E_n - E_{n-1} the adjacent level spacings. Its ensemble mean sits near
 Note on the disorder mode: with the default column-identical fields H
 commutes, whatever alpha and the fields, with the dressed rung exchange
 Q = sum_i (-1)^(N_<i) (s+_{1,i} s-_{2,i} + h.c.), N_<i the up spins in columns
-1..i-1. Its sectors q = -L, -L+2, ..., L, of sizes C(L, (L+q)/2)^2, split each
-leg-swap block further, so the mean ratio of the merged spectrum, or of one
-block, never reaches the GOE value (it lands near 0.41 at L=5, h=1). Gap-ratio
-ensembles therefore accept ``independent_legs=True``, which breaks Q and
-restores the GOE/Poisson dichotomy. Ratios per q sector are not computed yet.
+1..i-1. Its sectors q = -L, -L+2, ..., L have sizes C(L, (L+q)/2)^2, and the
+gap ratio is defined within one sector: the mean ratio of the merged
+spectrum mixes independent sectors and never reaches the GOE value (it lands
+near 0.41 at L=5, h=1). Each report therefore carries, besides the merged
+mean, the mean ratio of every solved sector in meta["sector_mean_r"], keyed
+by |q| (sectors q and -q have mirrored spectra, so one of them stands for
+both). The q = 0 spectrum of even L is symmetric under E -> -E, so its
+ratios come from its upper half. ``middle_fraction`` applies to each sector
+on its own, and sectors of fewer than three levels are left out.
+Independent legs (``independent_legs=True``) break Q and restore the
+GOE/Poisson dichotomy of the merged spectrum; their reports hold no sectors.
 
-The spectra come from ``diagonalize(leg_swap_blocks(...))``, eigenvalues
-only, without forming the N x N Hamiltonian: each block is scattered straight
-from the diagonal and the hop list of the bonds. With shared fields the
-blocks are the leg-swap sectors P = -1 and P = +1, merged into the full
-ascending spectrum, so the statistic is still the ratio of the merged
-spectrum; it agrees with a full solve to rounding (below 5e-13 in the mean
-ratio at L = 7). At odd L only the P = -1 block is solved: the product of the
-sublattice sign and the global spin flip anticommutes with H and, at odd L,
-with the leg swap, so the P = +1 spectrum is its mirror image E -> -E.
-`leg_swap_blocks` checks what that needs of H, a diagonal odd under the
-flip and bonds only between the two sublattices, and raises otherwise.
-Per-block ratios are not computed; at odd L the two blocks' means would not
-be independent samples anyway.
+The spectra come from ``diagonalize(charge_blocks(...))``, eigenvalues only,
+without forming the N x N Hamiltonian: each sector block U_q^T H U_q is
+multiplied out sparse from the diagonal and the hop list of the bonds. Only
+the sectors q >= 0 are solved: the product of the sublattice sign and the
+global spin flip anticommutes with H and with Q, so the sector -q spectrum
+is the mirror image E -> -E of sector q. `charge_blocks` checks what that
+needs of H, a diagonal odd under the flip and bonds only between the two
+sublattices, and raises otherwise. The merged spectrum agrees with a full
+solve to rounding (below 1e-12 at L <= 7).
 """
 
 from __future__ import annotations
@@ -38,9 +40,9 @@ import numpy as np
 from .core import (
     LadderParams,
     SectorBasis,
+    charge_blocks,
     derive_seed,
     diagonalize,
-    leg_swap_blocks,
     sample_disorder,
 )
 
@@ -94,6 +96,15 @@ def gap_ratios(eigenvalues: np.ndarray, return_dropped: bool = False):
     return ratios
 
 
+def _middle(E: np.ndarray, fraction: float | None) -> np.ndarray:
+    """The central ``fraction`` of an ascending spectrum, at least three levels."""
+    if fraction is None:
+        return E
+    keep = max(3, int(round(fraction * E.size)))
+    start = (E.size - keep) // 2
+    return E[start : start + keep]
+
+
 def ensemble_gap_ratio(
     params: LadderParams,
     h_list,
@@ -107,9 +118,10 @@ def ensemble_gap_ratio(
     For each h, ``realizations`` Hamiltonians are drawn (streams keyed by the
     master seed, h, and the realization index), diagonalized, and reduced to
     a per-realization mean ratio; the report carries the ensemble mean and
-    the standard error of the per-realization means. ``middle_fraction``
-    optionally keeps only that central fraction of each spectrum, default
-    off (the full spectrum enters the average).
+    the standard error of the per-realization means, and meta["sector_mean_r"]
+    the ensemble mean per charge sector |q| (module notes). ``middle_fraction``
+    optionally keeps only that central fraction of each spectrum and of each
+    sector, default off (the full spectrum enters the average).
     """
     if realizations < 1:
         raise ValueError("need at least one realization")
@@ -120,19 +132,22 @@ def ensemble_gap_ratio(
     for h in h_list:
         p = LadderParams(L=params.L, J_par=params.J_par, alpha=params.alpha, h=float(h))
         means = np.empty(realizations)
+        sector_means: dict[int, list[float]] = {}
         dropped_total = 0
         for k in range(realizations):
             stream = derive_seed(seed, "level_stats", p.L, p.alpha, p.h, k)
             dis = sample_disorder(p, stream, independent_legs=independent_legs)
-            E = diagonalize(leg_swap_blocks(p, dis, basis))
-            if middle_fraction is not None:
-                n = E.size
-                keep = max(3, int(round(middle_fraction * n)))
-                start = (n - keep) // 2
-                E = E[start : start + keep]
-            ratios, dropped = gap_ratios(E, return_dropped=True)
+            spectra = diagonalize(charge_blocks(p, dis, basis))
+            ratios, dropped = gap_ratios(
+                _middle(spectra.eigenvalues, middle_fraction), return_dropped=True
+            )
             means[k] = ratios.mean()
             dropped_total += dropped
+            for q, E in spectra.sectors.items():
+                E = E[E.size // 2 :] if q == 0 else E
+                if E.size >= 3:
+                    mean = gap_ratios(_middle(E, middle_fraction)).mean()
+                    sector_means.setdefault(q, []).append(float(mean))
         stderr = (
             float(means.std(ddof=1) / np.sqrt(realizations))
             if realizations > 1
@@ -152,6 +167,7 @@ def ensemble_gap_ratio(
                     "independent_legs": independent_legs,
                     "middle_fraction": middle_fraction,
                     "dropped_pairs": dropped_total,
+                    "sector_mean_r": {q: float(np.mean(v)) for q, v in sector_means.items()},
                 },
             )
         )

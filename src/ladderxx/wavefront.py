@@ -153,7 +153,10 @@ def extract_contour(grid: WavefrontGrid, eta: float, per_realization: bool = Fal
     Distances that never cross are omitted from the contour and listed in
     meta["missing"]. With ``per_realization=True`` (needs a grid built with
     ``keep_per_realization``) the crossing time is the mean of the
-    per-realization crossings instead of the crossing of the mean grid.
+    per-realization crossings instead of the crossing of the mean grid, and a
+    distance that some realization never crosses is missing too: the mean of
+    the others' crossings would date the front too early. meta["crossings"]
+    counts, per grid distance, the rows that cross.
     """
     if not (0.0 < eta < 1.0):
         raise ValueError(f"eta must lie strictly inside (0, 1), got {eta}")
@@ -163,21 +166,22 @@ def extract_contour(grid: WavefrontGrid, eta: float, per_realization: bool = Fal
         raise ValueError("grid was built without per-realization values")
     else:
         rows = grid.per_realization
-    dists, crossings, missing = [], [], []
+    dists, t_cross, missing, crossings = [], [], [], []
     for i, dx in enumerate(grid.distances):
         # The mean of a single crossing time is that time exactly.
         per = [_first_crossing(grid.times, row[i], eta) for row in rows]
         found = [t for t in per if t is not None]
-        if found:
+        crossings.append(len(found))
+        if len(found) == len(rows):
             dists.append(int(dx))
-            crossings.append(float(np.mean(found)))
+            t_cross.append(float(np.mean(found)))
         else:
             missing.append(int(dx))
     return Contour(
         eta=eta,
         distances=np.array(dists, dtype=int),
-        t_cross=np.array(crossings, dtype=float),
-        meta={"missing": missing, "per_realization": per_realization},
+        t_cross=np.array(t_cross, dtype=float),
+        meta={"missing": missing, "crossings": crossings, "per_realization": per_realization},
     )
 
 

@@ -11,23 +11,25 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from charge_oracles import dressed_rung_charge, leg_swap
 from ladderxx import core, otoc
 from ladderxx.core import (
     DiagonalizationError,
     DisorderRealization,
     LadderParams,
     SectorBasis,
-    SectorHamiltonian,
+    SectorSpectra,
     bit_position,
     build_hamiltonian,
+    charge_blocks,
     check_memory,
     derive_seed,
     diagonalize,
     evolve_state,
-    leg_swap_blocks,
     sample_disorder,
     sigma_z_operator,
 )
@@ -162,7 +164,7 @@ def test_l_must_be_an_integer_in_params_and_basis():
 @pytest.mark.parametrize("L", [2, 3, 4, 5, 6])
 def test_leg_swap_index_map(L):
     basis = SectorBasis(L)
-    swap = basis.leg_swap
+    swap = leg_swap(basis)
     low = (1 << L) - 1
     for k, s in enumerate(basis.states):
         legs_swapped = ((int(s) & low) << L) | (int(s) >> L)
@@ -286,8 +288,44 @@ def test_leg_swap_symmetry_of_shared_disorder():
     params = LadderParams(L=4, alpha=1.3, h=2.0)
     basis = SectorBasis(4)
     H = build_hamiltonian(params, sample_disorder(params, 17), basis).matrix
-    perm = basis.leg_swap
+    perm = leg_swap(basis)
     assert np.array_equal(H[np.ix_(perm, perm)], H)
+
+
+# ---------------------------------------------------------------- charge sectors
+
+@pytest.mark.parametrize("L", [2, 3, 4, 5, 6, 7])
+def test_charge_sectors_have_squared_binomial_sizes(L):
+    sectors = SectorBasis(L).charge_sectors
+    assert list(sectors) == list(range(-L, L + 1, 2))
+    assert [U.shape for U in sectors.values()] == [
+        (comb(2 * L, L), comb(L, k) ** 2) for k in range(L + 1)
+    ]
+
+
+@pytest.mark.parametrize("L", [2, 3, 4, 5, 6, 7])
+def test_charge_map_is_orthonormal(L):
+    basis = SectorBasis(L)
+    U = scipy.sparse.hstack(list(basis.charge_sectors.values())).tocsc()
+    gram = (U.T @ U - scipy.sparse.identity(basis.dim)).tocoo()
+    assert np.max(np.abs(gram.data), initial=0.0) < 1e-14
+    # Each state's Hadamard transform has 2^z entries, z the singly occupied columns.
+    z = [bin((int(s) ^ (int(s) >> L)) & ((1 << L) - 1)).count("1") for s in basis.states]
+    assert U.nnz == sum(2**w for w in z)
+
+
+@pytest.mark.parametrize("L", [2, 3, 4, 5, 6, 7])
+def test_charge_sectors_have_the_leg_swap_parity_their_charge_fixes(L):
+    # P = prod_t X_t on a column pattern, so each eigenvector of Q is one of P,
+    # with a parity set by q alone.
+    basis = SectorBasis(L)
+    swap = leg_swap(basis)
+    for q, U in basis.charge_sectors.items():
+        U = U.toarray()
+        PU = U[swap]
+        parity = np.sign(np.sum(PU * U, axis=0))
+        assert np.all(parity == parity[0])
+        assert np.max(np.abs(PU - parity[0] * U)) < 1e-14
 
 
 # ---------------------------------------------------------------- spectra
@@ -352,52 +390,32 @@ def test_default_diagonalize_is_one_full_eigh():
 @pytest.mark.parametrize("independent_legs", [False, True])
 @pytest.mark.parametrize("h", [0.0, 1.0, 8.0])
 @pytest.mark.parametrize("alpha", [0.0, 1.3])
-@pytest.mark.parametrize("L", [2, 3, 4, 5, 6])
+@pytest.mark.parametrize("L", [2, 3, 4, 5, 6, 7])
 def test_eigenvalues_only_matches_full_solve(L, alpha, h, independent_legs):
     params = LadderParams(L=L, alpha=alpha, h=h)
     basis = SectorBasis(L)
     disorder = sample_disorder(params, 40 + L, independent_legs)
-    blocks = leg_swap_blocks(params, disorder, basis)
+    blocks = charge_blocks(params, disorder, basis)
     shared = not (independent_legs and h > 0)
-    assert blocks.mirrored == (shared and L % 2 == 1)
-    assert len(blocks.blocks) == (2 if shared and L % 2 == 0 else 1)
+    charges = tuple(range(L % 2, L + 1, 2)) if shared else None
+    assert blocks.charges == charges
+    assert len(blocks.blocks) == (len(charges) if shared else 1)
     assert blocks.dim == basis.dim
-    w = diagonalize(blocks)
-    assert isinstance(w, np.ndarray) and w.shape == (basis.dim,)
+    spectra = diagonalize(blocks)
+    assert isinstance(spectra, SectorSpectra)
+    w = spectra.eigenvalues
+    assert w.shape == (basis.dim,)
     assert np.all(np.diff(w) >= 0)
+    assert list(spectra.sectors) == list(charges or ())
     H = build_hamiltonian(params, disorder, basis).matrix
     assert np.max(np.abs(w - scipy.linalg.eigh(H, eigvals_only=True))) < 1e-12
 
 
-def test_eigenvalues_only_matches_full_solve_at_l7():
-    # The benchmark's size: one mirrored block of 1716 against the N = 3432 solve.
-    params = LadderParams(L=7, alpha=1.3, h=1.0)
-    basis = SectorBasis(7)
-    disorder = sample_disorder(params, 47)
-    w = diagonalize(leg_swap_blocks(params, disorder, basis))
-    H = build_hamiltonian(params, disorder, basis).matrix
-    assert np.max(np.abs(w - scipy.linalg.eigh(H, eigvals_only=True))) < 1e-12
-
-
-def reference_spectral_blocks(H: SectorHamiltonian, basis: SectorBasis) -> list[np.ndarray]:
-    """The projections Q^T H Q onto P = -1 and P = +1, by dense row and column
-    gathers of H: the reference for the blocks `leg_swap_blocks` scatters
-    from the nonzero entries."""
-    M = H.matrix
-    k = np.arange(H.dim)
-    swap = basis.leg_swap
-    blocks = []
-    for combine, keep in ((np.subtract, k < swap), (np.add, k <= swap)):
-        a, b = k[keep], swap[keep]
-        rows = M[a]
-        combine(rows, M[b], out=rows)
-        block = rows.take(a, axis=1)
-        combine(block, rows.take(b, axis=1), out=block)
-        w = np.where(a == b, 0.5, np.sqrt(0.5))
-        block *= w[:, None]
-        block *= w
-        blocks.append(block)
-    return blocks
+def reference_charge_projections(Q: np.ndarray) -> dict[int, np.ndarray]:
+    """Orthonormal bases of the eigenspaces of the dense charge Q, by charge."""
+    q, V = np.linalg.eigh(Q)
+    q = np.round(q).astype(int)
+    return {int(c): V[:, q == c] for c in np.unique(q)}
 
 
 @pytest.mark.parametrize("alpha", [0.0, 1.3])
@@ -406,51 +424,38 @@ def test_spectral_blocks_match_reference(L, alpha):
     params = LadderParams(L=L, alpha=alpha, h=1.0)
     basis = SectorBasis(L)
     disorder = sample_disorder(params, 60 + L)
-    H = build_hamiltonian(params, disorder, basis)
-    reference = reference_spectral_blocks(H, basis)
-    blocks = leg_swap_blocks(params, disorder, basis).blocks
-    # Same sums in another order: equal to rounding, not bit for bit.
-    tol = 1e-14 * np.linalg.norm(H.matrix, 2)
-    if L % 2:
-        # Only the P = -1 block is assembled; the P = +1 one is its mirror image.
-        assert len(blocks) == 1
-        minus, plus = (scipy.linalg.eigh(b, eigvals_only=True) for b in reference)
-        assert np.max(np.abs(np.sort(-minus) - plus)) < 1e-12
-    assert len(blocks) == (1 if L % 2 else 2)
-    for got, want in zip(blocks, reference):
-        assert got.shape == want.shape
-        assert np.max(np.abs(got - want)) <= tol
+    H = build_hamiltonian(params, disorder, basis).matrix
+    reference = reference_charge_projections(dressed_rung_charge(basis))
+    got = charge_blocks(params, disorder, basis)
+    # Only the sectors q >= 0 are assembled; each q < 0 one is a mirror image.
+    assert got.charges == tuple(q for q in reference if q >= 0)
+    tol = 1e-14 * np.linalg.norm(H, 2)
+    for q, block in zip(got.charges, got.blocks):
+        U = basis.charge_sectors[q].toarray()
+        V = reference[q]
+        # The map spans the eigenspace of the dense Q ...
+        assert np.max(np.abs(U @ U.T - V @ V.T)) < 1e-12
+        # ... and its block is the projection of H, to rounding.
+        assert np.max(np.abs(block - U.T @ H @ U)) <= tol
+        mirror = scipy.linalg.eigh(reference[-q].T @ H @ reference[-q], eigvals_only=True)
+        assert np.max(np.abs(np.sort(-mirror) - scipy.linalg.eigh(block, eigvals_only=True))) < 1e-12
 
 
-def swap_with_spin_flip(basis: SectorBasis) -> SectorBasis:
-    """The basis with its leg swap P replaced by P times the global spin flip:
-    still an involution of the states, but one the fields break, so the
-    blocks it defines are coupled and their projection drops weight."""
-    # The flip of states[k] is states[N - 1 - k].
-    basis.leg_swap = basis.leg_swap[::-1].copy()
-    return basis
-
-
-def blocks_with_spin_flipped_swap(L: int):
+@pytest.mark.parametrize("L", [4, 5])
+def test_eigenvalues_only_rejects_a_charge_map_without_the_string(L, monkeypatch):
+    # Without the Jordan-Wigner signs the map diagonalizes the plain rung
+    # exchange, which H does not conserve: its blocks drop the coupling.
+    monkeypatch.setattr(core, "_STRING_SIGNS", 0)
     params = LadderParams(L=L, alpha=1.0, h=1.0)
-    basis = swap_with_spin_flip(SectorBasis(L))
-    return leg_swap_blocks(params, sample_disorder(params, 5), basis)
-
-
-def test_eigenvalues_only_rejects_leg_swap_asymmetric_matrix():
+    blocks = charge_blocks(params, sample_disorder(params, 5), SectorBasis(L))
     with pytest.raises(RuntimeError, match="misses weight"):
-        diagonalize(blocks_with_spin_flipped_swap(4))
-
-
-def test_eigenvalues_only_rejects_leg_swap_asymmetric_matrix_at_odd_l():
-    # Odd L solves the P = -1 block alone and mirrors it.
-    with pytest.raises(RuntimeError, match="misses weight"):
-        diagonalize(blocks_with_spin_flipped_swap(5))
+        diagonalize(blocks)
 
 
 def test_mirror_guard_rejects_a_same_sublattice_bond(monkeypatch):
     # A next-nearest-neighbour hop on both legs keeps the leg swap but joins
-    # sites of one sublattice, so E -> -E no longer holds.
+    # sites of one sublattice, so E -> -E no longer holds. The guard runs at
+    # both parities of L.
     bonds = core._bonds
 
     def with_next_nearest(params):
@@ -461,9 +466,10 @@ def test_mirror_guard_rejects_a_same_sublattice_bond(monkeypatch):
         return bonds(params) + extra
 
     monkeypatch.setattr(core, "_bonds", with_next_nearest)
-    params = LadderParams(L=5, h=1.0)
-    with pytest.raises(RuntimeError, match="joins one sublattice"):
-        leg_swap_blocks(params, sample_disorder(params, 3), SectorBasis(5))
+    for L in (4, 5):
+        params = LadderParams(L=L, h=1.0)
+        with pytest.raises(RuntimeError, match="joins one sublattice"):
+            charge_blocks(params, sample_disorder(params, 3), SectorBasis(L))
 
 
 def test_mirror_guard_rejects_an_even_diagonal(monkeypatch):
@@ -476,9 +482,10 @@ def test_mirror_guard_rejects_an_even_diagonal(monkeypatch):
         return d + 1.0, rows, cols, values
 
     monkeypatch.setattr(core, "_hamiltonian_entries", shifted)
-    params = LadderParams(L=5, h=1.0)
-    with pytest.raises(RuntimeError, match="not odd under the global spin flip"):
-        leg_swap_blocks(params, sample_disorder(params, 3), SectorBasis(5))
+    for L in (4, 5):
+        params = LadderParams(L=L, h=1.0)
+        with pytest.raises(RuntimeError, match="not odd under the global spin flip"):
+            charge_blocks(params, sample_disorder(params, 3), SectorBasis(L))
 
 
 @pytest.mark.parametrize("L", [5, 6])
@@ -488,7 +495,7 @@ def test_eigenvalues_only_stays_below_one_dense_matrix(L):
     disorder = sample_disorder(params, 9)
     tracemalloc.start()
     try:
-        diagonalize(leg_swap_blocks(params, disorder, basis))
+        diagonalize(charge_blocks(params, disorder, basis))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -500,7 +507,7 @@ def test_eigensolver_failure_is_reported_with_the_realization(vectors, monkeypat
     params = LadderParams(L=3, h=1.0)
     disorder = sample_disorder(params, 4)
     H = build_hamiltonian(params, disorder, SectorBasis(3))
-    blocks = leg_swap_blocks(params, disorder, SectorBasis(3))
+    blocks = charge_blocks(params, disorder, SectorBasis(3))
 
     def failing_eigh(*args, **kwargs):
         raise scipy.linalg.LinAlgError("did not converge")
@@ -511,15 +518,16 @@ def test_eigensolver_failure_is_reported_with_the_realization(vectors, monkeypat
 
 
 def test_dense_steps_check_memory_first(monkeypatch):
-    params = LadderParams(L=3, h=1.0)
-    basis = SectorBasis(3)
+    # At L = 4 even the largest charge block (36 wide) exceeds 1000 bytes.
+    params = LadderParams(L=4, h=1.0)
+    basis = SectorBasis(4)
     disorder = sample_disorder(params, 4)
     H = build_hamiltonian(params, disorder, basis)
-    blocks = leg_swap_blocks(params, disorder, basis)
+    blocks = charge_blocks(params, disorder, basis)
     monkeypatch.setattr(core, "_physical_memory", lambda: 1000)
     for caller, call in [
         ("build_hamiltonian", lambda: build_hamiltonian(params, disorder, basis)),
-        ("leg_swap_blocks", lambda: leg_swap_blocks(params, disorder, basis)),
+        ("charge_blocks", lambda: charge_blocks(params, disorder, basis)),
         ("diagonalize", lambda: diagonalize(H)),
         ("diagonalize", lambda: diagonalize(blocks)),
     ]:

@@ -116,6 +116,16 @@ def test_fit_is_invariant_under_point_reordering():
     assert a.params["lam"] == b.params["lam"]
 
 
+def test_fits_that_drop_nonpositive_times_leave_them_out_of_the_window():
+    t = np.concatenate([[-1.0, 0.0], np.geomspace(0.1, 1000.0, 60)])
+    positive = np.maximum(t, 0.1)
+    power = fit_power_law((t, 0.8 * positive**-0.4))
+    mbl = fit_mbl_form((t, mbl_curve(positive, 0.7, 5.0, -0.8)))
+    assert power.window == mbl.window == (0.1, 1000.0)
+    # A window given by the caller is reported as given.
+    assert fit_power_law((t, np.exp(-positive)), window=(0.0, 5.0)).window == (0.0, 5.0)
+
+
 # ---------------------------------------------------------------- stretched form
 
 def test_mbl_exact_recovery():

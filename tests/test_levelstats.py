@@ -7,10 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from charge_oracles import dressed_rung_charge
 from ladderxx.core import (
     LadderParams,
     SectorBasis,
-    bit_position,
     build_hamiltonian,
     derive_seed,
     diagonalize,
@@ -138,7 +138,7 @@ def full_solve_means(params, h_list, realizations, seed, independent_legs):
 @pytest.mark.parametrize("independent_legs", [False, True])
 @pytest.mark.parametrize("L", [4, 5])
 def test_ensemble_matches_full_solve_reference(L, independent_legs):
-    # The leg-swap blocks change the eigensolve, not the statistic: the merged
+    # The charge sectors change the eigensolve, not the statistic: the merged
     # spectrum gives the full spectrum's ratios to rounding.
     params = LadderParams(L=L, alpha=1.0)
     h_list = [0.5, 2.0, 8.0]
@@ -167,8 +167,8 @@ def test_regime_brackets_small_system():
 
 
 def test_shared_disorder_keeps_leg_swap_symmetry_visible():
-    # Column-identical fields superpose two symmetry blocks; the mean ratio
-    # stays well below GOE even in the ergodic parameter regime.
+    # Column-identical fields superpose the charge sectors; the mean ratio of
+    # the merged spectrum stays well below GOE even in the ergodic regime.
     params = LadderParams(L=4, alpha=1.0)
     shared = ensemble_gap_ratio(params, [1.0], realizations=60, seed=5)[0]
     assert shared.ensemble_mean < 0.45
@@ -198,23 +198,6 @@ def test_csv_emission():
 
 # ---------------------------------------------------------------- hidden charge
 
-def dressed_rung_charge(basis: SectorBasis) -> np.ndarray:
-    """Q = sum_i (-1)^(N_<i) (s+_{1,i} s-_{2,i} + h.c.) on the sector basis, where
-    N_<i counts the up spins in columns 1..i-1 (a Jordan-Wigner string)."""
-    L = basis.L
-    Q = np.zeros((basis.dim, basis.dim))
-    for k, state in enumerate(basis.states.tolist()):
-        for site in range(1, L + 1):
-            b1, b2 = bit_position(L, 1, site), bit_position(L, 2, site)
-            if (state >> b1 & 1) == (state >> b2 & 1):
-                continue
-            below = (1 << (site - 1)) - 1
-            n_below = bin(state & (below | below << L)).count("1")
-            target = np.searchsorted(basis.states, state ^ (1 << b1 | 1 << b2))
-            Q[target, k] = (-1.0) ** n_below
-    return Q
-
-
 @pytest.mark.parametrize("L", [2, 3, 4, 5, 6])
 def test_shared_fields_conserve_the_dressed_rung_charge(L):
     # The charge that keeps shared-field gap ratios below R_GOE (module notes).
@@ -236,3 +219,55 @@ def test_dressed_rung_charge_sectors_have_squared_binomial_sizes(L):
     assert np.max(np.abs(q - np.round(q))) < 1e-9
     assert values.tolist() == list(range(-L, L + 1, 2))
     assert sizes.tolist() == [comb(L, k) ** 2 for k in range(L + 1)]
+
+
+def reference_sector_means(params, h, realizations, seed, middle_fraction):
+    """Per-sector mean ratios from dense projections of H onto the eigenspaces
+    of the dense charge, the q = 0 sector by its upper half."""
+    basis = SectorBasis(params.L)
+    q, V = np.linalg.eigh(dressed_rung_charge(basis))
+    q = np.round(q).astype(int)
+    p = LadderParams(L=params.L, alpha=params.alpha, h=h)
+    means = {}
+    for k in range(realizations):
+        stream = derive_seed(seed, "level_stats", p.L, p.alpha, p.h, k)
+        H = build_hamiltonian(p, sample_disorder(p, stream), basis).matrix
+        for c in range(params.L % 2, params.L + 1, 2):
+            Vc = V[:, q == c]
+            E = np.linalg.eigvalsh(Vc.T @ H @ Vc)
+            E = E[E.size // 2 :] if c == 0 else E
+            if E.size < 3:
+                continue
+            keep = max(3, int(round(middle_fraction * E.size))) if middle_fraction else E.size
+            start = (E.size - keep) // 2
+            means.setdefault(c, []).append(gap_ratios(E[start : start + keep]).mean())
+    return {c: float(np.mean(m)) for c, m in means.items()}
+
+
+@pytest.mark.parametrize("middle_fraction", [None, 0.5])
+@pytest.mark.parametrize("L", [4, 5])
+def test_sector_ratios_match_dense_projections(L, middle_fraction):
+    params = LadderParams(L=L, alpha=1.3)
+    (report,) = ensemble_gap_ratio(params, [2.0], 3, seed=4, middle_fraction=middle_fraction)
+    want = reference_sector_means(params, 2.0, 3, 4, middle_fraction)
+    got = report.meta["sector_mean_r"]
+    # Sectors of fewer than three levels (q = L, and q = 0 at L = 2) have no ratio.
+    assert sorted(got) == sorted(want) == list(range(L % 2, L - 1, 2))
+    for c in want:
+        assert abs(got[c] - want[c]) < 1e-12
+
+
+def test_independent_legs_report_no_sectors():
+    (report,) = ensemble_gap_ratio(LadderParams(L=4), [1.0], 2, seed=1, independent_legs=True)
+    assert report.meta["sector_mean_r"] == {}
+
+
+def test_sector_ratios_bracket_the_crossover_at_l7():
+    # The q = 1 sector alone is GOE-like at weak disorder and Poisson-like at
+    # strong disorder, while the merged spectrum stays low at both.
+    params = LadderParams(L=7, alpha=1.0)
+    weak, strong = ensemble_gap_ratio(params, [0.5, 8.0], 4, seed=0, middle_fraction=0.5)
+    assert weak.meta["sector_mean_r"][1] > 0.50
+    assert strong.meta["sector_mean_r"][1] < 0.43
+    assert weak.ensemble_mean < 0.45
+    assert sorted(weak.meta["sector_mean_r"]) == [1, 3, 5]

@@ -34,9 +34,9 @@ def reference_exponential(t, y, window):
 
 
 def reference_power_law(t, y):
-    window = (float(t.min()), float(t.max()))
     keep = t > 0
     t, y = t[keep], y[keep]
+    window = (float(t.min()), float(t.max()))
     slope, intercept, r2, res = reference_least_squares(np.log(t), np.log(y))
     return float(np.exp(intercept)), float(-slope), r2, res, window
 

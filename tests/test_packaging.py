@@ -50,3 +50,14 @@ def test_pytest_testpaths_entries_exist(pyproject):
     assert entries
     for entry in entries:
         assert (ROOT / entry).is_dir(), entry
+
+
+TIER1 = "PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python -m pytest -q --continue-on-collection-errors"
+
+
+def test_ci_runs_the_tier1_command():
+    workflow = (ROOT / ".github" / "workflows" / "tier1.yml").read_text()
+    assert TIER1 in workflow
+    assert TIER1 in (ROOT / "ROADMAP.md").read_text()
+    for workload in ("levelstats", "wavefront", "decay"):
+        assert workload in workflow

@@ -79,6 +79,28 @@ def test_never_crossing_rows_are_flagged():
     assert empty.meta["missing"] == [1, 2]
 
 
+def test_per_realization_contour_misses_a_distance_some_rows_never_cross():
+    # One row drops through 0.5 at t = 1.75, the other stays at 1: the mean
+    # grid never crosses, and neither may the per-realization contour.
+    times = np.arange(5.0)
+    rows = np.array([[[1.0, 0.8, 0.4, 0.2, 0.1]], [[1.0] * 5]])
+    grid = WavefrontGrid(
+        distances=[1], times=times, values=rows.mean(axis=0), per_realization=rows
+    )
+    for per_realization in (False, True):
+        contour = extract_contour(grid, 0.5, per_realization=per_realization)
+        assert contour.distances.size == 0
+        assert contour.meta["missing"] == [1]
+    assert contour.meta["crossings"] == [1]
+    both = WavefrontGrid(
+        distances=[1], times=times, values=rows[0], per_realization=rows[[0, 0]]
+    )
+    contour = extract_contour(both, 0.5, per_realization=True)
+    assert contour.points == [(1, 1.75)]
+    assert contour.meta["crossings"] == [2]
+    assert extract_contour(both, 0.5).meta["crossings"] == [1]
+
+
 @settings(max_examples=100, deadline=None)
 @given(
     data=st.data(),
