@@ -58,6 +58,7 @@ SPECTRAL_WEIGHT_RTOL = 16 * np.finfo(float).eps
 # bytes): the larger tracemalloc peak of L = 5 and 6, rounded up.
 BUILD_COPIES = 1.2  # H and the hop list
 BLOCK_COPIES = 3.2  # per m x m block: the block, its sparse product and the charge map
+DENSE_BLOCK_COPIES = 1.2  # the one N x N block of independent legs and its sparse H
 EIGH_COPIES = 2.2  # eigenvectors and LAPACK's copy of H
 EIGVALS_COPIES = 1.5  # per m x m block: LAPACK's copy of it and its workspace
 # Bit t is set where the t-th singly occupied column of a column pattern
@@ -485,13 +486,13 @@ def charge_blocks(
     n = basis.dim
     if disorder.fields_for_leg(1) != disorder.fields_for_leg(2):
         charges = None
-        sizes = [n]
+        copies = DENSE_BLOCK_COPIES
     else:
         _check_chiral_symmetry(params, d)
         sectors = {q: U for q, U in basis.charge_sectors.items() if q >= 0}
         charges = tuple(sectors)
-        sizes = [U.shape[1] for U in sectors.values()]
-    check_memory("charge_blocks", n, BLOCK_COPIES * sum(s * s for s in sizes) / n**2)
+        copies = BLOCK_COPIES * sum(U.shape[1] ** 2 for U in sectors.values()) / n**2
+    check_memory("charge_blocks", n, copies)
     index = np.arange(n)
     H = scipy.sparse.csr_array(
         (np.concatenate([d, values]), (np.concatenate([index, rows]), np.concatenate([index, cols]))),

@@ -12,6 +12,15 @@ W-route, `multi_distance_otoc_values`, which builds W(t) = U(t) sz_1 U+(t) in
 the computational basis. The W-route is also the fast kernel of ensemble
 loops, where one W per time serves every probe operator.
 
+The W-route evaluates half the rows of W through the chiral mirror of the
+ladder. C, the sublattice sign times the global spin flip, anticommutes with
+every ladder H: the field diagonal is odd under the flip and every bond joins
+the two sublattices (`core._check_chiral_symmetry`). H is real, so
+C U(t) C^-1 = conj U(t), and sz_1 is odd under the flip, so
+C W C^-1 = -conj W. Hence |W_f(a)f(b)| = |W_ab|, where f(a) = N - 1 - a is
+the flip in the sorted basis. For probes that are odd under the flip too,
+the rows a < N/2 carry the whole OTOC.
+
 `sampled_otoc` evolves its M states in the eigenbasis. Once per call it
 rotates sz_i into the eigenbasis, A~ = V^T sz_i V, and the states and their
 sz_1 images into eigenbasis coefficients [c, b] = V^T [psi, sz_1 psi]. Each
@@ -46,16 +55,19 @@ __all__ = [
 
 
 # Peak memory in units of one N x N float64 array (8 N^2 bytes): the larger
-# tracemalloc peak of L = 5 and 6, rounded up. exact_otoc's includes its
-# W-route call.
-EXACT_COPIES = 15.6
-MULTI_DISTANCE_COPIES = 9.6
+# tracemalloc peak of L = 5 and 6, rounded up. exact_otoc's is its trace
+# route, which holds more than the W-route it calls afterwards.
+EXACT_COPIES = 10.3
+MULTI_DISTANCE_COPIES = 3.3
 # sampled_otoc: 2.1 for V and the rotated operator, plus 35 M / N for the
 # stacked (N, 4M) columns of its M states.
 SAMPLED_COPIES = 2.1
 SAMPLED_COPIES_PER_STATE = 35.0
 # exact_otoc raises when its two routes differ by more than this anywhere.
 CROSS_CHECK_TOL = 1e-9
+# multi_distance_otoc_values raises when a diagonal pair W_aa, W_f(a)f(a) of
+# W(t) misses the chiral mirror W_f(a)f(a) = -W_aa by more than this.
+MIRROR_TOL = 1e-9
 
 
 def default_decay_times(n: int = 60) -> np.ndarray:
@@ -162,7 +174,8 @@ def exact_otoc(
 
     Parameters
     ----------
-    op_i, op_1 : +-1 diagonals from `sigma_z_operator`.
+    op_i, op_1 : +-1 diagonals from `sigma_z_operator`; the W-route raises
+    ValueError unless both are odd under the global spin flip.
     times : evaluation grid in units of 1/J_par.
     """
     times = np.atleast_1d(np.asarray(times, dtype=float))
@@ -217,16 +230,29 @@ def multi_distance_otoc_values(
     states (N x N/2 in the Sz = 0 sector). With S = [Re G, Im G] and
     X = Im G Re G^T, Re W = 2 S S^T - 1 and Im W = 2 (X - X^T).
 
+    Each step forms only the rows a < N/2 of W. By the chiral mirror (module
+    notes) and d_f(a) = -d_a for every probe,
+    F_i = (2/N) sum_{a < N/2} sum_b d_a d_b |W_ab|^2. With S_R the rows
+    a < N/2 of S and S_R J = [Im G_R, -Re G_R], the one GEMM [S_R J; S_R] S^T
+    gives Y_R = (X - X^T)_R and K_R = (S S^T)_R. Then
+    |W_ab|^2 = 4 (K_ab^2 + Y_ab^2) off the diagonal and (2 K_aa - 1)^2 on it,
+    where Im W vanishes. Every step checks the mirror on the data: it raises
+    RuntimeError unless W_f(a)f(a) = -W_aa, i.e.
+    ||S_a||^2 + ||S_f(a)||^2 = 1, to `MIRROR_TOL`. Rounding in the computed
+    eigensystem breaks the mirror slightly, so the half-row values differ
+    from a full-row sum by up to about eps ||H|| t.
+
     Parameters
     ----------
-    probe_ops : array (n_probes, N) of +-1 diagonals.
-    op_1 : +-1 diagonal; any other entry raises ValueError.
+    probe_ops : array (n_probes, N) of diagonals, each odd under the flip.
+    op_1 : +-1 diagonal, odd under the flip. Any other op_1 or probe raises
+    ValueError.
 
     Returns
     -------
     values : real array (n_probes, n_times); a numerical-health figure,
-    max over the grid of | ||W||_F^2 / N - 1 |, which is 0 for exactly
-    unitary evolution and so bounds the rounding error.
+    max over the grid of | 2 sum_{a < N/2} sum_b |W_ab|^2 / N - 1 |, which
+    is 0 for exactly unitary evolution and so bounds the rounding error.
     """
     times = np.atleast_1d(np.asarray(times, dtype=float))
     V = eig.eigenvectors
@@ -238,22 +264,46 @@ def multi_distance_otoc_values(
     d1 = np.asarray(op_1, dtype=float)
     if d1.shape != (n,) or not np.all(np.abs(d1) == 1.0):
         raise ValueError("op_1 must be a +-1 diagonal of length N")
+    # Oddness also forces N even and N/2 states with (sz_1)_a = +1.
+    if np.any(d1[::-1] != -d1) or np.any(D[:, ::-1] != -D):
+        raise ValueError("op_1 and every probe must be odd under the global spin flip")
     check_memory("multi_distance_otoc_values", n, MULTI_DISTANCE_COPIES)
-    V_up = V[d1 > 0, :].T
-    m = V_up.shape[1]
-    eye = np.eye(n)
+    half = n // 2
+    V_up = np.ascontiguousarray(V[d1 > 0, :].T)
+    D_R = np.ascontiguousarray(D[:, :half])
+    # phased holds [Re, Im] of exp(-i E t) * V[up, :]^T until S is formed,
+    # then [Y_R; K_R].
+    phased = np.empty((n, n))
+    # stacked = [S_R J; S], so its first N rows are [S_R J; S_R].
+    stacked = np.empty((n + half, n))
+    S = stacked[half:]
+    Y, K = phased[:half], phased[half:]
 
     values = np.empty((D.shape[0], times.shape[0]), dtype=float)
     defect = 0.0
     for k, t in enumerate(times):
-        C = np.exp(-1j * E * t)[:, None] * V_up
-        S = V @ np.concatenate([C.real, C.imag], axis=1)
-        W_re = 2.0 * (S @ S.T) - eye
-        X = S[:, m:] @ S[:, :m].T
-        W_im = 2.0 * (X - X.T)
-        Q = W_re * W_re + W_im * W_im
-        defect = max(defect, abs(Q.sum() / n - 1.0))
-        values[:, k] = np.sum((D @ Q) * D, axis=1) / n
+        np.multiply(np.cos(E * t)[:, None], V_up, out=phased[:, :half])
+        np.multiply(-np.sin(E * t)[:, None], V_up, out=phased[:, half:])
+        np.matmul(V, phased, out=S)
+        stacked[:half, :half] = S[:half, half:]
+        np.negative(S[:half, :half], out=stacked[:half, half:])
+        np.matmul(stacked[:n], S.T, out=phased)
+        # Re W_aa = 2 ||S_a||^2 - 1 must be odd under a -> N - 1 - a.
+        k_diag = K.diagonal().copy()
+        mirror = np.einsum("ij,ij->i", S[half:], S[half:])[::-1]
+        mismatch = np.max(np.abs(k_diag + mirror - 1.0))
+        if not mismatch <= MIRROR_TOL:
+            raise RuntimeError(
+                f"W(t={t}) breaks the chiral mirror by {mismatch:.3e}: "
+                "H does not anticommute with the sublattice sign times the spin flip"
+            )
+        # K <- |W_R|^2 / 4: K^2 + Y^2, and (K_aa - 1/2)^2 where Im W_aa = 0.
+        np.square(K, out=K)
+        np.square(Y, out=Y)
+        K += Y
+        np.fill_diagonal(K, (k_diag - 0.5) ** 2)
+        defect = max(defect, abs(8.0 * K.sum() / n - 1.0))
+        values[:, k] = np.sum((D_R @ K) * D, axis=1) * (8.0 / n)
     return values, defect
 
 

@@ -535,12 +535,33 @@ def test_dense_steps_check_memory_first(monkeypatch):
             call()
 
 
-def test_memory_check_admits_l7_and_stops_the_l8_w_route(monkeypatch):
+def test_independent_legs_block_is_charged_one_dense_block(monkeypatch):
+    params = LadderParams(L=4, h=1.0)
+    basis = SectorBasis(4)
+    disorder = sample_disorder(params, 4, independent_legs=True)
+    one_matrix = 8 * basis.dim**2
+    tracemalloc.start()
+    try:
+        charge_blocks(params, disorder, basis)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    between = int(2.4 * one_matrix)
+    assert peak < between < core.BLOCK_COPIES * one_matrix
+    monkeypatch.setattr(core, "_physical_memory", lambda: between)
+    charge_blocks(params, disorder, basis)
+    monkeypatch.setattr(core, "_physical_memory", lambda: one_matrix)
+    with pytest.raises(MemoryError, match="charge_blocks at N=70"):
+        charge_blocks(params, disorder, basis)
+
+
+def test_memory_check_admits_l7_and_the_l8_w_route_and_stops_l8_exact_otoc(monkeypatch):
     monkeypatch.setattr(core, "_physical_memory", lambda: 8 * 2**30)
     n7, n8 = comb(14, 7), comb(16, 8)
     for copies in (
         core.BUILD_COPIES,
         core.BLOCK_COPIES,
+        core.DENSE_BLOCK_COPIES,
         core.EIGH_COPIES,
         core.EIGVALS_COPIES,
         otoc.EXACT_COPIES,
@@ -548,9 +569,11 @@ def test_memory_check_admits_l7_and_stops_the_l8_w_route(monkeypatch):
         otoc.SAMPLED_COPIES + otoc.SAMPLED_COPIES_PER_STATE * 64 / n7,
     ):
         check_memory("step", n7, copies)
-    # At L = 8 one N x N array is 1.3 GB and the W-route holds about ten.
-    with pytest.raises(MemoryError, match="multi_distance_otoc_values at N=12870"):
-        check_memory("multi_distance_otoc_values", n8, otoc.MULTI_DISTANCE_COPIES)
+    # At L = 8 one N x N array is 1.3 GB: the half-row W-route holds about
+    # three, exact_otoc's trace route about ten.
+    check_memory("multi_distance_otoc_values", n8, otoc.MULTI_DISTANCE_COPIES)
+    with pytest.raises(MemoryError, match="exact_otoc at N=12870"):
+        check_memory("exact_otoc", n8, otoc.EXACT_COPIES)
 
 
 # ---------------------------------------------------------------- evolution

@@ -10,6 +10,7 @@ from ladderxx import core
 from ladderxx.core import (
     LadderParams,
     SectorBasis,
+    bit_position,
     build_hamiltonian,
     diagonalize,
     sample_disorder,
@@ -65,6 +66,30 @@ def heisenberg_reference(eig, op_i, op_1, states, times):
         x = heisenberg_apply(d_1 * x)
         out[:, k] = np.sum(psi.conj() * x, axis=0)
     return out
+
+
+def full_row_reference(eig, probe_ops, op_1, times):
+    """Reference for `multi_distance_otoc_values`: all N rows of
+    W(t) = 2 G G^dagger - 1 with G = V (exp(-i E t) * V[up, :]^T), S = [Re G, Im G],
+    Re W = 2 S S^T - 1 and Im W = 2 (X - X^T) with X = Im G Re G^T, and
+    F_i = (1/N) sum_ab (d_i)_a (d_i)_b |W_ab|^2 without the chiral mirror."""
+    V, E, n = eig.eigenvectors, eig.eigenvalues, eig.dim
+    D = np.asarray(probe_ops, dtype=float)
+    V_up = V[op_1 > 0, :].T
+    m = V_up.shape[1]
+    eye = np.eye(n)
+    values = np.empty((D.shape[0], len(times)))
+    defect = 0.0
+    for k, t in enumerate(times):
+        C = np.exp(-1j * E * t)[:, None] * V_up
+        S = V @ np.concatenate([C.real, C.imag], axis=1)
+        W_re = 2.0 * (S @ S.T) - eye
+        X = S[:, m:] @ S[:, :m].T
+        W_im = 2.0 * (X - X.T)
+        Q = W_re * W_re + W_im * W_im
+        defect = max(defect, abs(Q.sum() / n - 1.0))
+        values[:, k] = np.sum((D @ Q) * D, axis=1) / n
+    return values, defect
 
 
 # Frozen values from the expm reference above (L=3 pairs, run once and pinned).
@@ -196,6 +221,77 @@ def test_w_route_rejects_op_1_that_is_not_plus_minus_one():
             multi_distance_otoc_values(eig, d_i[None, :], bad, [0.0, 1.0])
     with pytest.raises(ValueError):
         exact_otoc(eig, d_i, 0.5 * d_1, [0.0, 1.0])
+
+
+@pytest.mark.parametrize("independent_legs", [False, True])
+@pytest.mark.parametrize("h", [0.0, 1.0, 8.0])
+@pytest.mark.parametrize("alpha", [0.0, 1.3])
+@pytest.mark.parametrize("L", [2, 3, 4, 5, 6])
+def test_half_row_w_route_matches_full_rows(L, alpha, h, independent_legs):
+    basis, eig = make_eig(L, alpha=alpha, h=h, seed=11, independent_legs=independent_legs)
+    probes = np.stack(
+        [sigma_z_operator(basis, leg, site) for leg in (1, 2) for site in range(1, L + 1)]
+    )
+    d_1 = sigma_z_operator(basis, 1, 1)
+    times = np.array([0.0, 0.7, 3.1])
+    values, defect = multi_distance_otoc_values(eig, probes, d_1, times)
+    reference, reference_defect = full_row_reference(eig, probes, d_1, times)
+    assert np.max(np.abs(values - reference)) < 1e-12
+    assert defect < 1e-12 and reference_defect < 1e-12
+
+
+def test_w_route_rejects_operators_even_under_the_spin_flip():
+    basis, eig = make_eig(3, seed=6)
+    d_1 = sigma_z_operator(basis, 1, 1)
+    d_i = sigma_z_operator(basis, 1, 3)
+    times = [0.0, 1.0]
+    for even in (d_1 * sigma_z_operator(basis, 1, 2), np.ones(basis.dim)):
+        with pytest.raises(ValueError, match="odd under the global spin flip"):
+            multi_distance_otoc_values(eig, np.stack([d_i, even]), d_1, times)
+        with pytest.raises(ValueError, match="odd under the global spin flip"):
+            multi_distance_otoc_values(eig, d_i[None, :], even, times)
+        with pytest.raises(ValueError, match="odd under the global spin flip"):
+            exact_otoc(eig, even, d_1, times)
+
+
+def assert_w_route_refuses_the_ladder():
+    basis, eig = make_eig(4, h=1.0, seed=3)
+    d_1 = sigma_z_operator(basis, 1, 1)
+    probes = np.stack([sigma_z_operator(basis, 1, site) for site in (2, 3, 4)])
+    times = np.linspace(0.0, 2.0, 5)
+    with pytest.raises(RuntimeError, match="breaks the chiral mirror"):
+        multi_distance_otoc_values(eig, probes, d_1, times)
+    with pytest.raises(RuntimeError, match="breaks the chiral mirror"):
+        exact_otoc(eig, probes[0], d_1, times)
+
+
+def test_w_route_rejects_a_same_sublattice_bond(monkeypatch):
+    # A next-nearest-neighbour hop on both legs joins sites of one sublattice.
+    bonds = core._bonds
+
+    def with_next_nearest(params):
+        L = params.L
+        extra = [
+            (bit_position(L, leg, 1), bit_position(L, leg, 3), params.J_par) for leg in (1, 2)
+        ]
+        return bonds(params) + extra
+
+    monkeypatch.setattr(core, "_bonds", with_next_nearest)
+    assert_w_route_refuses_the_ladder()
+
+
+def test_w_route_rejects_an_even_diagonal(monkeypatch):
+    # A rung sz sz term is even under the spin flip. (A constant shift is even
+    # too, but only multiplies U(t) by a phase and leaves |W| unchanged.)
+    entries = core._hamiltonian_entries
+
+    def with_rung_zz(params, disorder, basis):
+        d, rows, cols, values = entries(params, disorder, basis)
+        zz = sigma_z_operator(basis, 1, 1) * sigma_z_operator(basis, 2, 1)
+        return d + 0.7 * zz, rows, cols, values
+
+    monkeypatch.setattr(core, "_hamiltonian_entries", with_rung_zz)
+    assert_w_route_refuses_the_ladder()
 
 
 # ---------------------------------------------------------------- sampled

@@ -1,6 +1,7 @@
 """Package metadata checks: pyproject.toml declares only what exists."""
 
 import importlib
+import re
 from pathlib import Path
 
 import pytest
@@ -61,3 +62,15 @@ def test_ci_runs_the_tier1_command():
     assert TIER1 in (ROOT / "ROADMAP.md").read_text()
     for workload in ("levelstats", "wavefront", "decay"):
         assert workload in workflow
+
+
+def test_ci_replays_every_input_set_of_every_workload():
+    # perfbench/run.py maps a seed to input set seed % 16.
+    workflow = (ROOT / ".github" / "workflows" / "tier1.yml").read_text()
+    loops = re.findall(r"for w in ([\w ]+); do\s+for s in \$\(seq (\d+) (\d+)\); do", workflow)
+    assert len(loops) == 1
+    workloads, first, last = loops[0]
+    assert set(workloads.split()) == {"levelstats", "wavefront", "decay"}
+    assert {s % 16 for s in range(int(first), int(last) + 1)} == set(range(16))
+    assert '--workload "$w" --seed "$s" --seconds 1 --trace 0' in workflow
+    assert '["correct"] is True' in workflow
