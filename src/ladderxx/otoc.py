@@ -21,12 +21,17 @@ C W C^-1 = -conj W. Hence |W_f(a)f(b)| = |W_ab|, where f(a) = N - 1 - a is
 the flip in the sorted basis. For probes that are odd under the flip too,
 the rows a < N/2 carry the whole OTOC.
 
-`sampled_otoc` evolves its M states in the eigenbasis. Once per call it
-rotates sz_i into the eigenbasis, A~ = V^T sz_i V, and the states and their
-sz_1 images into eigenbasis coefficients [c, b] = V^T [psi, sz_1 psi]. Each
-time step is then two real GEMMs on stacked [Re, Im] columns, one with A~
-between the phases exp(-+i E t) and one with V back to the computational
-basis, where sz_1 acts as a diagonal.
+`sampled_otoc` evolves its M states in the eigenbasis and never returns to
+the computational basis. Once per call it rotates both operators into the
+eigenbasis, A~ = V^T sz_i V and B~ = V^T sz_1 V, and the states and their
+sz_1 images into eigenbasis coefficients [b, c] = V^T [sz_1 psi, psi]. Time
+steps then go in chunks: the phased columns of every step in a chunk share
+one real GEMM with A~ and one with B~, so a call with few states still makes
+a few wide GEMMs instead of many narrow ones.
+
+All three routines refuse a time grid that is empty, not 1-D or not finite,
+and `exact_otoc` and `multi_distance_otoc_values` check their operators
+before any O(N^3) work.
 """
 
 from __future__ import annotations
@@ -59,10 +64,14 @@ __all__ = [
 # route, which holds more than the W-route it calls afterwards.
 EXACT_COPIES = 10.3
 MULTI_DISTANCE_COPIES = 3.3
-# sampled_otoc: 2.1 for V and the rotated operator, plus 35 M / N for the
-# stacked (N, 4M) columns of its M states.
-SAMPLED_COPIES = 2.1
-SAMPLED_COPIES_PER_STATE = 35.0
+# sampled_otoc: 3.1 while it rotates the two operators, then 2 for them plus
+# 12 M K / N for the state coefficients and two chunk buffers of 4 M K real
+# columns each, with M states and K steps per chunk.
+SAMPLED_COPIES = 3.1
+SAMPLED_COPIES_PER_STATE = 12.0
+# sampled_otoc puts this many real columns, the 4M of each of its M states'
+# steps, into one GEMM with A~, and at least one step.
+_CHUNK_COLUMNS = 1024
 # exact_otoc raises when its two routes differ by more than this anywhere.
 CROSS_CHECK_TOL = 1e-9
 # multi_distance_otoc_values raises when a diagonal pair W_aa, W_f(a)f(a) of
@@ -151,6 +160,41 @@ class EonDistribution:
             raise ValueError("weights must sum to 1")
 
 
+def _checked_times(times: np.ndarray) -> np.ndarray:
+    """The time grid as a float array; a scalar is a one-point grid.
+
+    Raises ValueError unless the grid is 1-D, non-empty and finite.
+    """
+    times = np.atleast_1d(np.asarray(times, dtype=float))
+    if times.ndim != 1:
+        raise ValueError(f"times must be a 1-D grid, not an array of shape {times.shape}")
+    if times.size == 0:
+        raise ValueError("times must hold at least one time")
+    if not np.all(np.isfinite(times)):
+        raise ValueError("times must be finite")
+    return times
+
+
+def _checked_operators(
+    n: int, probe_ops: np.ndarray, op_1: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Probe diagonals (n_probes, N) and op_1 as float arrays, checked for the W-route.
+
+    Raises ValueError unless every diagonal has length N, op_1 is a +-1
+    diagonal and op_1 and every probe are odd under the global spin flip.
+    """
+    D = np.asarray(probe_ops, dtype=float)
+    d1 = np.asarray(op_1, dtype=float)
+    if D.ndim != 2 or D.shape[1] != n or d1.shape != (n,):
+        raise ValueError(f"operator diagonals must have length N = {n}")
+    if not np.all(np.abs(d1) == 1.0):
+        raise ValueError("op_1 must be a +-1 diagonal")
+    # Oddness also forces N even and N/2 states with (sz_1)_a = +1.
+    if np.any(d1[::-1] != -d1) or np.any(D[:, ::-1] != -D):
+        raise ValueError("op_1 and every probe must be odd under the global spin flip")
+    return D, d1
+
+
 def _eigenbasis_diagonal(eig: EigenSystem, diag: np.ndarray) -> np.ndarray:
     """Rotate a computational-basis diagonal operator into the eigenbasis."""
     V = eig.eigenvectors
@@ -174,19 +218,18 @@ def exact_otoc(
 
     Parameters
     ----------
-    op_i, op_1 : +-1 diagonals from `sigma_z_operator`; the W-route raises
-    ValueError unless both are odd under the global spin flip.
+    op_i, op_1 : +-1 diagonals from `sigma_z_operator`. Unless both are odd
+    under the global spin flip, ValueError is raised before either route runs.
     times : evaluation grid in units of 1/J_par.
     """
-    times = np.atleast_1d(np.asarray(times, dtype=float))
     E = eig.eigenvalues
     n = eig.dim
-    if op_i.shape != (n,) or op_1.shape != (n,):
-        raise ValueError("operator diagonals must match the eigensystem dimension")
+    D, d1 = _checked_operators(n, [op_i], op_1)
+    times = _checked_times(times)
     check_memory("exact_otoc", n, EXACT_COPIES)
 
-    A = _eigenbasis_diagonal(eig, np.asarray(op_i, dtype=float))
-    B = _eigenbasis_diagonal(eig, np.asarray(op_1, dtype=float))
+    A = _eigenbasis_diagonal(eig, D[0])
+    B = _eigenbasis_diagonal(eig, d1)
 
     # Trace route: Tr[P^2] with P = A(t) B.
     values = np.empty(times.shape, dtype=complex)
@@ -197,7 +240,7 @@ def exact_otoc(
         P = At.real @ B + 1j * (At.imag @ B)
         values[k] = np.sum(P * P.T) / n
 
-    w_values, _ = multi_distance_otoc_values(eig, op_i[None, :], op_1, times)
+    w_values, _ = multi_distance_otoc_values(eig, D, d1, times)
     discrepancy = float(np.max(np.abs(values - w_values[0])))
     if discrepancy > CROSS_CHECK_TOL:
         raise RuntimeError(
@@ -254,19 +297,11 @@ def multi_distance_otoc_values(
     max over the grid of | 2 sum_{a < N/2} sum_b |W_ab|^2 / N - 1 |, which
     is 0 for exactly unitary evolution and so bounds the rounding error.
     """
-    times = np.atleast_1d(np.asarray(times, dtype=float))
     V = eig.eigenvectors
     E = eig.eigenvalues
     n = eig.dim
-    D = np.asarray(probe_ops, dtype=float)
-    if D.ndim != 2 or D.shape[1] != n:
-        raise ValueError("probe_ops must be (n_probes, N)")
-    d1 = np.asarray(op_1, dtype=float)
-    if d1.shape != (n,) or not np.all(np.abs(d1) == 1.0):
-        raise ValueError("op_1 must be a +-1 diagonal of length N")
-    # Oddness also forces N even and N/2 states with (sz_1)_a = +1.
-    if np.any(d1[::-1] != -d1) or np.any(D[:, ::-1] != -D):
-        raise ValueError("op_1 and every probe must be odd under the global spin flip")
+    D, d1 = _checked_operators(n, probe_ops, op_1)
+    times = _checked_times(times)
     check_memory("multi_distance_otoc_values", n, MULTI_DISTANCE_COPIES)
     half = n // 2
     V_up = np.ascontiguousarray(V[d1 > 0, :].T)
@@ -318,18 +353,25 @@ def sampled_otoc(
 
     With A(t) = U+(t) sz_i U(t) Hermitian, each
     F_j(t) = <psi_j| A sz_1 A sz_1 |psi_j> = (A psi_j)^dagger sz_1 (A sz_1 psi_j).
-    In the eigenbasis A(t) = V Phi* A~ Phi V^T, with Phi = diag(exp(-i E t))
-    and A~ = V^T sz_i V. A~ and the coefficients [c, b] = V^T [psi, sz_1 psi]
-    (N x 2M) are computed once per call; each time step is then two real
-    GEMMs on the stacked [Re, Im] columns (N x N x 4M each),
-    [z, y] = Phi* A~ Phi [c, b] and [Z, Y] = V [z, y], followed by
-    F_j = sum_a conj(Z_aj) (sz_1)_a Y_aj. sz_1 stays a diagonal in the
-    computational basis. values holds the mean over states, per_sample the
-    individual complex F_j series.
+    In the eigenbasis A(t) = V Phi* A~ Phi V^T and sz_1 = V B~ V^T, with
+    Phi = diag(exp(-i E t)), A~ = V^T sz_i V and B~ = V^T sz_1 V. A~, B~ and
+    the coefficients [b, c] = V^T [sz_1 psi, psi] (N x 2M) are computed once
+    per call. With [y, z] = Phi* A~ Phi [b, c], F_j = z_j^dagger B~ y_j.
+
+    The time steps go in chunks of consecutive steps, as many as fit in
+    `_CHUNK_COLUMNS` real columns and at least one. Per chunk the phased
+    columns Phi [b, c] of every step form one complex array, which one real
+    GEMM with A~ takes as its real view, [Re, Im] columns side by side. The
+    phases exp(+i E t) turn the product into [y, z], and a second real GEMM
+    applies B~ to the y columns alone. A step thus costs 6M real columns of
+    N x N GEMM, and A~ and B~ are read once per chunk, not once per step.
+
+    values holds the mean over states, per_sample the individual complex
+    F_j series.
     """
     if len(states) == 0:
         raise ValueError("need at least one initial state")
-    times = np.atleast_1d(np.asarray(times, dtype=float))
+    times = _checked_times(times)
     V = eig.eigenvectors
     E = eig.eigenvalues
     n = eig.dim
@@ -340,24 +382,37 @@ def sampled_otoc(
     if any(s.amplitudes.shape != (n,) for s in states):
         raise ValueError(f"every initial state must have {n} amplitudes")
     m = len(states)
-    check_memory("sampled_otoc", n, SAMPLED_COPIES + SAMPLED_COPIES_PER_STATE * m / n)
+    steps = max(1, min(times.size, _CHUNK_COLUMNS // (4 * m)))
+    check_memory("sampled_otoc", n, SAMPLED_COPIES + SAMPLED_COPIES_PER_STATE * m * steps / n)
 
-    psi = np.stack([s.amplitudes for s in states], axis=1)  # (N, M)
-    x = np.concatenate([psi, d_1[:, None] * psi], axis=1)  # (N, 2M)
-    cb = V.T @ np.concatenate([x.real, x.imag], axis=1)
-    cb = cb[:, : 2 * m] + 1j * cb[:, 2 * m :]
     A = _eigenbasis_diagonal(eig, d_i)
+    B = _eigenbasis_diagonal(eig, d_1)
+    psi = np.stack([s.amplitudes for s in states], axis=1)  # (N, M)
+    bc = np.stack([d_1[:, None] * psi, psi], axis=1)  # (N, 2, M)
+    del psi
+    # A complex array viewed as real holds its Re and Im columns side by side.
+    bc = (V.T @ bc.view(float).reshape(n, -1)).view(complex).reshape(n, 2, 1, m)
     per_sample = np.empty((m, times.shape[0]), dtype=complex)
+    # Flat buffers, viewed per chunk, so that a short last chunk is contiguous too.
+    phased = np.empty(n * 2 * steps * m, dtype=complex)
+    product = np.empty(n * 2 * steps * m, dtype=complex)
 
-    for k, t in enumerate(times):
-        w = np.exp(-1j * E * t)[:, None]
-        g = w * cb
-        zy = A @ np.concatenate([g.real, g.imag], axis=1)
-        g = w.conj() * (zy[:, : 2 * m] + 1j * zy[:, 2 * m :])
-        ZY = V @ np.concatenate([g.real, g.imag], axis=1)
-        Z_conj = ZY[:, :m] - 1j * ZY[:, 2 * m : 3 * m]
-        Y = ZY[:, m : 2 * m] + 1j * ZY[:, 3 * m :]
-        per_sample[:, k] = np.sum(Z_conj * (d_1[:, None] * Y), axis=0)
+    for start in range(0, times.size, steps):
+        chunk = times[start : start + steps]
+        k = chunk.size
+        phase = np.multiply.outer(E, -1j * chunk)
+        np.exp(phase, out=phase)
+        phase = phase[:, None, :, None]  # (N, 1, K, 1)
+        g = phased[: n * 2 * k * m].reshape(n, 2, k, m)
+        np.multiply(phase, bc, out=g)
+        yz = product[: n * 2 * k * m].reshape(n, 2, k, m)
+        np.matmul(A, g.view(float).reshape(n, -1), out=yz.view(float).reshape(n, -1))
+        yz *= np.conjugate(phase, out=phase)
+        y, z = yz[:, 0], yz[:, 1]
+        By = phased[: n * k * m].reshape(n, k, m)
+        np.matmul(B, y.view(float).reshape(n, -1), out=By.view(float).reshape(n, -1))
+        np.conjugate(z, out=z)
+        per_sample[:, start : start + k] = np.einsum("akj,akj->jk", z, By)
 
     kinds = {s.kind for s in states}
     return OtocSeries(

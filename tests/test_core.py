@@ -566,7 +566,8 @@ def test_memory_check_admits_l7_and_the_l8_w_route_and_stops_l8_exact_otoc(monke
         core.EIGVALS_COPIES,
         otoc.EXACT_COPIES,
         otoc.MULTI_DISTANCE_COPIES,
-        otoc.SAMPLED_COPIES + otoc.SAMPLED_COPIES_PER_STATE * 64 / n7,
+        # M = 64 states, four steps per chunk
+        otoc.SAMPLED_COPIES + otoc.SAMPLED_COPIES_PER_STATE * 64 * 4 / n7,
     ):
         check_memory("step", n7, copies)
     # At L = 8 one N x N array is 1.3 GB: the half-row W-route holds about

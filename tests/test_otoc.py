@@ -1,12 +1,14 @@
 """OTOC engine checks: trace/W-route agreement, estimator limits, state diagnostics."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ladderxx import core
+from ladderxx import core, otoc
 from ladderxx.core import (
     LadderParams,
     SectorBasis,
@@ -254,6 +256,24 @@ def test_w_route_rejects_operators_even_under_the_spin_flip():
             exact_otoc(eig, even, d_1, times)
 
 
+def test_exact_otoc_refuses_an_even_probe_before_the_trace_route(monkeypatch):
+    basis, eig = make_eig(3, seed=6)
+    d_1 = sigma_z_operator(basis, 1, 1)
+
+    def no_rotation(*args):
+        pytest.fail("an operator was rotated into the eigenbasis before the checks")
+
+    monkeypatch.setattr(otoc, "_eigenbasis_diagonal", no_rotation)
+    for op_i, op_1 in [
+        (d_1 * sigma_z_operator(basis, 1, 2), d_1),
+        (sigma_z_operator(basis, 1, 3), np.ones(basis.dim)),
+        (sigma_z_operator(basis, 1, 3), 0.5 * d_1),
+        (np.ones(7), d_1),
+    ]:
+        with pytest.raises(ValueError):
+            exact_otoc(eig, op_i, op_1, [0.0, 1.0])
+
+
 def assert_w_route_refuses_the_ladder():
     basis, eig = make_eig(4, h=1.0, seed=3)
     d_1 = sigma_z_operator(basis, 1, 1)
@@ -429,6 +449,51 @@ def test_sampled_rejects_wrong_size_state():
         )
 
 
+@pytest.mark.parametrize(
+    "M,n_times,chunks",
+    [
+        (64, 10, [4, 4, 2]),  # several chunks, the last one short
+        (256, 3, [1, 1, 1]),  # 4M = 1024 real columns: one step per chunk
+        (1, 40, [40]),  # one chunk holds every step
+    ],
+)
+def test_batched_sampled_kernel_matches_reference(M, n_times, chunks):
+    steps = max(1, min(n_times, otoc._CHUNK_COLUMNS // (4 * M)))
+    assert [min(steps, n_times - start) for start in range(0, n_times, steps)] == chunks
+    basis, eig = make_eig(4, alpha=1.3, h=2.0, seed=7)
+    d_i = sigma_z_operator(basis, 2, 4)
+    d_1 = sigma_z_operator(basis, 1, 1)
+    states = _states(basis, "mixed", M)
+    times = np.concatenate([[0.0], default_decay_times(n_times - 1)])
+    series = sampled_otoc(eig, d_i, d_1, states, times)
+    reference = heisenberg_reference(eig, d_i, d_1, states, times)
+    assert series.per_sample.shape == (M, n_times)
+    assert np.max(np.abs(series.per_sample - reference)) <= 1e-12
+
+
+@pytest.mark.parametrize("M", [1, 64])
+@pytest.mark.parametrize("L", [5, 6])
+def test_sampled_peak_memory_stays_below_its_estimate(L, M, monkeypatch):
+    basis, eig = make_eig(L, h=4.0, seed=3)
+    d_i = sigma_z_operator(basis, 1, L)
+    d_1 = sigma_z_operator(basis, 1, 1)
+    states = [haar_state(basis, j) for j in range(M)]
+    estimates = []
+
+    def recording_check(caller, n, copies):
+        estimates.append(copies * 8 * n * n)
+
+    monkeypatch.setattr(otoc, "check_memory", recording_check)
+    tracemalloc.start()
+    try:
+        sampled_otoc(eig, d_i, d_1, states, default_decay_times())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(estimates) == 1
+    assert peak < estimates[0]
+
+
 def test_otoc_series_rejects_bad_t0():
     with pytest.raises(ValueError):
         OtocSeries(times=np.array([0.0, 1.0]), values=np.array([0.5, 0.2]))
@@ -513,6 +578,29 @@ def test_effective_dimension_of_fock_states_near_third_of_n():
     ]
     ratio = np.mean(d_es) / basis.dim
     assert 0.2 < ratio < 0.45
+
+
+BAD_GRIDS = {
+    "empty": ([], "at least one time"),
+    "nan": ([0.0, float("nan")], "finite"),
+    "inf": ([0.0, float("inf")], "finite"),
+    "two-dimensional": ([[0.0, 1.0], [2.0, 3.0]], "1-D"),
+}
+
+
+@pytest.mark.parametrize("route", ["exact_otoc", "multi_distance_otoc_values", "sampled_otoc"])
+@pytest.mark.parametrize("grid", sorted(BAD_GRIDS))
+def test_otoc_routes_reject_bad_time_grids(route, grid):
+    basis, eig = make_eig(3)
+    d_1, d_i = sigma_z_operator(basis, 1, 1), sigma_z_operator(basis, 1, 2)
+    times, message = BAD_GRIDS[grid]
+    call = {
+        "exact_otoc": lambda: exact_otoc(eig, d_i, d_1, times),
+        "multi_distance_otoc_values": lambda: multi_distance_otoc_values(eig, d_i[None, :], d_1, times),
+        "sampled_otoc": lambda: sampled_otoc(eig, d_i, d_1, [haar_state(basis, 0)], times),
+    }[route]
+    with pytest.raises(ValueError, match=message):
+        call()
 
 
 def test_otoc_routes_check_memory_first(monkeypatch):

@@ -1,5 +1,6 @@
-"""Package metadata checks: pyproject.toml declares only what exists."""
+"""Package checks: pyproject.toml declares only what exists, and src/ keeps its rules."""
 
+import ast
 import importlib
 import re
 from pathlib import Path
@@ -74,3 +75,14 @@ def test_ci_replays_every_input_set_of_every_workload():
     assert {s % 16 for s in range(int(first), int(last) + 1)} == set(range(16))
     assert '--workload "$w" --seed "$s" --seconds 1 --trace 0' in workflow
     assert '["correct"] is True' in workflow
+
+
+def test_src_has_no_assert_statements():
+    # Invariants must raise real exceptions: asserts vanish under python -O.
+    found = [
+        f"{path.relative_to(ROOT)}:{node.lineno}"
+        for path in sorted((ROOT / "src").rglob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []
