@@ -58,7 +58,6 @@ SPECTRAL_WEIGHT_RTOL = 16 * np.finfo(float).eps
 # bytes): the larger tracemalloc peak of L = 5 and 6, rounded up.
 BUILD_COPIES = 1.2  # H and the hop list
 BLOCK_COPIES = 3.2  # per m x m block: the block, its sparse product and the charge map
-DENSE_BLOCK_COPIES = 1.2  # the one N x N block of independent legs and its sparse H
 EIGH_COPIES = 2.2  # eigenvectors and LAPACK's copy of H
 EIGVALS_COPIES = 1.5  # per m x m block: LAPACK's copy of it and its workspace
 # Bit t is set where the t-th singly occupied column of a column pattern
@@ -68,11 +67,11 @@ _STRING_SIGNS = sum(1 << t for t in range(1, L_MAX, 2))
 _POPCOUNT = np.array([bin(k).count("1") for k in range(1 << L_MAX)])
 
 
-def _checked_L(L) -> int:
-    """L as a plain int; raises unless it is an integer (not a bool) >= L_MIN."""
-    if isinstance(L, bool) or not isinstance(L, (int, np.integer)) or L < L_MIN:
-        raise ValueError(f"L must be an integer >= {L_MIN}, got {L!r}")
-    return int(L)
+def _checked_int(name: str, value, minimum: int) -> int:
+    """value as a plain int; raises unless it is an integer (not a bool) >= minimum."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < minimum:
+        raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
+    return int(value)
 
 
 @dataclass(frozen=True)
@@ -87,7 +86,7 @@ class LadderParams:
     def __post_init__(self) -> None:
         # Store plain Python numbers so that how a value was typed (1, 1.0,
         # np.float64(1.0)) never reaches the seed labels built from it.
-        object.__setattr__(self, "L", _checked_L(self.L))
+        object.__setattr__(self, "L", _checked_int("L", self.L, L_MIN))
         for name in ("J_par", "alpha", "h"):
             # + 0.0 turns -0.0 into 0.0, whose repr, and so seed label, differs.
             value = float(getattr(self, name)) + 0.0
@@ -123,6 +122,9 @@ class DisorderRealization:
     def __post_init__(self) -> None:
         if self.leg2_fields is not None and len(self.leg2_fields) != len(self.fields):
             raise ValueError("leg2_fields must match fields in length")
+        # NaN or inf would otherwise surface late, as a failed symmetry check.
+        if not np.all(np.isfinite(np.concatenate([self.fields, self.leg2_fields or ()]))):
+            raise ValueError("fields must be finite")
 
     def fields_for_leg(self, leg: int) -> tuple[float, ...]:
         if leg == 1 or self.leg2_fields is None:
@@ -149,7 +151,7 @@ class SectorBasis:
     """
 
     def __init__(self, L: int):
-        self.L = _checked_L(L)
+        self.L = _checked_int("L", L, L_MIN)
         if self.L > L_MAX:
             raise ValueError(
                 f"L={L} outside the supported dense-diagonalization range "
@@ -473,38 +475,33 @@ def charge_blocks(
     disorder: DisorderRealization,
     basis: SectorBasis,
 ) -> ChargeBlocks:
-    """Blocks for an eigenvalues-only solve, assembled without the N x N matrix.
+    """Blocks for an eigenvalues-only solve.
 
     With the same fields on both legs, H conserves the dressed rung charge Q
     and the blocks are U_q^T H U_q for its sectors q >= 0
     (`SectorBasis.charge_sectors`), multiplied out sparse from the diagonal
-    and the hop list. The q < 0 spectra are the mirror images of the q > 0
-    ones (`_check_chiral_symmetry`, which raises if a term of H breaks that).
-    With independent legs the one block is H.
+    and the hop list, without the N x N matrix. The q < 0 spectra are the
+    mirror images of the q > 0 ones (`_check_chiral_symmetry`, which raises
+    if a term of H breaks that). With independent legs the one block is the
+    dense H of `build_hamiltonian`, which also checks its memory.
     """
-    d, rows, cols, values = _hamiltonian_entries(params, disorder, basis)
-    n = basis.dim
     if disorder.fields_for_leg(1) != disorder.fields_for_leg(2):
-        charges = None
-        copies = DENSE_BLOCK_COPIES
-    else:
-        _check_chiral_symmetry(params, d)
-        sectors = {q: U for q, U in basis.charge_sectors.items() if q >= 0}
-        charges = tuple(sectors)
-        copies = BLOCK_COPIES * sum(U.shape[1] ** 2 for U in sectors.values()) / n**2
+        H = build_hamiltonian(params, disorder, basis).matrix
+        return ChargeBlocks((H,), None, float(np.vdot(H, H)), params, disorder)
+    d, rows, cols, values = _hamiltonian_entries(params, disorder, basis)
+    _check_chiral_symmetry(params, d)
+    sectors = {q: U for q, U in basis.charge_sectors.items() if q >= 0}
+    n = basis.dim
+    copies = BLOCK_COPIES * sum(U.shape[1] ** 2 for U in sectors.values()) / n**2
     check_memory("charge_blocks", n, copies)
     index = np.arange(n)
     H = scipy.sparse.csr_array(
         (np.concatenate([d, values]), (np.concatenate([index, rows]), np.concatenate([index, cols]))),
         shape=(n, n),
     )
-    if charges is None:
-        blocks = (H.toarray(),)
-    else:
-        blocks = tuple((U.T @ (H @ U)).toarray() for U in sectors.values())
     return ChargeBlocks(
-        blocks=blocks,
-        charges=charges,
+        blocks=tuple((U.T @ (H @ U)).toarray() for U in sectors.values()),
+        charges=tuple(sectors),
         frobenius2=float(d @ d + values @ values),
         params=params,
         disorder=disorder,

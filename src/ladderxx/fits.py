@@ -82,7 +82,6 @@ class ErrorSignal:
     eps: np.ndarray
     kind: str
     M: int
-    N: int | None = None
 
     def __post_init__(self) -> None:
         self.times = np.asarray(self.times, dtype=float)
@@ -259,13 +258,12 @@ def logarithmic_window(fit: FitResult) -> tuple[float, float]:
     return float(t_center), float(slope)
 
 
-def error_signal(
-    exact: OtocSeries, sampled: OtocSeries, kind: str, n_dim: int | None = None
-) -> ErrorSignal:
+def error_signal(exact: OtocSeries, sampled: OtocSeries, kind: str) -> ErrorSignal:
     """Deviation of the M-state estimate from the exact OTOC on a shared grid.
 
     eps1 is |F_exact - mean_j F_j|; eps2 is ||F_exact|^2 - mean_j |F_j|^2|,
-    the forms matched to overlap- and interference-style measurements.
+    the forms matched to overlap- and interference-style measurements. The
+    signal's M is the sampled series' meta["M"], else its number of states.
     """
     if exact.times.shape != sampled.times.shape or np.any(exact.times != sampled.times):
         raise ValueError("exact and sampled series must share one time grid")
@@ -281,7 +279,7 @@ def error_signal(
     M = sampled.meta.get("M") or (
         sampled.per_sample.shape[0] if sampled.per_sample is not None else 1
     )
-    return ErrorSignal(times=exact.times, eps=eps, kind=kind, M=int(M), N=n_dim)
+    return ErrorSignal(times=exact.times, eps=eps, kind=kind, M=int(M))
 
 
 def fit_error_scaling(points, form: str) -> FitResult:

@@ -20,9 +20,9 @@ on its own, and sectors of fewer than three levels are left out.
 Independent legs (``independent_legs=True``) break Q and restore the
 GOE/Poisson dichotomy of the merged spectrum; their reports hold no sectors.
 
-The spectra come from ``diagonalize(charge_blocks(...))``, eigenvalues only,
-without forming the N x N Hamiltonian: each sector block U_q^T H U_q is
-multiplied out sparse from the diagonal and the hop list of the bonds. Only
+The spectra come from ``diagonalize(charge_blocks(...))``, eigenvalues only.
+Shared fields never form the N x N Hamiltonian: each sector block U_q^T H U_q
+is multiplied out sparse from the diagonal and the hop list of the bonds. Only
 the sectors q >= 0 are solved: the product of the sublattice sign and the
 global spin flip anticommutes with H and with Q, so the sector -q spectrum
 is the mirror image E -> -E of sector q. `charge_blocks` checks what that
@@ -40,6 +40,7 @@ import numpy as np
 from .core import (
     LadderParams,
     SectorBasis,
+    _checked_int,
     charge_blocks,
     derive_seed,
     diagonalize,
@@ -74,12 +75,12 @@ class GapRatioReport:
             raise ValueError(f"mean ratio {self.ensemble_mean} outside [0, 1]")
 
 
-def gap_ratios(eigenvalues: np.ndarray, return_dropped: bool = False):
+def gap_ratios(eigenvalues: np.ndarray) -> np.ndarray:
     """Ratios of adjacent spacings for one ascending spectrum.
 
     Pairs whose two spacings are both below ``ZERO_GAP_TOL`` (exact degeneracies)
     are excluded; a single vanishing spacing gives r = 0. Returns the N - 2
-    ratios minus exclusions, optionally with the exclusion count.
+    ratios minus exclusions, so N - 2 - size is the number excluded.
     """
     E = np.asarray(eigenvalues, dtype=float)
     if E.ndim != 1 or E.size < 3:
@@ -90,10 +91,7 @@ def gap_ratios(eigenvalues: np.ndarray, return_dropped: bool = False):
     lo = np.minimum(gaps[:-1], gaps[1:])
     hi = np.maximum(gaps[:-1], gaps[1:])
     keep = hi >= ZERO_GAP_TOL
-    ratios = lo[keep] / hi[keep]
-    if return_dropped:
-        return ratios, int(np.count_nonzero(~keep))
-    return ratios
+    return lo[keep] / hi[keep]
 
 
 def _middle(E: np.ndarray, fraction: float | None) -> np.ndarray:
@@ -123,8 +121,7 @@ def ensemble_gap_ratio(
     optionally keeps only that central fraction of each spectrum and of each
     sector, default off (the full spectrum enters the average).
     """
-    if realizations < 1:
-        raise ValueError("need at least one realization")
+    realizations = _checked_int("realizations", realizations, 1)
     if middle_fraction is not None and not (0.0 < middle_fraction <= 1.0):
         raise ValueError("middle_fraction must be in (0, 1]")
     basis = SectorBasis(params.L)
@@ -138,11 +135,10 @@ def ensemble_gap_ratio(
             stream = derive_seed(seed, "level_stats", p.L, p.alpha, p.h, k)
             dis = sample_disorder(p, stream, independent_legs=independent_legs)
             spectra = diagonalize(charge_blocks(p, dis, basis))
-            ratios, dropped = gap_ratios(
-                _middle(spectra.eigenvalues, middle_fraction), return_dropped=True
-            )
+            E = _middle(spectra.eigenvalues, middle_fraction)
+            ratios = gap_ratios(E)
             means[k] = ratios.mean()
-            dropped_total += dropped
+            dropped_total += E.size - 2 - ratios.size
             for q, E in spectra.sectors.items():
                 E = E[E.size // 2 :] if q == 0 else E
                 if E.size >= 3:

@@ -88,12 +88,13 @@ def build_spacetime_grid(
     params: LadderParams,
     disorder_ensemble: list[DisorderRealization],
     times: np.ndarray,
-    keep_per_realization: bool = False,
 ) -> WavefrontGrid:
     """Ensemble-mean exact OTOC for every distance 1..L-1 on a shared grid.
 
-    One diagonalization per realization serves all distances at once (the
-    probe-independent part of the trace is computed once per time).
+    One diagonalization per realization serves all distances at once (W(t),
+    which does not depend on the probe, is formed once per time). Each
+    realization's own grid is kept in ``per_realization``, realizations x
+    distances x times, for `extract_contour(per_realization=True)`.
     """
     if len(disorder_ensemble) == 0:
         raise ValueError("need at least one disorder realization")
@@ -105,23 +106,20 @@ def build_spacetime_grid(
     )
     d_1 = sigma_z_operator(basis, 1, 1)
 
-    total = np.zeros((distances.size, times.size))
-    per_real = [] if keep_per_realization else None
+    per_real = []
     worst_defect = 0.0
     for dis in disorder_ensemble:
         eig = diagonalize(build_hamiltonian(params, dis, basis))
         vals, defect = multi_distance_otoc_values(eig, probes, d_1, times)
         worst_defect = max(worst_defect, defect)
-        total += vals
-        if per_real is not None:
-            per_real.append(vals)
-    mean = total / len(disorder_ensemble)
+        per_real.append(vals)
+    per_real = np.stack(per_real)
 
     return WavefrontGrid(
         distances=distances,
         times=times,
-        values=mean,
-        per_realization=np.stack(per_real) if per_real else None,
+        values=per_real.mean(axis=0),
+        per_realization=per_real,
         meta={
             "L": params.L,
             "alpha": params.alpha,
@@ -151,12 +149,13 @@ def extract_contour(grid: WavefrontGrid, eta: float, per_realization: bool = Fal
     """First-crossing contour of one level.
 
     Distances that never cross are omitted from the contour and listed in
-    meta["missing"]. With ``per_realization=True`` (needs a grid built with
-    ``keep_per_realization``) the crossing time is the mean of the
-    per-realization crossings instead of the crossing of the mean grid, and a
-    distance that some realization never crosses is missing too: the mean of
-    the others' crossings would date the front too early. meta["crossings"]
-    counts, per grid distance, the rows that cross.
+    meta["missing"]. With ``per_realization=True`` (needs the grid's
+    ``per_realization`` values, which every `build_spacetime_grid` grid has)
+    the crossing time is the mean of the per-realization crossings instead of
+    the crossing of the mean grid, and a distance that some realization never
+    crosses is missing too: the mean of the others' crossings would date the
+    front too early. meta["crossings"] counts, per grid distance, the rows
+    that cross.
     """
     if not (0.0 < eta < 1.0):
         raise ValueError(f"eta must lie strictly inside (0, 1), got {eta}")

@@ -282,6 +282,18 @@ def test_dimension_mismatch_rejected():
         )
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_fields_rejected(bad):
+    with pytest.raises(ValueError, match="fields must be finite"):
+        DisorderRealization(fields=(bad, 0.1, 0.2), seed=0)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_leg2_fields_rejected(bad):
+    with pytest.raises(ValueError, match="fields must be finite"):
+        DisorderRealization(fields=(0.0, 0.1, 0.2), seed=0, leg2_fields=(0.3, bad, 0.5))
+
+
 def test_leg_swap_symmetry_of_shared_disorder():
     # With column-identical fields, exchanging the two legs permutes the basis
     # but maps H onto itself exactly.
@@ -409,6 +421,22 @@ def test_eigenvalues_only_matches_full_solve(L, alpha, h, independent_legs):
     assert list(spectra.sectors) == list(charges or ())
     H = build_hamiltonian(params, disorder, basis).matrix
     assert np.max(np.abs(w - scipy.linalg.eigh(H, eigvals_only=True))) < 1e-12
+
+
+@pytest.mark.parametrize("L", [3, 4, 5, 6])
+def test_independent_legs_block_is_the_dense_hamiltonian(L):
+    # One dense assembly serves both: the block is H bit for bit, and its
+    # spectrum is the one eigenvalues-only eigh of H.
+    params = LadderParams(L=L, alpha=1.3, h=2.0)
+    basis = SectorBasis(L)
+    disorder = sample_disorder(params, 70 + L, independent_legs=True)
+    H = build_hamiltonian(params, disorder, basis).matrix
+    blocks = charge_blocks(params, disorder, basis)
+    assert blocks.charges is None
+    assert np.array_equal(blocks.blocks[0], H)
+    spectra = diagonalize(blocks)
+    assert np.array_equal(spectra.eigenvalues, scipy.linalg.eigh(H, eigvals_only=True))
+    assert spectra.sectors == {}
 
 
 def reference_charge_projections(Q: np.ndarray) -> dict[int, np.ndarray]:
@@ -551,7 +579,7 @@ def test_independent_legs_block_is_charged_one_dense_block(monkeypatch):
     monkeypatch.setattr(core, "_physical_memory", lambda: between)
     charge_blocks(params, disorder, basis)
     monkeypatch.setattr(core, "_physical_memory", lambda: one_matrix)
-    with pytest.raises(MemoryError, match="charge_blocks at N=70"):
+    with pytest.raises(MemoryError, match="build_hamiltonian at N=70"):
         charge_blocks(params, disorder, basis)
 
 
@@ -561,7 +589,6 @@ def test_memory_check_admits_l7_and_the_l8_w_route_and_stops_l8_exact_otoc(monke
     for copies in (
         core.BUILD_COPIES,
         core.BLOCK_COPIES,
-        core.DENSE_BLOCK_COPIES,
         core.EIGH_COPIES,
         core.EIGVALS_COPIES,
         otoc.EXACT_COPIES,

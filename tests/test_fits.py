@@ -220,9 +220,9 @@ def test_error_signal_complete_fock_basis(small_system):
     t = np.linspace(0.0, 5.0, 11)
     ex = exact_otoc(eig, d_i, d_1, t)
     sam = sampled_otoc(eig, d_i, d_1, complete_fock_basis(basis), t)
-    sig1 = error_signal(ex, sam, "eps1", n_dim=basis.dim)
+    sig1 = error_signal(ex, sam, "eps1")
     assert np.max(sig1.eps) <= 1e-9
-    assert sig1.M == basis.dim and sig1.N == basis.dim
+    assert sig1.M == basis.dim
     sig2 = error_signal(ex, sam, "eps2")
     assert sig2.kind == "eps2"
     assert np.all(sig2.eps >= 0)

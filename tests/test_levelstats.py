@@ -43,8 +43,9 @@ def test_ratio_count():
 
 def test_zero_gap_handling():
     # gaps (0, 0, 1): the double-zero pair is dropped, the (0, 1) pair gives 0.
-    ratios, dropped = gap_ratios(np.array([0.0, 0.0, 0.0, 1.0]), return_dropped=True)
-    assert dropped == 1
+    E = np.array([0.0, 0.0, 0.0, 1.0])
+    ratios = gap_ratios(E)
+    assert ratios.size == E.size - 3
     assert list(ratios) == [0.0]
 
 
@@ -89,6 +90,12 @@ def test_ensemble_determinism():
     b = ensemble_gap_ratio(params, [1.0], realizations=1, seed=99)
     assert a[0].ensemble_mean == b[0].ensemble_mean
     assert np.isnan(a[0].stderr)
+
+
+@pytest.mark.parametrize("realizations", [2.0, True, 0, -1])
+def test_ensemble_rejects_a_realization_count_that_is_not_a_positive_integer(realizations):
+    with pytest.raises(ValueError, match="realizations must be an integer >= 1"):
+        ensemble_gap_ratio(LadderParams(L=3), [1.0], realizations=realizations, seed=0)
 
 
 def test_ensemble_seed_streams_are_stable_under_h_list_changes():

@@ -77,6 +77,21 @@ def test_ci_replays_every_input_set_of_every_workload():
     assert '["correct"] is True' in workflow
 
 
+def test_ci_runs_the_traced_pass_of_every_workload():
+    # The traced pass also starts the one-BLAS-thread child, which checks the
+    # outputs against the references a second time.
+    workflow = (ROOT / ".github" / "workflows" / "tier1.yml").read_text()
+    traced = re.findall(
+        r'for w in ([\w ]+); do\s+last=\$\(python3 perfbench/run.py --workload "\$w" '
+        r"--seed 0 --seconds 1 --trace 1 \|",
+        workflow,
+    )
+    assert len(traced) == 1
+    assert set(traced[0].split()) == {"levelstats", "wavefront", "decay"}
+    # One correctness gate for the replay loop, one for the traced loop.
+    assert workflow.count('["correct"] is True') == 2
+
+
 def test_src_has_no_assert_statements():
     # Invariants must raise real exceptions: asserts vanish under python -O.
     found = [

@@ -216,7 +216,7 @@ def small_real_grid():
     params = LadderParams(L=4, alpha=1.0, h=1.0)
     ensemble = [sample_disorder(params, seed) for seed in range(600, 620)]
     times = np.linspace(0.0, 6.0, 61)
-    return build_spacetime_grid(params, ensemble, times, keep_per_realization=True)
+    return build_spacetime_grid(params, ensemble, times)
 
 
 def test_real_grid_shape_and_bounds(small_real_grid):
@@ -225,6 +225,8 @@ def test_real_grid_shape_and_bounds(small_real_grid):
     assert np.allclose(grid.values[:, 0], 1.0, atol=1e-9)
     assert np.max(np.abs(grid.values)) <= 1.0 + 1e-9
     assert grid.meta["realizations"] == 20
+    assert grid.per_realization.shape == (20, 3, 61)
+    assert np.allclose(grid.per_realization.mean(axis=0), grid.values, atol=1e-14)
     assert grid.meta["health_defect"] < 1e-9
 
 
