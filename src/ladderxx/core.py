@@ -317,10 +317,10 @@ def derive_seed(master_seed: int, *components) -> int:
     Ensembles key each realization as derive_seed(master, kind, parameters,
     index). Hashing keeps streams independent and means extending a sweep
     with new parameter points never perturbs existing realizations. NumPy
-    scalars are keyed as the Python numbers they hold.
+    scalars key as the Python numbers they hold; master_seed must be an int >= 0.
     """
     plain = tuple(c.item() if isinstance(c, np.generic) else c for c in components)
-    text = repr((int(master_seed),) + plain)
+    text = repr((_checked_int("master_seed", master_seed, 0),) + plain)
     digest = hashlib.sha256(text.encode()).digest()
     return int.from_bytes(digest[:16], "little")
 

@@ -19,7 +19,6 @@ import json
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.optimize
 
 from .otoc import OtocSeries
 
@@ -195,6 +194,8 @@ def fit_mbl_form(series, window=None) -> FitResult:
     converged start wins. Raises FitConvergenceError when every start fails.
     Points at t <= 0 are dropped; the window defaults to the range of the rest.
     """
+    import scipy.optimize  # here, its only use, so that importing fits stays cheap
+
     t, y, window = _extract_txy(series, window)
     keep = t > 0
     t, y = t[keep], y[keep]

@@ -748,6 +748,16 @@ def test_seed_does_not_depend_on_numpy_scalar_types():
     )
 
 
+@pytest.mark.parametrize("master_seed", [2.7, True, "3", -1])
+def test_master_seed_must_be_a_non_negative_int(master_seed):
+    with pytest.raises(ValueError, match="master_seed"):
+        derive_seed(master_seed, "level_stats", 0)
+
+
+def test_numpy_integer_master_seed_keys_the_plain_int_stream():
+    assert derive_seed(np.int64(2), "decay", 1) == derive_seed(2, "decay", 1)
+
+
 def test_params_validation():
     with pytest.raises(ValueError):
         LadderParams(L=1)

@@ -126,7 +126,7 @@ def test_exact_otoc_frozen_clean_values():
     series = exact_otoc(eig, d_i, d_1, times)
     for (t, expected), got in zip(CLEAN_L3_PAIRS, series.values):
         assert abs(got.real - expected) < 1e-9, f"t={t}"
-    assert series.meta["cross_check_max"] < 1e-9
+    assert series.meta["defect"] < 1e-12
 
 
 def test_exact_otoc_frozen_disordered_values():
@@ -174,12 +174,37 @@ def test_exact_otoc_is_real_and_bounded():
 def test_exact_otoc_is_bounded_and_one_at_t0(L, alpha, h, seed):
     basis, eig = make_eig(L, alpha=alpha, h=h, seed=seed)
     times = np.concatenate([[0.0], default_decay_times(12)])
-    series = exact_otoc(
-        eig, sigma_z_operator(basis, 1, L), sigma_z_operator(basis, 1, 1), times
-    )
+    d_i, d_1 = sigma_z_operator(basis, 1, L), sigma_z_operator(basis, 1, 1)
+    series = exact_otoc(eig, d_i, d_1, times)
     assert abs(series.values[0] - 1.0) <= 1e-12
     assert np.all(np.abs(series.values) <= 1.0 + 1e-12)
     assert np.all(series.re >= -1.0 - 1e-12)
+    w_values, _ = multi_distance_otoc_values(eig, d_i[None, :], d_1, times)
+    assert np.max(np.abs(series.values - w_values[0])) <= 1e-10
+
+
+def test_exact_otoc_raises_on_a_perturbed_eigensystem():
+    basis, eig = make_eig(5, h=4.0, seed=5)
+    noise = 1e-7 * np.random.default_rng(0).standard_normal(eig.eigenvectors.shape)
+    perturbed = core.EigenSystem(eig.eigenvalues, eig.eigenvectors + noise)
+    d_i, d_1 = sigma_z_operator(basis, 1, 5), sigma_z_operator(basis, 1, 1)
+    times = default_decay_times(10)
+    assert exact_otoc(eig, d_i, d_1, times).meta["defect"] < 1e-12
+    with pytest.raises(RuntimeError, match="defect"):
+        exact_otoc(perturbed, d_i, d_1, times)
+
+
+def test_exact_otoc_makes_no_w_route_call(monkeypatch):
+    basis, eig = make_eig(3, seed=6)
+
+    def no_w_route(*args):
+        pytest.fail("exact_otoc called the W-route")
+
+    monkeypatch.setattr(otoc, "multi_distance_otoc_values", no_w_route)
+    series = exact_otoc(
+        eig, sigma_z_operator(basis, 1, 3), sigma_z_operator(basis, 1, 1), [0.0, 1.0]
+    )
+    assert series.meta["defect"] < 1e-12
 
 
 def test_exact_otoc_rejects_wrong_dimension():
@@ -242,6 +267,21 @@ def test_half_row_w_route_matches_full_rows(L, alpha, h, independent_legs):
     assert defect < 1e-12 and reference_defect < 1e-12
 
 
+@pytest.mark.parametrize("h", [0.0, 1.0, 8.0])
+@pytest.mark.parametrize("alpha", [0.0, 1.3])
+@pytest.mark.parametrize("L", [2, 3, 4, 5, 6])
+def test_exact_otoc_matches_the_w_route(L, alpha, h):
+    basis, eig = make_eig(L, alpha=alpha, h=h, seed=11)
+    # The far end of leg 1 and the rung partner of sz_1.
+    probes = np.stack([sigma_z_operator(basis, 1, L), sigma_z_operator(basis, 2, 1)])
+    d_1 = sigma_z_operator(basis, 1, 1)
+    times = np.array([0.0, 0.7, 3.1, 10.0])
+    w_values, _ = multi_distance_otoc_values(eig, probes, d_1, times)
+    for probe, w_row in zip(probes, w_values):
+        exact = exact_otoc(eig, probe, d_1, times)
+        assert np.max(np.abs(exact.values - w_row)) < 1e-12
+
+
 def test_w_route_rejects_operators_even_under_the_spin_flip():
     basis, eig = make_eig(3, seed=6)
     d_1 = sigma_z_operator(basis, 1, 1)
@@ -275,14 +315,19 @@ def test_exact_otoc_refuses_an_even_probe_before_the_trace_route(monkeypatch):
 
 
 def assert_w_route_refuses_the_ladder():
-    basis, eig = make_eig(4, h=1.0, seed=3)
+    # The trace route needs no chiral symmetry, so exact_otoc still holds.
+    params = LadderParams(L=4, h=1.0)
+    basis = SectorBasis(4)
+    H = build_hamiltonian(params, sample_disorder(params, 3), basis)
+    eig = diagonalize(H)
     d_1 = sigma_z_operator(basis, 1, 1)
     probes = np.stack([sigma_z_operator(basis, 1, site) for site in (2, 3, 4)])
     times = np.linspace(0.0, 2.0, 5)
     with pytest.raises(RuntimeError, match="breaks the chiral mirror"):
         multi_distance_otoc_values(eig, probes, d_1, times)
-    with pytest.raises(RuntimeError, match="breaks the chiral mirror"):
-        exact_otoc(eig, probes[0], d_1, times)
+    series = exact_otoc(eig, probes[0], d_1, times)
+    reference = [expm_otoc(H.matrix, probes[0], d_1, t) for t in times]
+    assert np.max(np.abs(series.values - reference)) < 1e-12
 
 
 def test_w_route_rejects_a_same_sublattice_bond(monkeypatch):

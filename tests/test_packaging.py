@@ -2,7 +2,10 @@
 
 import ast
 import importlib
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -90,6 +93,25 @@ def test_ci_runs_the_traced_pass_of_every_workload():
     assert set(traced[0].split()) == {"levelstats", "wavefront", "decay"}
     # One correctness gate for the replay loop, one for the traced loop.
     assert workflow.count('["correct"] is True') == 2
+
+
+def test_ci_installs_exactly_the_declared_dependencies(project):
+    workflow = (ROOT / ".github" / "workflows" / "tier1.yml").read_text()
+    installs = re.findall(r"pip install ([^\n]+)", workflow)
+    assert len(installs) == 1
+    declared = project["dependencies"] + project["optional-dependencies"]["test"]
+    names = {re.match(r"[A-Za-z0-9_.-]+", spec).group().lower() for spec in declared}
+    assert set(installs[0].lower().split()) == names
+
+
+def test_importing_the_workload_modules_leaves_scipy_optimize_unloaded():
+    # Only fits.fit_mbl_form needs scipy.optimize; the import costs ~0.2 s.
+    code = (
+        "import sys, ladderxx.fits, ladderxx.wavefront, ladderxx.levelstats; "
+        "sys.exit('scipy.optimize' in sys.modules)"
+    )
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
 def test_src_has_no_assert_statements():
