@@ -56,9 +56,9 @@ L_MAX = 8
 SPECTRAL_WEIGHT_RTOL = 16 * np.finfo(float).eps
 # Peak memory of each dense step in units of one N x N float64 array (8 N^2
 # bytes): the larger tracemalloc peak of L = 5 and 6, rounded up.
-BUILD_COPIES = 1.2  # H and the hop list
+BUILD_COPIES = 1.1  # the independent-legs block: H made dense, beside its CSR form
 BLOCK_COPIES = 3.2  # per m x m block: the block, its sparse product and the charge map
-EIGH_COPIES = 2.2  # eigenvectors and LAPACK's copy of H
+EIGH_COPIES = 2.2  # eigenvectors and the dense copy of H that LAPACK overwrites
 EIGVALS_COPIES = 1.5  # per m x m block: LAPACK's copy of it and its workspace
 # Bit t is set where the t-th singly occupied column of a column pattern
 # carries the Jordan-Wigner sign s_t = -1 in the dressed rung charge (see
@@ -232,15 +232,12 @@ class SectorBasis:
 
 @dataclass(frozen=True)
 class SectorHamiltonian:
-    """Dense real symmetric Hamiltonian restricted to the Sz = 0 sector of ``basis``."""
+    """Real symmetric Hamiltonian restricted to the Sz = 0 sector, as a sparse
+    CSR matrix; `diagonalize` forms its one dense copy."""
 
-    matrix: np.ndarray
+    matrix: scipy.sparse.csr_array
     params: LadderParams
     disorder: DisorderRealization
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
 
 
 @dataclass(frozen=True)
@@ -259,11 +256,6 @@ class ChargeBlocks:
     frobenius2: float
     params: LadderParams
     disorder: DisorderRealization
-
-    @property
-    def dim(self) -> int:
-        mirrored = sum(b.shape[0] for b, q in zip(self.blocks, self.charges or ()) if q > 0)
-        return sum(b.shape[0] for b in self.blocks) + mirrored
 
 
 @dataclass(frozen=True)
@@ -378,17 +370,18 @@ def _bonds(params: LadderParams) -> list[tuple[int, int, float]]:
     return bonds
 
 
-def _hamiltonian_entries(
+def build_hamiltonian(
     params: LadderParams,
     disorder: DisorderRealization,
     basis: SectorBasis,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The nonzero entries of the sector Hamiltonian, without forming it.
+) -> SectorHamiltonian:
+    """Assemble the sparse sector Hamiltonian.
 
-    Returns the diagonal d (the fields: sum_i h_i^(leg) s_{leg,i} with
-    s = +-1 read off the bitmask) and the hop list (rows, cols, values): one
-    entry 2 J per bond and per state whose two occupations across the bond
-    differ (J = J_par on intra-leg bonds, alpha * J_par on rungs). Every hop
+    The diagonal holds the fields, sum_i h_i^(leg) s_{leg,i} with s = +-1
+    read off the bitmask. Off the diagonal there is one entry 2 J per bond
+    and per state whose two occupations across the bond differ (J = J_par
+    on intra-leg bonds, alpha * J_par on rungs): 3 L - 2 bonds, so the CSR
+    matrix holds O(L N) entries and no N x N array is formed. Every hop
     appears in both directions, and no (row, col) pair appears twice.
     """
     if disorder.L != params.L:
@@ -409,7 +402,7 @@ def _hamiltonian_entries(
         s2 = np.where((states >> bit_position(L, 2, site)) & 1 == 1, 1.0, -1.0)
         d += h1[site - 1] * s1 + h2[site - 1] * s2
 
-    rows, cols, values = [], [], []
+    rows, cols, values = [index], [index], [d]
     for a, b, J in _bonds(params):
         if J == 0.0:
             continue
@@ -423,29 +416,11 @@ def _hamiltonian_entries(
         rows.append(target)
         cols.append(index[hops])
         values.append(np.full(target.size, 2.0 * J))
-    return d, np.concatenate(rows), np.concatenate(cols), np.concatenate(values)
-
-
-def build_hamiltonian(
-    params: LadderParams,
-    disorder: DisorderRealization,
-    basis: SectorBasis,
-) -> SectorHamiltonian:
-    """Assemble the dense sector Hamiltonian from its nonzero entries.
-
-    The diagonal holds the fields, the off-diagonal the hops of amplitude 2 J
-    across every bond (see `_hamiltonian_entries`).
-    """
-    d, rows, cols, values = _hamiltonian_entries(params, disorder, basis)
-    n = basis.dim
-    check_memory("build_hamiltonian", n, BUILD_COPIES)
-    H = np.zeros((n, n))
-    np.fill_diagonal(H, d)
-    H[rows, cols] = values
-
-    # Symmetry: every other off-diagonal entry is zero, so comparing the
-    # written entries with their transposes checks the whole matrix.
-    asymmetry = np.max(np.abs(H[rows, cols] - H[cols, rows]), initial=0.0)
+    H = scipy.sparse.csr_array(
+        (np.concatenate(values), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(basis.dim, basis.dim),
+    )
+    asymmetry = abs(H - H.T).max()
     if not asymmetry <= 1e-12:
         raise RuntimeError(f"assembled Hamiltonian is not symmetric ({asymmetry:.3e})")
     return SectorHamiltonian(matrix=H, params=params, disorder=disorder)
@@ -475,34 +450,30 @@ def charge_blocks(
     disorder: DisorderRealization,
     basis: SectorBasis,
 ) -> ChargeBlocks:
-    """Blocks for an eigenvalues-only solve.
+    """Blocks for an eigenvalues-only solve, from the sparse H of `build_hamiltonian`.
 
     With the same fields on both legs, H conserves the dressed rung charge Q
     and the blocks are U_q^T H U_q for its sectors q >= 0
-    (`SectorBasis.charge_sectors`), multiplied out sparse from the diagonal
-    and the hop list, without the N x N matrix. The q < 0 spectra are the
-    mirror images of the q > 0 ones (`_check_chiral_symmetry`, which raises
-    if a term of H breaks that). With independent legs the one block is the
-    dense H of `build_hamiltonian`, which also checks its memory.
+    (`SectorBasis.charge_sectors`), multiplied out from the CSR matrix
+    without an N x N array. The q < 0 spectra are the mirror images of the
+    q > 0 ones (`_check_chiral_symmetry`, which raises if a term of H breaks
+    that). With independent legs the one block is H made dense, after a
+    memory check. ||H||_F^2 is the sum of the squared stored entries of H.
     """
-    if disorder.fields_for_leg(1) != disorder.fields_for_leg(2):
-        H = build_hamiltonian(params, disorder, basis).matrix
-        return ChargeBlocks((H,), None, float(np.vdot(H, H)), params, disorder)
-    d, rows, cols, values = _hamiltonian_entries(params, disorder, basis)
-    _check_chiral_symmetry(params, d)
-    sectors = {q: U for q, U in basis.charge_sectors.items() if q >= 0}
+    H = build_hamiltonian(params, disorder, basis).matrix
+    frobenius2 = float(H.data @ H.data)
     n = basis.dim
+    if disorder.fields_for_leg(1) != disorder.fields_for_leg(2):
+        check_memory("charge_blocks", n, BUILD_COPIES)
+        return ChargeBlocks((H.toarray(),), None, frobenius2, params, disorder)
+    _check_chiral_symmetry(params, H.diagonal())
+    sectors = {q: U for q, U in basis.charge_sectors.items() if q >= 0}
     copies = BLOCK_COPIES * sum(U.shape[1] ** 2 for U in sectors.values()) / n**2
     check_memory("charge_blocks", n, copies)
-    index = np.arange(n)
-    H = scipy.sparse.csr_array(
-        (np.concatenate([d, values]), (np.concatenate([index, rows]), np.concatenate([index, cols]))),
-        shape=(n, n),
-    )
     return ChargeBlocks(
         blocks=tuple((U.T @ (H @ U)).toarray() for U in sectors.values()),
         charges=tuple(sectors),
-        frobenius2=float(d @ d + values @ values),
+        frobenius2=frobenius2,
         params=params,
         disorder=disorder,
     )
@@ -512,7 +483,9 @@ def diagonalize(H: SectorHamiltonian | ChargeBlocks) -> EigenSystem | SectorSpec
     """Dense symmetric eigensolve of one realization.
 
     A SectorHamiltonian gets one full ``eigh``: an EigenSystem with ascending
-    eigenvalues and column eigenvectors, as the OTOC routes need them.
+    eigenvalues and column eigenvectors, as the OTOC routes need them. Its
+    CSR matrix is made dense here, once and in Fortran order, and LAPACK
+    overwrites that copy in place, so the solve holds about two N x N arrays.
 
     ChargeBlocks get SectorSpectra: an eigenvalues-only solve per block, the
     negation of each q > 0 spectrum standing in for sector -q, all merged
@@ -527,10 +500,10 @@ def diagonalize(H: SectorHamiltonian | ChargeBlocks) -> EigenSystem | SectorSpec
     if blocks:
         check_memory("diagonalize", max(b.shape[0] for b in H.blocks), EIGVALS_COPIES)
     else:
-        check_memory("diagonalize", H.dim, EIGH_COPIES)
+        check_memory("diagonalize", H.matrix.shape[0], EIGH_COPIES)
     try:
         if not blocks:
-            w, v = scipy.linalg.eigh(H.matrix)
+            w, v = scipy.linalg.eigh(H.matrix.toarray(order="F"), overwrite_a=True)
             return EigenSystem(eigenvalues=w, eigenvectors=v)
         parts = [scipy.linalg.eigh(b, eigvals_only=True) for b in H.blocks]
     except scipy.linalg.LinAlgError as exc:
@@ -542,7 +515,7 @@ def diagonalize(H: SectorHamiltonian | ChargeBlocks) -> EigenSystem | SectorSpec
     mirrors = [-e for q, e in sectors.items() if q > 0]
     w = np.sort(np.concatenate(parts + mirrors))
     lost = abs(float(w @ w) - H.frobenius2)
-    if not lost <= SPECTRAL_WEIGHT_RTOL * H.dim * H.frobenius2:
+    if not lost <= SPECTRAL_WEIGHT_RTOL * w.size * H.frobenius2:
         raise RuntimeError(
             f"spectrum misses weight of H: |sum(lambda^2) - ||H||_F^2| = {lost:.3e} "
             f"of {H.frobenius2:.3e} (L={H.params.L}, seed={H.disorder.seed})"
@@ -551,18 +524,25 @@ def diagonalize(H: SectorHamiltonian | ChargeBlocks) -> EigenSystem | SectorSpec
 
 
 def evolve_state(eig: EigenSystem, psi: np.ndarray, t: float) -> np.ndarray:
-    """Apply U(t) = V exp(-i E t) V^T to a normalized state. Negative t runs backward."""
+    """Apply U(t) = V exp(-i E t) V^T to a normalized state. Negative t runs backward.
+
+    V is applied to the real and imaginary parts apart, so the real V is
+    never cast to a complex N x N copy.
+    """
     psi = np.asarray(psi)
     if psi.shape != (eig.dim,):
         raise ValueError(f"state has shape {psi.shape}, expected ({eig.dim},)")
+    if not np.isfinite(t):
+        raise ValueError(f"t must be finite, got {t}")
     norm = np.linalg.norm(psi)
-    if abs(norm - 1.0) > 1e-10:
+    if not abs(norm - 1.0) <= 1e-10:
         raise ValueError(f"state norm {norm} deviates from 1 beyond 1e-10")
-    coeff = eig.eigenvectors.T @ psi
-    coeff = coeff * np.exp(-1j * eig.eigenvalues * t)
-    out = eig.eigenvectors @ coeff
+    V = eig.eigenvectors
+    coeff = V.T @ psi.real + 1j * (V.T @ psi.imag)
+    coeff *= np.exp(-1j * eig.eigenvalues * t)
+    out = V @ coeff.real + 1j * (V @ coeff.imag)
     out_norm = np.linalg.norm(out)
-    if abs(out_norm - 1.0) > 1e-10:
+    if not abs(out_norm - 1.0) <= 1e-10:
         raise RuntimeError(f"evolution broke unitarity: output norm {out_norm}")
     return out
 

@@ -53,8 +53,8 @@ class FitResult:
         self.residuals = np.asarray(self.residuals, dtype=float)
         if not all(np.isfinite(v) for v in self.params.values()):
             raise ValueError(f"non-finite fit parameters: {self.params}")
-        if self.r_squared > 1.0 + 1e-12:
-            raise ValueError("r_squared cannot exceed 1")
+        if not self.r_squared <= 1.0 + 1e-12:
+            raise ValueError(f"r_squared cannot exceed 1, got {self.r_squared}")
 
     def to_json(self) -> str:
         return json.dumps(
@@ -87,7 +87,7 @@ class ErrorSignal:
         self.eps = np.asarray(self.eps, dtype=float)
         if self.kind not in ("eps1", "eps2"):
             raise ValueError(f"kind must be eps1 or eps2, got {self.kind!r}")
-        if np.any(self.eps < 0):
+        if not np.all(self.eps >= 0):
             raise ValueError("error signal must be nonnegative")
 
     def saturation_mean(self, fraction: float = SATURATION_FRACTION) -> float:
@@ -140,6 +140,8 @@ def _fit_log_law(x, y, form: str, slope: tuple, min_points: int, points="points"
     log_x = form.endswith("power")
     if x.size < min_points:
         raise ValueError(f"need at least {min_points} {points}, have {x.size}")
+    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
+        raise ValueError(f"{form} fit needs finite x and y on its {points}")
     if np.any(y <= 0):
         raise ValueError(f"{form} fit needs positive y on its {points}")
     if log_x and np.any(x <= 0):
@@ -175,7 +177,7 @@ def fit_power_law(series_or_xy, window=None) -> FitResult:
     Points at t <= 0 are dropped; the window defaults to the range of the rest.
     """
     t, y, window = _extract_txy(series_or_xy, window)
-    keep = t > 0
+    keep = ~(t <= 0)  # keeps NaN times, which _fit_log_law refuses
     return _fit_log_law(
         t[keep], y[keep], "power", ("b", -1), 4, "positive-t points in the window", window
     )

@@ -22,7 +22,7 @@ GOE/Poisson dichotomy of the merged spectrum; their reports hold no sectors.
 
 The spectra come from ``diagonalize(charge_blocks(...))``, eigenvalues only.
 Shared fields never form the N x N Hamiltonian: each sector block U_q^T H U_q
-is multiplied out sparse from the diagonal and the hop list of the bonds. Only
+is multiplied out from the sparse H of ``build_hamiltonian``. Only
 the sectors q >= 0 are solved: the product of the sublattice sign and the
 global spin flip anticommutes with H and with Q, so the sector -q spectrum
 is the mirror image E -> -E of sector q. `charge_blocks` checks what that

@@ -116,7 +116,7 @@ class OtocSeries:
             if self.per_sample.shape[-1] != self.times.shape[0]:
                 raise ValueError("per_sample rows must match the time grid")
         at_zero = np.abs(self.values[self.times == 0.0] - 1.0)
-        if at_zero.size and at_zero.max() > 1e-10:
+        if at_zero.size and not at_zero.max() <= 1e-10:
             raise ValueError("OTOC must equal 1 at t = 0")
 
     @property
@@ -135,11 +135,11 @@ class InitialState:
     def __post_init__(self) -> None:
         self.amplitudes = np.asarray(self.amplitudes, dtype=complex)
         norm = np.linalg.norm(self.amplitudes)
-        if abs(norm - 1.0) > 1e-12:
+        if not abs(norm - 1.0) <= 1e-12:
             raise ValueError(f"initial state norm {norm} deviates from 1")
         if self.kind == "fock":
             nonzero = np.abs(self.amplitudes) > 1e-15
-            if nonzero.sum() != 1 or abs(np.abs(self.amplitudes[nonzero][0]) - 1.0) > 1e-12:
+            if nonzero.sum() != 1 or not abs(np.abs(self.amplitudes[nonzero][0]) - 1.0) <= 1e-12:
                 raise ValueError("fock state must have a single unit-modulus amplitude")
 
 
@@ -155,9 +155,9 @@ class EonDistribution:
         self.energies = np.asarray(self.energies, dtype=float)
         if self.weights.shape != self.energies.shape:
             raise ValueError("weights and energies must align")
-        if np.any(self.weights < -1e-12):
+        if not np.all(self.weights >= -1e-12):
             raise ValueError("weights must be nonnegative")
-        if abs(self.weights.sum() - 1.0) > 1e-10:
+        if not abs(self.weights.sum() - 1.0) <= 1e-10:
             raise ValueError("weights must sum to 1")
 
 
@@ -218,13 +218,17 @@ def exact_otoc(
 
     Parameters
     ----------
-    op_i, op_1 : +-1 diagonals from `sigma_z_operator`. Unless both are odd
-    under the global spin flip, ValueError is raised before any O(N^3) work.
+    op_i, op_1 : +-1 diagonals from `sigma_z_operator`. Unless both are +-1
+    and odd under the global spin flip, ValueError is raised before any
+    O(N^3) work.
     times : evaluation grid in units of 1/J_par.
     """
     E = eig.eigenvalues
     n = eig.dim
     D, d1 = _checked_operators(n, [op_i], op_1)
+    # The defect check below holds only for A(t)^2 = 1.
+    if not np.all(np.abs(D[0]) == 1.0):
+        raise ValueError("op_i must be a +-1 diagonal")
     times = _checked_times(times)
     check_memory("exact_otoc", n, EXACT_COPIES)
 

@@ -57,7 +57,7 @@ class WavefrontGrid:
         if self.values.shape != (self.distances.size, self.times.size):
             raise ValueError("values must be (n_distances, n_times)")
         at_zero = self.values[:, self.times == 0.0]
-        if at_zero.size and np.max(np.abs(at_zero - 1.0)) > 1e-9:
+        if at_zero.size and not np.max(np.abs(at_zero - 1.0)) <= 1e-9:
             raise ValueError("grid must equal 1 at t = 0")
 
 

@@ -1,5 +1,6 @@
 """Basis, Hamiltonian, and evolution checks against independent small-system oracles."""
 
+import dataclasses
 import os
 import subprocess
 import sys
@@ -226,7 +227,7 @@ def test_disorder_independent_legs():
 def test_uniform_couplings_l2():
     params = LadderParams(L=2, alpha=1.0, h=0.0)
     basis = SectorBasis(2)
-    H = build_hamiltonian(params, sample_disorder(params, 0), basis).matrix
+    H = build_hamiltonian(params, sample_disorder(params, 0), basis).matrix.toarray()
     off = H[~np.eye(6, dtype=bool)]
     assert set(np.round(off[off != 0.0], 12)) == {2.0}
     assert np.allclose(np.diag(H), 0.0)
@@ -237,7 +238,7 @@ def test_trace_is_zero_even_with_disorder():
     # field term is traceless too.
     params = LadderParams(L=4, alpha=0.7, h=3.0)
     basis = SectorBasis(4)
-    H = build_hamiltonian(params, sample_disorder(params, 5), basis).matrix
+    H = build_hamiltonian(params, sample_disorder(params, 5), basis).matrix.toarray()
     assert abs(np.trace(H)) < 1e-12
 
 
@@ -246,7 +247,7 @@ def test_sector_matches_full_space_oracle(alpha, h, seed):
     params = LadderParams(L=2, alpha=alpha, h=h)
     disorder = sample_disorder(params, seed)
     basis = SectorBasis(2)
-    H = build_hamiltonian(params, disorder, basis).matrix
+    H = build_hamiltonian(params, disorder, basis).matrix.toarray()
     H_oracle = restrict_to_sector(full_space_hamiltonian(params, disorder), L=2)
     assert np.max(np.abs(H - H_oracle)) < 1e-12
 
@@ -255,7 +256,7 @@ def test_sector_matches_full_space_oracle_l3_independent_legs():
     params = LadderParams(L=3, alpha=0.5, h=1.5)
     disorder = sample_disorder(params, 21, independent_legs=True)
     basis = SectorBasis(3)
-    H = build_hamiltonian(params, disorder, basis).matrix
+    H = build_hamiltonian(params, disorder, basis).matrix.toarray()
     H_oracle = restrict_to_sector(full_space_hamiltonian(params, disorder), L=3)
     assert np.max(np.abs(H - H_oracle)) < 1e-12
 
@@ -268,7 +269,7 @@ def test_hamiltonian_matches_loop_reference(L, independent_legs):
     params = LadderParams(L=L, alpha=0.8, h=2.0)
     disorder = sample_disorder(params, 31 + L, independent_legs=independent_legs)
     basis = SectorBasis(L)
-    H = build_hamiltonian(params, disorder, basis).matrix
+    H = build_hamiltonian(params, disorder, basis).matrix.toarray()
     assert np.array_equal(H, loop_hamiltonian(params, disorder, basis))
 
 
@@ -299,7 +300,7 @@ def test_leg_swap_symmetry_of_shared_disorder():
     # but maps H onto itself exactly.
     params = LadderParams(L=4, alpha=1.3, h=2.0)
     basis = SectorBasis(4)
-    H = build_hamiltonian(params, sample_disorder(params, 17), basis).matrix
+    H = build_hamiltonian(params, sample_disorder(params, 17), basis).matrix.toarray()
     perm = leg_swap(basis)
     assert np.array_equal(H[np.ix_(perm, perm)], H)
 
@@ -356,7 +357,7 @@ def test_spectrum_matches_characteristic_polynomial():
     basis = SectorBasis(2)
     H = build_hamiltonian(params, sample_disorder(params, 0), basis)
     eig = diagonalize(H)
-    roots = np.sort(np.roots(char_poly_coefficients(H.matrix)).real)
+    roots = np.sort(np.roots(char_poly_coefficients(H.matrix.toarray())).real)
     assert np.allclose(np.sort(eig.eigenvalues), roots, atol=1e-8)
 
 
@@ -365,14 +366,13 @@ def test_eigensystem_invariants():
     basis = SectorBasis(4)
     H = build_hamiltonian(params, sample_disorder(params, 2), basis)
     eig = diagonalize(H)
+    dense = H.matrix.toarray()
     assert np.all(np.diff(eig.eigenvalues) >= 0)
-    assert abs(eig.eigenvalues.sum() - np.trace(H.matrix)) <= 1e-9 * max(
-        1.0, abs(np.trace(H.matrix))
-    )
+    assert abs(eig.eigenvalues.sum() - np.trace(dense)) <= 1e-9 * max(1.0, abs(np.trace(dense)))
     V = eig.eigenvectors
     assert np.max(np.abs(V.T @ V - np.eye(basis.dim))) < 1e-10
     recon = (V * eig.eigenvalues) @ V.T
-    assert np.max(np.abs(recon - H.matrix)) <= 1e-9 * np.max(np.abs(H.matrix))
+    assert np.max(np.abs(recon - dense)) <= 1e-9 * np.max(np.abs(dense))
 
 
 def test_leg_swap_spectrum_invariance():
@@ -385,7 +385,7 @@ def test_leg_swap_spectrum_invariance():
     )
     H = build_hamiltonian(params, disorder, basis)
     H_swapped = build_hamiltonian(params, swapped, basis)
-    assert not np.array_equal(H.matrix, H_swapped.matrix)
+    assert not np.array_equal(H.matrix.toarray(), H_swapped.matrix.toarray())
     assert np.max(np.abs(diagonalize(H).eigenvalues - diagonalize(H_swapped).eigenvalues)) < 1e-12
 
 
@@ -393,7 +393,7 @@ def test_default_diagonalize_is_one_full_eigh():
     # wavefront and decay need the eigensystem bit for bit as a plain eigh gives it.
     params = LadderParams(L=4, alpha=1.3, h=1.0)
     H = build_hamiltonian(params, sample_disorder(params, 8), SectorBasis(4))
-    w, v = scipy.linalg.eigh(H.matrix)
+    w, v = scipy.linalg.eigh(H.matrix.toarray())
     eig = diagonalize(H)
     assert np.array_equal(eig.eigenvalues, w)
     assert np.array_equal(eig.eigenvectors, v)
@@ -412,14 +412,13 @@ def test_eigenvalues_only_matches_full_solve(L, alpha, h, independent_legs):
     charges = tuple(range(L % 2, L + 1, 2)) if shared else None
     assert blocks.charges == charges
     assert len(blocks.blocks) == (len(charges) if shared else 1)
-    assert blocks.dim == basis.dim
     spectra = diagonalize(blocks)
     assert isinstance(spectra, SectorSpectra)
     w = spectra.eigenvalues
     assert w.shape == (basis.dim,)
     assert np.all(np.diff(w) >= 0)
     assert list(spectra.sectors) == list(charges or ())
-    H = build_hamiltonian(params, disorder, basis).matrix
+    H = build_hamiltonian(params, disorder, basis).matrix.toarray()
     assert np.max(np.abs(w - scipy.linalg.eigh(H, eigvals_only=True))) < 1e-12
 
 
@@ -430,7 +429,7 @@ def test_independent_legs_block_is_the_dense_hamiltonian(L):
     params = LadderParams(L=L, alpha=1.3, h=2.0)
     basis = SectorBasis(L)
     disorder = sample_disorder(params, 70 + L, independent_legs=True)
-    H = build_hamiltonian(params, disorder, basis).matrix
+    H = build_hamiltonian(params, disorder, basis).matrix.toarray()
     blocks = charge_blocks(params, disorder, basis)
     assert blocks.charges is None
     assert np.array_equal(blocks.blocks[0], H)
@@ -452,7 +451,7 @@ def test_spectral_blocks_match_reference(L, alpha):
     params = LadderParams(L=L, alpha=alpha, h=1.0)
     basis = SectorBasis(L)
     disorder = sample_disorder(params, 60 + L)
-    H = build_hamiltonian(params, disorder, basis).matrix
+    H = build_hamiltonian(params, disorder, basis).matrix.toarray()
     reference = reference_charge_projections(dressed_rung_charge(basis))
     got = charge_blocks(params, disorder, basis)
     # Only the sectors q >= 0 are assembled; each q < 0 one is a mirror image.
@@ -503,13 +502,13 @@ def test_mirror_guard_rejects_a_same_sublattice_bond(monkeypatch):
 def test_mirror_guard_rejects_an_even_diagonal(monkeypatch):
     # A constant shift is even under the global spin flip and moves the
     # spectrum off E -> -E.
-    entries = core._hamiltonian_entries
+    build = core.build_hamiltonian
 
-    def shifted(*args):
-        d, rows, cols, values = entries(*args)
-        return d + 1.0, rows, cols, values
+    def shifted(params, disorder, basis):
+        H = build(params, disorder, basis)
+        return dataclasses.replace(H, matrix=H.matrix + scipy.sparse.eye_array(basis.dim))
 
-    monkeypatch.setattr(core, "_hamiltonian_entries", shifted)
+    monkeypatch.setattr(core, "build_hamiltonian", shifted)
     for L in (4, 5):
         params = LadderParams(L=L, h=1.0)
         with pytest.raises(RuntimeError, match="not odd under the global spin flip"):
@@ -530,6 +529,20 @@ def test_eigenvalues_only_stays_below_one_dense_matrix(L):
     assert peak < 8 * basis.dim**2
 
 
+@pytest.mark.parametrize("L", [6, 7])
+def test_sparse_assembly_stays_far_below_one_dense_matrix(L):
+    params = LadderParams(L=L, h=1.0)
+    basis = SectorBasis(L)
+    disorder = sample_disorder(params, 9)
+    tracemalloc.start()
+    try:
+        build_hamiltonian(params, disorder, basis)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.2 * 8 * basis.dim**2
+
+
 @pytest.mark.parametrize("vectors", [True, False])
 def test_eigensolver_failure_is_reported_with_the_realization(vectors, monkeypatch):
     params = LadderParams(L=3, h=1.0)
@@ -546,15 +559,16 @@ def test_eigensolver_failure_is_reported_with_the_realization(vectors, monkeypat
 
 
 def test_dense_steps_check_memory_first(monkeypatch):
-    # At L = 4 even the largest charge block (36 wide) exceeds 1000 bytes.
+    # At L = 4 even the largest charge block (36 wide) exceeds 1000 bytes,
+    # while the sparse assembly forms no N x N array and needs no check.
     params = LadderParams(L=4, h=1.0)
     basis = SectorBasis(4)
     disorder = sample_disorder(params, 4)
     H = build_hamiltonian(params, disorder, basis)
     blocks = charge_blocks(params, disorder, basis)
     monkeypatch.setattr(core, "_physical_memory", lambda: 1000)
+    build_hamiltonian(params, disorder, basis)
     for caller, call in [
-        ("build_hamiltonian", lambda: build_hamiltonian(params, disorder, basis)),
         ("charge_blocks", lambda: charge_blocks(params, disorder, basis)),
         ("diagonalize", lambda: diagonalize(H)),
         ("diagonalize", lambda: diagonalize(blocks)),
@@ -579,7 +593,7 @@ def test_independent_legs_block_is_charged_one_dense_block(monkeypatch):
     monkeypatch.setattr(core, "_physical_memory", lambda: between)
     charge_blocks(params, disorder, basis)
     monkeypatch.setattr(core, "_physical_memory", lambda: one_matrix)
-    with pytest.raises(MemoryError, match="build_hamiltonian at N=70"):
+    with pytest.raises(MemoryError, match="charge_blocks at N=70"):
         charge_blocks(params, disorder, basis)
 
 
@@ -643,6 +657,23 @@ def test_evolve_unitary_at_long_times(small_eig):
     psi /= np.linalg.norm(psi)
     out = evolve_state(small_eig, psi, 1000.0)
     assert abs(np.linalg.norm(out) - 1.0) <= 1e-10
+
+
+def test_evolve_makes_no_dense_copy_of_the_eigenvectors():
+    # A complex state times the real V would cast V to a complex N x N copy.
+    params = LadderParams(L=6, h=1.0)
+    basis = SectorBasis(6)
+    eig = diagonalize(build_hamiltonian(params, sample_disorder(params, 1), basis))
+    rng = np.random.default_rng(3)
+    psi = rng.standard_normal(basis.dim) + 1j * rng.standard_normal(basis.dim)
+    psi /= np.linalg.norm(psi)
+    tracemalloc.start()
+    try:
+        evolve_state(eig, psi, 2.5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.1 * 8 * basis.dim**2
 
 
 def test_evolve_rejects_unnormalized(small_eig):
@@ -721,7 +752,7 @@ def test_sigma_z_rejects_bad_indices():
 def test_hamiltonian_properties(L, alpha, h, seed):
     params = LadderParams(L=L, alpha=alpha, h=h)
     basis = SectorBasis(L)
-    H = build_hamiltonian(params, sample_disorder(params, seed), basis).matrix
+    H = build_hamiltonian(params, sample_disorder(params, seed), basis).matrix.toarray()
     assert np.max(np.abs(H - H.T)) <= 1e-12
     assert abs(np.trace(H)) < 1e-10
 

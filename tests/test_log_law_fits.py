@@ -127,3 +127,25 @@ def test_bad_input_is_named_in_the_error():
         fit_exponential((t, 1.0 - t))
     with pytest.raises(ValueError, match="abscissae of the positive-t points in the window are degenerate"):
         fit_power_law((np.ones(5), np.arange(1.0, 6.0)))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("column", ["x", "y"])
+def test_non_finite_input_is_named_in_the_error(column, bad):
+    x = np.arange(1.0, 7.0)
+    y = np.exp(-x)
+    (x if column == "x" else y)[2] = bad
+    front_ends = [
+        (lambda: fit_exponential((x, y)), "exp", "points in the window"),
+        (lambda: fit_power_law((x, y)), "power", "positive-t points in the window"),
+        (lambda: fit_error_scaling((x, y), "scaling_exp"), "scaling_exp", "points"),
+        (lambda: fit_error_scaling((x, y), "scaling_power"), "scaling_power", "points"),
+    ]
+    if column == "x":
+        contour = Contour(eta=0.9, distances=np.arange(1, 7), t_cross=x)
+        front_ends.append(
+            (lambda: fit_dynamical_exponent(contour), "power", "contour points with dx >= 1")
+        )
+    for fit, form, points in front_ends:
+        with pytest.raises(ValueError, match=f"{form} fit needs finite x and y on its {points}$"):
+            fit()

@@ -1,10 +1,12 @@
 """OTOC engine checks: trace/W-route agreement, estimator limits, state diagnostics."""
 
+import dataclasses
 import tracemalloc
 
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -15,10 +17,14 @@ from ladderxx.core import (
     bit_position,
     build_hamiltonian,
     diagonalize,
+    evolve_state,
     sample_disorder,
     sigma_z_operator,
 )
+from ladderxx.fits import ErrorSignal, FitResult
 from ladderxx.otoc import (
+    EonDistribution,
+    InitialState,
     OtocSeries,
     complete_fock_basis,
     default_decay_times,
@@ -30,6 +36,7 @@ from ladderxx.otoc import (
     multi_distance_otoc_values,
     sampled_otoc,
 )
+from ladderxx.wavefront import WavefrontGrid
 
 
 def make_eig(L, alpha=1.0, h=1.0, seed=1, independent_legs=False):
@@ -149,7 +156,7 @@ def test_exact_otoc_matches_expm_reference():
     d_1 = sigma_z_operator(basis, 1, 1)
     for t in (0.7, 2.2):
         series = exact_otoc(eig, d_i, d_1, [t])
-        assert abs(series.values[0].real - expm_otoc(H.matrix, d_i, d_1, t)) < 1e-9
+        assert abs(series.values[0].real - expm_otoc(H.matrix.toarray(), d_i, d_1, t)) < 1e-9
 
 
 def test_exact_otoc_is_real_and_bounded():
@@ -259,6 +266,8 @@ def test_half_row_w_route_matches_full_rows(L, alpha, h, independent_legs):
     probes = np.stack(
         [sigma_z_operator(basis, leg, site) for leg in (1, 2) for site in range(1, L + 1)]
     )
+    # Any diagonal odd under the flip is a valid probe, +-1 or not.
+    probes = np.vstack([probes, 0.5 * probes[L - 1] - 0.3 * probes[L]])
     d_1 = sigma_z_operator(basis, 1, 1)
     times = np.array([0.0, 0.7, 3.1])
     values, defect = multi_distance_otoc_values(eig, probes, d_1, times)
@@ -308,17 +317,22 @@ def test_exact_otoc_refuses_an_even_probe_before_the_trace_route(monkeypatch):
         (d_1 * sigma_z_operator(basis, 1, 2), d_1),
         (sigma_z_operator(basis, 1, 3), np.ones(basis.dim)),
         (sigma_z_operator(basis, 1, 3), 0.5 * d_1),
+        # Odd, but not +-1: the defect check needs A(t)^2 = 1.
+        (0.5 * sigma_z_operator(basis, 1, 2), d_1),
         (np.ones(7), d_1),
     ]:
         with pytest.raises(ValueError):
             exact_otoc(eig, op_i, op_1, [0.0, 1.0])
 
 
-def assert_w_route_refuses_the_ladder():
+def assert_w_route_refuses_the_ladder(extra_diagonal=0.0):
     # The trace route needs no chiral symmetry, so exact_otoc still holds.
     params = LadderParams(L=4, h=1.0)
     basis = SectorBasis(4)
     H = build_hamiltonian(params, sample_disorder(params, 3), basis)
+    H = dataclasses.replace(
+        H, matrix=H.matrix + scipy.sparse.diags_array(extra_diagonal * np.ones(basis.dim))
+    )
     eig = diagonalize(H)
     d_1 = sigma_z_operator(basis, 1, 1)
     probes = np.stack([sigma_z_operator(basis, 1, site) for site in (2, 3, 4)])
@@ -326,7 +340,7 @@ def assert_w_route_refuses_the_ladder():
     with pytest.raises(RuntimeError, match="breaks the chiral mirror"):
         multi_distance_otoc_values(eig, probes, d_1, times)
     series = exact_otoc(eig, probes[0], d_1, times)
-    reference = [expm_otoc(H.matrix, probes[0], d_1, t) for t in times]
+    reference = [expm_otoc(H.matrix.toarray(), probes[0], d_1, t) for t in times]
     assert np.max(np.abs(series.values - reference)) < 1e-12
 
 
@@ -345,18 +359,12 @@ def test_w_route_rejects_a_same_sublattice_bond(monkeypatch):
     assert_w_route_refuses_the_ladder()
 
 
-def test_w_route_rejects_an_even_diagonal(monkeypatch):
+def test_w_route_rejects_an_even_diagonal():
     # A rung sz sz term is even under the spin flip. (A constant shift is even
     # too, but only multiplies U(t) by a phase and leaves |W| unchanged.)
-    entries = core._hamiltonian_entries
-
-    def with_rung_zz(params, disorder, basis):
-        d, rows, cols, values = entries(params, disorder, basis)
-        zz = sigma_z_operator(basis, 1, 1) * sigma_z_operator(basis, 2, 1)
-        return d + 0.7 * zz, rows, cols, values
-
-    monkeypatch.setattr(core, "_hamiltonian_entries", with_rung_zz)
-    assert_w_route_refuses_the_ladder()
+    basis = SectorBasis(4)
+    zz = sigma_z_operator(basis, 1, 1) * sigma_z_operator(basis, 2, 1)
+    assert_w_route_refuses_the_ladder(0.7 * zz)
 
 
 # ---------------------------------------------------------------- sampled
@@ -660,3 +668,39 @@ def test_otoc_routes_check_memory_first(monkeypatch):
     ]:
         with pytest.raises(MemoryError, match=f"{caller} at N=20 needs about .* 1000 bytes"):
             call()
+
+
+NAN = float("nan")
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda eig: InitialState(np.full(eig.dim, NAN), kind="haar"),
+        lambda eig: evolve_state(eig, np.full(eig.dim, NAN), 1.0),
+        lambda eig: evolve_state(eig, eig.eigenvectors[:, 0], NAN),
+        lambda eig: evolve_state(eig, eig.eigenvectors[:, 0], np.inf),
+        lambda eig: OtocSeries(times=[0.0, 1.0], values=[NAN, 0.5]),
+        lambda eig: WavefrontGrid(distances=[1], times=[0.0, 1.0], values=[[NAN, 0.5]]),
+        lambda eig: EonDistribution(weights=np.full(eig.dim, NAN), energies=eig.eigenvalues),
+        lambda eig: FitResult(
+            form="exp", params={"a": 1.0}, r_squared=NAN, window=(1.0, 2.0), residuals=[0.0]
+        ),
+        lambda eig: ErrorSignal(times=[0.0, 1.0], eps=[0.0, NAN], kind="eps1", M=1),
+    ],
+    ids=[
+        "initial-state",
+        "evolve-state",
+        "evolve-time-nan",
+        "evolve-time-inf",
+        "otoc-series",
+        "wavefront-grid",
+        "eon-weights",
+        "fit-r-squared",
+        "error-signal",
+    ],
+)
+def test_tolerance_checks_refuse_nan(make):
+    _, eig = make_eig(3)
+    with pytest.raises(ValueError):
+        make(eig)

@@ -5,11 +5,12 @@ sets, the exact OTOC decay series and the sampled errors' saturated means
 (decay), and the space-time grid (wavefront), together with what the fits
 made of them. Rerunning only the fits and contours on those stored inputs
 checks this layer against the benchmark's outputs without the OTOC kernels.
-The tolerances are the benchmark's own.
+The tolerances, sample counts and contour levels are imported from the
+benchmark's own workload module, so they are kept in one place.
 """
 
 import json
-import math
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -17,25 +18,22 @@ import pytest
 
 from ladderxx.fits import fit_error_scaling, fit_mbl_form
 from ladderxx.otoc import OtocSeries, default_decay_times, default_lightcone_times
-from ladderxx.wavefront import (
-    DEFAULT_ETA_GRID,
-    WavefrontGrid,
-    extract_contour,
-    fit_dynamical_exponent,
-)
+from ladderxx.wavefront import WavefrontGrid, extract_contour, fit_dynamical_exponent
 
-REFERENCES = Path(__file__).resolve().parents[1] / "perfbench" / "references"
-EPS = float(np.finfo(np.float64).eps)
-EXACT_ATOL = 1e4 * EPS
-FIT_RTOL = math.sqrt(EPS)
-# The decay study's sample counts and the contour levels the wavefront study
-# fits (eta = 0.01 lies below the L = 6 OTOC floor, so it has no contour).
-DECAY_M = (1, 4, 16, 64)
-WAVEFRONT_ETAS = tuple(eta for eta in DEFAULT_ETA_GRID if eta >= 0.05)
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+if str(PERFBENCH) not in sys.path:
+    sys.path.insert(0, str(PERFBENCH))
+from bench_workloads import (  # noqa: E402
+    DECAY_M,
+    EXACT_ATOL,
+    FIT_RTOL,
+    REFERENCE_DIR,
+    WAVEFRONT_ETAS,
+)
 
 
 def stored_sets(workload: str) -> dict:
-    with open(REFERENCES / f"{workload}.json") as f:
+    with open(REFERENCE_DIR / f"{workload}.json") as f:
         sets = json.load(f)["sets"]
     assert len(sets) == 16
     return sets
