@@ -458,10 +458,13 @@ def charge_blocks(
     without an N x N array. The q < 0 spectra are the mirror images of the
     q > 0 ones (`_check_chiral_symmetry`, which raises if a term of H breaks
     that). With independent legs the one block is H made dense, after a
-    memory check. ||H||_F^2 is the sum of the squared stored entries of H.
+    memory check. ||H||_F^2 is the sum of the squared stored entries of H,
+    summed by numpy, not by a BLAS dot: a dot over the ~4e4 entries at L = 7
+    starts OpenBLAS's thread pool, after which the next LAPACK eigensolve
+    runs ~1.5x slower for ~0.1 s.
     """
     H = build_hamiltonian(params, disorder, basis).matrix
-    frobenius2 = float(H.data @ H.data)
+    frobenius2 = float(np.square(H.data).sum())
     n = basis.dim
     if disorder.fields_for_leg(1) != disorder.fields_for_leg(2):
         check_memory("charge_blocks", n, BUILD_COPIES)
@@ -495,6 +498,8 @@ def diagonalize(H: SectorHamiltonian | ChargeBlocks) -> EigenSystem | SectorSpec
     Raises RuntimeError unless sum(lambda^2) equals ||H||_F^2 to rounding:
     the blocks are projections, so weight goes missing exactly when H couples
     them, i.e. does not conserve the charge although its fields say it does.
+    sum(lambda^2) is summed by numpy, like ||H||_F^2 in `charge_blocks` and
+    for the same reason: no threaded BLAS dot runs between two solves.
     """
     blocks = isinstance(H, ChargeBlocks)
     if blocks:
@@ -514,7 +519,7 @@ def diagonalize(H: SectorHamiltonian | ChargeBlocks) -> EigenSystem | SectorSpec
     sectors = dict(zip(H.charges, parts)) if H.charges is not None else {}
     mirrors = [-e for q, e in sectors.items() if q > 0]
     w = np.sort(np.concatenate(parts + mirrors))
-    lost = abs(float(w @ w) - H.frobenius2)
+    lost = abs(float(np.square(w).sum()) - H.frobenius2)
     if not lost <= SPECTRAL_WEIGHT_RTOL * w.size * H.frobenius2:
         raise RuntimeError(
             f"spectrum misses weight of H: |sum(lambda^2) - ||H||_F^2| = {lost:.3e} "

@@ -28,7 +28,9 @@ global spin flip anticommutes with H and with Q, so the sector -q spectrum
 is the mirror image E -> -E of sector q. `charge_blocks` checks what that
 needs of H, a diagonal odd under the flip and bonds only between the two
 sublattices, and raises otherwise. The merged spectrum agrees with a full
-solve to rounding (below 1e-12 at L <= 7).
+solve to rounding (below 1e-12 at L <= 7). The spectral-weight check sums
+||H||_F^2 and sum(lambda^2) with numpy reductions: a BLAS dot that long
+starts OpenBLAS's threads, and the sector solve after it ran ~1.5x slower.
 """
 
 from __future__ import annotations
@@ -103,6 +105,12 @@ def _middle(E: np.ndarray, fraction: float | None) -> np.ndarray:
     return E[start : start + keep]
 
 
+def _stderr(means) -> float:
+    """Standard error of the mean of per-realization values; NaN for one value."""
+    means = np.asarray(means)
+    return float(means.std(ddof=1) / np.sqrt(means.size)) if means.size > 1 else float("nan")
+
+
 def ensemble_gap_ratio(
     params: LadderParams,
     h_list,
@@ -116,8 +124,10 @@ def ensemble_gap_ratio(
     For each h, ``realizations`` Hamiltonians are drawn (streams keyed by the
     master seed, h, and the realization index), diagonalized, and reduced to
     a per-realization mean ratio; the report carries the ensemble mean and
-    the standard error of the per-realization means, and meta["sector_mean_r"]
-    the ensemble mean per charge sector |q| (module notes). ``middle_fraction``
+    the standard error of the per-realization means, meta["sector_mean_r"]
+    the ensemble mean per charge sector |q| (module notes) and
+    meta["sector_stderr"] its standard error, NaN with one realization as
+    ``stderr`` is. ``middle_fraction``
     optionally keeps only that central fraction of each spectrum and of each
     sector, default off (the full spectrum enters the average).
     """
@@ -144,16 +154,11 @@ def ensemble_gap_ratio(
                 if E.size >= 3:
                     mean = gap_ratios(_middle(E, middle_fraction)).mean()
                     sector_means.setdefault(q, []).append(float(mean))
-        stderr = (
-            float(means.std(ddof=1) / np.sqrt(realizations))
-            if realizations > 1
-            else float("nan")
-        )
         reports.append(
             GapRatioReport(
                 per_realization_means=means,
                 ensemble_mean=float(means.mean()),
-                stderr=stderr,
+                stderr=_stderr(means),
                 meta={
                     "L": p.L,
                     "alpha": p.alpha,
@@ -164,6 +169,7 @@ def ensemble_gap_ratio(
                     "middle_fraction": middle_fraction,
                     "dropped_pairs": dropped_total,
                     "sector_mean_r": {q: float(np.mean(v)) for q, v in sector_means.items()},
+                    "sector_stderr": {q: _stderr(v) for q, v in sector_means.items()},
                 },
             )
         )

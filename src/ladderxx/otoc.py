@@ -446,7 +446,9 @@ def fock_state(basis: SectorBasis, seed: int) -> InitialState:
 
 
 def complete_fock_basis(basis: SectorBasis) -> list[InitialState]:
-    """All N one-hot sector states, in basis order."""
+    """All N one-hot sector states, in basis order: views of one complex N x N
+    identity, two float64 N x N arrays' worth, checked against memory first."""
+    check_memory("complete_fock_basis", basis.dim, 2.0)
     eye = np.eye(basis.dim, dtype=complex)
     return [InitialState(amplitudes=eye[:, j], kind="fock", seed=None) for j in range(basis.dim)]
 

@@ -6,7 +6,7 @@ import subprocess
 import sys
 import textwrap
 import tracemalloc
-from math import comb
+from math import comb, fsum
 from pathlib import Path
 
 import numpy as np
@@ -466,6 +466,18 @@ def test_spectral_blocks_match_reference(L, alpha):
         assert np.max(np.abs(block - U.T @ H @ U)) <= tol
         mirror = scipy.linalg.eigh(reference[-q].T @ H @ reference[-q], eigvals_only=True)
         assert np.max(np.abs(np.sort(-mirror) - scipy.linalg.eigh(block, eigvals_only=True))) < 1e-12
+
+
+@pytest.mark.parametrize("independent_legs", [False, True])
+@pytest.mark.parametrize("L", range(2, 8))
+def test_frobenius2_is_the_sum_of_squared_entries_of_h(L, independent_legs):
+    params = LadderParams(L=L, alpha=1.3, h=2.0)
+    disorder = sample_disorder(params, 8, independent_legs=independent_legs)
+    basis = SectorBasis(L)
+    H = build_hamiltonian(params, disorder, basis).matrix
+    want = fsum(np.square(H.data))
+    got = charge_blocks(params, disorder, basis).frobenius2
+    assert abs(got - want) <= 1e-14 * want
 
 
 @pytest.mark.parametrize("L", [4, 5])

@@ -90,6 +90,8 @@ def test_ensemble_determinism():
     b = ensemble_gap_ratio(params, [1.0], realizations=1, seed=99)
     assert a[0].ensemble_mean == b[0].ensemble_mean
     assert np.isnan(a[0].stderr)
+    assert list(a[0].meta["sector_stderr"]) == list(a[0].meta["sector_mean_r"]) == [1]
+    assert np.isnan(a[0].meta["sector_stderr"][1])
 
 
 @pytest.mark.parametrize("realizations", [2.0, True, 0, -1])
@@ -229,8 +231,8 @@ def test_dressed_rung_charge_sectors_have_squared_binomial_sizes(L):
 
 
 def reference_sector_means(params, h, realizations, seed, middle_fraction):
-    """Per-sector mean ratios from dense projections of H onto the eigenspaces
-    of the dense charge, the q = 0 sector by its upper half."""
+    """Per-sector mean ratio of each realization, from dense projections of H
+    onto the eigenspaces of the dense charge, the q = 0 sector by its upper half."""
     basis = SectorBasis(params.L)
     q, V = np.linalg.eigh(dressed_rung_charge(basis))
     q = np.round(q).astype(int)
@@ -248,7 +250,7 @@ def reference_sector_means(params, h, realizations, seed, middle_fraction):
             keep = max(3, int(round(middle_fraction * E.size))) if middle_fraction else E.size
             start = (E.size - keep) // 2
             means.setdefault(c, []).append(gap_ratios(E[start : start + keep]).mean())
-    return {c: float(np.mean(m)) for c, m in means.items()}
+    return means
 
 
 @pytest.mark.parametrize("middle_fraction", [None, 0.5])
@@ -258,10 +260,12 @@ def test_sector_ratios_match_dense_projections(L, middle_fraction):
     (report,) = ensemble_gap_ratio(params, [2.0], 3, seed=4, middle_fraction=middle_fraction)
     want = reference_sector_means(params, 2.0, 3, 4, middle_fraction)
     got = report.meta["sector_mean_r"]
+    stderr = report.meta["sector_stderr"]
     # Sectors of fewer than three levels (q = L, and q = 0 at L = 2) have no ratio.
-    assert sorted(got) == sorted(want) == list(range(L % 2, L - 1, 2))
-    for c in want:
-        assert abs(got[c] - want[c]) < 1e-12
+    assert sorted(got) == sorted(stderr) == sorted(want) == list(range(L % 2, L - 1, 2))
+    for c, means in want.items():
+        assert abs(got[c] - np.mean(means)) < 1e-12
+        assert abs(stderr[c] - np.std(means, ddof=1) / np.sqrt(3)) < 1e-12
 
 
 def test_independent_legs_report_no_sectors():
@@ -273,8 +277,15 @@ def test_sector_ratios_bracket_the_crossover_at_l7():
     # The q = 1 sector alone is GOE-like at weak disorder and Poisson-like at
     # strong disorder, while the merged spectrum stays low at both.
     params = LadderParams(L=7, alpha=1.0)
-    weak, strong = ensemble_gap_ratio(params, [0.5, 8.0], 4, seed=0, middle_fraction=0.5)
-    assert weak.meta["sector_mean_r"][1] > 0.50
-    assert strong.meta["sector_mean_r"][1] < 0.43
+    weak, strong = ensemble_gap_ratio(params, [0.5, 8.0], 6, seed=0, middle_fraction=0.5)
+    r_weak, se_weak = weak.meta["sector_mean_r"][1], weak.meta["sector_stderr"][1]
+    r_strong, se_strong = strong.meta["sector_mean_r"][1], strong.meta["sector_stderr"][1]
+    assert r_weak > 0.50
+    assert r_strong < 0.43
+    # The middle half of q = 1 is GOE at h = 0.5 (0.5306 +- 0.0031). At h = 8
+    # it is far below GOE (0.408 +- 0.011) but still about 2 standard errors
+    # above Poisson at L = 7, a finite-size offset, so Poisson is not pinned.
+    assert abs(r_weak - R_GOE) < 3 * se_weak
+    assert r_strong < R_GOE - 5 * se_strong
     assert weak.ensemble_mean < 0.45
     assert sorted(weak.meta["sector_mean_r"]) == [1, 3, 5]

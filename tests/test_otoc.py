@@ -665,6 +665,7 @@ def test_otoc_routes_check_memory_first(monkeypatch):
         ("exact_otoc", lambda: exact_otoc(eig, d_i, d_1, times)),
         ("multi_distance_otoc_values", lambda: multi_distance_otoc_values(eig, d_i[None, :], d_1, times)),
         ("sampled_otoc", lambda: sampled_otoc(eig, d_i, d_1, [fock_state(basis, 0)], times)),
+        ("complete_fock_basis", lambda: complete_fock_basis(basis)),
     ]:
         with pytest.raises(MemoryError, match=f"{caller} at N=20 needs about .* 1000 bytes"):
             call()

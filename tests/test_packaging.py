@@ -123,3 +123,37 @@ def test_src_has_no_assert_statements():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+def test_spectral_weight_sums_use_no_blas_dot():
+    # A BLAS dot over the ~4e4 entries of H at L = 7 starts OpenBLAS's thread
+    # pool, and the LAPACK eigensolve that follows it ran ~1.5x slower; so
+    # ||H||_F^2 and sum(lambda^2) are numpy reductions.
+    path = ROOT / "src" / "ladderxx" / "core.py"
+    bodies = {
+        node.name: node
+        for node in ast.parse(path.read_text(), filename=str(path)).body
+        if isinstance(node, ast.FunctionDef)
+    }
+    found = []
+    for name in ("charge_blocks", "diagonalize"):
+        for node in ast.walk(bodies[name]):
+            if (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr in ("dot", "vdot", "inner")
+            ):
+                found.append(f"{name}:{node.lineno} .{node.func.attr}()")
+            if (
+                isinstance(node, ast.BinOp)
+                and isinstance(node.op, ast.MatMult)
+                and ast.dump(node.left) == ast.dump(node.right)
+            ):
+                found.append(f"{name}:{node.lineno} {ast.unparse(node)}")
+    assert found == []
+
+
+def test_ci_tier1_job_has_a_timeout():
+    workflow = (ROOT / ".github" / "workflows" / "tier1.yml").read_text()
+    job = workflow.split("\n  tier1:\n", 1)[1]
+    assert re.search(r"^    timeout-minutes: 30$", job, re.M)
