@@ -23,7 +23,7 @@ import functools
 import hashlib
 import itertools
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import comb
 
 import numpy as np
@@ -260,10 +260,16 @@ class ChargeBlocks:
 
 @dataclass(frozen=True)
 class EigenSystem:
-    """Full spectrum of one realization: ascending eigenvalues, orthonormal column eigenvectors."""
+    """Full spectrum of one realization: ascending eigenvalues, orthonormal column eigenvectors.
+
+    The OTOC routines keep up to two diagonal operators rotated into this
+    eigenbasis, read-only N x N arrays, in a private memo, so the arrays
+    must not be changed in place once an OTOC has been evaluated.
+    """
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
+    _rotated: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def dim(self) -> int:

@@ -8,7 +8,14 @@ over M random initial states (Haar vectors or Fock basis states).
 `exact_otoc` is the reference implementation: the trace route,
 Tr[A(t) B A(t) B] / N in the eigenbasis with A(t) = U+(t) sz_i U(t) and
 B = sz_1, valid for any real symmetric H. Each step checks the data:
-A(t)^2 = B^2 = 1, so P = A(t) B has ||P||_F^2 = N.
+A(t)^2 = B^2 = 1, so P = A(t) B has ||P||_F^2 = N. Its steps run in two
+work blocks allocated once per call; they apply the same ufuncs and GEMMs
+in the same order as fresh temporaries would, so the values keep their bits.
+
+Both eigenbasis routes rotate their diagonal operators through
+`_eigenbasis_diagonal`, which keeps the two most recently used rotations
+on the `EigenSystem`: an exact OTOC and its sampled estimators of the same
+operator pair rotate each operator once per eigensystem.
 
 The W-route, `multi_distance_otoc_values`, builds W(t) = U(t) sz_1 U+(t) in
 the computational basis. It is the fast kernel of ensemble loops, where one
@@ -23,9 +30,10 @@ the flip in the sorted basis. For probes that are odd under the flip too,
 the rows a < N/2 carry the whole OTOC.
 
 `sampled_otoc` evolves its M states in the eigenbasis and never returns to
-the computational basis. Once per call it rotates both operators into the
-eigenbasis, A~ = V^T sz_i V and B~ = V^T sz_1 V, and the states and their
-sz_1 images into eigenbasis coefficients [b, c] = V^T [sz_1 psi, psi]. Time
+the computational basis. It takes both operators in the eigenbasis,
+A~ = V^T sz_i V and B~ = V^T sz_1 V, from the rotation memo, and once per
+call it rotates the states and their sz_1 images into eigenbasis
+coefficients [b, c] = V^T [sz_1 psi, psi]. Time
 steps then go in chunks: the phased columns of every step in a chunk share
 one real GEMM with A~ and one with B~, so a call with few states still makes
 a few wide GEMMs instead of many narrow ones.
@@ -61,9 +69,10 @@ __all__ = [
 
 
 # Peak memory in units of one N x N float64 array (8 N^2 bytes): the larger
-# tracemalloc peak of L = 5 and 6, rounded up. exact_otoc's comes from the
-# complex N x N temporaries of its trace route.
-EXACT_COPIES = 10.3
+# tracemalloc peak of L = 5 and 6, rounded up. exact_otoc's is A~ and B~ plus
+# its two work blocks of 2 N^2 floats (6.04 at L = 6); at L = 5 numpy's
+# fixed-size cast buffers add half a copy more (6.54).
+EXACT_COPIES = 6.6
 MULTI_DISTANCE_COPIES = 3.3
 # sampled_otoc: 3.1 while it rotates the two operators, then 2 for them plus
 # 12 M K / N for the state coefficients and two chunk buffers of 4 M K real
@@ -75,6 +84,10 @@ SAMPLED_COPIES_PER_STATE = 12.0
 _CHUNK_COLUMNS = 1024
 # exact_otoc raises when ||A(t) sz_1||_F^2 / N misses 1 by more than this.
 DEFECT_TOL = 1e-9
+# sampled_otoc raises when some |F_j(t)| exceeds 1 by more than this.
+SAMPLE_TOL = 1e-9
+# Rotated diagonals kept per eigensystem: the two operators of one OTOC.
+_ROTATED_KEPT = 2
 # multi_distance_otoc_values raises when a diagonal pair W_aa, W_f(a)f(a) of
 # W(t) misses the chiral mirror W_f(a)f(a) = -W_aa by more than this.
 MIRROR_TOL = 1e-9
@@ -197,9 +210,25 @@ def _checked_operators(
 
 
 def _eigenbasis_diagonal(eig: EigenSystem, diag: np.ndarray) -> np.ndarray:
-    """Rotate a computational-basis diagonal operator into the eigenbasis."""
-    V = eig.eigenvectors
-    return V.T @ (diag[:, None] * V)
+    """Rotate a computational-basis diagonal operator into the eigenbasis.
+
+    The result is memoized on `eig`, keyed by the diagonal's bytes, for the
+    `_ROTATED_KEPT` most recently used diagonals, and returned read-only: the
+    calls of one OTOC study then rotate its two operators once, not once per
+    call, with the same bits.
+    """
+    memo = eig._rotated
+    key = diag.tobytes()
+    # Popped and put back, so the least recently used entry comes first.
+    rotated = memo.pop(key, None)
+    if rotated is None:
+        V = eig.eigenvectors
+        rotated = V.T @ (diag[:, None] * V)
+        rotated.flags.writeable = False
+        if len(memo) == _ROTATED_KEPT:
+            del memo[next(iter(memo))]
+    memo[key] = rotated
+    return rotated
 
 
 def exact_otoc(
@@ -214,7 +243,16 @@ def exact_otoc(
     A(t) = Phi* A Phi, Phi = diag(exp(-i E t)), and returns Tr[P^2] / N.
     Since A(t)^2 = B^2 = 1, ||P||_F^2 = N for an orthonormal eigensystem;
     the largest |<P, P> / N - 1| over the grid is stored in meta["defect"],
-    and RuntimeError is raised above `DEFECT_TOL`; the check is O(N^2) a step.
+    and RuntimeError is raised above `DEFECT_TOL` or when it is NaN; the
+    check is O(N^2) a step.
+
+    A and B come from the rotation memo on `eig`. Each step writes into two
+    blocks of 2 N^2 floats allocated once per call: A(t) in place, its Re and
+    Im copied out contiguous, two real GEMMs Re A(t) B and Im A(t) B (kept
+    apart: one stacked GEMM rounds differently), P assembled from them, and
+    the elementwise P * P^T summed. These are the operations, in the order,
+    that fresh temporaries would take, so the values are bitwise those of an
+    unbuffered loop; the peak is about 6 N x N arrays (`EXACT_COPIES`).
 
     Parameters
     ----------
@@ -235,21 +273,38 @@ def exact_otoc(
     A = _eigenbasis_diagonal(eig, D[0])
     B = _eigenbasis_diagonal(eig, d1)
 
+    # Two blocks of 2 N^2 floats, each viewed by role. The first holds A(t),
+    # then Re P and Im P, then P * P^T; the second holds Re A(t) and Im A(t),
+    # then P.
+    first = np.empty(2 * n * n)
+    second = np.empty(2 * n * n)
+    At = first.view(complex).reshape(n, n)
+    products = first.reshape(2, n, n)
+    parts = second.reshape(2, n, n)
+    P = second.view(complex).reshape(n, n)
     values = np.empty(times.shape, dtype=complex)
-    defect = 0.0
+    defects = np.empty(times.shape)
     for k, t in enumerate(times):
         u = np.exp(1j * E * t)
-        At = (u[:, None] * A) * u.conj()[None, :]
+        np.multiply(u[:, None], A, out=At)
+        np.multiply(At, u.conj()[None, :], out=At)
         # Two real products keep BLAS in dgemm.
-        P = At.real @ B + 1j * (At.imag @ B)
-        values[k] = np.sum(P * P.T) / n
-        defect = max(defect, abs(np.vdot(P, P).real / n - 1.0))
+        np.copyto(parts[0], At.real)
+        np.copyto(parts[1], At.imag)
+        np.matmul(parts[0], B, out=products[0])
+        np.matmul(parts[1], B, out=products[1])
+        P.real = products[0]
+        P.imag = products[1]
+        np.multiply(P, P.T, out=At)
+        values[k] = np.sum(At) / n
+        defects[k] = abs(np.vdot(P, P).real / n - 1.0)
+    defect = np.max(defects)
     if not defect <= DEFECT_TOL:
         raise RuntimeError(
             f"exact OTOC defect ||A(t) sz_1||_F^2 / N - 1 reached {defect:.3e} "
             f"(tolerance {DEFECT_TOL:.1e}): the eigenvectors are not orthonormal enough"
         )
-    if np.max(np.abs(values.imag)) > 1e-10:
+    if not np.max(np.abs(values.imag)) <= 1e-10:
         raise RuntimeError("exact OTOC acquired an imaginary part above 1e-10")
 
     return OtocSeries(
@@ -356,9 +411,10 @@ def sampled_otoc(
     With A(t) = U+(t) sz_i U(t) Hermitian, each
     F_j(t) = <psi_j| A sz_1 A sz_1 |psi_j> = (A psi_j)^dagger sz_1 (A sz_1 psi_j).
     In the eigenbasis A(t) = V Phi* A~ Phi V^T and sz_1 = V B~ V^T, with
-    Phi = diag(exp(-i E t)), A~ = V^T sz_i V and B~ = V^T sz_1 V. A~, B~ and
-    the coefficients [b, c] = V^T [sz_1 psi, psi] (N x 2M) are computed once
-    per call. With [y, z] = Phi* A~ Phi [b, c], F_j = z_j^dagger B~ y_j.
+    Phi = diag(exp(-i E t)), A~ = V^T sz_i V and B~ = V^T sz_1 V. A~ and B~
+    come from the rotation memo on `eig`; the coefficients
+    [b, c] = V^T [sz_1 psi, psi] (N x 2M) are computed once per call. With
+    [y, z] = Phi* A~ Phi [b, c], F_j = z_j^dagger B~ y_j.
 
     The time steps go in chunks of consecutive steps, as many as fit in
     `_CHUNK_COLUMNS` real columns and at least one. Per chunk the phased
@@ -369,7 +425,8 @@ def sampled_otoc(
     N x N GEMM, and A~ and B~ are read once per chunk, not once per step.
 
     values holds the mean over states, per_sample the individual complex
-    F_j series.
+    F_j series. Each F_j is the expectation of a unitary, so RuntimeError is
+    raised when some |F_j| exceeds 1 by more than `SAMPLE_TOL`, or is NaN.
     """
     if len(states) == 0:
         raise ValueError("need at least one initial state")
@@ -415,6 +472,13 @@ def sampled_otoc(
         np.matmul(B, y.view(float).reshape(n, -1), out=By.view(float).reshape(n, -1))
         np.conjugate(z, out=z)
         per_sample[:, start : start + k] = np.einsum("akj,akj->jk", z, By)
+    # Each F_j is the expectation of a unitary, so |F_j| <= 1.
+    largest = np.max(np.abs(per_sample))
+    if not largest <= 1.0 + SAMPLE_TOL:
+        raise RuntimeError(
+            f"sampled OTOC reached |F_j| = {largest:.3e}, above 1 + {SAMPLE_TOL:.0e}: "
+            "the eigenvectors are not orthonormal enough"
+        )
 
     kinds = {s.kind for s in states}
     return OtocSeries(

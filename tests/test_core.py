@@ -624,7 +624,7 @@ def test_memory_check_admits_l7_and_the_l8_w_route_and_stops_l8_exact_otoc(monke
     ):
         check_memory("step", n7, copies)
     # At L = 8 one N x N array is 1.3 GB: the half-row W-route holds about
-    # three, exact_otoc's trace route about ten.
+    # three, exact_otoc's trace route about 6.6, just over the 6.48 of 8 GiB.
     check_memory("multi_distance_otoc_values", n8, otoc.MULTI_DISTANCE_COPIES)
     with pytest.raises(MemoryError, match="exact_otoc at N=12870"):
         check_memory("exact_otoc", n8, otoc.EXACT_COPIES)

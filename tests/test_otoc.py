@@ -220,6 +220,116 @@ def test_exact_otoc_rejects_wrong_dimension():
         exact_otoc(eig, np.ones(7), sigma_z_operator(basis, 1, 1), [0.0])
 
 
+def trace_route_reference(eig, op_i, op_1, times):
+    """The trace route of `exact_otoc` with a fresh complex temporary for every
+    intermediate of every step: the same ufuncs and GEMMs in the same order."""
+    V, E, n = eig.eigenvectors, eig.eigenvalues, eig.dim
+    A = V.T @ (op_i[:, None] * V)
+    B = V.T @ (op_1[:, None] * V)
+    values = np.empty(len(times), dtype=complex)
+    for k, t in enumerate(times):
+        u = np.exp(1j * E * t)
+        At = (u[:, None] * A) * u.conj()[None, :]
+        P = At.real @ B + 1j * (At.imag @ B)
+        values[k] = np.sum(P * P.T) / n
+    return values
+
+
+@pytest.mark.parametrize("L,h,seed", [(4, 1.0, 5), (5, 2.0, 4), (6, 4.0, 3)])
+def test_exact_otoc_is_bitwise_the_unbuffered_trace_route(L, h, seed):
+    basis, eig = make_eig(L, h=h, seed=seed)
+    d_i, d_1 = sigma_z_operator(basis, 1, L), sigma_z_operator(basis, 1, 1)
+    times = np.concatenate([[0.0], default_decay_times()])
+    got = exact_otoc(eig, d_i, d_1, times).values
+    want = trace_route_reference(eig, d_i, d_1, times)
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def nan_poisoned(eig):
+    V = eig.eigenvectors.copy()
+    V[3, 5] = np.nan
+    return core.EigenSystem(eig.eigenvalues, V)
+
+
+def test_exact_otoc_raises_on_a_nan_eigensystem():
+    basis, eig = make_eig(3, seed=6)
+    d_i, d_1 = sigma_z_operator(basis, 1, 3), sigma_z_operator(basis, 1, 1)
+    with pytest.raises(RuntimeError, match="defect .* reached nan"):
+        exact_otoc(nan_poisoned(eig), d_i, d_1, [0.5, 1.0])
+
+
+def peak_and_estimate(monkeypatch, call):
+    """The tracemalloc peak of call() and the bytes its one memory check asked for."""
+    estimates = []
+
+    def recording_check(caller, n, copies):
+        estimates.append(copies * 8 * n * n)
+
+    monkeypatch.setattr(otoc, "check_memory", recording_check)
+    tracemalloc.start()
+    try:
+        call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(estimates) == 1
+    return peak, estimates[0]
+
+
+@pytest.mark.parametrize("L", [5, 6])
+def test_exact_peak_memory_stays_below_its_estimate(L, monkeypatch):
+    basis, eig = make_eig(L, h=4.0, seed=3)
+    d_i, d_1 = sigma_z_operator(basis, 1, L), sigma_z_operator(basis, 1, 1)
+    peak, estimate = peak_and_estimate(
+        monkeypatch, lambda: exact_otoc(eig, d_i, d_1, default_decay_times())
+    )
+    assert peak < estimate
+
+
+def test_each_operator_is_rotated_once_per_eigensystem():
+    class CountingVectors(np.ndarray):
+        """Eigenvectors that count the N x N by N x N products taken with them."""
+
+        products = 0
+
+        def __matmul__(self, other):
+            a, b = self.view(np.ndarray), np.asarray(other)
+            if a.shape == b.shape == (a.shape[0], a.shape[0]):
+                CountingVectors.products += 1
+            return a @ b
+
+    def counted(eig):
+        return core.EigenSystem(eig.eigenvalues, eig.eigenvectors.view(CountingVectors))
+
+    basis, eig = make_eig(4, h=4.0, seed=3)
+    d_i, d_1 = sigma_z_operator(basis, 1, 4), sigma_z_operator(basis, 1, 1)
+    times = default_decay_times(10)
+    first = counted(eig)
+    # One decay study: the exact OTOC, then Haar and Fock estimators at four M.
+    exact_otoc(first, d_i, d_1, times)
+    for draw in (haar_state, fock_state):
+        for M in (1, 4, 16, 64):
+            sampled_otoc(first, d_i, d_1, [draw(basis, j) for j in range(M)], times)
+    assert CountingVectors.products == 2
+    assert len(first._rotated) == 2
+    for rotated in first._rotated.values():
+        assert not rotated.flags.writeable
+        with pytest.raises(ValueError):
+            rotated[0, 0] = 0.0
+    # A new diagonal misses and evicts the least recently used one, d_i.
+    d_3 = sigma_z_operator(basis, 2, 2)
+    sampled_otoc(first, d_3, d_1, [haar_state(basis, 0)], times)
+    assert CountingVectors.products == 3
+    assert list(first._rotated) == [d_3.tobytes(), d_1.tobytes()]
+    sampled_otoc(first, d_3, d_1, [haar_state(basis, 0)], times)
+    assert CountingVectors.products == 3
+    # Another eigensystem, even over the same arrays, rotates anew.
+    second = counted(eig)
+    exact_otoc(second, d_i, d_1, times)
+    assert CountingVectors.products == 5
+    assert len(first._rotated) == len(second._rotated) == 2
+
+
 # ---------------------------------------------------------------- fast routes
 
 def test_pair_route_matches_exact():
@@ -465,6 +575,25 @@ def test_sampled_global_phase_invariance():
     assert np.max(np.abs(a.values - b.values)) < 1e-12
 
 
+def test_sampled_otoc_is_bitwise_the_same_with_a_cold_and_a_warm_memo():
+    basis, eig = make_eig(5, h=4.0, seed=3)
+    d_i, d_1 = sigma_z_operator(basis, 1, 5), sigma_z_operator(basis, 1, 1)
+    states = _states(basis, "mixed", 4)
+    times = default_decay_times()
+    cold = sampled_otoc(eig, d_i, d_1, states, times).per_sample
+    assert len(eig._rotated) == 2
+    exact_otoc(eig, d_i, d_1, times)
+    warm = sampled_otoc(eig, d_i, d_1, states, times).per_sample
+    assert np.array_equal(cold.view(np.uint64), warm.view(np.uint64))
+
+
+def test_sampled_otoc_raises_on_a_nan_eigensystem():
+    basis, eig = make_eig(3, seed=6)
+    d_i, d_1 = sigma_z_operator(basis, 1, 3), sigma_z_operator(basis, 1, 1)
+    with pytest.raises(RuntimeError, match="sampled OTOC reached"):
+        sampled_otoc(nan_poisoned(eig), d_i, d_1, [haar_state(basis, 0)], [0.5, 1.0])
+
+
 def test_sampled_rejects_empty_states():
     basis, eig = make_eig(2)
     with pytest.raises(ValueError):
@@ -531,20 +660,10 @@ def test_sampled_peak_memory_stays_below_its_estimate(L, M, monkeypatch):
     d_i = sigma_z_operator(basis, 1, L)
     d_1 = sigma_z_operator(basis, 1, 1)
     states = [haar_state(basis, j) for j in range(M)]
-    estimates = []
-
-    def recording_check(caller, n, copies):
-        estimates.append(copies * 8 * n * n)
-
-    monkeypatch.setattr(otoc, "check_memory", recording_check)
-    tracemalloc.start()
-    try:
-        sampled_otoc(eig, d_i, d_1, states, default_decay_times())
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert len(estimates) == 1
-    assert peak < estimates[0]
+    peak, estimate = peak_and_estimate(
+        monkeypatch, lambda: sampled_otoc(eig, d_i, d_1, states, default_decay_times())
+    )
+    assert peak < estimate
 
 
 def test_otoc_series_rejects_bad_t0():

@@ -95,13 +95,32 @@ def test_ci_runs_the_traced_pass_of_every_workload():
     assert workflow.count('["correct"] is True') == 2
 
 
-def test_ci_installs_exactly_the_declared_dependencies(project):
+def ci_installs():
+    """The package specs of the workflow's one pip install line."""
     workflow = (ROOT / ".github" / "workflows" / "tier1.yml").read_text()
     installs = re.findall(r"pip install ([^\n]+)", workflow)
     assert len(installs) == 1
+    return installs[0].split()
+
+
+def package_names(specs):
+    return {re.match(r"[A-Za-z0-9_.-]+", spec).group().lower() for spec in specs}
+
+
+def test_ci_installs_exactly_the_declared_dependencies(project):
     declared = project["dependencies"] + project["optional-dependencies"]["test"]
-    names = {re.match(r"[A-Za-z0-9_.-]+", spec).group().lower() for spec in declared}
-    assert set(installs[0].lower().split()) == names
+    assert package_names(ci_installs()) == package_names(declared)
+
+
+def test_ci_pins_numpy_and_scipy_to_exact_versions_within_the_declared_ranges(project):
+    # The benchmark replay in CI is bit-sensitive, so it runs on the numpy and
+    # scipy its references were recorded with.
+    pins = dict(spec.split("==") for spec in ci_installs() if "==" in spec)
+    for name in ("numpy", "scipy"):
+        assert re.fullmatch(r"\d+\.\d+\.\d+", pins.get(name, "")), name
+        floor = next(spec for spec in project["dependencies"] if spec.startswith(name + ">="))
+        version = tuple(int(x) for x in pins[name].split("."))
+        assert version >= tuple(int(x) for x in floor.split(">=")[1].split(".")), name
 
 
 def test_importing_the_workload_modules_leaves_scipy_optimize_unloaded():
