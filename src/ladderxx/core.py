@@ -38,11 +38,14 @@ __all__ = [
     "ChargeBlocks",
     "EigenSystem",
     "SectorSpectra",
+    "ChargeLabels",
+    "ChargeEigenSystem",
     "DiagonalizationError",
     "sample_disorder",
     "build_hamiltonian",
     "charge_blocks",
     "diagonalize",
+    "diagonalize_sectors",
     "evolve_state",
     "sigma_z_operator",
     "bit_position",
@@ -60,6 +63,17 @@ BUILD_COPIES = 1.1  # the independent-legs block: H made dense, beside its CSR f
 BLOCK_COPIES = 3.2  # per m x m block: the block, its sparse product and the charge map
 EIGH_COPIES = 2.2  # eigenvectors and the dense copy of H that LAPACK overwrites
 EIGVALS_COPIES = 1.5  # per m x m block: LAPACK's copy of it and its workspace
+# diagonalize_sectors: the eigenvectors of every block, and this many copies of
+# the largest one: the block, and numpy's eigh of it, whose input copy,
+# eigenvectors and workspace raise the RSS by 4.3-4.5 block copies outside
+# tracemalloc's view; then the sparse products and, when first built, the
+# charge map (2.2 copies at L = 5 under tracemalloc).
+SECTOR_EIGH_COPIES = 6.0
+# cgroup v2 and v1 files that hold the memory limit of this process's group.
+_CGROUP_MEMORY_FILES = (
+    "/sys/fs/cgroup/memory.max",
+    "/sys/fs/cgroup/memory/memory.limit_in_bytes",
+)
 # Bit t is set where the t-th singly occupied column of a column pattern
 # carries the Jordan-Wigner sign s_t = -1 in the dressed rung charge (see
 # SectorBasis.charge_sectors): s_t = (-1)^t.
@@ -136,6 +150,38 @@ class DisorderRealization:
         return len(self.fields)
 
 
+@dataclass(frozen=True)
+class ChargeLabels:
+    """Bookkeeping of the charge map (`SectorBasis.charge_sectors`), in slots.
+
+    The states of one column-occupation pattern with z singly occupied
+    columns are numbered b = 0 .. 2^z - 1 by leg 2's bits on those columns,
+    and its Hadamard labels m likewise. Patterns take consecutive runs of
+    slots, so slot s holds state b = s - first and label m = s - first of one
+    pattern. ``slot[k]`` is the slot of state k and ``state[s]`` the state in
+    slot s. Per slot: ``z`` and the pattern's ``single`` and ``double``
+    (doubly occupied) column bits, ``index`` = b = m, and ``charge``, the q
+    of label m.
+
+    ``order`` lists the slots by (z, m, flip half, slot). The global spin
+    flip keeps z and complements b, so the flip half is b's top bit; for
+    z = 0 it swaps the doubly occupied columns with the empty ones, and the
+    flip half is whether the doubly occupied columns, read as a bit mask,
+    exceed the empty ones. A sector's labels in this order are the rows of
+    its block in `diagonalize_sectors`, and the W-route's Hadamard input
+    (`otoc._SectorRoute`) holds all labels in it.
+    """
+
+    slot: np.ndarray
+    state: np.ndarray
+    z: np.ndarray
+    index: np.ndarray
+    single: np.ndarray
+    double: np.ndarray
+    charge: np.ndarray
+    order: np.ndarray
+
+
 class SectorBasis:
     """Half-filling (Sz = 0) basis of the 2 x L ladder.
 
@@ -146,6 +192,8 @@ class SectorBasis:
     states : int64 array of the C(2L, L) bitmasks with L set bits, ascending
         (so ``np.searchsorted(states, mask)`` is the index of a bitmask).
     dim : sector dimension.
+    charge_labels : the slots of the charge map's states and labels
+        (`ChargeLabels`); built on first use.
     charge_sectors : the eigenvectors of the dressed rung charge, per
         eigenvalue; built on first use.
     """
@@ -171,6 +219,38 @@ class SectorBasis:
             )
 
     @functools.cached_property
+    def charge_labels(self) -> ChargeLabels:
+        """Slots of the charge map's states and labels; see `ChargeLabels`."""
+        L, states = self.L, self.states
+        leg1, leg2 = states & ((1 << L) - 1), states >> L
+        single, double = leg1 ^ leg2, leg1 & leg2
+        # b: leg 2's bits on the singly occupied columns, packed; z counts them.
+        b = np.zeros_like(states)
+        z = np.zeros_like(states)
+        for i in range(L):
+            on = (single >> i) & 1
+            b |= (leg2 >> i & on) << z
+            z += on
+        _, pattern = np.unique(single | double << L, return_inverse=True)
+        size = np.bincount(pattern)
+        slot = (np.cumsum(size) - size)[pattern] + b
+        state = np.empty_like(slot)
+        state[slot] = np.arange(self.dim)
+        z, index, single, double = z[state], b[state], single[state], double[state]
+        empty = ((1 << L) - 1) & ~(single | double)
+        flipped_half = np.where(z > 0, index >> np.maximum(z - 1, 0), double > empty)
+        return ChargeLabels(
+            slot=slot,
+            state=state,
+            z=z,
+            index=index,
+            single=single,
+            double=double,
+            charge=z - 2 * _POPCOUNT[(index ^ _STRING_SIGNS) & ((1 << z) - 1)],
+            order=np.lexsort((flipped_half, index, z)),
+        )
+
+    @functools.cached_property
     def charge_sectors(self) -> dict[int, scipy.sparse.csc_array]:
         """Orthonormal eigenvectors of the dressed rung charge, one N x C(L, k)^2
         sparse matrix U_q per eigenvalue q = 2k - L.
@@ -184,40 +264,27 @@ class SectorBasis:
         are therefore the z-fold Hadamard transform of the pattern: label m
         (bit t set where X_t = -1) has entry 2^(-z/2) (-1)^popcount(b & m) on
         the state whose leg-2 bits on those columns read b, and
-        q = z - 2 popcount((m ^ _STRING_SIGNS) & (2^z - 1)).
+        q = z - 2 popcount((m ^ _STRING_SIGNS) & (2^z - 1)). Within a sector
+        the labels keep their slot order (`ChargeLabels`).
         """
-        L, states = self.L, self.states
-        leg1, leg2 = states & ((1 << L) - 1), states >> L
-        single = leg1 ^ leg2
-        # b: leg 2's bits on the singly occupied columns, packed; z counts them.
-        b = np.zeros_like(states)
-        z = np.zeros_like(states)
-        for i in range(L):
-            on = (single >> i) & 1
-            b |= (leg2 >> i & on) << z
-            z += on
-        # A pattern holds the 2^z states b = 0..2^z - 1, and its Hadamard
-        # transform as many labels: label m is numbered like the state b = m.
-        _, pattern = np.unique(single | (leg1 & leg2) << L, return_inverse=True)
-        size = np.bincount(pattern)
-        offset = (np.cumsum(size) - size)[pattern]
-        label_q = np.empty(self.dim, dtype=np.int64)
-        label_q[offset + b] = z - 2 * _POPCOUNT[(b ^ _STRING_SIGNS) & ((1 << z) - 1)]
+        labels = self.charge_labels
         column = np.empty(self.dim, dtype=np.int64)
-        column[np.argsort(label_q, kind="stable")] = np.arange(self.dim)
+        column[np.argsort(labels.charge, kind="stable")] = np.arange(self.dim)
+        z, b = labels.z[labels.slot], labels.index[labels.slot]
+        first = labels.slot - b
         rows, cols, coefs = [], [], []
         for width in np.unique(z):
             on = np.flatnonzero(z == width)
             m = np.arange(1 << width)
             sign = 1 - 2 * (_POPCOUNT[b[on, None] & m] & 1)
             rows.append(np.repeat(on, m.size))
-            cols.append(column[offset[on, None] + m].ravel())
+            cols.append(column[first[on, None] + m].ravel())
             coefs.append((sign * 2.0 ** (-width / 2)).ravel())
         U = scipy.sparse.csc_array(
             (np.concatenate(coefs), (np.concatenate(rows), np.concatenate(cols))),
             shape=(self.dim, self.dim),
         )
-        charges, counts = np.unique(label_q, return_counts=True)
+        charges, counts = np.unique(labels.charge, return_counts=True)
         ends = np.cumsum(counts)
         return {
             int(q): U[:, end - count : end] for q, count, end in zip(charges, counts, ends)
@@ -289,6 +356,24 @@ class SectorSpectra:
     sectors: dict[int, np.ndarray]
 
 
+@dataclass(frozen=True)
+class ChargeEigenSystem:
+    """Full spectrum of one realization with shared fields, sector by sector.
+
+    ``sectors[q] = (E_q, V_q)`` for every charge q, negative ones included:
+    ascending eigenvalues and orthonormal column eigenvectors of the block
+    U_q^T H U_q, whose rows are sector q's labels in `ChargeLabels.order`.
+    So U(t) = U_Q (+)_q V_q exp(-i E_q t) V_q^T U_Q^T, U_Q the charge map.
+    """
+
+    basis: SectorBasis
+    sectors: dict[int, tuple[np.ndarray, np.ndarray]]
+
+    @property
+    def dim(self) -> int:
+        return self.basis.dim
+
+
 class DiagonalizationError(RuntimeError):
     """Eigensolver failure, annotated with the realization that triggered it."""
 
@@ -297,15 +382,34 @@ def _physical_memory() -> int:
     return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
 
 
+def _memory_limit() -> int:
+    """The smaller of physical memory and the cgroup memory limit, if any.
+
+    A file of `_CGROUP_MEMORY_FILES` that is missing or reads "max" sets no
+    limit (cgroup v1 writes a huge number instead, which min() passes over).
+    """
+    limits = [_physical_memory()]
+    for path in _CGROUP_MEMORY_FILES:
+        try:
+            with open(path) as f:
+                text = f.read().strip()
+        except OSError:
+            continue
+        if text.isdigit():
+            limits.append(int(text))
+    return min(limits)
+
+
 def check_memory(caller: str, n: int, copies: float) -> None:
     """Raise MemoryError before `caller` allocates `copies` dense N x N float64
-    arrays, if together they exceed the machine's physical memory."""
+    arrays, if together they exceed physical memory or the cgroup limit."""
     need = int(copies * 8 * n * n)
-    have = _physical_memory()
+    have = _memory_limit()
     if need > have:
         raise MemoryError(
             f"{caller} at N={n} needs about {need} bytes ({need / 2**30:.1f} GiB), "
-            f"more than the {have} bytes ({have / 2**30:.1f} GiB) of physical memory"
+            f"more than the {have} bytes ({have / 2**30:.1f} GiB) of memory this "
+            "process may use"
         )
 
 
@@ -518,20 +622,68 @@ def diagonalize(H: SectorHamiltonian | ChargeBlocks) -> EigenSystem | SectorSpec
             return EigenSystem(eigenvalues=w, eigenvectors=v)
         parts = [scipy.linalg.eigh(b, eigvals_only=True) for b in H.blocks]
     except scipy.linalg.LinAlgError as exc:
-        raise DiagonalizationError(
-            f"eigensolver failed for L={H.params.L}, alpha={H.params.alpha}, "
-            f"h={H.params.h}, seed={H.disorder.seed}"
-        ) from exc
+        raise _solve_failed(H) from exc
     sectors = dict(zip(H.charges, parts)) if H.charges is not None else {}
     mirrors = [-e for q, e in sectors.items() if q > 0]
     w = np.sort(np.concatenate(parts + mirrors))
-    lost = abs(float(np.square(w).sum()) - H.frobenius2)
-    if not lost <= SPECTRAL_WEIGHT_RTOL * w.size * H.frobenius2:
+    _check_spectral_weight(H, w, H.frobenius2)
+    return SectorSpectra(eigenvalues=w, sectors=sectors)
+
+
+def diagonalize_sectors(H: SectorHamiltonian, basis: SectorBasis) -> ChargeEigenSystem:
+    """Eigensystem of every charge sector of a ladder with shared fields.
+
+    Each block U_q^T H U_q, its labels in `ChargeLabels.order`, is multiplied
+    out from the CSR matrix and solved with vectors, the q < 0 sectors
+    included. The solver is numpy's ``eigh`` (LAPACK ``syevd``), not
+    scipy's: the two packages link separate OpenBLAS copies, and the
+    W-route's GEMMs run in numpy's, whose threads still spin when the next
+    realization is solved; scipy's copy then competes with them for the
+    cores and solves the blocks several times slower. Raises ValueError
+    when the legs see different fields, since H then conserves no charge,
+    and RuntimeError unless sum(lambda^2) equals ||H||_F^2 to rounding, as
+    in `diagonalize`.
+    """
+    if H.disorder.fields_for_leg(1) != H.disorder.fields_for_leg(2):
+        raise ValueError("the legs see different fields, so H conserves no charge")
+    if basis.L != H.params.L:
+        raise ValueError(f"basis was built for L={basis.L}, params have L={H.params.L}")
+    labels = basis.charge_labels
+    n = basis.dim
+    widths = [U.shape[1] for U in basis.charge_sectors.values()]
+    copies = (sum(w**2 for w in widths) + SECTOR_EIGH_COPIES * max(widths) ** 2) / n**2
+    check_memory("diagonalize_sectors", n, copies)
+    A = H.matrix
+    sectors = {}
+    try:
+        for q, U in basis.charge_sectors.items():
+            # U's columns hold sector q's slots in ascending order.
+            ordered = labels.order[labels.charge[labels.order] == q]
+            U = U[:, np.searchsorted(np.flatnonzero(labels.charge == q), ordered)]
+            E, V = np.linalg.eigh((U.T @ (A @ U)).toarray())
+            sectors[q] = (E, V)
+    except np.linalg.LinAlgError as exc:
+        raise _solve_failed(H) from exc
+    w = np.concatenate([E for E, _ in sectors.values()])
+    _check_spectral_weight(H, w, float(np.square(A.data).sum()))
+    return ChargeEigenSystem(basis=basis, sectors=sectors)
+
+
+def _solve_failed(H: SectorHamiltonian | ChargeBlocks) -> DiagonalizationError:
+    return DiagonalizationError(
+        f"eigensolver failed for L={H.params.L}, alpha={H.params.alpha}, "
+        f"h={H.params.h}, seed={H.disorder.seed}"
+    )
+
+
+def _check_spectral_weight(H, w: np.ndarray, frobenius2: float) -> None:
+    """Raise RuntimeError unless sum(w^2) equals ||H||_F^2 to rounding."""
+    lost = abs(float(np.square(w).sum()) - frobenius2)
+    if not lost <= SPECTRAL_WEIGHT_RTOL * w.size * frobenius2:
         raise RuntimeError(
             f"spectrum misses weight of H: |sum(lambda^2) - ||H||_F^2| = {lost:.3e} "
-            f"of {H.frobenius2:.3e} (L={H.params.L}, seed={H.disorder.seed})"
+            f"of {frobenius2:.3e} (L={H.params.L}, seed={H.disorder.seed})"
         )
-    return SectorSpectra(eigenvalues=w, sectors=sectors)
 
 
 def evolve_state(eig: EigenSystem, psi: np.ndarray, t: float) -> np.ndarray:

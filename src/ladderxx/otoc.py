@@ -27,7 +27,10 @@ joins the two sublattices (`core._check_chiral_symmetry`). H is real, so
 C U(t) C^-1 = conj U(t), and sz_1 is odd under the flip, so
 C W C^-1 = -conj W. Hence |W_f(a)f(b)| = |W_ab|, where f(a) = N - 1 - a is
 the flip in the sorted basis. For probes that are odd under the flip too,
-the rows a < N/2 carry the whole OTOC.
+half the rows, one of each mirror pair, carry the whole OTOC. The route
+takes a full `EigenSystem`, or with shared fields a `ChargeEigenSystem`,
+from which it forms the columns of U(t) sector by sector and maps them to
+the states by Hadamard transforms (`_SectorRoute` states the identities).
 
 `sampled_otoc` evolves its M states in the eigenbasis and never returns to
 the computational basis. It takes both operators in the eigenbasis,
@@ -49,7 +52,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import EigenSystem, SectorBasis, check_memory
+from .core import (
+    _POPCOUNT,
+    ChargeEigenSystem,
+    EigenSystem,
+    SectorBasis,
+    check_memory,
+    sigma_z_operator,
+)
 
 __all__ = [
     "OtocSeries",
@@ -73,7 +83,11 @@ __all__ = [
 # its two work blocks of 2 N^2 floats (6.04 at L = 6); at L = 5 numpy's
 # fixed-size cast buffers add half a copy more (6.54).
 EXACT_COPIES = 6.6
-MULTI_DISTANCE_COPIES = 3.3
+# multi_distance_otoc_values holds its work block and [S_R J; S], 2.5 copies,
+# and beside them V[up, :]^T from an EigenSystem (3.31 at L = 5), or the
+# weighted rows W_q and the two block buffers from a ChargeEigenSystem (3.57).
+MULTI_DISTANCE_COPIES = 3.4
+SECTOR_W_COPIES = 3.6
 # sampled_otoc: 3.1 while it rotates the two operators, then 2 for them plus
 # 12 M K / N for the state coefficients and two chunk buffers of 4 M K real
 # columns each, with M states and K steps per chunk.
@@ -315,7 +329,7 @@ def exact_otoc(
 
 
 def multi_distance_otoc_values(
-    eig: EigenSystem,
+    eig: EigenSystem | ChargeEigenSystem,
     probe_ops: np.ndarray,
     op_1: np.ndarray,
     times: np.ndarray,
@@ -326,64 +340,80 @@ def multi_distance_otoc_values(
     W(t) = U(t) sz_1 U+(t), so one O(N^3) evaluation of W per time serves
     every probe operator at O(N^2) extra cost each. Since sz_1 = 2 P - 1
     with P the projector on its +1 states, W = 2 G G^dagger - 1, where
-    G = V (exp(-i E t) * V[up, :]^T) holds the columns of U(t) on those
-    states (N x N/2 in the Sz = 0 sector). With S = [Re G, Im G] and
-    X = Im G Re G^T, Re W = 2 S S^T - 1 and Im W = 2 (X - X^T).
+    G = U(t) B holds U(t) on any real orthonormal basis B of those states
+    (N x N/2 in the Sz = 0 sector). With S = [Re G, Im G] and
+    X = Im G Re G^T, Re W = 2 S S^T - 1 and Im W = 2 (X - X^T); neither
+    changes when B is rotated, so each eigensystem forms S its own way:
 
-    Each step forms only the rows a < N/2 of W. By the chiral mirror (module
-    notes) and d_f(a) = -d_a for every probe,
-    F_i = (2/N) sum_{a < N/2} sum_b d_a d_b |W_ab|^2. With S_R the rows
-    a < N/2 of S and S_R J = [Im G_R, -Re G_R], the one GEMM [S_R J; S_R] S^T
+    * an `EigenSystem` takes B = the unit vectors of the +1 states, and
+      G = V (exp(-i E t) * V[up, :]^T), one N x N x N GEMM;
+    * a `ChargeEigenSystem` forms G in the labels of the charge map and maps
+      it back with the Hadamard transforms (`_SectorRoute`).
+
+    The rows of S come in the route's order, whose first half R holds one
+    state of every mirror pair, and each step forms only the rows R of W.
+    By the chiral mirror (module notes) and d_f(a) = -d_a for every probe,
+    F_i = (2/N) sum_{a in R} sum_b d_a d_b |W_ab|^2. With S_R the rows R of
+    S and S_R J = [Im G_R, -Re G_R], the one GEMM [S_R J; S_R] S^T
     gives Y_R = (X - X^T)_R and K_R = (S S^T)_R. Then
     |W_ab|^2 = 4 (K_ab^2 + Y_ab^2) off the diagonal and (2 K_aa - 1)^2 on it,
     where Im W vanishes. Every step checks the mirror on the data: it raises
     RuntimeError unless W_f(a)f(a) = -W_aa, i.e.
-    ||S_a||^2 + ||S_f(a)||^2 = 1, to `MIRROR_TOL`. Rounding in the computed
-    eigensystem breaks the mirror slightly, so the half-row values differ
-    from a full-row sum by up to about eps ||H|| t.
+    ||S_a||^2 + ||S_f(a)||^2 = 1, to `MIRROR_TOL`, naming non-finite data
+    apart. Rounding in the computed eigensystem breaks the mirror slightly,
+    so the half-row values differ from a full-row sum by up to about
+    eps ||H|| t.
 
     Parameters
     ----------
     probe_ops : array (n_probes, N) of diagonals, each odd under the flip.
-    op_1 : +-1 diagonal, odd under the flip. Any other op_1 or probe raises
-    ValueError.
+    op_1 : +-1 diagonal, odd under the flip; sz of one spin for a
+    `ChargeEigenSystem`. Any other op_1 or probe raises ValueError.
 
     Returns
     -------
     values : real array (n_probes, n_times); a numerical-health figure,
-    max over the grid of | 2 sum_{a < N/2} sum_b |W_ab|^2 / N - 1 |, which
+    max over the grid of | 2 sum_{a in R} sum_b |W_ab|^2 / N - 1 |, which
     is 0 for exactly unitary evolution and so bounds the rounding error.
     """
-    V = eig.eigenvectors
-    E = eig.eigenvalues
     n = eig.dim
     D, d1 = _checked_operators(n, probe_ops, op_1)
     times = _checked_times(times)
-    check_memory("multi_distance_otoc_values", n, MULTI_DISTANCE_COPIES)
+    if isinstance(eig, ChargeEigenSystem):
+        check_memory("multi_distance_otoc_values", n, SECTOR_W_COPIES)
+        route = _SectorRoute(eig, d1)
+    else:
+        check_memory("multi_distance_otoc_values", n, MULTI_DISTANCE_COPIES)
+        route = _DenseRoute(eig, d1)
     half = n // 2
-    V_up = np.ascontiguousarray(V[d1 > 0, :].T)
+    # Row r of S is state rows[r]; its mirror f(a) = N - 1 - a is row
+    # half + mirror[r] for r < N/2.
+    rows = route.rows
+    position = np.empty(n, dtype=np.int64)
+    position[rows] = np.arange(n)
+    mirror = position[n - 1 - rows[:half]] - half
+    D = D[:, rows]
     D_R = np.ascontiguousarray(D[:, :half])
-    # phased holds [Re, Im] of exp(-i E t) * V[up, :]^T until S is formed,
-    # then [Y_R; K_R].
-    phased = np.empty((n, n))
+    # work holds the route's input to S until S is formed, then [Y_R; K_R].
+    work = np.empty((n, n))
     # stacked = [S_R J; S], so its first N rows are [S_R J; S_R].
     stacked = np.empty((n + half, n))
     S = stacked[half:]
-    Y, K = phased[:half], phased[half:]
+    Y, K = work[:half], work[half:]
 
     values = np.empty((D.shape[0], times.shape[0]), dtype=float)
-    defect = 0.0
+    defects = np.empty(times.shape)
     for k, t in enumerate(times):
-        np.multiply(np.cos(E * t)[:, None], V_up, out=phased[:, :half])
-        np.multiply(-np.sin(E * t)[:, None], V_up, out=phased[:, half:])
-        np.matmul(V, phased, out=S)
+        route.form(t, work, S)
         stacked[:half, :half] = S[:half, half:]
         np.negative(S[:half, :half], out=stacked[:half, half:])
-        np.matmul(stacked[:n], S.T, out=phased)
-        # Re W_aa = 2 ||S_a||^2 - 1 must be odd under a -> N - 1 - a.
+        np.matmul(stacked[:n], S.T, out=work)
+        # Re W_aa = 2 ||S_a||^2 - 1 must be odd under the flip.
         k_diag = K.diagonal().copy()
-        mirror = np.einsum("ij,ij->i", S[half:], S[half:])[::-1]
-        mismatch = np.max(np.abs(k_diag + mirror - 1.0))
+        flipped = np.einsum("ij,ij->i", S[half:], S[half:])[mirror]
+        mismatch = np.max(np.abs(k_diag + flipped - 1.0))
+        if not np.isfinite(mismatch):
+            raise RuntimeError(f"W(t={t}) is not finite: the eigensystem holds NaN or inf")
         if not mismatch <= MIRROR_TOL:
             raise RuntimeError(
                 f"W(t={t}) breaks the chiral mirror by {mismatch:.3e}: "
@@ -394,9 +424,154 @@ def multi_distance_otoc_values(
         np.square(Y, out=Y)
         K += Y
         np.fill_diagonal(K, (k_diag - 0.5) ** 2)
-        defect = max(defect, abs(8.0 * K.sum() / n - 1.0))
+        defects[k] = abs(8.0 * K.sum() / n - 1.0)
         values[:, k] = np.sum((D_R @ K) * D, axis=1) * (8.0 / n)
-    return values, defect
+    return values, float(np.max(defects))
+
+
+class _DenseRoute:
+    """S = [Re G, Im G] from a full eigensystem, rows in basis order:
+    G = V (exp(-i E t) * V[up, :]^T), the phased columns formed in `work`."""
+
+    def __init__(self, eig: EigenSystem, d1: np.ndarray):
+        self.V, self.E = eig.eigenvectors, eig.eigenvalues
+        self.V_up = np.ascontiguousarray(self.V[d1 > 0, :].T)
+        self.rows = np.arange(eig.dim)
+
+    def form(self, t: float, work: np.ndarray, S: np.ndarray) -> None:
+        half = self.V_up.shape[1]
+        np.multiply(np.cos(self.E * t)[:, None], self.V_up, out=work[:, :half])
+        np.multiply(-np.sin(self.E * t)[:, None], self.V_up, out=work[:, half:])
+        np.matmul(self.V, work, out=S)
+
+
+class _SectorRoute:
+    """S = [Re G, Im G] from a `ChargeEigenSystem`, rows in `rows` order.
+
+    Three identities make G cheap. Write G = U_Q G_Q with U_Q the charge map
+    and G_Q = (+)_q V_q exp(-i E_q t) V_q^T B_Q, B_Q = U_Q^T B.
+
+    * B in the labels. sz of spin (leg, site) is +1 on every label of a
+      pattern that doubly occupies the site's column and -1 on every one
+      that leaves it empty. Where the column is the t-th singly occupied
+      one, the Hadamard transform turns sz into +-X_t (- on leg 2), which
+      flips bit t of the label m, so its +1 states are
+      (e_m +- e_(m ^ 2^t)) / sqrt 2 for m with bit t clear. Bit t of
+      `_STRING_SIGNS` is t's parity, so the partner lies in sector q - 2 for
+      even t and q + 2 for odd t. With the columns of B_Q sorted by the
+      edge {q, q + 2} of each pair, and the doubly occupied labels of
+      sector q between the edges below and above q, the columns that touch
+      sector q are one range, and each holds one weighted row of V_q: block
+      q costs one real GEMM V_q [cos, -sin] (E_q t) * W_q per step, W_q the
+      weighted rows of V_q^T.
+    * The Hadamard input needs no gather. For a fixed (z, m) all labels lie
+      in one sector, so with every sector's labels in `ChargeLabels.order`
+      each block writes its rows as contiguous runs of the Hadamard input,
+      which `work` holds, zero-padded outside the blocks.
+    * U_Q is the normalized Sylvester-Hadamard matrix H_z on each pattern.
+      In `ChargeLabels.order` each z is a (2^z, patterns) array of label
+      rows, so two GEMMs with the top and bottom halves of H_z write states
+      b < 2^(z-1) into the first half of S and the others into the second.
+      The spin flip complements b, so each mirror pair has one state in
+      each half. A z = 0 pattern holds one state, and the flip maps it to
+      another z = 0 pattern; `ChargeLabels.order` puts one of each such
+      pair in the first half of the z = 0 rows.
+    """
+
+    def __init__(self, eig: ChargeEigenSystem, d1: np.ndarray):
+        basis = eig.basis
+        labels = basis.charge_labels
+        n, half, L = basis.dim, basis.dim // 2, basis.L
+        spins = [(leg, site) for leg in (1, 2) for site in range(1, L + 1)]
+        match = [s for s in spins if np.array_equal(d1, sigma_z_operator(basis, *s))]
+        if not match:
+            raise ValueError("op_1 must be sz of one spin for a ChargeEigenSystem")
+        leg, site = match[0]
+        charge = labels.charge
+        # B_Q's columns: doubly occupied labels alone, pairs by their leading label.
+        bit = 1 << (site - 1)
+        rank = _POPCOUNT[labels.single & (bit - 1)]
+        alone = np.flatnonzero(labels.double & bit)
+        lead = np.flatnonzero((labels.single & bit != 0) & ((labels.index >> rank) & 1 == 0))
+        partner = lead + (1 << rank[lead])
+        key = np.concatenate([2 * charge[alone], charge[lead] + charge[partner]])
+        column = np.empty(key.size, dtype=np.int64)
+        column[np.argsort(key, kind="stable")] = np.arange(key.size)
+        # B_Q's nonzero entries: one per lone label, two per pair.
+        entry_slot = np.concatenate([alone, lead, partner])
+        entry_column = np.concatenate([column, column[alone.size :]])
+        pair = np.full(lead.size, 0.5**0.5)
+        entry_weight = np.concatenate([np.ones(alone.size), pair, (-1) ** (leg - 1) * pair])
+        # input_row[s]: the row of slot s in the Hadamard input.
+        order = labels.order
+        input_row = np.empty(n, dtype=np.int64)
+        input_row[order] = np.arange(n)
+        self.blocks = []
+        for q, (E, V) in eig.sectors.items():
+            sector_rows = np.flatnonzero(charge[order] == q)
+            mine = np.flatnonzero(charge[entry_slot] == q)
+            mine = mine[np.argsort(entry_column[mine])]
+            cols = entry_column[mine]
+            if cols.size == 0:
+                continue
+            if not np.array_equal(cols, np.arange(cols[0], cols[0] + cols.size)):
+                raise RuntimeError(f"sector {q} meets a non-contiguous range of +1 states")
+            local = np.searchsorted(sector_rows, input_row[entry_slot[mine]])
+            W = np.ascontiguousarray((V[local] * entry_weight[mine, None]).T)
+            breaks = np.flatnonzero(np.diff(sector_rows) != 1) + 1
+            starts = np.concatenate([[0], breaks])
+            stops = np.concatenate([breaks, [sector_rows.size]])
+            runs = [(a, b, sector_rows[a]) for a, b in zip(starts, stops)]
+            self.blocks.append((E, V, W, slice(cols[0], cols[0] + cols.size), runs))
+        widest = max(V.shape[0] * 2 * W.shape[1] for _, V, W, _, _ in self.blocks)
+        self.phased = np.empty(widest)
+        self.product = np.empty(widest)
+        # One Hadamard group per z: its rows [first, first + 2 count) of the
+        # input map to rows [top, top + count) and [bottom, bottom + count) of S.
+        self.groups = []
+        top, bottom = 0, half
+        first_half, second_half = [], []
+        z_order = labels.z[order]
+        for z in np.unique(z_order):
+            first = np.searchsorted(z_order, z)
+            count = np.count_nonzero(z_order == z) // 2
+            m = np.arange(1 << z)
+            hadamard = (1 - 2 * (_POPCOUNT[np.bitwise_and.outer(m, m)] & 1)) * 2.0 ** (-z / 2)
+            self.groups.append((hadamard, first, count, top, bottom))
+            first_half.append(order[first : first + count])
+            second_half.append(order[first + count : first + 2 * count])
+            top += count
+            bottom += count
+        self.rows = labels.state[np.concatenate(first_half + second_half)]
+
+    def hadamard(self, work: np.ndarray, S: np.ndarray) -> None:
+        """S = U_Q applied to the label rows in `work`, its rows in `self.rows` order."""
+        for hadamard, first, count, top, bottom in self.groups:
+            rows = work[first : first + 2 * count]
+            h = hadamard.shape[0] // 2
+            if h == 0:
+                # z = 0: one state per pattern, which the Hadamard map keeps.
+                S[top : top + count] = rows[:count]
+                S[bottom : bottom + count] = rows[count:]
+                continue
+            flat = rows.reshape(2 * h, -1)
+            np.matmul(hadamard[:h], flat, out=S[top : top + count].reshape(h, -1))
+            np.matmul(hadamard[h:], flat, out=S[bottom : bottom + count].reshape(h, -1))
+
+    def form(self, t: float, work: np.ndarray, S: np.ndarray) -> None:
+        n = work.shape[0]
+        work.fill(0.0)
+        labelled = work.reshape(n, 2, n // 2)
+        for E, V, W, span, runs in self.blocks:
+            m, c = W.shape
+            phased = self.phased[: 2 * m * c].reshape(m, 2, c)
+            np.multiply(np.cos(E * t)[:, None], W, out=phased[:, 0])
+            np.multiply(-np.sin(E * t)[:, None], W, out=phased[:, 1])
+            product = self.product[: 2 * m * c].reshape(m, 2, c)
+            np.matmul(V, phased.reshape(m, 2 * c), out=product.reshape(m, 2 * c))
+            for a, b, row in runs:
+                labelled[row : row + b - a, :, span] = product[a:b]
+        self.hadamard(work, S)
 
 
 def sampled_otoc(

@@ -1,7 +1,9 @@
 """Space-time OTOC grids along the lower leg, contours, and dynamical exponents.
 
 The probe operator walks down leg 1: row dx of a grid holds the ensemble-mean
-exact OTOC of sz_{1,1} against sz_{1,1+dx}. A contour at level eta collects,
+exact OTOC of sz_{1,1} against sz_{1,1+dx}, all rows from one W-route call
+per realization, on its charge-sector eigensystems when the legs share
+their fields. A contour at level eta collects,
 per distance, the first time Re F drops below eta (linear interpolation
 between bracketing grid points; later re-crossings are ignored, fronts are
 leading edges). Fitting ln dx against ln t_cross gives the dynamical exponent
@@ -21,10 +23,11 @@ from .core import (
     SectorBasis,
     build_hamiltonian,
     diagonalize,
+    diagonalize_sectors,
     sigma_z_operator,
 )
 from .fits import FitResult, _fit_log_law
-from .otoc import multi_distance_otoc_values
+from .otoc import _checked_operators, _checked_times, multi_distance_otoc_values
 
 __all__ = [
     "WavefrontGrid",
@@ -91,25 +94,34 @@ def build_spacetime_grid(
 ) -> WavefrontGrid:
     """Ensemble-mean exact OTOC for every distance 1..L-1 on a shared grid.
 
-    One diagonalization per realization serves all distances at once (W(t),
-    which does not depend on the probe, is formed once per time). Each
-    realization's own grid is kept in ``per_realization``, realizations x
-    distances x times, for `extract_contour(per_realization=True)`.
+    One eigensolve per realization serves all distances at once (W(t),
+    which does not depend on the probe, is formed once per time). With
+    shared fields that is `diagonalize_sectors`, whose blocks feed the
+    W-route's charge-sector form; independent legs conserve no charge and
+    get one full `diagonalize`. The time grid and the operators are checked
+    before any eigensolve. Each realization's own grid is kept in
+    ``per_realization``, realizations x distances x times, for
+    `extract_contour(per_realization=True)`.
     """
     if len(disorder_ensemble) == 0:
         raise ValueError("need at least one disorder realization")
-    times = np.asarray(times, dtype=float)
+    times = _checked_times(times)
     basis = SectorBasis(params.L)
     distances = np.arange(1, params.L)
     probes = np.stack(
         [sigma_z_operator(basis, 1, 1 + dx) for dx in distances]
     )
     d_1 = sigma_z_operator(basis, 1, 1)
+    _checked_operators(basis.dim, probes, d_1)
 
     per_real = []
     worst_defect = 0.0
     for dis in disorder_ensemble:
-        eig = diagonalize(build_hamiltonian(params, dis, basis))
+        H = build_hamiltonian(params, dis, basis)
+        if dis.fields_for_leg(1) == dis.fields_for_leg(2):
+            eig = diagonalize_sectors(H, basis)
+        else:
+            eig = diagonalize(H)
         vals, defect = multi_distance_otoc_values(eig, probes, d_1, times)
         worst_defect = max(worst_defect, defect)
         per_real.append(vals)

@@ -30,6 +30,7 @@ from ladderxx.core import (
     check_memory,
     derive_seed,
     diagonalize,
+    diagonalize_sectors,
     evolve_state,
     sample_disorder,
     sigma_z_operator,
@@ -422,6 +423,41 @@ def test_eigenvalues_only_matches_full_solve(L, alpha, h, independent_legs):
     assert np.max(np.abs(w - scipy.linalg.eigh(H, eigvals_only=True))) < 1e-12
 
 
+@pytest.mark.parametrize("h", [0.0, 1.0, 8.0])
+@pytest.mark.parametrize("alpha", [0.0, 1.3])
+@pytest.mark.parametrize("L", [2, 3, 4, 5, 6])
+def test_sector_eigensystems_diagonalize_the_charge_blocks(L, alpha, h):
+    params = LadderParams(L=L, alpha=alpha, h=h)
+    basis = SectorBasis(L)
+    H = build_hamiltonian(params, sample_disorder(params, 40 + L), basis)
+    eig = diagonalize_sectors(H, basis)
+    dense = H.matrix.toarray()
+    labels = basis.charge_labels
+    assert list(eig.sectors) == list(range(-L, L + 1, 2))
+    assert eig.dim == basis.dim
+    w = np.sort(np.concatenate([E for E, _ in eig.sectors.values()]))
+    assert np.max(np.abs(w - scipy.linalg.eigh(dense, eigvals_only=True))) < 1e-12
+    for q, (E, V) in eig.sectors.items():
+        # Rows are sector q's labels in the layout order of ChargeLabels.
+        ordered = labels.order[labels.charge[labels.order] == q]
+        U = basis.charge_sectors[q].toarray()
+        U = U[:, np.searchsorted(np.flatnonzero(labels.charge == q), ordered)]
+        assert np.all(np.diff(E) >= 0)
+        assert np.max(np.abs(V.T @ V - np.eye(E.size))) < 1e-13
+        assert np.max(np.abs(U.T @ dense @ U @ V - V * E)) < 1e-12 * (1.0 + h)
+
+
+def test_sector_eigensystems_need_shared_fields():
+    params = LadderParams(L=3, h=1.0)
+    basis = SectorBasis(3)
+    H = build_hamiltonian(params, sample_disorder(params, 2, independent_legs=True), basis)
+    with pytest.raises(ValueError, match="conserves no charge"):
+        diagonalize_sectors(H, basis)
+    H = build_hamiltonian(params, sample_disorder(params, 2), basis)
+    with pytest.raises(ValueError, match="basis was built for L=4"):
+        diagonalize_sectors(H, SectorBasis(4))
+
+
 @pytest.mark.parametrize("L", [3, 4, 5, 6])
 def test_independent_legs_block_is_the_dense_hamiltonian(L):
     # One dense assembly serves both: the block is H bit for bit, and its
@@ -489,6 +525,10 @@ def test_eigenvalues_only_rejects_a_charge_map_without_the_string(L, monkeypatch
     blocks = charge_blocks(params, sample_disorder(params, 5), SectorBasis(L))
     with pytest.raises(RuntimeError, match="misses weight"):
         diagonalize(blocks)
+    basis = SectorBasis(L)
+    H = build_hamiltonian(params, sample_disorder(params, 5), basis)
+    with pytest.raises(RuntimeError, match="misses weight"):
+        diagonalize_sectors(H, basis)
 
 
 def test_mirror_guard_rejects_a_same_sublattice_bond(monkeypatch):
@@ -541,6 +581,23 @@ def test_eigenvalues_only_stays_below_one_dense_matrix(L):
     assert peak < 8 * basis.dim**2
 
 
+@pytest.mark.parametrize("L", [5, 6])
+def test_sector_eigensolve_stays_below_its_estimate(L, monkeypatch):
+    params = LadderParams(L=L, h=1.0)
+    basis = SectorBasis(L)
+    H = build_hamiltonian(params, sample_disorder(params, 9), basis)
+    estimates = []
+    monkeypatch.setattr(core, "check_memory", lambda caller, n, copies: estimates.append(copies))
+    tracemalloc.start()
+    try:
+        diagonalize_sectors(H, basis)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(estimates) == 1
+    assert peak < estimates[0] * 8 * basis.dim**2
+
+
 @pytest.mark.parametrize("L", [6, 7])
 def test_sparse_assembly_stays_far_below_one_dense_matrix(L):
     params = LadderParams(L=L, h=1.0)
@@ -566,8 +623,11 @@ def test_eigensolver_failure_is_reported_with_the_realization(vectors, monkeypat
         raise scipy.linalg.LinAlgError("did not converge")
 
     monkeypatch.setattr(scipy.linalg, "eigh", failing_eigh)
+    monkeypatch.setattr(np.linalg, "eigh", failing_eigh)
     with pytest.raises(DiagonalizationError, match="seed=4"):
         diagonalize(H if vectors else blocks)
+    with pytest.raises(DiagonalizationError, match="seed=4"):
+        diagonalize_sectors(H, SectorBasis(3))
 
 
 def test_dense_steps_check_memory_first(monkeypatch):
@@ -584,6 +644,7 @@ def test_dense_steps_check_memory_first(monkeypatch):
         ("charge_blocks", lambda: charge_blocks(params, disorder, basis)),
         ("diagonalize", lambda: diagonalize(H)),
         ("diagonalize", lambda: diagonalize(blocks)),
+        ("diagonalize_sectors", lambda: diagonalize_sectors(H, basis)),
     ]:
         with pytest.raises(MemoryError, match=rf"{caller} at N=\d+ needs about .* 1000 bytes"):
             call()
@@ -611,6 +672,7 @@ def test_independent_legs_block_is_charged_one_dense_block(monkeypatch):
 
 def test_memory_check_admits_l7_and_the_l8_w_route_and_stops_l8_exact_otoc(monkeypatch):
     monkeypatch.setattr(core, "_physical_memory", lambda: 8 * 2**30)
+    monkeypatch.setattr(core, "_CGROUP_MEMORY_FILES", ())
     n7, n8 = comb(14, 7), comb(16, 8)
     for copies in (
         core.BUILD_COPIES,
@@ -626,8 +688,40 @@ def test_memory_check_admits_l7_and_the_l8_w_route_and_stops_l8_exact_otoc(monke
     # At L = 8 one N x N array is 1.3 GB: the half-row W-route holds about
     # three, exact_otoc's trace route about 6.6, just over the 6.48 of 8 GiB.
     check_memory("multi_distance_otoc_values", n8, otoc.MULTI_DISTANCE_COPIES)
+    check_memory("multi_distance_otoc_values", n8, otoc.SECTOR_W_COPIES)
     with pytest.raises(MemoryError, match="exact_otoc at N=12870"):
         check_memory("exact_otoc", n8, otoc.EXACT_COPIES)
+
+
+@pytest.mark.parametrize(
+    "v2, v1, limit",
+    [
+        ("max\n", None, None),
+        (None, "9223372036854771712\n", None),
+        (None, None, None),
+        ("3000\n", None, 3000),
+        ("max\n", "2000\n", 2000),
+    ],
+    ids=["v2-max", "v1-unlimited", "no-files", "v2-limit", "v1-limit"],
+)
+def test_memory_check_counts_the_cgroup_limit(v2, v1, limit, tmp_path, monkeypatch):
+    paths = []
+    for name, text in (("memory.max", v2), ("memory.limit_in_bytes", v1)):
+        path = tmp_path / name
+        if text is not None:
+            path.write_text(text)
+        paths.append(str(path))
+    monkeypatch.setattr(core, "_CGROUP_MEMORY_FILES", tuple(paths))
+    monkeypatch.setattr(core, "_physical_memory", lambda: 10_000)
+    have = limit or 10_000
+    # One 10 x 10 float64 matrix is 800 bytes.
+    check_memory("step", 10, have / 800)
+    with pytest.raises(MemoryError, match=f"step at N=10 needs about .* {have} bytes"):
+        check_memory("step", 10, have / 800 + 0.01)
+
+
+def test_memory_limit_reads_this_process_group():
+    assert 0 < core._memory_limit() <= core._physical_memory()
 
 
 # ---------------------------------------------------------------- evolution

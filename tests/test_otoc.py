@@ -17,6 +17,7 @@ from ladderxx.core import (
     bit_position,
     build_hamiltonian,
     diagonalize,
+    diagonalize_sectors,
     evolve_state,
     sample_disorder,
     sigma_z_operator,
@@ -44,6 +45,21 @@ def make_eig(L, alpha=1.0, h=1.0, seed=1, independent_legs=False):
     basis = SectorBasis(L)
     dis = sample_disorder(params, seed, independent_legs=independent_legs)
     return basis, diagonalize(build_hamiltonian(params, dis, basis))
+
+
+def make_sector_eig(L, alpha=1.0, h=1.0, seed=1):
+    """The basis, and one realization's full and charge-sector eigensystems."""
+    params = LadderParams(L=L, alpha=alpha, h=h)
+    basis = SectorBasis(L)
+    H = build_hamiltonian(params, sample_disorder(params, seed), basis)
+    return basis, diagonalize(H), diagonalize_sectors(H, basis)
+
+
+def identity_sectors(basis):
+    """A ChargeEigenSystem with V_q = 1 and E_q = 0: enough for the layout."""
+    return core.ChargeEigenSystem(
+        basis, {q: (np.zeros(U.shape[1]), np.eye(U.shape[1])) for q, U in basis.charge_sectors.items()}
+    )
 
 
 def expm_otoc(H, d_i, d_1, t):
@@ -246,6 +262,12 @@ def test_exact_otoc_is_bitwise_the_unbuffered_trace_route(L, h, seed):
 
 
 def nan_poisoned(eig):
+    if isinstance(eig, core.ChargeEigenSystem):
+        q = max(eig.sectors, key=lambda q: eig.sectors[q][0].size)
+        E, V = eig.sectors[q]
+        V = V.copy()
+        V[3, 5] = np.nan
+        return core.ChargeEigenSystem(eig.basis, {**eig.sectors, q: (E, V)})
     V = eig.eigenvectors.copy()
     V[3, 5] = np.nan
     return core.EigenSystem(eig.eigenvalues, V)
@@ -435,7 +457,7 @@ def test_exact_otoc_refuses_an_even_probe_before_the_trace_route(monkeypatch):
             exact_otoc(eig, op_i, op_1, [0.0, 1.0])
 
 
-def assert_w_route_refuses_the_ladder(extra_diagonal=0.0):
+def assert_w_route_refuses_the_ladder(extra_diagonal=0.0, sector_message="breaks the chiral mirror"):
     # The trace route needs no chiral symmetry, so exact_otoc still holds.
     params = LadderParams(L=4, h=1.0)
     basis = SectorBasis(4)
@@ -449,6 +471,8 @@ def assert_w_route_refuses_the_ladder(extra_diagonal=0.0):
     times = np.linspace(0.0, 2.0, 5)
     with pytest.raises(RuntimeError, match="breaks the chiral mirror"):
         multi_distance_otoc_values(eig, probes, d_1, times)
+    with pytest.raises(RuntimeError, match=sector_message):
+        multi_distance_otoc_values(diagonalize_sectors(H, basis), probes, d_1, times)
     series = exact_otoc(eig, probes[0], d_1, times)
     reference = [expm_otoc(H.matrix.toarray(), probes[0], d_1, t) for t in times]
     assert np.max(np.abs(series.values - reference)) < 1e-12
@@ -466,7 +490,9 @@ def test_w_route_rejects_a_same_sublattice_bond(monkeypatch):
         return bonds(params) + extra
 
     monkeypatch.setattr(core, "_bonds", with_next_nearest)
-    assert_w_route_refuses_the_ladder()
+    # This hop also breaks the dressed rung charge, so the sector eigensolve
+    # refuses first: its blocks miss the weight of the coupling.
+    assert_w_route_refuses_the_ladder(sector_message="misses weight")
 
 
 def test_w_route_rejects_an_even_diagonal():
@@ -475,6 +501,90 @@ def test_w_route_rejects_an_even_diagonal():
     basis = SectorBasis(4)
     zz = sigma_z_operator(basis, 1, 1) * sigma_z_operator(basis, 2, 1)
     assert_w_route_refuses_the_ladder(0.7 * zz)
+
+
+@pytest.mark.parametrize("spin", [(1, 1), (2, 3)])
+@pytest.mark.parametrize("h", [0.0, 1.0, 8.0])
+@pytest.mark.parametrize("alpha", [0.0, 1.3])
+@pytest.mark.parametrize("L", [2, 3, 4, 5, 6])
+def test_sector_w_route_matches_full_rows(L, alpha, h, spin):
+    # sz on (2, 3) pairs labels across the edges {q, q + 2} as well, with the
+    # leg-2 sign; at L = 2 it is sz on (2, 2).
+    basis, dense, sectors = make_sector_eig(L, alpha=alpha, h=h, seed=11)
+    probes = np.stack(
+        [sigma_z_operator(basis, leg, site) for leg in (1, 2) for site in range(1, L + 1)]
+    )
+    d_1 = sigma_z_operator(basis, spin[0], min(spin[1], L))
+    times = np.array([0.0, 0.7, 3.1])
+    values, defect = multi_distance_otoc_values(sectors, probes, d_1, times)
+    reference, _ = full_row_reference(dense, probes, d_1, times)
+    assert np.max(np.abs(values - reference)) < 1e-12
+    assert defect < 1e-12
+
+
+def charge_map_by_slot(basis):
+    """U_Q from `charge_sectors`, its column s the label in slot s."""
+    U = scipy.sparse.hstack(list(basis.charge_sectors.values())).toarray()
+    by_slot = np.empty_like(U)
+    by_slot[:, np.argsort(basis.charge_labels.charge, kind="stable")] = U
+    return by_slot
+
+
+@pytest.mark.parametrize("L", [2, 3, 4, 5, 6, 7])
+def test_hadamard_plan_rebuilds_the_charge_map(L):
+    basis = SectorBasis(L)
+    n = basis.dim
+    route = otoc._SectorRoute(identity_sectors(basis), sigma_z_operator(basis, 1, 1))
+    S = np.empty((n, n))
+    # Row k of the Hadamard input is the label in slot order[k].
+    route.hadamard(np.eye(n), S)
+    want = charge_map_by_slot(basis)[route.rows][:, basis.charge_labels.order]
+    assert np.max(np.abs(S - want)) < 1e-15
+
+
+@pytest.mark.parametrize("L", [2, 3, 4, 5, 6, 7])
+def test_first_half_of_s_holds_one_state_of_each_mirror_pair(L):
+    basis = SectorBasis(L)
+    n = basis.dim
+    rows = otoc._SectorRoute(identity_sectors(basis), sigma_z_operator(basis, 2, L)).rows
+    assert np.array_equal(np.sort(rows), np.arange(n))
+    # The flip of state a is state N - 1 - a.
+    first = rows[: n // 2]
+    assert np.array_equal(np.sort(np.concatenate([first, n - 1 - first])), np.arange(n))
+
+
+def test_sector_w_route_takes_only_sz_of_one_spin():
+    basis, _, sectors = make_sector_eig(3)
+    d_1 = sigma_z_operator(basis, 1, 1)
+    probes = sigma_z_operator(basis, 1, 3)[None, :]
+    # -sz_1 is a +-1 diagonal odd under the flip, but no single spin's sz.
+    for bad in (-d_1, d_1 * sigma_z_operator(basis, 1, 2) * sigma_z_operator(basis, 2, 2)):
+        with pytest.raises(ValueError, match="sz of one spin"):
+            multi_distance_otoc_values(sectors, probes, bad, [0.0, 1.0])
+
+
+@pytest.mark.parametrize("route", ["dense", "sectors"])
+def test_w_route_raises_on_a_nan_eigensystem(route):
+    basis, dense, sectors = make_sector_eig(3, seed=6)
+    eig = nan_poisoned({"dense": dense, "sectors": sectors}[route])
+    probes = sigma_z_operator(basis, 1, 3)[None, :]
+    with pytest.raises(RuntimeError, match="not finite: the eigensystem holds NaN"):
+        multi_distance_otoc_values(eig, probes, sigma_z_operator(basis, 1, 1), [0.5, 1.0])
+
+
+@pytest.mark.parametrize("route", ["dense", "sectors"])
+@pytest.mark.parametrize("L", [5, 6])
+def test_w_route_peak_memory_stays_below_its_estimate(L, route, monkeypatch):
+    basis, dense, sectors = make_sector_eig(L, seed=3)
+    eig = {"dense": dense, "sectors": sectors}[route]
+    probes = np.stack([sigma_z_operator(basis, 1, site) for site in range(2, L + 1)])
+    d_1 = sigma_z_operator(basis, 1, 1)
+    peak, estimate = peak_and_estimate(
+        monkeypatch, lambda: multi_distance_otoc_values(eig, probes, d_1, np.linspace(0.0, 5.0, 11))
+    )
+    copies = {"dense": otoc.MULTI_DISTANCE_COPIES, "sectors": otoc.SECTOR_W_COPIES}[route]
+    assert estimate == pytest.approx(copies * 8 * basis.dim**2)
+    assert peak < estimate
 
 
 # ---------------------------------------------------------------- sampled
@@ -776,13 +886,14 @@ def test_otoc_routes_reject_bad_time_grids(route, grid):
 
 
 def test_otoc_routes_check_memory_first(monkeypatch):
-    basis, eig = make_eig(3)
+    basis, eig, sectors = make_sector_eig(3)
     d_1, d_i = sigma_z_operator(basis, 1, 1), sigma_z_operator(basis, 1, 2)
     times = np.linspace(0.0, 1.0, 3)
     monkeypatch.setattr(core, "_physical_memory", lambda: 1000)
     for caller, call in [
         ("exact_otoc", lambda: exact_otoc(eig, d_i, d_1, times)),
         ("multi_distance_otoc_values", lambda: multi_distance_otoc_values(eig, d_i[None, :], d_1, times)),
+        ("multi_distance_otoc_values", lambda: multi_distance_otoc_values(sectors, d_i[None, :], d_1, times)),
         ("sampled_otoc", lambda: sampled_otoc(eig, d_i, d_1, [fock_state(basis, 0)], times)),
         ("complete_fock_basis", lambda: complete_fock_basis(basis)),
     ]:

@@ -2,6 +2,7 @@
 
 import ast
 import importlib
+import json
 import os
 import re
 import subprocess
@@ -155,7 +156,7 @@ def test_spectral_weight_sums_use_no_blas_dot():
         if isinstance(node, ast.FunctionDef)
     }
     found = []
-    for name in ("charge_blocks", "diagonalize"):
+    for name in ("charge_blocks", "diagonalize", "diagonalize_sectors", "_check_spectral_weight"):
         for node in ast.walk(bodies[name]):
             if (
                 isinstance(node, ast.Call)
@@ -176,3 +177,21 @@ def test_ci_tier1_job_has_a_timeout():
     workflow = (ROOT / ".github" / "workflows" / "tier1.yml").read_text()
     job = workflow.split("\n  tier1:\n", 1)[1]
     assert re.search(r"^    timeout-minutes: 30$", job, re.M)
+
+
+def test_bench_records_hold_paired_medians_quartiles_seeds_and_env():
+    # A speedup counts only with a committed record of alternating parent and
+    # change runs of perfbench/run.py, per workload.
+    paths = sorted(ROOT.glob("BENCH_*.json"))
+    assert paths
+    for path in paths:
+        record = json.loads(path.read_text())
+        assert record["env"]["numpy"] and record["env"]["threads"]
+        assert set(record["workloads"]) == {"levelstats", "wavefront", "decay"}
+        for name, entry in record["workloads"].items():
+            assert len(entry["seeds"]) >= 10, f"{path.name} {name}"
+            for side in ("parent", "change"):
+                for metric in ("wall_s", "setup_s", "peak_rss_mib"):
+                    stats = entry[side][metric]
+                    assert len(stats["runs"]) == len(entry["seeds"])
+                    assert stats["q1"] <= stats["median"] <= stats["q3"]

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ladderxx import wavefront
 from ladderxx.core import (
     LadderParams,
     SectorBasis,
@@ -249,6 +250,49 @@ def test_grid_requires_realizations():
     params = LadderParams(L=3, alpha=1.0, h=1.0)
     with pytest.raises(ValueError):
         build_spacetime_grid(params, [], np.linspace(0, 1, 5))
+
+
+def counted_eigensolves(monkeypatch):
+    """Count the eigensolves that build_spacetime_grid makes, by kind."""
+    counts = {"diagonalize": 0, "diagonalize_sectors": 0}
+    for name in counts:
+        solve = getattr(wavefront, name)
+
+        def counted(*args, name=name, solve=solve):
+            counts[name] += 1
+            return solve(*args)
+
+        monkeypatch.setattr(wavefront, name, counted)
+    return counts
+
+
+@pytest.mark.parametrize(
+    "times, message",
+    [([], "at least one time"), ([0.0, float("nan")], "finite"), ([[0.0, 1.0]], "1-D")],
+    ids=["empty", "nan", "two-dimensional"],
+)
+def test_grid_refuses_a_bad_time_grid_before_any_eigensolve(times, message, monkeypatch):
+    counts = counted_eigensolves(monkeypatch)
+    params = LadderParams(L=3, alpha=1.0, h=1.0)
+    with pytest.raises(ValueError, match=message):
+        build_spacetime_grid(params, [sample_disorder(params, 1)], times)
+    assert counts == {"diagonalize": 0, "diagonalize_sectors": 0}
+
+
+def test_grid_solves_charge_sectors_only_with_shared_fields(monkeypatch):
+    counts = counted_eigensolves(monkeypatch)
+    params = LadderParams(L=4, alpha=1.3, h=2.0)
+    basis = SectorBasis(4)
+    ensemble = [sample_disorder(params, 5), sample_disorder(params, 6, independent_legs=True)]
+    times = np.linspace(0.0, 4.0, 9)
+    grid = build_spacetime_grid(params, ensemble, times)
+    assert counts == {"diagonalize": 1, "diagonalize_sectors": 1}
+    d_1 = sigma_z_operator(basis, 1, 1)
+    probes = np.stack([sigma_z_operator(basis, 1, 1 + dx) for dx in (1, 2, 3)])
+    for dis, got in zip(ensemble, grid.per_realization):
+        eig = diagonalize(build_hamiltonian(params, dis, basis))
+        want, _ = multi_distance_otoc_values(eig, probes, d_1, times)
+        assert np.max(np.abs(got - want)) < 1e-12
 
 
 def test_decoupled_legs_never_scramble_across():
