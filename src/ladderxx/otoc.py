@@ -29,8 +29,9 @@ C W C^-1 = -conj W. Hence |W_f(a)f(b)| = |W_ab|, where f(a) = N - 1 - a is
 the flip in the sorted basis. For probes that are odd under the flip too,
 half the rows, one of each mirror pair, carry the whole OTOC. The route
 takes a full `EigenSystem`, or with shared fields a `ChargeEigenSystem`,
-from which it forms the columns of U(t) sector by sector and maps them to
-the states by Hadamard transforms (`_SectorRoute` states the identities).
+from which it forms the columns of U(t) sector by sector, maps them to the
+states by Hadamard transforms, and takes the column side of each step's
+N x N product from the same blocks (`_SectorRoute` states the identities).
 
 `sampled_otoc` evolves its M states in the eigenbasis and never returns to
 the computational basis. It takes both operators in the eigenbasis,
@@ -84,10 +85,11 @@ __all__ = [
 # fixed-size cast buffers add half a copy more (6.54).
 EXACT_COPIES = 6.6
 # multi_distance_otoc_values holds its work block and [S_R J; S], 2.5 copies,
-# and beside them V[up, :]^T from an EigenSystem (3.31 at L = 5), or the
-# weighted rows W_q and the two block buffers from a ChargeEigenSystem (3.57).
-MULTI_DISTANCE_COPIES = 3.4
-SECTOR_W_COPIES = 3.6
+# and beside them V[up, :]^T from an EigenSystem (3.20 at L = 5), or the
+# weighted rows W_q and the block products P_q from a ChargeEigenSystem
+# (3.49). Its memory check adds the eigensystem that the caller holds.
+MULTI_DISTANCE_COPIES = 3.3
+SECTOR_W_COPIES = 3.5
 # sampled_otoc: 3.1 while it rotates the two operators, then 2 for them plus
 # 12 M K / N for the state coefficients and two chunk buffers of 4 M K real
 # columns each, with M states and K steps per chunk.
@@ -341,9 +343,10 @@ def multi_distance_otoc_values(
     every probe operator at O(N^2) extra cost each. Since sz_1 = 2 P - 1
     with P the projector on its +1 states, W = 2 G G^dagger - 1, where
     G = U(t) B holds U(t) on any real orthonormal basis B of those states
-    (N x N/2 in the Sz = 0 sector). With S = [Re G, Im G] and
-    X = Im G Re G^T, Re W = 2 S S^T - 1 and Im W = 2 (X - X^T); neither
-    changes when B is rotated, so each eigensystem forms S its own way:
+    (N x N/2 in the Sz = 0 sector). Let S hold Re G and Im G, column j of
+    each side by side (columns 2j and 2j + 1), and X = Im G Re G^T; then
+    Re W = 2 S S^T - 1 and Im W = 2 (X - X^T). Neither changes when B is
+    rotated, so each eigensystem forms S its own way:
 
     * an `EigenSystem` takes B = the unit vectors of the +1 states, and
       G = V (exp(-i E t) * V[up, :]^T), one N x N x N GEMM;
@@ -354,8 +357,11 @@ def multi_distance_otoc_values(
     state of every mirror pair, and each step forms only the rows R of W.
     By the chiral mirror (module notes) and d_f(a) = -d_a for every probe,
     F_i = (2/N) sum_{a in R} sum_b d_a d_b |W_ab|^2. With S_R the rows R of
-    S and S_R J = [Im G_R, -Re G_R], the one GEMM [S_R J; S_R] S^T
-    gives Y_R = (X - X^T)_R and K_R = (S S^T)_R. Then
+    S and S_R J its columns 2j and 2j + 1 turned into Im G_R and -Re G_R,
+    A = [S_R J; S_R] gives S A^T = [Y_R; K_R]^T, Y_R = (X - X^T)_R and
+    K_R = (S S^T)_R: one N x N x N GEMM from an `EigenSystem`, per-block
+    GEMMs and a Hadamard map from a `ChargeEigenSystem` (`_SectorRoute`
+    states the column-side identity). Then
     |W_ab|^2 = 4 (K_ab^2 + Y_ab^2) off the diagonal and (2 K_aa - 1)^2 on it,
     where Im W vanishes. Every step checks the mirror on the data: it raises
     RuntimeError unless W_f(a)f(a) = -W_aa, i.e.
@@ -380,10 +386,11 @@ def multi_distance_otoc_values(
     D, d1 = _checked_operators(n, probe_ops, op_1)
     times = _checked_times(times)
     if isinstance(eig, ChargeEigenSystem):
-        check_memory("multi_distance_otoc_values", n, SECTOR_W_COPIES)
+        held = sum(V.size for _, V in eig.sectors.values()) / n**2
+        check_memory("multi_distance_otoc_values", n, SECTOR_W_COPIES + held)
         route = _SectorRoute(eig, d1)
     else:
-        check_memory("multi_distance_otoc_values", n, MULTI_DISTANCE_COPIES)
+        check_memory("multi_distance_otoc_values", n, MULTI_DISTANCE_COPIES + 1.0)
         route = _DenseRoute(eig, d1)
     half = n // 2
     # Row r of S is state rows[r]; its mirror f(a) = N - 1 - a is row
@@ -394,23 +401,29 @@ def multi_distance_otoc_values(
     mirror = position[n - 1 - rows[:half]] - half
     D = D[:, rows]
     D_R = np.ascontiguousarray(D[:, :half])
-    # work holds the route's input to S until S is formed, then [Y_R; K_R].
+    # work holds the route's inputs to S and to S A^T. stacked = [S_R J; S]
+    # and the route's spare rows: its first N rows are A, and the rows below
+    # them are free for the route's product once S's second half has given
+    # its mirror norms.
     work = np.empty((n, n))
-    # stacked = [S_R J; S], so its first N rows are [S_R J; S_R].
-    stacked = np.empty((n + half, n))
-    S = stacked[half:]
-    Y, K = work[:half], work[half:]
+    stacked = np.empty((half + n + route.spare_rows, n))
+    S = stacked[half : half + n]
+    # (row, column j, Re or Im) views of S_R and S_R J.
+    S_R = S[:half].reshape(half, half, 2)
+    S_R_J = stacked[:half].reshape(half, half, 2)
 
     values = np.empty((D.shape[0], times.shape[0]), dtype=float)
     defects = np.empty(times.shape)
     for k, t in enumerate(times):
         route.form(t, work, S)
-        stacked[:half, :half] = S[:half, half:]
-        np.negative(S[:half, :half], out=stacked[:half, half:])
-        np.matmul(stacked[:n], S.T, out=work)
-        # Re W_aa = 2 ||S_a||^2 - 1 must be odd under the flip.
-        k_diag = K.diagonal().copy()
+        S_R_J[:, :, 0] = S_R[:, :, 1]
+        np.negative(S_R[:, :, 0], out=S_R_J[:, :, 1])
         flipped = np.einsum("ij,ij->i", S[half:], S[half:])[mirror]
+        # [Y_R; K_R]^T: column a of each half belongs to row a of R.
+        out = route.product(work, stacked)
+        Y, K = out[:, :half], out[:, half:]
+        # Re W_aa = 2 ||S_a||^2 - 1 must be odd under the flip.
+        k_diag = K[:half].diagonal().copy()
         mismatch = np.max(np.abs(k_diag + flipped - 1.0))
         if not np.isfinite(mismatch):
             raise RuntimeError(f"W(t={t}) is not finite: the eigensystem holds NaN or inf")
@@ -419,19 +432,21 @@ def multi_distance_otoc_values(
                 f"W(t={t}) breaks the chiral mirror by {mismatch:.3e}: "
                 "H does not anticommute with the sublattice sign times the spin flip"
             )
-        # K <- |W_R|^2 / 4: K^2 + Y^2, and (K_aa - 1/2)^2 where Im W_aa = 0.
-        np.square(K, out=K)
-        np.square(Y, out=Y)
-        K += Y
-        np.fill_diagonal(K, (k_diag - 0.5) ** 2)
-        defects[k] = abs(8.0 * K.sum() / n - 1.0)
-        values[:, k] = np.sum((D_R @ K) * D, axis=1) * (8.0 / n)
+        # |W_ab|^2 / 4 = K_ab^2 + Y_ab^2, and (K_aa - 1/2)^2 where Im W_aa = 0.
+        np.square(out, out=out)
+        np.fill_diagonal(Y[:half], 0.0)
+        np.fill_diagonal(K[:half], (k_diag - 0.5) ** 2)
+        defects[k] = abs(8.0 * out.sum() / n - 1.0)
+        weighted = D @ out
+        values[:, k] = np.sum((weighted[:, :half] + weighted[:, half:]) * D_R, axis=1) * (8.0 / n)
     return values, float(np.max(defects))
 
 
 class _DenseRoute:
-    """S = [Re G, Im G] from a full eigensystem, rows in basis order:
+    """S from a full eigensystem, rows in basis order:
     G = V (exp(-i E t) * V[up, :]^T), the phased columns formed in `work`."""
+
+    spare_rows = 0
 
     def __init__(self, eig: EigenSystem, d1: np.ndarray):
         self.V, self.E = eig.eigenvectors, eig.eigenvalues
@@ -439,14 +454,21 @@ class _DenseRoute:
         self.rows = np.arange(eig.dim)
 
     def form(self, t: float, work: np.ndarray, S: np.ndarray) -> None:
-        half = self.V_up.shape[1]
-        np.multiply(np.cos(self.E * t)[:, None], self.V_up, out=work[:, :half])
-        np.multiply(-np.sin(self.E * t)[:, None], self.V_up, out=work[:, half:])
+        n, half = work.shape[0], work.shape[0] // 2
+        phased = work.reshape(n, half, 2)
+        np.multiply(np.cos(self.E * t)[:, None], self.V_up, out=phased[:, :, 0])
+        np.multiply(-np.sin(self.E * t)[:, None], self.V_up, out=phased[:, :, 1])
         np.matmul(self.V, work, out=S)
+
+    def product(self, work: np.ndarray, stacked: np.ndarray) -> np.ndarray:
+        """S A^T, A = stacked[:N], into `work`, which `form` no longer needs."""
+        n = work.shape[0]
+        np.matmul(stacked[n // 2 : n // 2 + n], stacked[:n].T, out=work)
+        return work
 
 
 class _SectorRoute:
-    """S = [Re G, Im G] from a `ChargeEigenSystem`, rows in `rows` order.
+    """S from a `ChargeEigenSystem`, rows in `rows` order.
 
     Three identities make G cheap. Write G = U_Q G_Q with U_Q the charge map
     and G_Q = (+)_q V_q exp(-i E_q t) V_q^T B_Q, B_Q = U_Q^T B.
@@ -461,8 +483,10 @@ class _SectorRoute:
       even t and q + 2 for odd t. With the columns of B_Q sorted by the
       edge {q, q + 2} of each pair, and the doubly occupied labels of
       sector q between the edges below and above q, the columns that touch
-      sector q are one range, and each holds one weighted row of V_q: block
-      q costs one real GEMM V_q [cos, -sin] (E_q t) * W_q per step, W_q the
+      sector q are one range, and each holds one weighted row of V_q. With
+      Re and Im of each column side by side, block q's columns of
+      S_Q = [Re G_Q, Im G_Q] are one slice, `span`, and the block costs one
+      real GEMM P_q = V_q [cos, -sin] (E_q t) * W_q per step, W_q the
       weighted rows of V_q^T.
     * The Hadamard input needs no gather. For a fixed (z, m) all labels lie
       in one sector, so with every sector's labels in `ChargeLabels.order`
@@ -476,6 +500,14 @@ class _SectorRoute:
       each half. A z = 0 pattern holds one state, and the flip maps it to
       another z = 0 pattern; `ChargeLabels.order` puts one of each such
       pair in the first half of the z = 0 rows.
+
+    The column side of the step's product follows from S = U_Q S_Q: for any
+    A with N columns, S A^T = U_Q (S_Q A^T), and the rows of S_Q A^T in
+    sector q are P_q A[:, span]^T. So `product` forms S A^T, for the dense
+    A = [S_R J; S_R], from one m_q x 2 c_q x N GEMM per block, written by the
+    same runs into the Hadamard input, and one more Hadamard map: the GEMM
+    work is sum_q m_q 2 c_q N in place of N^3. The products P_q are kept from
+    `form`, one buffer per block.
     """
 
     def __init__(self, eig: ChargeEigenSystem, d1: np.ndarray):
@@ -522,10 +554,13 @@ class _SectorRoute:
             starts = np.concatenate([[0], breaks])
             stops = np.concatenate([breaks, [sector_rows.size]])
             runs = [(a, b, sector_rows[a]) for a, b in zip(starts, stops)]
-            self.blocks.append((E, V, W, slice(cols[0], cols[0] + cols.size), runs))
-        widest = max(V.shape[0] * 2 * W.shape[1] for _, V, W, _, _ in self.blocks)
-        self.phased = np.empty(widest)
-        self.product = np.empty(widest)
+            span = slice(2 * cols[0], 2 * (cols[0] + cols.size))
+            P = np.empty((V.shape[0], 2 * cols.size))
+            self.blocks.append((E, V, W, span, runs, P))
+        # `product` writes each block's m_q x N GEMM into the rows of `stacked`
+        # below A: S's second half, N/2 rows, and at L = 2 and 4, where the
+        # widest block has more rows, these spare rows.
+        self.spare_rows = max(0, max(V.shape[0] for _, V, *_ in self.blocks) - half)
         # One Hadamard group per z: its rows [first, first + 2 count) of the
         # input map to rows [top, top + count) and [bottom, bottom + count) of S.
         self.groups = []
@@ -544,34 +579,48 @@ class _SectorRoute:
             bottom += count
         self.rows = labels.state[np.concatenate(first_half + second_half)]
 
-    def hadamard(self, work: np.ndarray, S: np.ndarray) -> None:
-        """S = U_Q applied to the label rows in `work`, its rows in `self.rows` order."""
+    def hadamard(self, work: np.ndarray, out: np.ndarray) -> None:
+        """out = U_Q applied to the label rows in `work`, its rows in `self.rows` order."""
         for hadamard, first, count, top, bottom in self.groups:
             rows = work[first : first + 2 * count]
             h = hadamard.shape[0] // 2
             if h == 0:
                 # z = 0: one state per pattern, which the Hadamard map keeps.
-                S[top : top + count] = rows[:count]
-                S[bottom : bottom + count] = rows[count:]
+                out[top : top + count] = rows[:count]
+                out[bottom : bottom + count] = rows[count:]
                 continue
             flat = rows.reshape(2 * h, -1)
-            np.matmul(hadamard[:h], flat, out=S[top : top + count].reshape(h, -1))
-            np.matmul(hadamard[h:], flat, out=S[bottom : bottom + count].reshape(h, -1))
+            np.matmul(hadamard[:h], flat, out=out[top : top + count].reshape(h, -1))
+            np.matmul(hadamard[h:], flat, out=out[bottom : bottom + count].reshape(h, -1))
 
     def form(self, t: float, work: np.ndarray, S: np.ndarray) -> None:
-        n = work.shape[0]
         work.fill(0.0)
-        labelled = work.reshape(n, 2, n // 2)
-        for E, V, W, span, runs in self.blocks:
+        # S is free until the Hadamard map writes it: it holds each block's
+        # phased columns, Re and Im of each side by side.
+        free = S.reshape(-1)
+        for E, V, W, span, runs, P in self.blocks:
             m, c = W.shape
-            phased = self.phased[: 2 * m * c].reshape(m, 2, c)
-            np.multiply(np.cos(E * t)[:, None], W, out=phased[:, 0])
-            np.multiply(-np.sin(E * t)[:, None], W, out=phased[:, 1])
-            product = self.product[: 2 * m * c].reshape(m, 2, c)
-            np.matmul(V, phased.reshape(m, 2 * c), out=product.reshape(m, 2 * c))
+            phased = free[: 2 * m * c].reshape(m, c, 2)
+            np.multiply(np.cos(E * t)[:, None], W, out=phased[:, :, 0])
+            np.multiply(-np.sin(E * t)[:, None], W, out=phased[:, :, 1])
+            np.matmul(V, phased.reshape(m, 2 * c), out=P)
             for a, b, row in runs:
-                labelled[row : row + b - a, :, span] = product[a:b]
+                work[row : row + b - a, span] = P[a:b]
         self.hadamard(work, S)
+
+    def product(self, work: np.ndarray, stacked: np.ndarray) -> np.ndarray:
+        """S A^T, A = stacked[:N], into A's rows, from `form`'s block
+        products (class notes)."""
+        n = work.shape[0]
+        A, spare = stacked[:n], stacked[n:]
+        # Rows of work that no block writes keep form's zeros.
+        for E, V, W, span, runs, P in self.blocks:
+            out = spare[: V.shape[0]]
+            np.matmul(P, A[:, span].T, out=out)
+            for a, b, row in runs:
+                work[row : row + b - a] = out[a:b]
+        self.hadamard(work, A)
+        return A
 
 
 def sampled_otoc(

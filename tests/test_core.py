@@ -687,8 +687,11 @@ def test_memory_check_admits_l7_and_the_l8_w_route_and_stops_l8_exact_otoc(monke
         check_memory("step", n7, copies)
     # At L = 8 one N x N array is 1.3 GB: the half-row W-route holds about
     # three, exact_otoc's trace route about 6.6, just over the 6.48 of 8 GiB.
-    check_memory("multi_distance_otoc_values", n8, otoc.MULTI_DISTANCE_COPIES)
-    check_memory("multi_distance_otoc_values", n8, otoc.SECTOR_W_COPIES)
+    # The W-route's check adds the caller's eigensystem: one copy, or the
+    # sector blocks, C(8, k)^2 wide.
+    sector_blocks = sum(comb(8, k) ** 4 for k in range(9)) / n8**2
+    check_memory("multi_distance_otoc_values", n8, otoc.MULTI_DISTANCE_COPIES + 1.0)
+    check_memory("multi_distance_otoc_values", n8, otoc.SECTOR_W_COPIES + sector_blocks)
     with pytest.raises(MemoryError, match="exact_otoc at N=12870"):
         check_memory("exact_otoc", n8, otoc.EXACT_COPIES)
 
