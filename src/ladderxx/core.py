@@ -43,7 +43,6 @@ __all__ = [
     "DiagonalizationError",
     "sample_disorder",
     "build_hamiltonian",
-    "charge_blocks",
     "diagonalize",
     "diagonalize_sectors",
     "evolve_state",
@@ -59,10 +58,11 @@ L_MAX = 8
 SPECTRAL_WEIGHT_RTOL = 16 * np.finfo(float).eps
 # Peak memory of each dense step in units of one N x N float64 array (8 N^2
 # bytes): the larger tracemalloc peak of L = 5 and 6, rounded up.
-BUILD_COPIES = 1.1  # the independent-legs block: H made dense, beside its CSR form
-BLOCK_COPIES = 3.2  # per m x m block: the block, its sparse product and the charge map
 EIGH_COPIES = 2.2  # eigenvectors and the dense copy of H that LAPACK overwrites
-EIGVALS_COPIES = 1.5  # per m x m block: LAPACK's copy of it and its workspace
+# Eigenvalues only, in units of the widest m x m block (H with independent
+# legs): the block, its sparse product and, when first built, the charge
+# map; then LAPACK's copy of the block and its workspace.
+EIGVALS_COPIES = 3.4
 # diagonalize_sectors: the eigenvectors of every block, and this many copies of
 # the largest one: the block, and numpy's eigh of it, whose input copy,
 # eigenvectors and workspace raise the RSS by 4.3-4.5 block copies outside
@@ -167,9 +167,9 @@ class ChargeLabels:
     flip keeps z and complements b, so the flip half is b's top bit; for
     z = 0 it swaps the doubly occupied columns with the empty ones, and the
     flip half is whether the doubly occupied columns, read as a bit mask,
-    exceed the empty ones. A sector's labels in this order are the rows of
-    its block in `diagonalize_sectors`, and the W-route's Hadamard input
-    (`otoc._SectorRoute`) holds all labels in it.
+    exceed the empty ones. A sector's labels in this order are the columns
+    of its U_q (`SectorBasis.charge_sectors`) and the rows of its block, and
+    the W-route's Hadamard input (`otoc._SectorRoute`) holds all labels in it.
     """
 
     slot: np.ndarray
@@ -265,11 +265,12 @@ class SectorBasis:
         (bit t set where X_t = -1) has entry 2^(-z/2) (-1)^popcount(b & m) on
         the state whose leg-2 bits on those columns read b, and
         q = z - 2 popcount((m ^ _STRING_SIGNS) & (2^z - 1)). Within a sector
-        the labels keep their slot order (`ChargeLabels`).
+        the labels come in `ChargeLabels.order`.
         """
         labels = self.charge_labels
+        order = labels.order
         column = np.empty(self.dim, dtype=np.int64)
-        column[np.argsort(labels.charge, kind="stable")] = np.arange(self.dim)
+        column[order[np.argsort(labels.charge[order], kind="stable")]] = np.arange(self.dim)
         z, b = labels.z[labels.slot], labels.index[labels.slot]
         first = labels.slot - b
         rows, cols, coefs = [], [], []
@@ -299,30 +300,20 @@ class SectorBasis:
 
 @dataclass(frozen=True)
 class SectorHamiltonian:
-    """Real symmetric Hamiltonian restricted to the Sz = 0 sector, as a sparse
-    CSR matrix; `diagonalize` forms its one dense copy."""
+    """Real symmetric Hamiltonian restricted to the Sz = 0 sector of ``basis``,
+    as a sparse CSR matrix; `diagonalize` forms its one dense copy."""
 
     matrix: scipy.sparse.csr_array
     params: LadderParams
     disorder: DisorderRealization
+    basis: SectorBasis
 
 
 @dataclass(frozen=True)
 class ChargeBlocks:
-    """Symmetric blocks whose spectra make up the spectrum of one realization.
+    """``H``, to be solved by `diagonalize` for its eigenvalues alone, block by block."""
 
-    ``charges[j]`` is the dressed rung charge q of ``blocks[j]``; a block with
-    q > 0 also stands for the sector -q, whose spectrum is its negation.
-    ``charges`` is None when H conserves no charge and the one block is H.
-    ``frobenius2`` is ||H||_F^2 of the N x N Hamiltonian they come from, for
-    the spectral-weight check in `diagonalize`.
-    """
-
-    blocks: tuple[np.ndarray, ...]
-    charges: tuple[int, ...] | None
-    frobenius2: float
-    params: LadderParams
-    disorder: DisorderRealization
+    H: SectorHamiltonian
 
 
 @dataclass(frozen=True)
@@ -449,9 +440,10 @@ def sample_disorder(
     field term h_i (sz_{1,i} + sz_{2,i}). With ``independent_legs=True`` a
     second, independent set of L values is drawn for leg 2 from the same
     stream; level statistics in the ergodic regime need this variant because
-    with column-identical fields H keeps a conserved charge, the dressed rung
-    exchange of the levelstats module notes, whatever the fields.
+    column-identical fields keep a charge conserved
+    (`SectorBasis.charge_sectors`). ``seed`` must be an integer >= 0.
     """
+    seed = _checked_int("seed", seed, 0)
     rng = np.random.Generator(np.random.Philox(key=seed))
     n = 2 * params.L if independent_legs else params.L
     values = rng.uniform(-params.h, params.h, size=n)
@@ -533,7 +525,7 @@ def build_hamiltonian(
     asymmetry = abs(H - H.T).max()
     if not asymmetry <= 1e-12:
         raise RuntimeError(f"assembled Hamiltonian is not symmetric ({asymmetry:.3e})")
-    return SectorHamiltonian(matrix=H, params=params, disorder=disorder)
+    return SectorHamiltonian(matrix=H, params=params, disorder=disorder, basis=basis)
 
 
 def _check_chiral_symmetry(params: LadderParams, d: np.ndarray) -> None:
@@ -555,43 +547,6 @@ def _check_chiral_symmetry(params: LadderParams, d: np.ndarray) -> None:
             raise RuntimeError(f"bond across bits {a}, {b} joins one sublattice")
 
 
-def charge_blocks(
-    params: LadderParams,
-    disorder: DisorderRealization,
-    basis: SectorBasis,
-) -> ChargeBlocks:
-    """Blocks for an eigenvalues-only solve, from the sparse H of `build_hamiltonian`.
-
-    With the same fields on both legs, H conserves the dressed rung charge Q
-    and the blocks are U_q^T H U_q for its sectors q >= 0
-    (`SectorBasis.charge_sectors`), multiplied out from the CSR matrix
-    without an N x N array. The q < 0 spectra are the mirror images of the
-    q > 0 ones (`_check_chiral_symmetry`, which raises if a term of H breaks
-    that). With independent legs the one block is H made dense, after a
-    memory check. ||H||_F^2 is the sum of the squared stored entries of H,
-    summed by numpy, not by a BLAS dot: a dot over the ~4e4 entries at L = 7
-    starts OpenBLAS's thread pool, after which the next LAPACK eigensolve
-    runs ~1.5x slower for ~0.1 s.
-    """
-    H = build_hamiltonian(params, disorder, basis).matrix
-    frobenius2 = float(np.square(H.data).sum())
-    n = basis.dim
-    if disorder.fields_for_leg(1) != disorder.fields_for_leg(2):
-        check_memory("charge_blocks", n, BUILD_COPIES)
-        return ChargeBlocks((H.toarray(),), None, frobenius2, params, disorder)
-    _check_chiral_symmetry(params, H.diagonal())
-    sectors = {q: U for q, U in basis.charge_sectors.items() if q >= 0}
-    copies = BLOCK_COPIES * sum(U.shape[1] ** 2 for U in sectors.values()) / n**2
-    check_memory("charge_blocks", n, copies)
-    return ChargeBlocks(
-        blocks=tuple((U.T @ (H @ U)).toarray() for U in sectors.values()),
-        charges=tuple(sectors),
-        frobenius2=frobenius2,
-        params=params,
-        disorder=disorder,
-    )
-
-
 def diagonalize(H: SectorHamiltonian | ChargeBlocks) -> EigenSystem | SectorSpectra:
     """Dense symmetric eigensolve of one realization.
 
@@ -600,84 +555,93 @@ def diagonalize(H: SectorHamiltonian | ChargeBlocks) -> EigenSystem | SectorSpec
     CSR matrix is made dense here, once and in Fortran order, and LAPACK
     overwrites that copy in place, so the solve holds about two N x N arrays.
 
-    ChargeBlocks get SectorSpectra: an eigenvalues-only solve per block, the
-    negation of each q > 0 spectrum standing in for sector -q, all merged
-    into the ascending spectrum. At L = 7 the solved sectors are 1225, 441,
-    49 and 1 wide, about 1/21 of the flops of one solve at N = 3432. It
-    agrees with a full solve to rounding, not bit for bit.
-    Raises RuntimeError unless sum(lambda^2) equals ||H||_F^2 to rounding:
-    the blocks are projections, so weight goes missing exactly when H couples
-    them, i.e. does not conserve the charge although its fields say it does.
-    sum(lambda^2) is summed by numpy, like ||H||_F^2 in `charge_blocks` and
-    for the same reason: no threaded BLAS dot runs between two solves.
+    ChargeBlocks(H) gets SectorSpectra, from eigenvalues-only solves. With
+    the same fields on both legs, H conserves the dressed rung charge, and
+    each block U_q^T H U_q of a sector q >= 0 (`SectorBasis.charge_sectors`)
+    is multiplied out from the CSR matrix and solved before the next one is
+    formed, so the peak holds one block. The negation of each q > 0
+    spectrum stands for sector -q (`_check_chiral_symmetry`, which raises if
+    a term of H breaks that). With independent legs the one block is H made
+    dense. The merged spectrum agrees with a full solve to rounding, not
+    bit for bit. Raises RuntimeError when the spectrum misses weight of H
+    (`_check_spectral_weight`).
     """
-    blocks = isinstance(H, ChargeBlocks)
-    if blocks:
-        check_memory("diagonalize", max(b.shape[0] for b in H.blocks), EIGVALS_COPIES)
-    else:
+    if not isinstance(H, ChargeBlocks):
         check_memory("diagonalize", H.matrix.shape[0], EIGH_COPIES)
-    try:
-        if not blocks:
+        try:
             w, v = scipy.linalg.eigh(H.matrix.toarray(order="F"), overwrite_a=True)
-            return EigenSystem(eigenvalues=w, eigenvectors=v)
-        parts = [scipy.linalg.eigh(b, eigvals_only=True) for b in H.blocks]
+        except scipy.linalg.LinAlgError as exc:
+            raise _solve_failed(H) from exc
+        return EigenSystem(eigenvalues=w, eigenvectors=v)
+    H = H.H
+    n = H.basis.dim
+    if H.disorder.fields_for_leg(1) != H.disorder.fields_for_leg(2):
+        charges, blocks, width = (), [H.matrix], n
+    else:
+        _check_chiral_symmetry(H.params, H.matrix.diagonal())
+        sectors = {q: U for q, U in H.basis.charge_sectors.items() if q >= 0}
+        charges, width = tuple(sectors), max(U.shape[1] for U in sectors.values())
+        blocks = (U.T @ (H.matrix @ U) for U in sectors.values())
+    check_memory("diagonalize", n, EIGVALS_COPIES * width**2 / n**2)
+    try:
+        parts = [scipy.linalg.eigh(b.toarray(), eigvals_only=True) for b in blocks]
     except scipy.linalg.LinAlgError as exc:
         raise _solve_failed(H) from exc
-    sectors = dict(zip(H.charges, parts)) if H.charges is not None else {}
+    sectors = dict(zip(charges, parts))
     mirrors = [-e for q, e in sectors.items() if q > 0]
     w = np.sort(np.concatenate(parts + mirrors))
-    _check_spectral_weight(H, w, H.frobenius2)
+    _check_spectral_weight(H, w)
     return SectorSpectra(eigenvalues=w, sectors=sectors)
 
 
-def diagonalize_sectors(H: SectorHamiltonian, basis: SectorBasis) -> ChargeEigenSystem:
+def diagonalize_sectors(H: SectorHamiltonian) -> ChargeEigenSystem:
     """Eigensystem of every charge sector of a ladder with shared fields.
 
-    Each block U_q^T H U_q, its labels in `ChargeLabels.order`, is multiplied
-    out from the CSR matrix and solved with vectors, the q < 0 sectors
-    included. The solver is numpy's ``eigh`` (LAPACK ``syevd``), not
-    scipy's: the two packages link separate OpenBLAS copies, and the
-    W-route's GEMMs run in numpy's, whose threads still spin when the next
-    realization is solved; scipy's copy then competes with them for the
-    cores and solves the blocks several times slower. Raises ValueError
+    Each block U_q^T H U_q (`SectorBasis.charge_sectors`) is multiplied out
+    from the CSR matrix and solved with vectors, the q < 0 sectors included.
+    The solver is numpy's ``eigh`` (LAPACK ``syevd``), not scipy's: the two
+    packages link separate OpenBLAS copies, and the W-route's GEMMs run in
+    numpy's, whose threads still spin when the next realization is solved;
+    scipy's copy then competes with them for the cores. Raises ValueError
     when the legs see different fields, since H then conserves no charge,
-    and RuntimeError unless sum(lambda^2) equals ||H||_F^2 to rounding, as
-    in `diagonalize`.
+    and RuntimeError when the spectrum misses weight of H
+    (`_check_spectral_weight`).
     """
     if H.disorder.fields_for_leg(1) != H.disorder.fields_for_leg(2):
         raise ValueError("the legs see different fields, so H conserves no charge")
-    if basis.L != H.params.L:
-        raise ValueError(f"basis was built for L={basis.L}, params have L={H.params.L}")
-    labels = basis.charge_labels
+    basis = H.basis
     n = basis.dim
     widths = [U.shape[1] for U in basis.charge_sectors.values()]
     copies = (sum(w**2 for w in widths) + SECTOR_EIGH_COPIES * max(widths) ** 2) / n**2
     check_memory("diagonalize_sectors", n, copies)
-    A = H.matrix
     sectors = {}
     try:
         for q, U in basis.charge_sectors.items():
-            # U's columns hold sector q's slots in ascending order.
-            ordered = labels.order[labels.charge[labels.order] == q]
-            U = U[:, np.searchsorted(np.flatnonzero(labels.charge == q), ordered)]
-            E, V = np.linalg.eigh((U.T @ (A @ U)).toarray())
-            sectors[q] = (E, V)
+            sectors[q] = np.linalg.eigh((U.T @ (H.matrix @ U)).toarray())
     except np.linalg.LinAlgError as exc:
         raise _solve_failed(H) from exc
-    w = np.concatenate([E for E, _ in sectors.values()])
-    _check_spectral_weight(H, w, float(np.square(A.data).sum()))
+    _check_spectral_weight(H, np.concatenate([E for E, _ in sectors.values()]))
     return ChargeEigenSystem(basis=basis, sectors=sectors)
 
 
-def _solve_failed(H: SectorHamiltonian | ChargeBlocks) -> DiagonalizationError:
+def _solve_failed(H: SectorHamiltonian) -> DiagonalizationError:
     return DiagonalizationError(
         f"eigensolver failed for L={H.params.L}, alpha={H.params.alpha}, "
         f"h={H.params.h}, seed={H.disorder.seed}"
     )
 
 
-def _check_spectral_weight(H, w: np.ndarray, frobenius2: float) -> None:
-    """Raise RuntimeError unless sum(w^2) equals ||H||_F^2 to rounding."""
+def _check_spectral_weight(H: SectorHamiltonian, w: np.ndarray) -> None:
+    """Raise RuntimeError unless sum(w^2) equals ||H||_F^2 to rounding.
+
+    A block solve sees projections of H, so weight goes missing exactly when
+    H couples the blocks, i.e. does not conserve the charge although its
+    fields say it does. ||H||_F^2 is the sum of the squared stored entries
+    of H. Both sums are numpy reductions, not BLAS dots: a dot that long
+    (~4e4 entries at L = 7) starts OpenBLAS's thread pool, after which the
+    next LAPACK eigensolve runs slower.
+    """
+    frobenius2 = float(np.square(H.matrix.data).sum())
     lost = abs(float(np.square(w).sum()) - frobenius2)
     if not lost <= SPECTRAL_WEIGHT_RTOL * w.size * frobenius2:
         raise RuntimeError(

@@ -6,31 +6,24 @@ d_n = E_n - E_{n-1} the adjacent level spacings. Its ensemble mean sits near
 (localized) spectra, so sweeping the disorder strength traces the crossover.
 
 Note on the disorder mode: with the default column-identical fields H
-commutes, whatever alpha and the fields, with the dressed rung exchange
-Q = sum_i (-1)^(N_<i) (s+_{1,i} s-_{2,i} + h.c.), N_<i the up spins in columns
-1..i-1. Its sectors q = -L, -L+2, ..., L have sizes C(L, (L+q)/2)^2, and the
-gap ratio is defined within one sector: the mean ratio of the merged
-spectrum mixes independent sectors and never reaches the GOE value (it lands
-near 0.41 at L=5, h=1). Each report therefore carries, besides the merged
-mean, the mean ratio of every solved sector in meta["sector_mean_r"], keyed
-by |q| (sectors q and -q have mirrored spectra, so one of them stands for
+conserves, whatever alpha and the fields, the dressed rung charge Q
+(`core.SectorBasis.charge_sectors`). Its sectors q = -L, -L+2, ..., L have
+sizes C(L, (L+q)/2)^2, and the gap ratio is defined within one sector: the
+mean ratio of the merged spectrum mixes independent sectors and never
+reaches the GOE value (it lands near 0.41 at L=5, h=1). Each report
+therefore carries, besides the merged mean, the mean ratio of every solved
+sector in meta["sector_mean_r"], keyed by |q| (sectors q and -q have
+mirrored spectra, `core._check_chiral_symmetry`, so one of them stands for
 both). The q = 0 spectrum of even L is symmetric under E -> -E, so its
 ratios come from its upper half. ``middle_fraction`` applies to each sector
 on its own, and sectors of fewer than three levels are left out.
 Independent legs (``independent_legs=True``) break Q and restore the
 GOE/Poisson dichotomy of the merged spectrum; their reports hold no sectors.
 
-The spectra come from ``diagonalize(charge_blocks(...))``, eigenvalues only.
-Shared fields never form the N x N Hamiltonian: each sector block U_q^T H U_q
-is multiplied out from the sparse H of ``build_hamiltonian``. Only
-the sectors q >= 0 are solved: the product of the sublattice sign and the
-global spin flip anticommutes with H and with Q, so the sector -q spectrum
-is the mirror image E -> -E of sector q. `charge_blocks` checks what that
-needs of H, a diagonal odd under the flip and bonds only between the two
-sublattices, and raises otherwise. The merged spectrum agrees with a full
-solve to rounding (below 1e-12 at L <= 7). The spectral-weight check sums
-||H||_F^2 and sum(lambda^2) with numpy reductions: a BLAS dot that long
-starts OpenBLAS's threads, and the sector solve after it ran ~1.5x slower.
+The spectra come from ``diagonalize(ChargeBlocks(H))``, eigenvalues only and
+one sector block at a time (`core.diagonalize`); shared fields never form
+the N x N Hamiltonian. The merged spectrum agrees with a full solve to
+rounding (below 1e-12 at L <= 7).
 """
 
 from __future__ import annotations
@@ -40,10 +33,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import (
+    ChargeBlocks,
     LadderParams,
     SectorBasis,
     _checked_int,
-    charge_blocks,
+    build_hamiltonian,
     derive_seed,
     diagonalize,
     sample_disorder,
@@ -144,7 +138,7 @@ def ensemble_gap_ratio(
         for k in range(realizations):
             stream = derive_seed(seed, "level_stats", p.L, p.alpha, p.h, k)
             dis = sample_disorder(p, stream, independent_legs=independent_legs)
-            spectra = diagonalize(charge_blocks(p, dis, basis))
+            spectra = diagonalize(ChargeBlocks(build_hamiltonian(p, dis, basis)))
             E = _middle(spectra.eigenvalues, middle_fraction)
             ratios = gap_ratios(E)
             means[k] = ratios.mean()

@@ -22,8 +22,7 @@ the computational basis. It is the fast kernel of ensemble loops, where one
 W per time serves every probe operator; the tests compare it with
 `exact_otoc`. It evaluates half the rows of W through the chiral mirror of
 the ladder. C, the sublattice sign times the global spin flip, anticommutes
-with every ladder H: the field diagonal is odd under the flip and every bond
-joins the two sublattices (`core._check_chiral_symmetry`). H is real, so
+with every ladder H (`core._check_chiral_symmetry`). H is real, so
 C U(t) C^-1 = conj U(t), and sz_1 is odd under the flip, so
 C W C^-1 = -conj W. Hence |W_f(a)f(b)| = |W_ab|, where f(a) = N - 1 - a is
 the flip in the sorted basis. For probes that are odd under the flip too,
@@ -43,8 +42,7 @@ one real GEMM with A~ and one with B~, so a call with few states still makes
 a few wide GEMMs instead of many narrow ones.
 
 All three routines refuse a time grid that is empty, not 1-D or not finite,
-and `exact_otoc` and `multi_distance_otoc_values` check their operators
-before any O(N^3) work.
+and check their operators before any O(N^3) work.
 """
 
 from __future__ import annotations
@@ -58,6 +56,7 @@ from .core import (
     ChargeEigenSystem,
     EigenSystem,
     SectorBasis,
+    _checked_int,
     check_memory,
     sigma_z_operator,
 )
@@ -470,7 +469,7 @@ class _DenseRoute:
 class _SectorRoute:
     """S from a `ChargeEigenSystem`, rows in `rows` order.
 
-    Three identities make G cheap. Write G = U_Q G_Q with U_Q the charge map
+    Two identities make G cheap. Write G = U_Q G_Q with U_Q the charge map
     and G_Q = (+)_q V_q exp(-i E_q t) V_q^T B_Q, B_Q = U_Q^T B.
 
     * B in the labels. sz of spin (leg, site) is +1 on every label of a
@@ -488,10 +487,6 @@ class _SectorRoute:
       S_Q = [Re G_Q, Im G_Q] are one slice, `span`, and the block costs one
       real GEMM P_q = V_q [cos, -sin] (E_q t) * W_q per step, W_q the
       weighted rows of V_q^T.
-    * The Hadamard input needs no gather. For a fixed (z, m) all labels lie
-      in one sector, so with every sector's labels in `ChargeLabels.order`
-      each block writes its rows as contiguous runs of the Hadamard input,
-      which `work` holds, zero-padded outside the blocks.
     * U_Q is the normalized Sylvester-Hadamard matrix H_z on each pattern.
       In `ChargeLabels.order` each z is a (2^z, patterns) array of label
       rows, so two GEMMs with the top and bottom halves of H_z write states
@@ -501,11 +496,15 @@ class _SectorRoute:
       another z = 0 pattern; `ChargeLabels.order` puts one of each such
       pair in the first half of the z = 0 rows.
 
+    The Hadamard input, which `work` holds, has every label's row in
+    `ChargeLabels.order`, as V_q has sector q's, and zeros outside the
+    blocks; each block writes its rows with one indexed assignment.
+
     The column side of the step's product follows from S = U_Q S_Q: for any
     A with N columns, S A^T = U_Q (S_Q A^T), and the rows of S_Q A^T in
     sector q are P_q A[:, span]^T. So `product` forms S A^T, for the dense
-    A = [S_R J; S_R], from one m_q x 2 c_q x N GEMM per block, written by the
-    same runs into the Hadamard input, and one more Hadamard map: the GEMM
+    A = [S_R J; S_R], from one m_q x 2 c_q x N GEMM per block, written to
+    its rows of the Hadamard input, and one more Hadamard map: the GEMM
     work is sum_q m_q 2 c_q N in place of N^3. The products P_q are kept from
     `form`, one buffer per block.
     """
@@ -550,13 +549,9 @@ class _SectorRoute:
                 raise RuntimeError(f"sector {q} meets a non-contiguous range of +1 states")
             local = np.searchsorted(sector_rows, input_row[entry_slot[mine]])
             W = np.ascontiguousarray((V[local] * entry_weight[mine, None]).T)
-            breaks = np.flatnonzero(np.diff(sector_rows) != 1) + 1
-            starts = np.concatenate([[0], breaks])
-            stops = np.concatenate([breaks, [sector_rows.size]])
-            runs = [(a, b, sector_rows[a]) for a, b in zip(starts, stops)]
             span = slice(2 * cols[0], 2 * (cols[0] + cols.size))
             P = np.empty((V.shape[0], 2 * cols.size))
-            self.blocks.append((E, V, W, span, runs, P))
+            self.blocks.append((E, V, W, span, sector_rows, P))
         # `product` writes each block's m_q x N GEMM into the rows of `stacked`
         # below A: S's second half, N/2 rows, and at L = 2 and 4, where the
         # widest block has more rows, these spare rows.
@@ -598,14 +593,13 @@ class _SectorRoute:
         # S is free until the Hadamard map writes it: it holds each block's
         # phased columns, Re and Im of each side by side.
         free = S.reshape(-1)
-        for E, V, W, span, runs, P in self.blocks:
+        for E, V, W, span, sector_rows, P in self.blocks:
             m, c = W.shape
             phased = free[: 2 * m * c].reshape(m, c, 2)
             np.multiply(np.cos(E * t)[:, None], W, out=phased[:, :, 0])
             np.multiply(-np.sin(E * t)[:, None], W, out=phased[:, :, 1])
             np.matmul(V, phased.reshape(m, 2 * c), out=P)
-            for a, b, row in runs:
-                work[row : row + b - a, span] = P[a:b]
+            work[sector_rows, span] = P
         self.hadamard(work, S)
 
     def product(self, work: np.ndarray, stacked: np.ndarray) -> np.ndarray:
@@ -614,11 +608,10 @@ class _SectorRoute:
         n = work.shape[0]
         A, spare = stacked[:n], stacked[n:]
         # Rows of work that no block writes keep form's zeros.
-        for E, V, W, span, runs, P in self.blocks:
+        for E, V, W, span, sector_rows, P in self.blocks:
             out = spare[: V.shape[0]]
             np.matmul(P, A[:, span].T, out=out)
-            for a, b, row in runs:
-                work[row : row + b - a] = out[a:b]
+            work[sector_rows] = out
         self.hadamard(work, A)
         return A
 
@@ -651,6 +644,8 @@ def sampled_otoc(
     values holds the mean over states, per_sample the individual complex
     F_j series. Each F_j is the expectation of a unitary, so RuntimeError is
     raised when some |F_j| exceeds 1 by more than `SAMPLE_TOL`, or is NaN.
+    That needs op_i and op_1 to be +-1 diagonals; any other raises
+    ValueError before any O(N^3) work.
     """
     if len(states) == 0:
         raise ValueError("need at least one initial state")
@@ -662,6 +657,9 @@ def sampled_otoc(
     d_1 = np.asarray(op_1, dtype=float)
     if d_i.shape != (n,) or d_1.shape != (n,):
         raise ValueError("operator diagonals must match the eigensystem dimension")
+    for name, d in (("op_i", d_i), ("op_1", d_1)):
+        if not np.all(np.abs(d) == 1.0):
+            raise ValueError(f"{name} must be a +-1 diagonal")
     if any(s.amplitudes.shape != (n,) for s in states):
         raise ValueError(f"every initial state must have {n} amplitudes")
     m = len(states)
@@ -718,14 +716,19 @@ def sampled_otoc(
 
 
 def haar_state(basis: SectorBasis, seed: int) -> InitialState:
-    """Haar-random sector state: normalized i.i.d. complex Gaussian amplitudes."""
+    """Haar-random sector state: normalized i.i.d. complex Gaussian amplitudes.
+
+    ``seed``, an integer >= 0, keys the stream as in `core.sample_disorder`.
+    """
+    seed = _checked_int("seed", seed, 0)
     rng = np.random.Generator(np.random.Philox(key=seed))
     z = rng.standard_normal(basis.dim) + 1j * rng.standard_normal(basis.dim)
     return InitialState(amplitudes=z / np.linalg.norm(z), kind="haar", seed=seed)
 
 
 def fock_state(basis: SectorBasis, seed: int) -> InitialState:
-    """Uniformly random computational basis state of the sector."""
+    """Uniformly random computational basis state of the sector, keyed as `haar_state`."""
+    seed = _checked_int("seed", seed, 0)
     rng = np.random.Generator(np.random.Philox(key=seed))
     index = int(rng.integers(basis.dim))
     amplitudes = np.zeros(basis.dim, dtype=complex)

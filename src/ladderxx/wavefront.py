@@ -119,7 +119,7 @@ def build_spacetime_grid(
     for dis in disorder_ensemble:
         H = build_hamiltonian(params, dis, basis)
         if dis.fields_for_leg(1) == dis.fields_for_leg(2):
-            eig = diagonalize_sectors(H, basis)
+            eig = diagonalize_sectors(H)
         else:
             eig = diagonalize(H)
         vals, defect = multi_distance_otoc_values(eig, probes, d_1, times)

@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 from charge_oracles import dressed_rung_charge, leg_swap
 from ladderxx import core, otoc
 from ladderxx.core import (
+    ChargeBlocks,
     DiagonalizationError,
     DisorderRealization,
     LadderParams,
@@ -26,7 +27,6 @@ from ladderxx.core import (
     SectorSpectra,
     bit_position,
     build_hamiltonian,
-    charge_blocks,
     check_memory,
     derive_seed,
     diagonalize,
@@ -407,20 +407,19 @@ def test_default_diagonalize_is_one_full_eigh():
 def test_eigenvalues_only_matches_full_solve(L, alpha, h, independent_legs):
     params = LadderParams(L=L, alpha=alpha, h=h)
     basis = SectorBasis(L)
-    disorder = sample_disorder(params, 40 + L, independent_legs)
-    blocks = charge_blocks(params, disorder, basis)
-    shared = not (independent_legs and h > 0)
-    charges = tuple(range(L % 2, L + 1, 2)) if shared else None
-    assert blocks.charges == charges
-    assert len(blocks.blocks) == (len(charges) if shared else 1)
-    spectra = diagonalize(blocks)
+    H = build_hamiltonian(params, sample_disorder(params, 40 + L, independent_legs), basis)
+    spectra = diagonalize(ChargeBlocks(H))
     assert isinstance(spectra, SectorSpectra)
     w = spectra.eigenvalues
     assert w.shape == (basis.dim,)
     assert np.all(np.diff(w) >= 0)
-    assert list(spectra.sectors) == list(charges or ())
-    H = build_hamiltonian(params, disorder, basis).matrix.toarray()
-    assert np.max(np.abs(w - scipy.linalg.eigh(H, eigvals_only=True))) < 1e-12
+    shared = not (independent_legs and h > 0)
+    charges = list(range(L % 2, L + 1, 2)) if shared else []
+    assert list(spectra.sectors) == charges
+    sizes = [comb(L, (L + q) // 2) ** 2 for q in charges]
+    assert [E.size for E in spectra.sectors.values()] == sizes
+    dense = H.matrix.toarray()
+    assert np.max(np.abs(w - scipy.linalg.eigh(dense, eigvals_only=True))) < 1e-12
 
 
 @pytest.mark.parametrize("h", [0.0, 1.0, 8.0])
@@ -430,18 +429,14 @@ def test_sector_eigensystems_diagonalize_the_charge_blocks(L, alpha, h):
     params = LadderParams(L=L, alpha=alpha, h=h)
     basis = SectorBasis(L)
     H = build_hamiltonian(params, sample_disorder(params, 40 + L), basis)
-    eig = diagonalize_sectors(H, basis)
+    eig = diagonalize_sectors(H)
     dense = H.matrix.toarray()
-    labels = basis.charge_labels
     assert list(eig.sectors) == list(range(-L, L + 1, 2))
     assert eig.dim == basis.dim
     w = np.sort(np.concatenate([E for E, _ in eig.sectors.values()]))
     assert np.max(np.abs(w - scipy.linalg.eigh(dense, eigvals_only=True))) < 1e-12
     for q, (E, V) in eig.sectors.items():
-        # Rows are sector q's labels in the layout order of ChargeLabels.
-        ordered = labels.order[labels.charge[labels.order] == q]
         U = basis.charge_sectors[q].toarray()
-        U = U[:, np.searchsorted(np.flatnonzero(labels.charge == q), ordered)]
         assert np.all(np.diff(E) >= 0)
         assert np.max(np.abs(V.T @ V - np.eye(E.size))) < 1e-13
         assert np.max(np.abs(U.T @ dense @ U @ V - V * E)) < 1e-12 * (1.0 + h)
@@ -452,25 +447,19 @@ def test_sector_eigensystems_need_shared_fields():
     basis = SectorBasis(3)
     H = build_hamiltonian(params, sample_disorder(params, 2, independent_legs=True), basis)
     with pytest.raises(ValueError, match="conserves no charge"):
-        diagonalize_sectors(H, basis)
-    H = build_hamiltonian(params, sample_disorder(params, 2), basis)
-    with pytest.raises(ValueError, match="basis was built for L=4"):
-        diagonalize_sectors(H, SectorBasis(4))
+        diagonalize_sectors(H)
 
 
 @pytest.mark.parametrize("L", [3, 4, 5, 6])
 def test_independent_legs_block_is_the_dense_hamiltonian(L):
-    # One dense assembly serves both: the block is H bit for bit, and its
-    # spectrum is the one eigenvalues-only eigh of H.
+    # The one block is H made dense: its spectrum is bit for bit the one
+    # eigenvalues-only eigh of H.
     params = LadderParams(L=L, alpha=1.3, h=2.0)
     basis = SectorBasis(L)
-    disorder = sample_disorder(params, 70 + L, independent_legs=True)
-    H = build_hamiltonian(params, disorder, basis).matrix.toarray()
-    blocks = charge_blocks(params, disorder, basis)
-    assert blocks.charges is None
-    assert np.array_equal(blocks.blocks[0], H)
-    spectra = diagonalize(blocks)
-    assert np.array_equal(spectra.eigenvalues, scipy.linalg.eigh(H, eigvals_only=True))
+    H = build_hamiltonian(params, sample_disorder(params, 70 + L, independent_legs=True), basis)
+    spectra = diagonalize(ChargeBlocks(H))
+    want = scipy.linalg.eigh(H.matrix.toarray(), eigvals_only=True)
+    assert np.array_equal(spectra.eigenvalues, want)
     assert spectra.sectors == {}
 
 
@@ -486,22 +475,22 @@ def reference_charge_projections(Q: np.ndarray) -> dict[int, np.ndarray]:
 def test_spectral_blocks_match_reference(L, alpha):
     params = LadderParams(L=L, alpha=alpha, h=1.0)
     basis = SectorBasis(L)
-    disorder = sample_disorder(params, 60 + L)
-    H = build_hamiltonian(params, disorder, basis).matrix.toarray()
+    H = build_hamiltonian(params, sample_disorder(params, 60 + L), basis)
+    dense = H.matrix.toarray()
     reference = reference_charge_projections(dressed_rung_charge(basis))
-    got = charge_blocks(params, disorder, basis)
-    # Only the sectors q >= 0 are assembled; each q < 0 one is a mirror image.
-    assert got.charges == tuple(q for q in reference if q >= 0)
-    tol = 1e-14 * np.linalg.norm(H, 2)
-    for q, block in zip(got.charges, got.blocks):
+    spectra = diagonalize(ChargeBlocks(H))
+    # Only the sectors q >= 0 are solved; each q < 0 one is a mirror image.
+    assert list(spectra.sectors) == [q for q in reference if q >= 0]
+    for q, E in spectra.sectors.items():
         U = basis.charge_sectors[q].toarray()
         V = reference[q]
         # The map spans the eigenspace of the dense Q ...
         assert np.max(np.abs(U @ U.T - V @ V.T)) < 1e-12
-        # ... and its block is the projection of H, to rounding.
-        assert np.max(np.abs(block - U.T @ H @ U)) <= tol
-        mirror = scipy.linalg.eigh(reference[-q].T @ H @ reference[-q], eigvals_only=True)
-        assert np.max(np.abs(np.sort(-mirror) - scipy.linalg.eigh(block, eigvals_only=True))) < 1e-12
+        # ... and the sector's spectrum is that of the projection of H on
+        # it, and the negated one of the projection on sector -q.
+        for sign, V in ((1, reference[q]), (-1, reference[-q])):
+            want = np.sort(sign * scipy.linalg.eigh(V.T @ dense @ V, eigvals_only=True))
+            assert np.max(np.abs(E - want)) < 1e-12
 
 
 @pytest.mark.parametrize("independent_legs", [False, True])
@@ -510,10 +499,14 @@ def test_frobenius2_is_the_sum_of_squared_entries_of_h(L, independent_legs):
     params = LadderParams(L=L, alpha=1.3, h=2.0)
     disorder = sample_disorder(params, 8, independent_legs=independent_legs)
     basis = SectorBasis(L)
-    H = build_hamiltonian(params, disorder, basis).matrix
-    want = fsum(np.square(H.data))
-    got = charge_blocks(params, disorder, basis).frobenius2
-    assert abs(got - want) <= 1e-14 * want
+    H = build_hamiltonian(params, disorder, basis)
+    want = fsum(np.square(H.matrix.data))
+    # N levels that carry exactly ||H||_F^2 pass the spectral-weight check;
+    # a relative miss of 2e-9, far above its rounding allowance, does not.
+    w = np.full(basis.dim, np.sqrt(want / basis.dim))
+    core._check_spectral_weight(H, w)
+    with pytest.raises(RuntimeError, match="misses weight"):
+        core._check_spectral_weight(H, w * (1.0 + 1e-9))
 
 
 @pytest.mark.parametrize("L", [4, 5])
@@ -522,13 +515,11 @@ def test_eigenvalues_only_rejects_a_charge_map_without_the_string(L, monkeypatch
     # exchange, which H does not conserve: its blocks drop the coupling.
     monkeypatch.setattr(core, "_STRING_SIGNS", 0)
     params = LadderParams(L=L, alpha=1.0, h=1.0)
-    blocks = charge_blocks(params, sample_disorder(params, 5), SectorBasis(L))
+    H = build_hamiltonian(params, sample_disorder(params, 5), SectorBasis(L))
     with pytest.raises(RuntimeError, match="misses weight"):
-        diagonalize(blocks)
-    basis = SectorBasis(L)
-    H = build_hamiltonian(params, sample_disorder(params, 5), basis)
+        diagonalize(ChargeBlocks(H))
     with pytest.raises(RuntimeError, match="misses weight"):
-        diagonalize_sectors(H, basis)
+        diagonalize_sectors(H)
 
 
 def test_mirror_guard_rejects_a_same_sublattice_bond(monkeypatch):
@@ -547,24 +538,21 @@ def test_mirror_guard_rejects_a_same_sublattice_bond(monkeypatch):
     monkeypatch.setattr(core, "_bonds", with_next_nearest)
     for L in (4, 5):
         params = LadderParams(L=L, h=1.0)
+        H = build_hamiltonian(params, sample_disorder(params, 3), SectorBasis(L))
         with pytest.raises(RuntimeError, match="joins one sublattice"):
-            charge_blocks(params, sample_disorder(params, 3), SectorBasis(L))
+            diagonalize(ChargeBlocks(H))
 
 
-def test_mirror_guard_rejects_an_even_diagonal(monkeypatch):
+def test_mirror_guard_rejects_an_even_diagonal():
     # A constant shift is even under the global spin flip and moves the
     # spectrum off E -> -E.
-    build = core.build_hamiltonian
-
-    def shifted(params, disorder, basis):
-        H = build(params, disorder, basis)
-        return dataclasses.replace(H, matrix=H.matrix + scipy.sparse.eye_array(basis.dim))
-
-    monkeypatch.setattr(core, "build_hamiltonian", shifted)
     for L in (4, 5):
         params = LadderParams(L=L, h=1.0)
+        basis = SectorBasis(L)
+        H = build_hamiltonian(params, sample_disorder(params, 3), basis)
+        H = dataclasses.replace(H, matrix=H.matrix + scipy.sparse.eye_array(basis.dim))
         with pytest.raises(RuntimeError, match="not odd under the global spin flip"):
-            charge_blocks(params, sample_disorder(params, 3), SectorBasis(L))
+            diagonalize(ChargeBlocks(H))
 
 
 @pytest.mark.parametrize("L", [5, 6])
@@ -574,7 +562,7 @@ def test_eigenvalues_only_stays_below_one_dense_matrix(L):
     disorder = sample_disorder(params, 9)
     tracemalloc.start()
     try:
-        diagonalize(charge_blocks(params, disorder, basis))
+        diagonalize(ChargeBlocks(build_hamiltonian(params, disorder, basis)))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -590,7 +578,7 @@ def test_sector_eigensolve_stays_below_its_estimate(L, monkeypatch):
     monkeypatch.setattr(core, "check_memory", lambda caller, n, copies: estimates.append(copies))
     tracemalloc.start()
     try:
-        diagonalize_sectors(H, basis)
+        diagonalize_sectors(H)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -617,7 +605,6 @@ def test_eigensolver_failure_is_reported_with_the_realization(vectors, monkeypat
     params = LadderParams(L=3, h=1.0)
     disorder = sample_disorder(params, 4)
     H = build_hamiltonian(params, disorder, SectorBasis(3))
-    blocks = charge_blocks(params, disorder, SectorBasis(3))
 
     def failing_eigh(*args, **kwargs):
         raise scipy.linalg.LinAlgError("did not converge")
@@ -625,9 +612,9 @@ def test_eigensolver_failure_is_reported_with_the_realization(vectors, monkeypat
     monkeypatch.setattr(scipy.linalg, "eigh", failing_eigh)
     monkeypatch.setattr(np.linalg, "eigh", failing_eigh)
     with pytest.raises(DiagonalizationError, match="seed=4"):
-        diagonalize(H if vectors else blocks)
+        diagonalize(H if vectors else ChargeBlocks(H))
     with pytest.raises(DiagonalizationError, match="seed=4"):
-        diagonalize_sectors(H, SectorBasis(3))
+        diagonalize_sectors(H)
 
 
 def test_dense_steps_check_memory_first(monkeypatch):
@@ -637,14 +624,12 @@ def test_dense_steps_check_memory_first(monkeypatch):
     basis = SectorBasis(4)
     disorder = sample_disorder(params, 4)
     H = build_hamiltonian(params, disorder, basis)
-    blocks = charge_blocks(params, disorder, basis)
     monkeypatch.setattr(core, "_physical_memory", lambda: 1000)
     build_hamiltonian(params, disorder, basis)
     for caller, call in [
-        ("charge_blocks", lambda: charge_blocks(params, disorder, basis)),
         ("diagonalize", lambda: diagonalize(H)),
-        ("diagonalize", lambda: diagonalize(blocks)),
-        ("diagonalize_sectors", lambda: diagonalize_sectors(H, basis)),
+        ("diagonalize", lambda: diagonalize(ChargeBlocks(H))),
+        ("diagonalize_sectors", lambda: diagonalize_sectors(H)),
     ]:
         with pytest.raises(MemoryError, match=rf"{caller} at N=\d+ needs about .* 1000 bytes"):
             call()
@@ -653,21 +638,22 @@ def test_dense_steps_check_memory_first(monkeypatch):
 def test_independent_legs_block_is_charged_one_dense_block(monkeypatch):
     params = LadderParams(L=4, h=1.0)
     basis = SectorBasis(4)
-    disorder = sample_disorder(params, 4, independent_legs=True)
+    H = build_hamiltonian(params, sample_disorder(params, 4, independent_legs=True), basis)
     one_matrix = 8 * basis.dim**2
     tracemalloc.start()
     try:
-        charge_blocks(params, disorder, basis)
+        diagonalize(ChargeBlocks(H))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    between = int(2.4 * one_matrix)
-    assert peak < between < core.BLOCK_COPIES * one_matrix
-    monkeypatch.setattr(core, "_physical_memory", lambda: between)
-    charge_blocks(params, disorder, basis)
-    monkeypatch.setattr(core, "_physical_memory", lambda: one_matrix)
-    with pytest.raises(MemoryError, match="charge_blocks at N=70"):
-        charge_blocks(params, disorder, basis)
+    assert peak < core.EIGVALS_COPIES * one_matrix
+    monkeypatch.setattr(core, "_CGROUP_MEMORY_FILES", ())
+    enough, short = (int((core.EIGVALS_COPIES + d) * one_matrix) for d in (0.01, -0.01))
+    monkeypatch.setattr(core, "_physical_memory", lambda: enough)
+    diagonalize(ChargeBlocks(H))
+    monkeypatch.setattr(core, "_physical_memory", lambda: short)
+    with pytest.raises(MemoryError, match="diagonalize at N=70"):
+        diagonalize(ChargeBlocks(H))
 
 
 def test_memory_check_admits_l7_and_the_l8_w_route_and_stops_l8_exact_otoc(monkeypatch):
@@ -675,8 +661,6 @@ def test_memory_check_admits_l7_and_the_l8_w_route_and_stops_l8_exact_otoc(monke
     monkeypatch.setattr(core, "_CGROUP_MEMORY_FILES", ())
     n7, n8 = comb(14, 7), comb(16, 8)
     for copies in (
-        core.BUILD_COPIES,
-        core.BLOCK_COPIES,
         core.EIGH_COPIES,
         core.EIGVALS_COPIES,
         otoc.EXACT_COPIES,
@@ -896,6 +880,22 @@ def test_master_seed_must_be_a_non_negative_int(master_seed):
 
 def test_numpy_integer_master_seed_keys_the_plain_int_stream():
     assert derive_seed(np.int64(2), "decay", 1) == derive_seed(2, "decay", 1)
+
+
+@pytest.mark.parametrize("seed", [1.5, True, -1])
+def test_disorder_seed_must_be_a_non_negative_int(seed):
+    with pytest.raises(ValueError, match="seed"):
+        sample_disorder(LadderParams(L=3, h=1.0), seed)
+
+
+def test_disorder_draws_of_integer_seeds_keep_their_bits():
+    params = LadderParams(L=3, h=1.0)
+    assert sample_disorder(params, np.int64(3)) == sample_disorder(params, 3)
+    assert type(sample_disorder(params, np.int64(3)).seed) is int
+    # A 128-bit derived stream key is used whole.
+    big = derive_seed(0, "decay", 1)
+    assert sample_disorder(params, big).seed == big
+    assert sample_disorder(params, big) != sample_disorder(params, big ^ (1 << 127))
 
 
 def test_params_validation():

@@ -53,7 +53,7 @@ def make_sector_eig(L, alpha=1.0, h=1.0, seed=1):
     params = LadderParams(L=L, alpha=alpha, h=h)
     basis = SectorBasis(L)
     H = build_hamiltonian(params, sample_disorder(params, seed), basis)
-    return basis, diagonalize(H), diagonalize_sectors(H, basis)
+    return basis, diagonalize(H), diagonalize_sectors(H)
 
 
 def identity_sectors(basis):
@@ -473,7 +473,7 @@ def assert_w_route_refuses_the_ladder(extra_diagonal=0.0, sector_message="breaks
     with pytest.raises(RuntimeError, match="breaks the chiral mirror"):
         multi_distance_otoc_values(eig, probes, d_1, times)
     with pytest.raises(RuntimeError, match=sector_message):
-        multi_distance_otoc_values(diagonalize_sectors(H, basis), probes, d_1, times)
+        multi_distance_otoc_values(diagonalize_sectors(H), probes, d_1, times)
     series = exact_otoc(eig, probes[0], d_1, times)
     reference = [expm_otoc(H.matrix.toarray(), probes[0], d_1, t) for t in times]
     assert np.max(np.abs(series.values - reference)) < 1e-12
@@ -541,10 +541,14 @@ def test_w_routes_match_full_rows_on_the_lightcone_grid(L, h):
 
 
 def charge_map_by_slot(basis):
-    """U_Q from `charge_sectors`, its column s the label in slot s."""
+    """U_Q from `charge_sectors`, its column s the label in slot s.
+
+    The sectors come by ascending q, each with its labels in `ChargeLabels.order`.
+    """
     U = scipy.sparse.hstack(list(basis.charge_sectors.values())).toarray()
+    order = basis.charge_labels.order
     by_slot = np.empty_like(U)
-    by_slot[:, np.argsort(basis.charge_labels.charge, kind="stable")] = U
+    by_slot[:, order[np.argsort(basis.charge_labels.charge[order], kind="stable")]] = U
     return by_slot
 
 
@@ -753,6 +757,20 @@ def test_sampled_rejects_wrong_size_op_1():
         )
 
 
+@pytest.mark.parametrize("name", ["op_i", "op_1"])
+@pytest.mark.parametrize("scale", [2.0, 0.5])
+def test_sampled_otoc_refuses_a_diagonal_that_is_not_pm1_before_any_rotation(name, scale):
+    # Only for +-1 diagonals is each F_j the expectation of a unitary, which
+    # the |F_j| <= 1 check and F(0) = 1 need; the check comes before the N^3
+    # rotations into the eigenbasis.
+    basis, eig = make_eig(4)
+    ops = {"op_i": sigma_z_operator(basis, 1, 3), "op_1": sigma_z_operator(basis, 1, 1)}
+    ops[name] = scale * ops[name]
+    with pytest.raises(ValueError, match=f"{name} must be a \\+-1 diagonal"):
+        sampled_otoc(eig, ops["op_i"], ops["op_1"], [haar_state(basis, 0)], [0.0, 1.0])
+    assert eig._rotated == {}
+
+
 def test_sampled_rejects_wrong_size_state():
     basis, eig = make_eig(3)
     states = [haar_state(basis, 0), haar_state(SectorBasis(2), 1)]
@@ -833,6 +851,21 @@ def test_fock_state_shape_and_determinism():
     assert nonzero.size == 1
     assert abs(abs(s.amplitudes[nonzero[0]]) - 1.0) < 1e-12
     assert np.array_equal(s.amplitudes, fock_state(basis, 3).amplitudes)
+
+
+@pytest.mark.parametrize("draw", [haar_state, fock_state])
+@pytest.mark.parametrize("seed", [1.5, True, -1])
+def test_state_seed_must_be_a_non_negative_int(draw, seed):
+    with pytest.raises(ValueError, match="seed"):
+        draw(SectorBasis(3), seed)
+
+
+@pytest.mark.parametrize("draw", [haar_state, fock_state])
+def test_numpy_integer_state_seed_draws_the_int_seeds_state(draw):
+    basis = SectorBasis(3)
+    state = draw(basis, np.int64(3))
+    assert np.array_equal(state.amplitudes, draw(basis, 3).amplitudes)
+    assert type(state.seed) is int and state.seed == 3
 
 
 def test_fock_state_covers_all_indices():
