@@ -69,11 +69,10 @@ EIGVALS_COPIES = 3.4
 # tracemalloc's view; then the sparse products and, when first built, the
 # charge map (2.2 copies at L = 5 under tracemalloc).
 SECTOR_EIGH_COPIES = 6.0
-# cgroup v2 and v1 files that hold the memory limit of this process's group.
-_CGROUP_MEMORY_FILES = (
-    "/sys/fs/cgroup/memory.max",
-    "/sys/fs/cgroup/memory/memory.limit_in_bytes",
-)
+# The cgroup mount, and the file that names this process's group in each
+# hierarchy: a v2 line reads "0::<path>", a v1 line "<id>:<controllers>:<path>".
+_CGROUP_ROOT = "/sys/fs/cgroup"
+_SELF_CGROUP = "/proc/self/cgroup"
 # Bit t is set where the t-th singly occupied column of a column pattern
 # carries the Jordan-Wigner sign s_t = -1 in the dressed rung charge (see
 # SectorBasis.charge_sectors): s_t = (-1)^t.
@@ -373,21 +372,38 @@ def _physical_memory() -> int:
     return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
 
 
-def _memory_limit() -> int:
-    """The smaller of physical memory and the cgroup memory limit, if any.
+def _read_text(path: str) -> str:
+    """The file's text, or "" when it cannot be read."""
+    try:
+        with open(path) as f:
+            return f.read()
+    except OSError:
+        return ""
 
-    A file of `_CGROUP_MEMORY_FILES` that is missing or reads "max" sets no
-    limit (cgroup v1 writes a huge number instead, which min() passes over).
+
+def _memory_limit() -> int:
+    """The smallest of physical memory and the cgroup memory limits on this process.
+
+    Those are the limits of the group that `_SELF_CGROUP` names for this
+    process and of every group above it: memory.max in cgroup v2, and
+    memory.limit_in_bytes under v1's memory controller. A file that is
+    missing or reads "max" sets no limit (v1 writes a huge number instead,
+    which min() passes over).
     """
     limits = [_physical_memory()]
-    for path in _CGROUP_MEMORY_FILES:
-        try:
-            with open(path) as f:
-                text = f.read().strip()
-        except OSError:
+    for line in _read_text(_SELF_CGROUP).splitlines():
+        hierarchy, controllers, path = line.split(":", 2)
+        if hierarchy == "0" and controllers == "":
+            top, name = _CGROUP_ROOT, "memory.max"
+        elif "memory" in controllers.split(","):
+            top, name = os.path.join(_CGROUP_ROOT, "memory"), "memory.limit_in_bytes"
+        else:
             continue
-        if text.isdigit():
-            limits.append(int(text))
+        parts = [part for part in path.split("/") if part]
+        for k in range(len(parts) + 1):
+            text = _read_text(os.path.join(top, *parts[:k], name)).strip()
+            if text.isdigit():
+                limits.append(int(text))
     return min(limits)
 
 
@@ -493,15 +509,13 @@ def build_hamiltonian(
     if basis.L != params.L:
         raise ValueError(f"basis was built for L={basis.L}, params have L={params.L}")
 
-    L = params.L
     h1 = np.asarray(disorder.fields_for_leg(1))
     h2 = np.asarray(disorder.fields_for_leg(2))
     states = basis.states
     index = np.arange(basis.dim)
     d = np.zeros(basis.dim)
-    for site in range(1, L + 1):
-        s1 = np.where((states >> bit_position(L, 1, site)) & 1 == 1, 1.0, -1.0)
-        s2 = np.where((states >> bit_position(L, 2, site)) & 1 == 1, 1.0, -1.0)
+    for site in range(1, params.L + 1):
+        s1, s2 = (sigma_z_operator(basis, leg, site) for leg in (1, 2))
         d += h1[site - 1] * s1 + h2[site - 1] * s2
 
     rows, cols, values = [index], [index], [d]
@@ -594,7 +608,7 @@ def diagonalize(H: SectorHamiltonian | ChargeBlocks) -> EigenSystem | SectorSpec
     return SectorSpectra(eigenvalues=w, sectors=sectors)
 
 
-def diagonalize_sectors(H: SectorHamiltonian) -> ChargeEigenSystem:
+def diagonalize_sectors(H: SectorHamiltonian) -> ChargeEigenSystem | EigenSystem:
     """Eigensystem of every charge sector of a ladder with shared fields.
 
     Each block U_q^T H U_q (`SectorBasis.charge_sectors`) is multiplied out
@@ -602,13 +616,14 @@ def diagonalize_sectors(H: SectorHamiltonian) -> ChargeEigenSystem:
     The solver is numpy's ``eigh`` (LAPACK ``syevd``), not scipy's: the two
     packages link separate OpenBLAS copies, and the W-route's GEMMs run in
     numpy's, whose threads still spin when the next realization is solved;
-    scipy's copy then competes with them for the cores. Raises ValueError
-    when the legs see different fields, since H then conserves no charge,
-    and RuntimeError when the spectrum misses weight of H
-    (`_check_spectral_weight`).
+    scipy's copy then competes with them for the cores. Raises RuntimeError
+    when the spectrum misses weight of H (`_check_spectral_weight`).
+
+    When the legs see different fields, H conserves no charge, and the
+    result is `diagonalize(H)`'s full EigenSystem.
     """
     if H.disorder.fields_for_leg(1) != H.disorder.fields_for_leg(2):
-        raise ValueError("the legs see different fields, so H conserves no charge")
+        return diagonalize(H)
     basis = H.basis
     n = basis.dim
     widths = [U.shape[1] for U in basis.charge_sectors.values()]
@@ -622,6 +637,14 @@ def diagonalize_sectors(H: SectorHamiltonian) -> ChargeEigenSystem:
         raise _solve_failed(H) from exc
     _check_spectral_weight(H, np.concatenate([E for E, _ in sectors.values()]))
     return ChargeEigenSystem(basis=basis, sectors=sectors)
+
+
+def _full_eigensystem(caller: str, eig) -> None:
+    """Raise TypeError unless eig is the full EigenSystem of `diagonalize(H)`."""
+    if not isinstance(eig, EigenSystem):
+        raise TypeError(
+            f"{caller} needs the full EigenSystem of diagonalize(H), not {type(eig).__name__}"
+        )
 
 
 def _solve_failed(H: SectorHamiltonian) -> DiagonalizationError:
@@ -654,8 +677,10 @@ def evolve_state(eig: EigenSystem, psi: np.ndarray, t: float) -> np.ndarray:
     """Apply U(t) = V exp(-i E t) V^T to a normalized state. Negative t runs backward.
 
     V is applied to the real and imaginary parts apart, so the real V is
-    never cast to a complex N x N copy.
+    never cast to a complex N x N copy. ``eig`` must be the full EigenSystem
+    of `diagonalize`; anything else raises TypeError.
     """
+    _full_eigensystem("evolve_state", eig)
     psi = np.asarray(psi)
     if psi.shape != (eig.dim,):
         raise ValueError(f"state has shape {psi.shape}, expected ({eig.dim},)")

@@ -5,17 +5,13 @@ sz_i(t) = U+(t) sz_i U(t), evaluated exactly over the Sz = 0 sector, and its
 estimator: the mean of F_j(t) = <psi_j| sz_i(t) sz_1 sz_i(t) sz_1 |psi_j>
 over M random initial states (Haar vectors or Fock basis states).
 
-`exact_otoc` is the reference implementation: the trace route,
-Tr[A(t) B A(t) B] / N in the eigenbasis with A(t) = U+(t) sz_i U(t) and
-B = sz_1, valid for any real symmetric H. Each step checks the data:
-A(t)^2 = B^2 = 1, so P = A(t) B has ||P||_F^2 = N. Its steps run in two
-work blocks allocated once per call; they apply the same ufuncs and GEMMs
-in the same order as fresh temporaries would, so the values keep their bits.
-
-Both eigenbasis routes rotate their diagonal operators through
-`_eigenbasis_diagonal`, which keeps the two most recently used rotations
-on the `EigenSystem`: an exact OTOC and its sampled estimators of the same
-operator pair rotate each operator once per eigensystem.
+`exact_otoc` is the reference implementation, the trace route, valid for
+any real symmetric H. `sampled_otoc` evolves its M states in the
+eigenbasis and never returns to the computational basis. Both rotate their
+diagonal operators through `_eigenbasis_diagonal`, which keeps the two
+most recently used rotations on the `EigenSystem`: an exact OTOC and its
+sampled estimators of the same operator pair rotate each operator once per
+eigensystem.
 
 The W-route, `multi_distance_otoc_values`, builds W(t) = U(t) sz_1 U+(t) in
 the computational basis. It is the fast kernel of ensemble loops, where one
@@ -32,17 +28,11 @@ from which it forms the columns of U(t) sector by sector, maps them to the
 states by Hadamard transforms, and takes the column side of each step's
 N x N product from the same blocks (`_SectorRoute` states the identities).
 
-`sampled_otoc` evolves its M states in the eigenbasis and never returns to
-the computational basis. It takes both operators in the eigenbasis,
-A~ = V^T sz_i V and B~ = V^T sz_1 V, from the rotation memo, and once per
-call it rotates the states and their sz_1 images into eigenbasis
-coefficients [b, c] = V^T [sz_1 psi, psi]. Time
-steps then go in chunks: the phased columns of every step in a chunk share
-one real GEMM with A~ and one with B~, so a call with few states still makes
-a few wide GEMMs instead of many narrow ones.
-
 All three routines refuse a time grid that is empty, not 1-D or not finite,
-and check their operators before any O(N^3) work.
+and check their operators before any O(N^3) work. Their memory checks count
+the eigensystem that the caller holds (`_held_copies`), and each checks a
+unitarity figure to `DEFECT_TOL`, raising RuntimeError that names
+non-orthonormal eigenvectors as the cause.
 """
 
 from __future__ import annotations
@@ -57,6 +47,7 @@ from .core import (
     EigenSystem,
     SectorBasis,
     _checked_int,
+    _full_eigensystem,
     check_memory,
     sigma_z_operator,
 )
@@ -79,16 +70,16 @@ __all__ = [
 
 
 # Peak memory in units of one N x N float64 array (8 N^2 bytes): the larger
-# tracemalloc peak of L = 5 and 6, rounded up. exact_otoc's is A~ and B~ plus
-# its two work blocks of 2 N^2 floats (6.04 at L = 6); at L = 5 numpy's
+# tracemalloc peak of L = 5 and 6, rounded up. Each memory check adds what
+# the caller's eigensystem holds (`_held_copies`). exact_otoc's is A~ and B~
+# plus its two work blocks of 2 N^2 floats (6.04 at L = 6); at L = 5 numpy's
 # fixed-size cast buffers add half a copy more (6.54).
 EXACT_COPIES = 6.6
 # multi_distance_otoc_values holds its work block and [S_R J; S], 2.5 copies,
 # and beside them V[up, :]^T from an EigenSystem (3.20 at L = 5), or the
 # weighted rows W_q and the block products P_q from a ChargeEigenSystem
-# (3.49). Its memory check adds the eigensystem that the caller holds.
-MULTI_DISTANCE_COPIES = 3.3
-SECTOR_W_COPIES = 3.5
+# (3.49): the larger, for both.
+MULTI_DISTANCE_COPIES = 3.5
 # sampled_otoc: 3.1 while it rotates the two operators, then 2 for them plus
 # 12 M K / N for the state coefficients and two chunk buffers of 4 M K real
 # columns each, with M states and K steps per chunk.
@@ -97,7 +88,9 @@ SAMPLED_COPIES_PER_STATE = 12.0
 # sampled_otoc puts this many real columns, the 4M of each of its M states'
 # steps, into one GEMM with A~, and at least one step.
 _CHUNK_COLUMNS = 1024
-# exact_otoc raises when ||A(t) sz_1||_F^2 / N misses 1 by more than this.
+# Each route raises when its unitarity figure misses 1 by more than this:
+# exact_otoc's ||A(t) sz_1||_F^2 / N, the W-route's half-row sum of |W_ab|^2
+# and sampled_otoc's ||V^T psi_j||^2.
 DEFECT_TOL = 1e-9
 # sampled_otoc raises when some |F_j(t)| exceeds 1 by more than this.
 SAMPLE_TOL = 1e-9
@@ -213,15 +206,33 @@ def _checked_operators(
     diagonal and op_1 and every probe are odd under the global spin flip.
     """
     D = np.asarray(probe_ops, dtype=float)
-    d1 = np.asarray(op_1, dtype=float)
-    if D.ndim != 2 or D.shape[1] != n or d1.shape != (n,):
+    if D.ndim != 2 or D.shape[1] != n:
         raise ValueError(f"operator diagonals must have length N = {n}")
-    if not np.all(np.abs(d1) == 1.0):
-        raise ValueError("op_1 must be a +-1 diagonal")
+    d1 = _pm1_diagonal("op_1", op_1, n)
     # Oddness also forces N even and N/2 states with (sz_1)_a = +1.
     if np.any(d1[::-1] != -d1) or np.any(D[:, ::-1] != -D):
         raise ValueError("op_1 and every probe must be odd under the global spin flip")
     return D, d1
+
+
+def _pm1_diagonal(name: str, d: np.ndarray, n: int) -> np.ndarray:
+    """d as a float array; raises ValueError unless it is a +-1 diagonal of length N."""
+    d = np.asarray(d, dtype=float)
+    if d.shape != (n,):
+        raise ValueError(f"{name} must be a diagonal of length N = {n}")
+    if not np.all(np.abs(d) == 1.0):
+        raise ValueError(f"{name} must be a +-1 diagonal")
+    return d
+
+
+def _held_copies(eig: EigenSystem | ChargeEigenSystem) -> float:
+    """What the caller's eigensystem holds, in N x N float64 arrays: the
+    eigenvectors (the sector blocks of a ChargeEigenSystem) and the rotation
+    memo's entries, which stay allocated while a call rotates its own
+    operators."""
+    if isinstance(eig, ChargeEigenSystem):
+        return sum(V.size for _, V in eig.sectors.values()) / eig.dim**2
+    return 1.0 + len(eig._rotated)
 
 
 def _eigenbasis_diagonal(eig: EigenSystem, diag: np.ndarray) -> np.ndarray:
@@ -271,19 +282,20 @@ def exact_otoc(
 
     Parameters
     ----------
+    eig : the full EigenSystem of `diagonalize(H)`; anything else raises
+    TypeError.
     op_i, op_1 : +-1 diagonals from `sigma_z_operator`. Unless both are +-1
     and odd under the global spin flip, ValueError is raised before any
     O(N^3) work.
     times : evaluation grid in units of 1/J_par.
     """
+    _full_eigensystem("exact_otoc", eig)
     E = eig.eigenvalues
     n = eig.dim
-    D, d1 = _checked_operators(n, [op_i], op_1)
     # The defect check below holds only for A(t)^2 = 1.
-    if not np.all(np.abs(D[0]) == 1.0):
-        raise ValueError("op_i must be a +-1 diagonal")
+    D, d1 = _checked_operators(n, [_pm1_diagonal("op_i", op_i, n)], op_1)
     times = _checked_times(times)
-    check_memory("exact_otoc", n, EXACT_COPIES)
+    check_memory("exact_otoc", n, EXACT_COPIES + _held_copies(eig))
 
     A = _eigenbasis_diagonal(eig, D[0])
     B = _eigenbasis_diagonal(eig, d1)
@@ -362,12 +374,12 @@ def multi_distance_otoc_values(
     GEMMs and a Hadamard map from a `ChargeEigenSystem` (`_SectorRoute`
     states the column-side identity). Then
     |W_ab|^2 = 4 (K_ab^2 + Y_ab^2) off the diagonal and (2 K_aa - 1)^2 on it,
-    where Im W vanishes. Every step checks the mirror on the data: it raises
-    RuntimeError unless W_f(a)f(a) = -W_aa, i.e.
-    ||S_a||^2 + ||S_f(a)||^2 = 1, to `MIRROR_TOL`, naming non-finite data
-    apart. Rounding in the computed eigensystem breaks the mirror slightly,
-    so the half-row values differ from a full-row sum by up to about
-    eps ||H|| t.
+    where Im W vanishes. Every step checks the data: it raises RuntimeError
+    on non-finite data, then when the health figure below exceeds
+    `DEFECT_TOL` (non-orthonormal eigenvectors), then unless
+    W_f(a)f(a) = -W_aa, i.e. ||S_a||^2 + ||S_f(a)||^2 = 1, to `MIRROR_TOL`.
+    Rounding in the computed eigensystem breaks the mirror slightly, so the
+    half-row values differ from a full-row sum by up to about eps ||H|| t.
 
     Parameters
     ----------
@@ -384,13 +396,8 @@ def multi_distance_otoc_values(
     n = eig.dim
     D, d1 = _checked_operators(n, probe_ops, op_1)
     times = _checked_times(times)
-    if isinstance(eig, ChargeEigenSystem):
-        held = sum(V.size for _, V in eig.sectors.values()) / n**2
-        check_memory("multi_distance_otoc_values", n, SECTOR_W_COPIES + held)
-        route = _SectorRoute(eig, d1)
-    else:
-        check_memory("multi_distance_otoc_values", n, MULTI_DISTANCE_COPIES + 1.0)
-        route = _DenseRoute(eig, d1)
+    check_memory("multi_distance_otoc_values", n, MULTI_DISTANCE_COPIES + _held_copies(eig))
+    route = (_SectorRoute if isinstance(eig, ChargeEigenSystem) else _DenseRoute)(eig, d1)
     half = n // 2
     # Row r of S is state rows[r]; its mirror f(a) = N - 1 - a is row
     # half + mirror[r] for r < N/2.
@@ -426,16 +433,22 @@ def multi_distance_otoc_values(
         mismatch = np.max(np.abs(k_diag + flipped - 1.0))
         if not np.isfinite(mismatch):
             raise RuntimeError(f"W(t={t}) is not finite: the eigensystem holds NaN or inf")
-        if not mismatch <= MIRROR_TOL:
-            raise RuntimeError(
-                f"W(t={t}) breaks the chiral mirror by {mismatch:.3e}: "
-                "H does not anticommute with the sublattice sign times the spin flip"
-            )
         # |W_ab|^2 / 4 = K_ab^2 + Y_ab^2, and (K_aa - 1/2)^2 where Im W_aa = 0.
         np.square(out, out=out)
         np.fill_diagonal(Y[:half], 0.0)
         np.fill_diagonal(K[:half], (k_diag - 0.5) ** 2)
         defects[k] = abs(8.0 * out.sum() / n - 1.0)
+        # Every row of a unitary W has norm 1, mirror or not.
+        if not defects[k] <= DEFECT_TOL:
+            raise RuntimeError(
+                f"W(t={t}) misses unitarity by {defects[k]:.3e} (tolerance "
+                f"{DEFECT_TOL:.1e}): the eigenvectors are not orthonormal enough"
+            )
+        if not mismatch <= MIRROR_TOL:
+            raise RuntimeError(
+                f"W(t={t}) breaks the chiral mirror by {mismatch:.3e}: "
+                "H does not anticommute with the sublattice sign times the spin flip"
+            )
         weighted = D @ out
         values[:, k] = np.sum((weighted[:, :half] + weighted[:, half:]) * D_R, axis=1) * (8.0 / n)
     return values, float(np.max(defects))
@@ -645,26 +658,25 @@ def sampled_otoc(
     F_j series. Each F_j is the expectation of a unitary, so RuntimeError is
     raised when some |F_j| exceeds 1 by more than `SAMPLE_TOL`, or is NaN.
     That needs op_i and op_1 to be +-1 diagonals; any other raises
-    ValueError before any O(N^3) work.
+    ValueError before any O(N^3) work. The coefficients must keep the
+    states' norms, ||V^T psi_j||^2 = ||V^T sz_1 psi_j||^2 = 1; above
+    `DEFECT_TOL` RuntimeError is raised. ``eig`` must be the full
+    EigenSystem of `diagonalize(H)`; anything else raises TypeError.
     """
+    _full_eigensystem("sampled_otoc", eig)
     if len(states) == 0:
         raise ValueError("need at least one initial state")
     times = _checked_times(times)
     V = eig.eigenvectors
     E = eig.eigenvalues
     n = eig.dim
-    d_i = np.asarray(op_i, dtype=float)
-    d_1 = np.asarray(op_1, dtype=float)
-    if d_i.shape != (n,) or d_1.shape != (n,):
-        raise ValueError("operator diagonals must match the eigensystem dimension")
-    for name, d in (("op_i", d_i), ("op_1", d_1)):
-        if not np.all(np.abs(d) == 1.0):
-            raise ValueError(f"{name} must be a +-1 diagonal")
+    d_i, d_1 = _pm1_diagonal("op_i", op_i, n), _pm1_diagonal("op_1", op_1, n)
     if any(s.amplitudes.shape != (n,) for s in states):
         raise ValueError(f"every initial state must have {n} amplitudes")
     m = len(states)
     steps = max(1, min(times.size, _CHUNK_COLUMNS // (4 * m)))
-    check_memory("sampled_otoc", n, SAMPLED_COPIES + SAMPLED_COPIES_PER_STATE * m * steps / n)
+    per_state = SAMPLED_COPIES_PER_STATE * m * steps / n
+    check_memory("sampled_otoc", n, SAMPLED_COPIES + per_state + _held_copies(eig))
 
     A = _eigenbasis_diagonal(eig, d_i)
     B = _eigenbasis_diagonal(eig, d_1)
@@ -673,6 +685,14 @@ def sampled_otoc(
     del psi
     # A complex array viewed as real holds its Re and Im columns side by side.
     bc = (V.T @ bc.view(float).reshape(n, -1)).view(complex).reshape(n, 2, 1, m)
+    # Summed over Re and Im in place, so no N x M temporary is formed.
+    re_im = bc.view(float).reshape(n, 2, m, 2)
+    defect = np.max(np.abs(np.einsum("ajmr,ajmr->jm", re_im, re_im) - 1.0))
+    if not defect <= DEFECT_TOL:
+        raise RuntimeError(
+            f"sampled OTOC reached | ||V^T psi_j||^2 - 1 | = {defect:.3e}, above "
+            f"{DEFECT_TOL:.0e}: the eigenvectors are not orthonormal enough"
+        )
     per_sample = np.empty((m, times.shape[0]), dtype=complex)
     # Flat buffers, viewed per chunk, so that a short last chunk is contiguous too.
     phased = np.empty(n * 2 * steps * m, dtype=complex)
@@ -745,7 +765,9 @@ def complete_fock_basis(basis: SectorBasis) -> list[InitialState]:
 
 
 def eon_distribution(eig: EigenSystem, state: InitialState) -> EonDistribution:
-    """Overlap weights |<eigenstate_beta | psi>|^2 against the full spectrum."""
+    """Overlap weights |<eigenstate_beta | psi>|^2 against the full spectrum
+    of `diagonalize(H)`; any other eigensystem raises TypeError."""
+    _full_eigensystem("eon_distribution", eig)
     Vt, psi = eig.eigenvectors.T, state.amplitudes
     c = Vt @ psi.real + 1j * (Vt @ psi.imag)
     return EonDistribution(weights=np.abs(c) ** 2, energies=eig.eigenvalues.copy())

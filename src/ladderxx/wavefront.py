@@ -22,12 +22,11 @@ from .core import (
     LadderParams,
     SectorBasis,
     build_hamiltonian,
-    diagonalize,
     diagonalize_sectors,
     sigma_z_operator,
 )
 from .fits import FitResult, _fit_log_law
-from .otoc import _checked_operators, _checked_times, multi_distance_otoc_values
+from .otoc import _checked_times, multi_distance_otoc_values
 
 __all__ = [
     "WavefrontGrid",
@@ -94,13 +93,12 @@ def build_spacetime_grid(
 ) -> WavefrontGrid:
     """Ensemble-mean exact OTOC for every distance 1..L-1 on a shared grid.
 
-    One eigensolve per realization serves all distances at once (W(t),
-    which does not depend on the probe, is formed once per time). With
-    shared fields that is `diagonalize_sectors`, whose blocks feed the
-    W-route's charge-sector form; independent legs conserve no charge and
-    get one full `diagonalize`. The time grid and the operators are checked
-    before any eigensolve. Each realization's own grid is kept in
-    ``per_realization``, realizations x distances x times, for
+    One eigensolve per realization, `diagonalize_sectors`, serves all
+    distances at once (W(t), which does not depend on the probe, is formed
+    once per time): with shared fields its blocks feed the W-route's
+    charge-sector form, and independent legs get a full eigensystem. The
+    time grid is checked before any eigensolve. Each realization's own grid
+    is kept in ``per_realization``, realizations x distances x times, for
     `extract_contour(per_realization=True)`.
     """
     if len(disorder_ensemble) == 0:
@@ -112,16 +110,11 @@ def build_spacetime_grid(
         [sigma_z_operator(basis, 1, 1 + dx) for dx in distances]
     )
     d_1 = sigma_z_operator(basis, 1, 1)
-    _checked_operators(basis.dim, probes, d_1)
 
     per_real = []
     worst_defect = 0.0
     for dis in disorder_ensemble:
-        H = build_hamiltonian(params, dis, basis)
-        if dis.fields_for_leg(1) == dis.fields_for_leg(2):
-            eig = diagonalize_sectors(H)
-        else:
-            eig = diagonalize(H)
+        eig = diagonalize_sectors(build_hamiltonian(params, dis, basis))
         vals, defect = multi_distance_otoc_values(eig, probes, d_1, times)
         worst_defect = max(worst_defect, defect)
         per_real.append(vals)

@@ -443,11 +443,14 @@ def test_sector_eigensystems_diagonalize_the_charge_blocks(L, alpha, h):
 
 
 def test_sector_eigensystems_need_shared_fields():
+    # Independent legs conserve no charge: they get the full eigensystem.
     params = LadderParams(L=3, h=1.0)
     basis = SectorBasis(3)
     H = build_hamiltonian(params, sample_disorder(params, 2, independent_legs=True), basis)
-    with pytest.raises(ValueError, match="conserves no charge"):
-        diagonalize_sectors(H)
+    eig, want = diagonalize_sectors(H), diagonalize(H)
+    assert isinstance(eig, core.EigenSystem)
+    assert np.array_equal(eig.eigenvalues, want.eigenvalues)
+    assert np.array_equal(eig.eigenvectors, want.eigenvectors)
 
 
 @pytest.mark.parametrize("L", [3, 4, 5, 6])
@@ -647,7 +650,7 @@ def test_independent_legs_block_is_charged_one_dense_block(monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak < core.EIGVALS_COPIES * one_matrix
-    monkeypatch.setattr(core, "_CGROUP_MEMORY_FILES", ())
+    monkeypatch.setattr(core, "_SELF_CGROUP", os.devnull)
     enough, short = (int((core.EIGVALS_COPIES + d) * one_matrix) for d in (0.01, -0.01))
     monkeypatch.setattr(core, "_physical_memory", lambda: enough)
     diagonalize(ChargeBlocks(H))
@@ -658,47 +661,66 @@ def test_independent_legs_block_is_charged_one_dense_block(monkeypatch):
 
 def test_memory_check_admits_l7_and_the_l8_w_route_and_stops_l8_exact_otoc(monkeypatch):
     monkeypatch.setattr(core, "_physical_memory", lambda: 8 * 2**30)
-    monkeypatch.setattr(core, "_CGROUP_MEMORY_FILES", ())
+    monkeypatch.setattr(core, "_SELF_CGROUP", os.devnull)
     n7, n8 = comb(14, 7), comb(16, 8)
+    # Each OTOC route's check adds the caller's eigensystem: one copy of V
+    # (and the rotation memo's entries), or the sector blocks, C(L, k)^2 wide.
     for copies in (
         core.EIGH_COPIES,
         core.EIGVALS_COPIES,
-        otoc.EXACT_COPIES,
-        otoc.MULTI_DISTANCE_COPIES,
+        otoc.EXACT_COPIES + 1.0,
+        otoc.MULTI_DISTANCE_COPIES + 1.0,
         # M = 64 states, four steps per chunk
-        otoc.SAMPLED_COPIES + otoc.SAMPLED_COPIES_PER_STATE * 64 * 4 / n7,
+        otoc.SAMPLED_COPIES + otoc.SAMPLED_COPIES_PER_STATE * 64 * 4 / n7 + 1.0,
     ):
         check_memory("step", n7, copies)
     # At L = 8 one N x N array is 1.3 GB: the half-row W-route holds about
-    # three, exact_otoc's trace route about 6.6, just over the 6.48 of 8 GiB.
-    # The W-route's check adds the caller's eigensystem: one copy, or the
-    # sector blocks, C(8, k)^2 wide.
+    # 3.5 beside the caller's eigensystem, exact_otoc's trace route 6.6 and
+    # V, over the 6.48 of 8 GiB.
     sector_blocks = sum(comb(8, k) ** 4 for k in range(9)) / n8**2
     check_memory("multi_distance_otoc_values", n8, otoc.MULTI_DISTANCE_COPIES + 1.0)
-    check_memory("multi_distance_otoc_values", n8, otoc.SECTOR_W_COPIES + sector_blocks)
+    check_memory("multi_distance_otoc_values", n8, otoc.MULTI_DISTANCE_COPIES + sector_blocks)
     with pytest.raises(MemoryError, match="exact_otoc at N=12870"):
-        check_memory("exact_otoc", n8, otoc.EXACT_COPIES)
+        check_memory("exact_otoc", n8, otoc.EXACT_COPIES + 1.0)
 
 
 @pytest.mark.parametrize(
-    "v2, v1, limit",
+    "files, limit",
     [
-        ("max\n", None, None),
-        (None, "9223372036854771712\n", None),
-        (None, None, None),
-        ("3000\n", None, 3000),
-        ("max\n", "2000\n", 2000),
+        ({"memory.max": "max\n", "jobs/a/memory.max": "max\n"}, None),
+        ({"memory/jobs/a/memory.limit_in_bytes": "9223372036854771712\n"}, None),
+        ({}, None),
+        ({"memory.max": "3000\n"}, 3000),
+        ({"jobs/a/memory.max": "3000\n", "jobs/memory.max": "max\n"}, 3000),
+        ({"jobs/memory.max": "2500\n", "jobs/a/memory.max": "max\n"}, 2500),
+        ({"memory.max": "max\n", "memory/memory.limit_in_bytes": "2000\n"}, 2000),
+        ({"memory/jobs/a/memory.limit_in_bytes": "2000\n", "jobs/a/memory.max": "3000\n"}, 2000),
+        # A sibling group's limit does not bind this process.
+        ({"jobs/b/memory.max": "1000\n", "memory/jobs/b/memory.limit_in_bytes": "1000\n"}, None),
     ],
-    ids=["v2-max", "v1-unlimited", "no-files", "v2-limit", "v1-limit"],
+    ids=[
+        "v2-max",
+        "v1-unlimited",
+        "no-files",
+        "v2-limit",
+        "v2-own-group",
+        "v2-parent-group",
+        "v1-limit",
+        "smallest-of-both",
+        "sibling-group",
+    ],
 )
-def test_memory_check_counts_the_cgroup_limit(v2, v1, limit, tmp_path, monkeypatch):
-    paths = []
-    for name, text in (("memory.max", v2), ("memory.limit_in_bytes", v1)):
-        path = tmp_path / name
-        if text is not None:
-            path.write_text(text)
-        paths.append(str(path))
-    monkeypatch.setattr(core, "_CGROUP_MEMORY_FILES", tuple(paths))
+def test_memory_check_counts_the_cgroup_limit(files, limit, tmp_path, monkeypatch):
+    # A fake hierarchy: this process is in group /jobs/a of cgroup v2 and of
+    # v1's memory controller, as /proc/self/cgroup would say.
+    root = tmp_path / "cgroup"
+    for name, text in files.items():
+        (root / name).parent.mkdir(parents=True, exist_ok=True)
+        (root / name).write_text(text)
+    self_cgroup = tmp_path / "self_cgroup"
+    self_cgroup.write_text("5:cpu,cpuacct:/other\n4:memory:/jobs/a\n0::/jobs/a\n")
+    monkeypatch.setattr(core, "_CGROUP_ROOT", str(root))
+    monkeypatch.setattr(core, "_SELF_CGROUP", str(self_cgroup))
     monkeypatch.setattr(core, "_physical_memory", lambda: 10_000)
     have = limit or 10_000
     # One 10 x 10 float64 matrix is 800 bytes.
@@ -707,8 +729,31 @@ def test_memory_check_counts_the_cgroup_limit(v2, v1, limit, tmp_path, monkeypat
         check_memory("step", 10, have / 800 + 0.01)
 
 
-def test_memory_limit_reads_this_process_group():
+def test_memory_limit_reads_this_process_group(monkeypatch):
+    # Every hierarchy that /proc/self/cgroup names with a memory limit has
+    # this process's own group file read, not only the hierarchy's root.
+    try:
+        with open("/proc/self/cgroup") as f:
+            lines = f.read().splitlines()
+    except OSError:
+        pytest.skip("no /proc/self/cgroup")
+    opened = []
+
+    def recording_open(path, *args, **kwargs):
+        opened.append(path)
+        return open(path, *args, **kwargs)
+
+    monkeypatch.setattr(core, "open", recording_open, raising=False)
     assert 0 < core._memory_limit() <= core._physical_memory()
+    for line in lines:
+        hierarchy, controllers, path = line.split(":", 2)
+        if hierarchy == "0" and controllers == "":
+            own = os.path.join("/sys/fs/cgroup", path.lstrip("/"), "memory.max")
+        elif "memory" in controllers.split(","):
+            own = os.path.join("/sys/fs/cgroup/memory", path.lstrip("/"), "memory.limit_in_bytes")
+        else:
+            continue
+        assert os.path.normpath(own) in map(os.path.normpath, opened)
 
 
 # ---------------------------------------------------------------- evolution

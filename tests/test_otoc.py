@@ -218,6 +218,56 @@ def test_exact_otoc_raises_on_a_perturbed_eigensystem():
         exact_otoc(perturbed, d_i, d_1, times)
 
 
+def perturbed(eig):
+    """eig with 1e-7 Gaussian noise on its eigenvectors (every sector block)."""
+    rng = np.random.default_rng(0)
+    if isinstance(eig, core.ChargeEigenSystem):
+        noisy = {q: (E, V + 1e-7 * rng.standard_normal(V.shape)) for q, (E, V) in eig.sectors.items()}
+        return core.ChargeEigenSystem(eig.basis, noisy)
+    noise = 1e-7 * rng.standard_normal(eig.eigenvectors.shape)
+    return core.EigenSystem(eig.eigenvalues, eig.eigenvectors + noise)
+
+
+@pytest.mark.parametrize("route", ["exact", "w-dense", "w-sectors", "sampled"])
+def test_every_route_names_non_orthonormal_eigenvectors(route):
+    # Before, the W-route blamed the chiral mirror and sampled_otoc returned
+    # values without an error.
+    basis, dense, sectors = make_sector_eig(5, h=4.0, seed=5)
+    d_i, d_1 = sigma_z_operator(basis, 1, 5), sigma_z_operator(basis, 1, 1)
+    times = default_decay_times(10)
+    states = [haar_state(basis, 0), fock_state(basis, 1)]
+    call = {
+        "exact": lambda eig: exact_otoc(eig, d_i, d_1, times),
+        "w-dense": lambda eig: multi_distance_otoc_values(eig, d_i[None, :], d_1, times),
+        "w-sectors": lambda eig: multi_distance_otoc_values(eig, d_i[None, :], d_1, times),
+        "sampled": lambda eig: sampled_otoc(eig, d_i, d_1, states, times),
+    }[route]
+    eig = sectors if route == "w-sectors" else dense
+    call(eig)
+    with pytest.raises(RuntimeError, match="the eigenvectors are not orthonormal enough"):
+        call(perturbed(eig))
+
+
+@pytest.mark.parametrize("name", ["exact_otoc", "sampled_otoc", "eon_distribution", "evolve_state"])
+def test_full_eigensystem_routes_refuse_a_charge_eigensystem(name, monkeypatch):
+    basis, _, sectors = make_sector_eig(3)
+    d_i, d_1 = sigma_z_operator(basis, 1, 3), sigma_z_operator(basis, 1, 1)
+    state = haar_state(basis, 0)
+
+    def no_rotation(*args):
+        pytest.fail("an operator was rotated before the eigensystem was checked")
+
+    monkeypatch.setattr(otoc, "_eigenbasis_diagonal", no_rotation)
+    call = {
+        "exact_otoc": lambda: exact_otoc(sectors, d_i, d_1, [0.0, 1.0]),
+        "sampled_otoc": lambda: sampled_otoc(sectors, d_i, d_1, [state], [0.0, 1.0]),
+        "eon_distribution": lambda: eon_distribution(sectors, state),
+        "evolve_state": lambda: evolve_state(sectors, state.amplitudes, 1.0),
+    }[name]
+    with pytest.raises(TypeError, match=f"{name} needs the full EigenSystem of diagonalize"):
+        call()
+
+
 def test_exact_otoc_makes_no_w_route_call(monkeypatch):
     basis, eig = make_eig(3, seed=6)
 
@@ -299,14 +349,55 @@ def peak_and_estimate(monkeypatch, call):
     return peak, estimates[0]
 
 
+def warm_memo(eig, basis):
+    """Rotate two operators that the OTOC under test does not use into eig's memo."""
+    for site in (2, 3):
+        otoc._eigenbasis_diagonal(eig, sigma_z_operator(basis, 2, site))
+
+
+def assert_peak_within_held_estimate(monkeypatch, basis, eig, copies, call, warm=False):
+    """The memory check asks for copies plus what eig holds: V, allocated
+    before tracing starts, and the memo's entries, here rotated under tracing
+    when warm. The traced peak stays below all but V."""
+    one = 8 * basis.dim**2
+
+    def warmed_call():
+        if warm:
+            warm_memo(eig, basis)
+        call()
+
+    peak, estimate = peak_and_estimate(monkeypatch, warmed_call)
+    held = 1.0 + 2 * warm
+    assert estimate == pytest.approx((copies + held) * one)
+    assert peak < (copies + held - 1.0) * one
+
+
 @pytest.mark.parametrize("L", [5, 6])
 def test_exact_peak_memory_stays_below_its_estimate(L, monkeypatch):
     basis, eig = make_eig(L, h=4.0, seed=3)
     d_i, d_1 = sigma_z_operator(basis, 1, L), sigma_z_operator(basis, 1, 1)
-    peak, estimate = peak_and_estimate(
-        monkeypatch, lambda: exact_otoc(eig, d_i, d_1, default_decay_times())
+    assert_peak_within_held_estimate(
+        monkeypatch, basis, eig, otoc.EXACT_COPIES,
+        lambda: exact_otoc(eig, d_i, d_1, default_decay_times()),
     )
-    assert peak < estimate
+
+
+@pytest.mark.parametrize("route", ["exact", "sampled"])
+@pytest.mark.parametrize("L", [5, 6])
+def test_peak_memory_with_a_warm_memo_stays_below_its_estimate(L, route, monkeypatch):
+    # Two other operators' rotations stay in the memo while a call rotates
+    # its own: at L = 6 sampled_otoc's traced peak rises by about one copy.
+    basis, eig = make_eig(L, h=4.0, seed=3)
+    d_i, d_1 = sigma_z_operator(basis, 1, L), sigma_z_operator(basis, 1, 1)
+    times = default_decay_times()
+    copies, call = {
+        "exact": (otoc.EXACT_COPIES, lambda: exact_otoc(eig, d_i, d_1, times)),
+        "sampled": (
+            otoc.SAMPLED_COPIES + otoc.SAMPLED_COPIES_PER_STATE * times.size / basis.dim,
+            lambda: sampled_otoc(eig, d_i, d_1, [haar_state(basis, 0)], times),
+        ),
+    }[route]
+    assert_peak_within_held_estimate(monkeypatch, basis, eig, copies, call, warm=True)
 
 
 def test_each_operator_is_rotated_once_per_eigensystem():
@@ -604,7 +695,7 @@ def test_w_route_peak_memory_stays_below_its_estimate(L, route, monkeypatch):
     peak, estimate = peak_and_estimate(
         monkeypatch, lambda: multi_distance_otoc_values(eig, probes, d_1, np.linspace(0.0, 5.0, 11))
     )
-    copies = {"dense": otoc.MULTI_DISTANCE_COPIES, "sectors": otoc.SECTOR_W_COPIES}[route]
+    copies = otoc.MULTI_DISTANCE_COPIES
     # The check also counts the eigensystem the caller holds, which is
     # allocated before tracing starts: one N x N copy, or the sector blocks.
     held = {"dense": 1.0, "sectors": sum(V.size for _, V in sectors.sectors.values()) / basis.dim**2}[route]
@@ -809,10 +900,12 @@ def test_sampled_peak_memory_stays_below_its_estimate(L, M, monkeypatch):
     d_i = sigma_z_operator(basis, 1, L)
     d_1 = sigma_z_operator(basis, 1, 1)
     states = [haar_state(basis, j) for j in range(M)]
-    peak, estimate = peak_and_estimate(
-        monkeypatch, lambda: sampled_otoc(eig, d_i, d_1, states, default_decay_times())
+    times = default_decay_times()
+    steps = max(1, min(times.size, otoc._CHUNK_COLUMNS // (4 * M)))
+    copies = otoc.SAMPLED_COPIES + otoc.SAMPLED_COPIES_PER_STATE * M * steps / basis.dim
+    assert_peak_within_held_estimate(
+        monkeypatch, basis, eig, copies, lambda: sampled_otoc(eig, d_i, d_1, states, times)
     )
-    assert peak < estimate
 
 
 def test_otoc_series_rejects_bad_t0():

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ladderxx import wavefront
+from ladderxx import core, wavefront
 from ladderxx.core import (
     LadderParams,
     SectorBasis,
@@ -253,16 +253,17 @@ def test_grid_requires_realizations():
 
 
 def counted_eigensolves(monkeypatch):
-    """Count the eigensolves that build_spacetime_grid makes, by kind."""
+    """Count the eigensolves that build_spacetime_grid makes, by kind: its
+    calls of diagonalize_sectors, and the full solves that one makes."""
     counts = {"diagonalize": 0, "diagonalize_sectors": 0}
-    for name in counts:
-        solve = getattr(wavefront, name)
+    for module, name in ((core, "diagonalize"), (wavefront, "diagonalize_sectors")):
+        solve = getattr(module, name)
 
         def counted(*args, name=name, solve=solve):
             counts[name] += 1
             return solve(*args)
 
-        monkeypatch.setattr(wavefront, name, counted)
+        monkeypatch.setattr(module, name, counted)
     return counts
 
 
@@ -286,7 +287,7 @@ def test_grid_solves_charge_sectors_only_with_shared_fields(monkeypatch):
     ensemble = [sample_disorder(params, 5), sample_disorder(params, 6, independent_legs=True)]
     times = np.linspace(0.0, 4.0, 9)
     grid = build_spacetime_grid(params, ensemble, times)
-    assert counts == {"diagonalize": 1, "diagonalize_sectors": 1}
+    assert counts == {"diagonalize": 1, "diagonalize_sectors": 2}
     d_1 = sigma_z_operator(basis, 1, 1)
     probes = np.stack([sigma_z_operator(basis, 1, 1 + dx) for dx in (1, 2, 3)])
     for dis, got in zip(ensemble, grid.per_realization):
