@@ -27,7 +27,6 @@ from dataclasses import dataclass, field
 from math import comb
 
 import numpy as np
-import scipy.linalg
 import scipy.sparse
 
 __all__ = [
@@ -579,7 +578,13 @@ def diagonalize(H: SectorHamiltonian | ChargeBlocks) -> EigenSystem | SectorSpec
     dense. The merged spectrum agrees with a full solve to rounding, not
     bit for bit. Raises RuntimeError when the spectrum misses weight of H
     (`_check_spectral_weight`).
+
+    scipy.linalg is imported here, by this function alone, and not at
+    module load: a process that never calls it never loads scipy's LAPACK
+    and its OpenBLAS copy.
     """
+    import scipy.linalg
+
     if not isinstance(H, ChargeBlocks):
         check_memory("diagonalize", H.matrix.shape[0], EIGH_COPIES)
         try:
@@ -616,8 +621,10 @@ def diagonalize_sectors(H: SectorHamiltonian) -> ChargeEigenSystem | EigenSystem
     The solver is numpy's ``eigh`` (LAPACK ``syevd``), not scipy's: the two
     packages link separate OpenBLAS copies, and the W-route's GEMMs run in
     numpy's, whose threads still spin when the next realization is solved;
-    scipy's copy then competes with them for the cores. Raises RuntimeError
-    when the spectrum misses weight of H (`_check_spectral_weight`).
+    scipy's copy then competes with them for the cores. A `wavefront`
+    process with shared fields never loads scipy's copy (`diagonalize`
+    imports it). Raises RuntimeError when the spectrum misses weight of H
+    (`_check_spectral_weight`).
 
     When the legs see different fields, H conserves no charge, and the
     result is `diagonalize(H)`'s full EigenSystem.

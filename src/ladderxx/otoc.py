@@ -25,8 +25,10 @@ the flip in the sorted basis. For probes that are odd under the flip too,
 half the rows, one of each mirror pair, carry the whole OTOC. The route
 takes a full `EigenSystem`, or with shared fields a `ChargeEigenSystem`,
 from which it forms the columns of U(t) sector by sector, maps them to the
-states by Hadamard transforms, and takes the column side of each step's
-N x N product from the same blocks (`_SectorRoute` states the identities).
+states by Hadamard transforms, and takes the column side of each step's two
+N x N/2 products, Y and K, from the same blocks (`_SectorRoute` states the
+identities). Either route holds two N x N work arrays; only the dense one
+forms S_R J, inside one of them (`_DenseRoute`).
 
 All three routines refuse a time grid that is empty, not 1-D or not finite,
 and check their operators before any O(N^3) work. Their memory checks count
@@ -75,11 +77,12 @@ __all__ = [
 # plus its two work blocks of 2 N^2 floats (6.04 at L = 6); at L = 5 numpy's
 # fixed-size cast buffers add half a copy more (6.54).
 EXACT_COPIES = 6.6
-# multi_distance_otoc_values holds its work block and [S_R J; S], 2.5 copies,
-# and beside them V[up, :]^T from an EigenSystem (3.20 at L = 5), or the
-# weighted rows W_q and the block products P_q from a ChargeEigenSystem
-# (3.49): the larger, for both.
-MULTI_DISTANCE_COPIES = 3.5
+# multi_distance_otoc_values holds two N x N arrays, the route's input block
+# and S, whose halves read flat end each step as Y and K (the input block's
+# in the dense route). Beside them it holds V[up, :]^T from an EigenSystem
+# (2.69 at L = 5), or the weighted rows W_q and the block products P_q from
+# a ChargeEigenSystem (2.98): the larger, for both.
+MULTI_DISTANCE_COPIES = 3.0
 # sampled_otoc: 3.1 while it rotates the two operators, then 2 for them plus
 # 12 M K / N for the state coefficients and two chunk buffers of 4 M K real
 # columns each, with M states and K steps per chunk.
@@ -369,10 +372,9 @@ def multi_distance_otoc_values(
     By the chiral mirror (module notes) and d_f(a) = -d_a for every probe,
     F_i = (2/N) sum_{a in R} sum_b d_a d_b |W_ab|^2. With S_R the rows R of
     S and S_R J its columns 2j and 2j + 1 turned into Im G_R and -Re G_R,
-    A = [S_R J; S_R] gives S A^T = [Y_R; K_R]^T, Y_R = (X - X^T)_R and
-    K_R = (S S^T)_R: one N x N x N GEMM from an `EigenSystem`, per-block
-    GEMMs and a Hadamard map from a `ChargeEigenSystem` (`_SectorRoute`
-    states the column-side identity). Then
+    the route returns the two N x N/2 products Y = S (S_R J)^T and
+    K = S S_R^T, whose column a holds row a of X - X^T and of S S^T
+    (`_DenseRoute` and `_SectorRoute` state how each forms them). Then
     |W_ab|^2 = 4 (K_ab^2 + Y_ab^2) off the diagonal and (2 K_aa - 1)^2 on it,
     where Im W vanishes. Every step checks the data: it raises RuntimeError
     on non-finite data, then when the health figure below exceeds
@@ -405,39 +407,34 @@ def multi_distance_otoc_values(
     position = np.empty(n, dtype=np.int64)
     position[rows] = np.arange(n)
     mirror = position[n - 1 - rows[:half]] - half
-    D = D[:, rows]
-    D_R = np.ascontiguousarray(D[:, :half])
-    # work holds the route's inputs to S and to S A^T. stacked = [S_R J; S]
-    # and the route's spare rows: its first N rows are A, and the rows below
-    # them are free for the route's product once S's second half has given
-    # its mirror norms.
+    D_R = np.ascontiguousarray(D[:, rows[:half]])
+    # A last row of ones makes the probe GEMM sum |W_ab|^2 too, for the defect.
+    D = np.vstack([D[:, rows], np.ones(n)])
+    # work holds the route's inputs to S and to Y and K; stacked holds S
+    # and the sector route's spare rows (none on the dense route).
     work = np.empty((n, n))
-    stacked = np.empty((half + n + route.spare_rows, n))
-    S = stacked[half : half + n]
-    # (row, column j, Re or Im) views of S_R and S_R J.
-    S_R = S[:half].reshape(half, half, 2)
-    S_R_J = stacked[:half].reshape(half, half, 2)
+    stacked = np.empty((n + route.spare_rows, n))
+    S = stacked[:n]
 
-    values = np.empty((D.shape[0], times.shape[0]), dtype=float)
+    values = np.empty((D.shape[0] - 1, times.shape[0]), dtype=float)
     defects = np.empty(times.shape)
     for k, t in enumerate(times):
         route.form(t, work, S)
-        S_R_J[:, :, 0] = S_R[:, :, 1]
-        np.negative(S_R[:, :, 0], out=S_R_J[:, :, 1])
         flipped = np.einsum("ij,ij->i", S[half:], S[half:])[mirror]
-        # [Y_R; K_R]^T: column a of each half belongs to row a of R.
-        out = route.product(work, stacked)
-        Y, K = out[:, :half], out[:, half:]
+        # Column a of Y and of K belongs to row a of R.
+        Y, K = route.product(work, stacked)
         # Re W_aa = 2 ||S_a||^2 - 1 must be odd under the flip.
         k_diag = K[:half].diagonal().copy()
         mismatch = np.max(np.abs(k_diag + flipped - 1.0))
         if not np.isfinite(mismatch):
             raise RuntimeError(f"W(t={t}) is not finite: the eigensystem holds NaN or inf")
         # |W_ab|^2 / 4 = K_ab^2 + Y_ab^2, and (K_aa - 1/2)^2 where Im W_aa = 0.
-        np.square(out, out=out)
+        np.square(Y, out=Y)
+        np.square(K, out=K)
         np.fill_diagonal(Y[:half], 0.0)
         np.fill_diagonal(K[:half], (k_diag - 0.5) ** 2)
-        defects[k] = abs(8.0 * out.sum() / n - 1.0)
+        weighted = D @ Y + D @ K
+        defects[k] = abs(8.0 * weighted[-1].sum() / n - 1.0)
         # Every row of a unitary W has norm 1, mirror or not.
         if not defects[k] <= DEFECT_TOL:
             raise RuntimeError(
@@ -449,14 +446,19 @@ def multi_distance_otoc_values(
                 f"W(t={t}) breaks the chiral mirror by {mismatch:.3e}: "
                 "H does not anticommute with the sublattice sign times the spin flip"
             )
-        weighted = D @ out
-        values[:, k] = np.sum((weighted[:, :half] + weighted[:, half:]) * D_R, axis=1) * (8.0 / n)
+        values[:, k] = np.sum(weighted[:-1] * D_R, axis=1) * (8.0 / n)
     return values, float(np.max(defects))
 
 
 class _DenseRoute:
     """S from a full eigensystem, rows in basis order:
-    G = V (exp(-i E t) * V[up, :]^T), the phased columns formed in `work`."""
+    G = V (exp(-i E t) * V[up, :]^T), the phased columns formed in `work`.
+
+    `product` owns S_R J: it writes it into the first N/2 rows of `work`,
+    which `form` no longer needs, Y = S (S_R J)^T into the second half,
+    viewed as N x N/2, and then K = S S_R^T over S_R J: two GEMMs of
+    N x N x N/2, and no array beside `work` and S.
+    """
 
     spare_rows = 0
 
@@ -472,11 +474,17 @@ class _DenseRoute:
         np.multiply(-np.sin(self.E * t)[:, None], self.V_up, out=phased[:, :, 1])
         np.matmul(self.V, work, out=S)
 
-    def product(self, work: np.ndarray, stacked: np.ndarray) -> np.ndarray:
-        """S A^T, A = stacked[:N], into `work`, which `form` no longer needs."""
-        n = work.shape[0]
-        np.matmul(stacked[n // 2 : n // 2 + n], stacked[:n].T, out=work)
-        return work
+    def product(self, work: np.ndarray, S: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Y and K (class notes), the two halves of `work` read flat; S has
+        no spare rows below it on this route."""
+        n, half = work.shape[0], work.shape[0] // 2
+        K, Y = work.reshape(2, n, half)
+        # S_R J = -i S_R, with the column pairs read as complex numbers.
+        S_R_J = K.reshape(half, n)
+        np.multiply(S[:half].view(complex), -1j, out=S_R_J.view(complex))
+        np.matmul(S, S_R_J.T, out=Y)
+        np.matmul(S, S[:half].T, out=K)
+        return Y, K
 
 
 class _SectorRoute:
@@ -513,13 +521,16 @@ class _SectorRoute:
     `ChargeLabels.order`, as V_q has sector q's, and zeros outside the
     blocks; each block writes its rows with one indexed assignment.
 
-    The column side of the step's product follows from S = U_Q S_Q: for any
-    A with N columns, S A^T = U_Q (S_Q A^T), and the rows of S_Q A^T in
-    sector q are P_q A[:, span]^T. So `product` forms S A^T, for the dense
-    A = [S_R J; S_R], from one m_q x 2 c_q x N GEMM per block, written to
-    its rows of the Hadamard input, and one more Hadamard map: the GEMM
-    work is sum_q m_q 2 c_q N in place of N^3. The products P_q are kept from
-    `form`, one buffer per block.
+    The column side of Y and K follows from S = U_Q S_Q: for any A with N
+    columns, S A^T = U_Q (S_Q A^T), and the rows of S_Q A^T in sector q are
+    P_q A[:, span]^T. For A = S_R these are K's rows. J turns each (Re, Im)
+    column pair into (Im, -Re), so P_q J^T = i P_q with the pairs read as
+    complex numbers, and Y's rows are (i P_q) S_R[:, span]^T: S_R J is never
+    formed. `product` runs these two m_q x 2 c_q x N/2 GEMMs per block into
+    S's second half, copies them to K's and Y's Hadamard inputs, the halves
+    of `work` read flat, and maps each into the same half of S: GEMM work
+    sum_q m_q 2 c_q N in place of N^3. The P_q are kept from `form`, which
+    rebuilds them after `product` has multiplied them by i.
     """
 
     def __init__(self, eig: ChargeEigenSystem, d1: np.ndarray):
@@ -556,18 +567,18 @@ class _SectorRoute:
             mine = np.flatnonzero(charge[entry_slot] == q)
             mine = mine[np.argsort(entry_column[mine])]
             cols = entry_column[mine]
-            if cols.size == 0:
-                continue
-            if not np.array_equal(cols, np.arange(cols[0], cols[0] + cols.size)):
-                raise RuntimeError(f"sector {q} meets a non-contiguous range of +1 states")
+            # Every sector meets the +1 states of every spin for L <= 8, so
+            # `product` writes every row of its Hadamard inputs.
+            if cols.size == 0 or not np.array_equal(cols, np.arange(cols[0], cols[0] + cols.size)):
+                raise RuntimeError(f"sector {q} meets no range of +1 states, or a non-contiguous one")
             local = np.searchsorted(sector_rows, input_row[entry_slot[mine]])
             W = np.ascontiguousarray((V[local] * entry_weight[mine, None]).T)
             span = slice(2 * cols[0], 2 * (cols[0] + cols.size))
             P = np.empty((V.shape[0], 2 * cols.size))
             self.blocks.append((E, V, W, span, sector_rows, P))
-        # `product` writes each block's m_q x N GEMM into the rows of `stacked`
-        # below A: S's second half, N/2 rows, and at L = 2 and 4, where the
-        # widest block has more rows, these spare rows.
+        # `product` writes each block's two m_q x N/2 products into the rows
+        # of `stacked` below S_R: S's second half, N/2 rows, and at L = 2 and
+        # 4, where the widest block has more rows, these spare rows.
         self.spare_rows = max(0, max(V.shape[0] for _, V, *_ in self.blocks) - half)
         # One Hadamard group per z: its rows [first, first + 2 count) of the
         # input map to rows [top, top + count) and [bottom, bottom + count) of S.
@@ -615,18 +626,24 @@ class _SectorRoute:
             work[sector_rows, span] = P
         self.hadamard(work, S)
 
-    def product(self, work: np.ndarray, stacked: np.ndarray) -> np.ndarray:
-        """S A^T, A = stacked[:N], into A's rows, from `form`'s block
-        products (class notes)."""
-        n = work.shape[0]
-        A, spare = stacked[:n], stacked[n:]
-        # Rows of work that no block writes keep form's zeros.
+    def product(self, work: np.ndarray, stacked: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Y and K (class notes), the two halves of S = stacked[:N] read flat."""
+        n, half = work.shape[0], work.shape[0] // 2
+        S_R, spare = stacked[:half], stacked[half:].reshape(-1)
+        # K's and Y's Hadamard inputs and outputs: the halves of work and of S.
+        inputs = work.reshape(2, n, half)
+        outputs = stacked.reshape(-1)[: n * n].reshape(2, n, half)
         for E, V, W, span, sector_rows, P in self.blocks:
-            out = spare[: V.shape[0]]
-            np.matmul(P, A[:, span].T, out=out)
-            work[sector_rows] = out
-        self.hadamard(work, A)
-        return A
+            block = spare[: V.shape[0] * n].reshape(2, V.shape[0], half)
+            right = S_R[:, span].T
+            np.matmul(P, right, out=block[0])
+            # P_q J^T = i P_q (class notes).
+            P.view(complex)[...] *= 1j
+            np.matmul(P, right, out=block[1])
+            inputs[:, sector_rows] = block
+        for into, out in zip(inputs, outputs):
+            self.hadamard(into, out)
+        return outputs[1], outputs[0]
 
 
 def sampled_otoc(

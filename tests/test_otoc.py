@@ -666,6 +666,19 @@ def test_first_half_of_s_holds_one_state_of_each_mirror_pair(L):
     assert np.array_equal(np.sort(np.concatenate([first, n - 1 - first])), np.arange(n))
 
 
+@pytest.mark.parametrize("L", [2, 3, 4, 5, 6, 7])
+def test_every_sector_meets_the_plus_one_states_of_every_spin(L):
+    # The route refuses a sector without them: its products write every row
+    # of the Hadamard inputs, so there is no row left to zero.
+    basis = SectorBasis(L)
+    eig = identity_sectors(basis)
+    for leg in (1, 2):
+        for site in range(1, L + 1):
+            route = otoc._SectorRoute(eig, sigma_z_operator(basis, leg, site))
+            rows = np.concatenate([sector_rows for *_, sector_rows, _ in route.blocks])
+            assert np.array_equal(np.sort(rows), np.arange(basis.dim))
+
+
 def test_sector_w_route_takes_only_sz_of_one_spin():
     basis, _, sectors = make_sector_eig(3)
     d_1 = sigma_z_operator(basis, 1, 1)

@@ -124,14 +124,48 @@ def test_ci_pins_numpy_and_scipy_to_exact_versions_within_the_declared_ranges(pr
         assert version >= tuple(int(x) for x in floor.split(">=")[1].split(".")), name
 
 
+def run_fresh(code):
+    """Exit code of `code` run in a fresh interpreter that imports ladderxx from src/."""
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    return subprocess.run([sys.executable, "-c", code], env=env).returncode
+
+
 def test_importing_the_workload_modules_leaves_scipy_optimize_unloaded():
     # Only fits.fit_mbl_form needs scipy.optimize; the import costs ~0.2 s.
     code = (
         "import sys, ladderxx.fits, ladderxx.wavefront, ladderxx.levelstats; "
         "sys.exit('scipy.optimize' in sys.modules)"
     )
-    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
-    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+    assert run_fresh(code) == 0
+
+
+def test_a_wavefront_grid_leaves_scipy_linalg_unloaded():
+    # Only core.diagonalize needs scipy.linalg, so a space-time grid with
+    # shared fields never loads scipy's LAPACK and its own OpenBLAS copy.
+    code = (
+        "import sys, numpy as np; "
+        "from ladderxx import core, fits, levelstats, otoc, wavefront; "
+        "p = core.LadderParams(L=4, h=1.0); "
+        "g = wavefront.build_spacetime_grid(p, [core.sample_disorder(p, 1)], np.linspace(0, 2, 5)); "
+        "assert g.values.shape == (3, 5); "
+        "sys.exit('scipy.linalg' in sys.modules)"
+    )
+    assert run_fresh(code) == 0
+
+
+@pytest.mark.parametrize("blocks", [False, True])
+def test_diagonalize_loads_scipy_linalg_in_a_fresh_process(blocks):
+    code = (
+        "import sys, numpy as np; "
+        "from ladderxx import core; "
+        "assert 'scipy.linalg' not in sys.modules; "
+        "p = core.LadderParams(L=4, h=1.0); "
+        "H = core.build_hamiltonian(p, core.sample_disorder(p, 1), core.SectorBasis(4)); "
+        f"w = core.diagonalize(core.ChargeBlocks(H) if {blocks} else H).eigenvalues; "
+        "assert np.max(np.abs(w - np.linalg.eigvalsh(H.matrix.toarray()))) < 1e-12; "
+        "sys.exit('scipy.linalg' not in sys.modules)"
+    )
+    assert run_fresh(code) == 0
 
 
 def test_src_has_no_assert_statements():
