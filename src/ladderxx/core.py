@@ -27,7 +27,6 @@ from dataclasses import dataclass, field
 from math import comb
 
 import numpy as np
-import scipy.sparse
 
 __all__ = [
     "LadderParams",
@@ -59,14 +58,14 @@ SPECTRAL_WEIGHT_RTOL = 16 * np.finfo(float).eps
 # bytes): the larger tracemalloc peak of L = 5 and 6, rounded up.
 EIGH_COPIES = 2.2  # eigenvectors and the dense copy of H that LAPACK overwrites
 # Eigenvalues only, in units of the widest m x m block (H with independent
-# legs): the block, its sparse product and, when first built, the charge
-# map; then LAPACK's copy of the block and its workspace.
-EIGVALS_COPIES = 3.4
+# legs): the block, LAPACK's copy of it and its workspace, and the O(L N)
+# rung-basis entries of every block (2.84 at L = 5, 2.22 at L = 6).
+EIGVALS_COPIES = 2.9
 # diagonalize_sectors: the eigenvectors of every block, and this many copies of
-# the largest one: the block, and numpy's eigh of it, whose input copy,
-# eigenvectors and workspace raise the RSS by 4.3-4.5 block copies outside
-# tracemalloc's view; then the sparse products and, when first built, the
-# charge map (2.2 copies at L = 5 under tracemalloc).
+# the largest one: the block and the rung-basis entries (1.6 at L = 5, 0.8 at
+# L = 6 under tracemalloc), and numpy's eigh of it, whose input copy,
+# eigenvectors and workspace lie outside tracemalloc's view. The RSS grew by
+# 5.5-5.7 such copies beyond the eigenvectors at L = 6 and by 4.2-4.3 at L = 7.
 SECTOR_EIGH_COPIES = 6.0
 # The cgroup mount, and the file that names this process's group in each
 # hierarchy: a v2 line reads "0::<path>", a v1 line "<id>:<controllers>:<path>".
@@ -74,7 +73,7 @@ _CGROUP_ROOT = "/sys/fs/cgroup"
 _SELF_CGROUP = "/proc/self/cgroup"
 # Bit t is set where the t-th singly occupied column of a column pattern
 # carries the Jordan-Wigner sign s_t = -1 in the dressed rung charge (see
-# SectorBasis.charge_sectors): s_t = (-1)^t.
+# _rung_sectors): s_t = (-1)^t.
 _STRING_SIGNS = sum(1 << t for t in range(1, L_MAX, 2))
 _POPCOUNT = np.array([bin(k).count("1") for k in range(1 << L_MAX)])
 
@@ -150,24 +149,25 @@ class DisorderRealization:
 
 @dataclass(frozen=True)
 class ChargeLabels:
-    """Bookkeeping of the charge map (`SectorBasis.charge_sectors`), in slots.
+    """Bookkeeping of the rung basis (`_rung_sectors`), in slots.
 
     The states of one column-occupation pattern with z singly occupied
     columns are numbered b = 0 .. 2^z - 1 by leg 2's bits on those columns,
-    and its Hadamard labels m likewise. Patterns take consecutive runs of
-    slots, so slot s holds state b = s - first and label m = s - first of one
-    pattern. ``slot[k]`` is the slot of state k and ``state[s]`` the state in
-    slot s. Per slot: ``z`` and the pattern's ``single`` and ``double``
-    (doubly occupied) column bits, ``index`` = b = m, and ``charge``, the q
-    of label m.
+    and its rung labels m likewise (bit t set where the t-th singly occupied
+    column is antibonding). Patterns take consecutive runs of slots, by
+    ascending ``single | double << L``, so slot s holds state b = s - first
+    and label m = s - first of one pattern. ``slot[k]`` is the slot of state
+    k and ``state[s]`` the state in slot s. Per slot: ``z`` and the
+    pattern's ``single`` and ``double`` (doubly occupied) column bits,
+    ``index`` = b = m, and ``charge``, the q of label m.
 
     ``order`` lists the slots by (z, m, flip half, slot). The global spin
     flip keeps z and complements b, so the flip half is b's top bit; for
     z = 0 it swaps the doubly occupied columns with the empty ones, and the
     flip half is whether the doubly occupied columns, read as a bit mask,
-    exceed the empty ones. A sector's labels in this order are the columns
-    of its U_q (`SectorBasis.charge_sectors`) and the rows of its block, and
-    the W-route's Hadamard input (`otoc._SectorRoute`) holds all labels in it.
+    exceed the empty ones. A sector's labels in this order are the rows of
+    its block H_q, and the W-route's Hadamard input (`otoc._SectorRoute`)
+    holds all labels in it.
     """
 
     slot: np.ndarray
@@ -190,10 +190,8 @@ class SectorBasis:
     states : int64 array of the C(2L, L) bitmasks with L set bits, ascending
         (so ``np.searchsorted(states, mask)`` is the index of a bitmask).
     dim : sector dimension.
-    charge_labels : the slots of the charge map's states and labels
+    charge_labels : the slots of the states and rung labels
         (`ChargeLabels`); built on first use.
-    charge_sectors : the eigenvectors of the dressed rung charge, per
-        eigenvalue; built on first use.
     """
 
     def __init__(self, L: int):
@@ -218,7 +216,7 @@ class SectorBasis:
 
     @functools.cached_property
     def charge_labels(self) -> ChargeLabels:
-        """Slots of the charge map's states and labels; see `ChargeLabels`."""
+        """Slots of the states and rung labels; see `ChargeLabels`."""
         L, states = self.L, self.states
         leg1, leg2 = states & ((1 << L) - 1), states >> L
         single, double = leg1 ^ leg2, leg1 & leg2
@@ -248,47 +246,6 @@ class SectorBasis:
             order=np.lexsort((flipped_half, index, z)),
         )
 
-    @functools.cached_property
-    def charge_sectors(self) -> dict[int, scipy.sparse.csc_array]:
-        """Orthonormal eigenvectors of the dressed rung charge, one N x C(L, k)^2
-        sparse matrix U_q per eigenvalue q = 2k - L.
-
-        Q = sum_i (-1)^(N_<i) (s+_{1,i} s-_{2,i} + h.c.), with N_<i the up spins
-        in columns 1..i-1, commutes with H when both legs see the same fields.
-        Q keeps each column's occupation n_i in {0, 1, 2}; on one occupation
-        pattern it is sum_t s_t X_t over the z columns with n_i = 1, where X_t
-        moves that column's up spin to the other leg. The columns between two
-        such columns hold 0 or 2 up spins, so s_t = (-1)^t. The eigenvectors
-        are therefore the z-fold Hadamard transform of the pattern: label m
-        (bit t set where X_t = -1) has entry 2^(-z/2) (-1)^popcount(b & m) on
-        the state whose leg-2 bits on those columns read b, and
-        q = z - 2 popcount((m ^ _STRING_SIGNS) & (2^z - 1)). Within a sector
-        the labels come in `ChargeLabels.order`.
-        """
-        labels = self.charge_labels
-        order = labels.order
-        column = np.empty(self.dim, dtype=np.int64)
-        column[order[np.argsort(labels.charge[order], kind="stable")]] = np.arange(self.dim)
-        z, b = labels.z[labels.slot], labels.index[labels.slot]
-        first = labels.slot - b
-        rows, cols, coefs = [], [], []
-        for width in np.unique(z):
-            on = np.flatnonzero(z == width)
-            m = np.arange(1 << width)
-            sign = 1 - 2 * (_POPCOUNT[b[on, None] & m] & 1)
-            rows.append(np.repeat(on, m.size))
-            cols.append(column[first[on, None] + m].ravel())
-            coefs.append((sign * 2.0 ** (-width / 2)).ravel())
-        U = scipy.sparse.csc_array(
-            (np.concatenate(coefs), (np.concatenate(rows), np.concatenate(cols))),
-            shape=(self.dim, self.dim),
-        )
-        charges, counts = np.unique(labels.charge, return_counts=True)
-        ends = np.cumsum(counts)
-        return {
-            int(q): U[:, end - count : end] for q, count, end in zip(charges, counts, ends)
-        }
-
     def __len__(self) -> int:
         return self.dim
 
@@ -298,13 +255,24 @@ class SectorBasis:
 
 @dataclass(frozen=True)
 class SectorHamiltonian:
-    """Real symmetric Hamiltonian restricted to the Sz = 0 sector of ``basis``,
-    as a sparse CSR matrix; `diagonalize` forms its one dense copy."""
+    """Real symmetric Hamiltonian restricted to the Sz = 0 sector of ``basis``.
 
-    matrix: scipy.sparse.csr_array
+    It is kept as its entries, each (row, col) once: ``diagonal`` over the
+    states, and ``values[k]`` at (``rows[k]``, ``cols[k]``) off the
+    diagonal. `dense` forms the N x N matrix.
+    """
+
+    diagonal: np.ndarray
+    rows: np.ndarray
+    cols: np.ndarray
+    values: np.ndarray
     params: LadderParams
     disorder: DisorderRealization
     basis: SectorBasis
+
+    def dense(self, order: str = "C") -> np.ndarray:
+        """H as an N x N array in C or Fortran ``order``."""
+        return _dense(self.diagonal, self.rows, self.cols, self.values, order)
 
 
 @dataclass(frozen=True)
@@ -351,8 +319,9 @@ class ChargeEigenSystem:
 
     ``sectors[q] = (E_q, V_q)`` for every charge q, negative ones included:
     ascending eigenvalues and orthonormal column eigenvectors of the block
-    U_q^T H U_q, whose rows are sector q's labels in `ChargeLabels.order`.
-    So U(t) = U_Q (+)_q V_q exp(-i E_q t) V_q^T U_Q^T, U_Q the charge map.
+    H_q of H in the rung basis (`_rung_sectors`), whose rows are sector q's
+    labels in `ChargeLabels.order`. So U(t) = U_Q (+)_q V_q exp(-i E_q t)
+    V_q^T U_Q^T, U_Q the map from the rung labels to the states.
     """
 
     basis: SectorBasis
@@ -456,7 +425,7 @@ def sample_disorder(
     second, independent set of L values is drawn for leg 2 from the same
     stream; level statistics in the ergodic regime need this variant because
     column-identical fields keep a charge conserved
-    (`SectorBasis.charge_sectors`). ``seed`` must be an integer >= 0.
+    (`_rung_sectors`). ``seed`` must be an integer >= 0.
     """
     seed = _checked_int("seed", seed, 0)
     rng = np.random.Generator(np.random.Philox(key=seed))
@@ -492,14 +461,14 @@ def build_hamiltonian(
     disorder: DisorderRealization,
     basis: SectorBasis,
 ) -> SectorHamiltonian:
-    """Assemble the sparse sector Hamiltonian.
+    """Assemble the sector Hamiltonian's entries.
 
     The diagonal holds the fields, sum_i h_i^(leg) s_{leg,i} with s = +-1
     read off the bitmask. Off the diagonal there is one entry 2 J per bond
     and per state whose two occupations across the bond differ (J = J_par
-    on intra-leg bonds, alpha * J_par on rungs): 3 L - 2 bonds, so the CSR
-    matrix holds O(L N) entries and no N x N array is formed. Every hop
-    appears in both directions, and no (row, col) pair appears twice.
+    on intra-leg bonds, alpha * J_par on rungs): 3 L - 2 bonds, so H holds
+    O(L N) entries and no N x N array is formed. Every hop appears in both
+    directions, and no (row, col) pair appears twice.
     """
     if disorder.L != params.L:
         raise ValueError(
@@ -511,13 +480,14 @@ def build_hamiltonian(
     h1 = np.asarray(disorder.fields_for_leg(1))
     h2 = np.asarray(disorder.fields_for_leg(2))
     states = basis.states
-    index = np.arange(basis.dim)
-    d = np.zeros(basis.dim)
+    n = basis.dim
+    index = np.arange(n)
+    d = np.zeros(n)
     for site in range(1, params.L + 1):
         s1, s2 = (sigma_z_operator(basis, leg, site) for leg in (1, 2))
         d += h1[site - 1] * s1 + h2[site - 1] * s2
 
-    rows, cols, values = [index], [index], [d]
+    rows, cols, values = [], [], []
     for a, b, J in _bonds(params):
         if J == 0.0:
             continue
@@ -531,14 +501,105 @@ def build_hamiltonian(
         rows.append(target)
         cols.append(index[hops])
         values.append(np.full(target.size, 2.0 * J))
-    H = scipy.sparse.csr_array(
-        (np.concatenate(values), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(basis.dim, basis.dim),
-    )
-    asymmetry = abs(H - H.T).max()
+    rows, cols, values = (np.concatenate(x) for x in (rows, cols, values))
+    # Sorted by (row, col) and by (col, row), the pairs of a symmetric H,
+    # each once, read the same, and so do their values.
+    key, mirror = rows * n + cols, cols * n + rows
+    by_key, by_mirror = np.argsort(key), np.argsort(mirror)
+    paired = np.array_equal(key[by_key], mirror[by_mirror]) and np.all(np.diff(key[by_key]) > 0)
+    asymmetry = np.max(np.abs(values[by_key] - values[by_mirror])) if paired else np.inf
     if not asymmetry <= 1e-12:
         raise RuntimeError(f"assembled Hamiltonian is not symmetric ({asymmetry:.3e})")
-    return SectorHamiltonian(matrix=H, params=params, disorder=disorder, basis=basis)
+    return SectorHamiltonian(
+        diagonal=d, rows=rows, cols=cols, values=values,
+        params=params, disorder=disorder, basis=basis,
+    )
+
+
+def _dense(
+    diagonal: np.ndarray, rows: np.ndarray, cols: np.ndarray, values: np.ndarray, order: str = "C"
+) -> np.ndarray:
+    """The square array with ``diagonal`` and ``values[k]`` at (rows[k], cols[k])."""
+    out = np.zeros((diagonal.size, diagonal.size), order=order)
+    np.fill_diagonal(out, diagonal)
+    out[rows, cols] = values
+    return out
+
+
+def _rung_sectors(H: SectorHamiltonian) -> dict[int, tuple[np.ndarray, ...]]:
+    """The entries of the block H_q of each charge q, built in the rung basis.
+
+    With the same fields on both legs, H conserves the dressed rung charge
+    Q = sum_i (-1)^(N_<i) (s+_{1,i} s-_{2,i} + h.c.), with N_<i the up spins
+    in columns 1..i-1. Q keeps each column's occupation: E (empty), D
+    (doubly occupied) or single. On one occupation pattern it is
+    sum_t s_t X_t over its z singles, where X_t moves the t-th single's up
+    spin to the other leg; the columns between two singles hold 0 or 2 up
+    spins, so s_t = (-1)^t. Its eigenvectors are therefore rung product
+    states: each single is bonding, B = (|up down> + |down up>) / sqrt 2
+    with leg 1 written first (X_t = +1, label bit t clear), or antibonding,
+    A = (|up down> - |down up>) / sqrt 2 (bit t set). In the states of the
+    pattern, label m has entry 2^(-z/2) (-1)^popcount(b & m) on the state
+    whose leg-2 bits on the singles read b, and charge
+    q = z - 2 popcount((m ^ _STRING_SIGNS) & (2^z - 1)).
+
+    H is a sum of one- and two-column terms without a string, so in these
+    labels it reads:
+    * diagonal: +2 h_i on a D column, -2 h_i on an E column, and, from the
+      rung exchange, +2 J_perp per B and -2 J_perp per A;
+    * leg bond (i, i + 1), coefficient 2 J_par: a single moves,
+      (x, E) <-> (E, x) and (x, D) <-> (D, x), keeping its label bit;
+      (E, D) and (D, E) go to BB - AA, two label bits inserted at the
+      single rank t of column i; BB goes to ED + DE, AA to -(ED + DE), and
+      BA and AB to zero.
+    A hop keeps q since s_t + s_(t+1) = 0; RuntimeError is raised if one
+    does not. Returns, by ascending q, the block's (diagonal, rows, cols,
+    values), each (row, col) once, rows and columns in the order of sector
+    q's labels in `ChargeLabels.order`.
+    """
+    params, labels = H.params, H.basis.charge_labels
+    L, two_j = params.L, 2.0 * params.J_par
+    single, double, m = labels.single, labels.double, labels.index
+    empty = ((1 << L) - 1) & ~(single | double)
+    diagonal = 2.0 * params.J_perp * (labels.z - 2 * _POPCOUNT[m])
+    for i, h in enumerate(H.disorder.fields):
+        diagonal += 2.0 * h * ((double >> i & 1) - (empty >> i & 1))
+    # Slots run by pattern, patterns by ascending key: a pattern's first
+    # slot is where its key sorts in.
+    key = single | double << L
+    src, dst, values = [], [], []
+    for i in range(L - 1):
+        pair, t = 3 << i, _POPCOUNT[single & ((1 << i) - 1)]
+        s, d = single >> i & 3, double >> i & 3
+        move = np.flatnonzero(s == 1)
+        moved = key[move] ^ pair ^ ((d[move] >> 1) * pair) << L
+        src.append(move)
+        dst.append(np.searchsorted(key, moved) + m[move])
+        values.append(np.full(move.size, two_j))
+        split = np.flatnonzero((s == 0) & ((d == 1) | (d == 2)))
+        first = np.searchsorted(key, key[split] ^ pair ^ (double[split] & pair) << L)
+        ms, ts = m[split], t[split]
+        spread = (ms & ((1 << ts) - 1)) | (ms >> ts) << (ts + 2)
+        for inserted, sign in ((0, 1.0), (3, -1.0)):
+            src.append(split)
+            dst.append(first + (spread | inserted << ts))
+            values.append(np.full(split.size, sign * two_j))
+    src, dst, values = (np.concatenate(x) for x in (src, dst, values))
+    src, dst, values = np.concatenate([src, dst]), np.concatenate([dst, src]), np.tile(values, 2)
+    charge, order = labels.charge, labels.order
+    if np.any(charge[src] != charge[dst]):
+        raise RuntimeError(
+            "a hop of H leaves its charge sector: the rung labels do not "
+            "diagonalize the dressed rung charge"
+        )
+    position = np.empty(H.basis.dim, dtype=np.int64)
+    sectors = {}
+    for q in np.unique(charge).tolist():
+        slots = order[charge[order] == q]
+        position[slots] = np.arange(slots.size)
+        mine = np.flatnonzero(charge[src] == q)
+        sectors[q] = (diagonal[slots], position[dst[mine]], position[src[mine]], values[mine])
+    return sectors
 
 
 def _check_chiral_symmetry(params: LadderParams, d: np.ndarray) -> None:
@@ -564,19 +625,19 @@ def diagonalize(H: SectorHamiltonian | ChargeBlocks) -> EigenSystem | SectorSpec
     """Dense symmetric eigensolve of one realization.
 
     A SectorHamiltonian gets one full ``eigh``: an EigenSystem with ascending
-    eigenvalues and column eigenvectors, as the OTOC routes need them. Its
-    CSR matrix is made dense here, once and in Fortran order, and LAPACK
-    overwrites that copy in place, so the solve holds about two N x N arrays.
+    eigenvalues and column eigenvectors, as the OTOC routes need them. H is
+    made dense here, once and in Fortran order, and LAPACK overwrites that
+    copy in place, so the solve holds about two N x N arrays.
 
     ChargeBlocks(H) gets SectorSpectra, from eigenvalues-only solves. With
     the same fields on both legs, H conserves the dressed rung charge, and
-    each block U_q^T H U_q of a sector q >= 0 (`SectorBasis.charge_sectors`)
-    is multiplied out from the CSR matrix and solved before the next one is
-    formed, so the peak holds one block. The negation of each q > 0
-    spectrum stands for sector -q (`_check_chiral_symmetry`, which raises if
-    a term of H breaks that). With independent legs the one block is H made
-    dense. The merged spectrum agrees with a full solve to rounding, not
-    bit for bit. Raises RuntimeError when the spectrum misses weight of H
+    the block H_q of each sector q >= 0 is built in the rung basis
+    (`_rung_sectors`) and solved before the next one is made dense, so the
+    peak holds one block. The negation of each q > 0 spectrum stands for
+    sector -q (`_check_chiral_symmetry`, which raises if a term of H breaks
+    that). With independent legs the one block is H made dense. The merged
+    spectrum agrees with a full solve to rounding, not bit for bit. Raises
+    RuntimeError when the spectrum misses weight of H's entries
     (`_check_spectral_weight`).
 
     scipy.linalg is imported here, by this function alone, and not at
@@ -586,27 +647,26 @@ def diagonalize(H: SectorHamiltonian | ChargeBlocks) -> EigenSystem | SectorSpec
     import scipy.linalg
 
     if not isinstance(H, ChargeBlocks):
-        check_memory("diagonalize", H.matrix.shape[0], EIGH_COPIES)
+        check_memory("diagonalize", H.basis.dim, EIGH_COPIES)
         try:
-            w, v = scipy.linalg.eigh(H.matrix.toarray(order="F"), overwrite_a=True)
+            w, v = scipy.linalg.eigh(H.dense(order="F"), overwrite_a=True)
         except scipy.linalg.LinAlgError as exc:
             raise _solve_failed(H) from exc
         return EigenSystem(eigenvalues=w, eigenvectors=v)
     H = H.H
     n = H.basis.dim
-    if H.disorder.fields_for_leg(1) != H.disorder.fields_for_leg(2):
-        charges, blocks, width = (), [H.matrix], n
-    else:
-        _check_chiral_symmetry(H.params, H.matrix.diagonal())
-        sectors = {q: U for q, U in H.basis.charge_sectors.items() if q >= 0}
-        charges, width = tuple(sectors), max(U.shape[1] for U in sectors.values())
-        blocks = (U.T @ (H.matrix @ U) for U in sectors.values())
+    sectors = {}
+    if H.disorder.fields_for_leg(1) == H.disorder.fields_for_leg(2):
+        _check_chiral_symmetry(H.params, H.diagonal)
+        sectors = {q: block for q, block in _rung_sectors(H).items() if q >= 0}
+    blocks = list(sectors.values()) or [(H.diagonal, H.rows, H.cols, H.values)]
+    width = max(diagonal.size for diagonal, *_ in blocks)
     check_memory("diagonalize", n, EIGVALS_COPIES * width**2 / n**2)
     try:
-        parts = [scipy.linalg.eigh(b.toarray(), eigvals_only=True) for b in blocks]
+        parts = [scipy.linalg.eigh(_dense(*b), eigvals_only=True) for b in blocks]
     except scipy.linalg.LinAlgError as exc:
         raise _solve_failed(H) from exc
-    sectors = dict(zip(charges, parts))
+    sectors = dict(zip(sectors, parts))
     mirrors = [-e for q, e in sectors.items() if q > 0]
     w = np.sort(np.concatenate(parts + mirrors))
     _check_spectral_weight(H, w)
@@ -616,14 +676,14 @@ def diagonalize(H: SectorHamiltonian | ChargeBlocks) -> EigenSystem | SectorSpec
 def diagonalize_sectors(H: SectorHamiltonian) -> ChargeEigenSystem | EigenSystem:
     """Eigensystem of every charge sector of a ladder with shared fields.
 
-    Each block U_q^T H U_q (`SectorBasis.charge_sectors`) is multiplied out
-    from the CSR matrix and solved with vectors, the q < 0 sectors included.
-    The solver is numpy's ``eigh`` (LAPACK ``syevd``), not scipy's: the two
-    packages link separate OpenBLAS copies, and the W-route's GEMMs run in
-    numpy's, whose threads still spin when the next realization is solved;
-    scipy's copy then competes with them for the cores. A `wavefront`
-    process with shared fields never loads scipy's copy (`diagonalize`
-    imports it). Raises RuntimeError when the spectrum misses weight of H
+    The block H_q of each sector, the q < 0 ones included, is built in the
+    rung basis (`_rung_sectors`) and solved with vectors. The solver is
+    numpy's ``eigh`` (LAPACK ``syevd``), not scipy's: the two packages link
+    separate OpenBLAS copies, and the W-route's GEMMs run in numpy's, whose
+    threads still spin when the next realization is solved; scipy's copy
+    then competes with them for the cores. A `wavefront` process with
+    shared fields never loads scipy's copy (`diagonalize` imports it).
+    Raises RuntimeError when the spectrum misses weight of H's entries
     (`_check_spectral_weight`).
 
     When the legs see different fields, H conserves no charge, and the
@@ -633,13 +693,14 @@ def diagonalize_sectors(H: SectorHamiltonian) -> ChargeEigenSystem | EigenSystem
         return diagonalize(H)
     basis = H.basis
     n = basis.dim
-    widths = [U.shape[1] for U in basis.charge_sectors.values()]
+    blocks = _rung_sectors(H)
+    widths = [diagonal.size for diagonal, *_ in blocks.values()]
     copies = (sum(w**2 for w in widths) + SECTOR_EIGH_COPIES * max(widths) ** 2) / n**2
     check_memory("diagonalize_sectors", n, copies)
     sectors = {}
     try:
-        for q, U in basis.charge_sectors.items():
-            sectors[q] = np.linalg.eigh((U.T @ (H.matrix @ U)).toarray())
+        for q, block in blocks.items():
+            sectors[q] = np.linalg.eigh(_dense(*block))
     except np.linalg.LinAlgError as exc:
         raise _solve_failed(H) from exc
     _check_spectral_weight(H, np.concatenate([E for E, _ in sectors.values()]))
@@ -664,14 +725,16 @@ def _solve_failed(H: SectorHamiltonian) -> DiagonalizationError:
 def _check_spectral_weight(H: SectorHamiltonian, w: np.ndarray) -> None:
     """Raise RuntimeError unless sum(w^2) equals ||H||_F^2 to rounding.
 
-    A block solve sees projections of H, so weight goes missing exactly when
-    H couples the blocks, i.e. does not conserve the charge although its
-    fields say it does. ||H||_F^2 is the sum of the squared stored entries
-    of H. Both sums are numpy reductions, not BLAS dots: a dot that long
-    (~4e4 entries at L = 7) starts OpenBLAS's thread pool, after which the
-    next LAPACK eigensolve runs slower.
+    ||H||_F^2 is the sum of the squared entries that `build_hamiltonian`
+    assembles in the states. A block solve takes its blocks from the
+    independent rung-basis builder (`_rung_sectors`), so this cross-checks
+    the two: weight goes missing, or appears, when they disagree, as when H
+    holds a term that couples the blocks although its fields say it
+    conserves the charge. Both sums are numpy reductions, not BLAS dots: a
+    dot that long (~4e4 entries at L = 7) starts OpenBLAS's thread pool,
+    after which the next LAPACK eigensolve runs slower.
     """
-    frobenius2 = float(np.square(H.matrix.data).sum())
+    frobenius2 = float(np.square(H.diagonal).sum() + np.square(H.values).sum())
     lost = abs(float(np.square(w).sum()) - frobenius2)
     if not lost <= SPECTRAL_WEIGHT_RTOL * w.size * frobenius2:
         raise RuntimeError(

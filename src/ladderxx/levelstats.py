@@ -7,7 +7,7 @@ d_n = E_n - E_{n-1} the adjacent level spacings. Its ensemble mean sits near
 
 Note on the disorder mode: with the default column-identical fields H
 conserves, whatever alpha and the fields, the dressed rung charge Q
-(`core.SectorBasis.charge_sectors`). Its sectors q = -L, -L+2, ..., L have
+(`core._rung_sectors`). Its sectors q = -L, -L+2, ..., L have
 sizes C(L, (L+q)/2)^2, and the gap ratio is defined within one sector: the
 mean ratio of the merged spectrum mixes independent sectors and never
 reaches the GOE value (it lands near 0.41 at L=5, h=1). Each report
@@ -21,9 +21,9 @@ Independent legs (``independent_legs=True``) break Q and restore the
 GOE/Poisson dichotomy of the merged spectrum; their reports hold no sectors.
 
 The spectra come from ``diagonalize(ChargeBlocks(H))``, eigenvalues only and
-one sector block at a time (`core.diagonalize`); shared fields never form
-the N x N Hamiltonian. The merged spectrum agrees with a full solve to
-rounding (below 1e-12 at L <= 7).
+one sector block at a time, each built in the rung basis
+(`core.diagonalize`); shared fields never form the N x N Hamiltonian. The
+merged spectrum agrees with a full solve to rounding (below 1e-12 at L <= 7).
 """
 
 from __future__ import annotations

@@ -364,8 +364,8 @@ def multi_distance_otoc_values(
 
     * an `EigenSystem` takes B = the unit vectors of the +1 states, and
       G = V (exp(-i E t) * V[up, :]^T), one N x N x N GEMM;
-    * a `ChargeEigenSystem` forms G in the labels of the charge map and maps
-      it back with the Hadamard transforms (`_SectorRoute`).
+    * a `ChargeEigenSystem` forms G in the rung labels and maps it to the
+      states with the Hadamard transforms (`_SectorRoute`).
 
     The rows of S come in the route's order, whose first half R holds one
     state of every mirror pair, and each step forms only the rows R of W.
@@ -490,8 +490,9 @@ class _DenseRoute:
 class _SectorRoute:
     """S from a `ChargeEigenSystem`, rows in `rows` order.
 
-    Two identities make G cheap. Write G = U_Q G_Q with U_Q the charge map
-    and G_Q = (+)_q V_q exp(-i E_q t) V_q^T B_Q, B_Q = U_Q^T B.
+    Two identities make G cheap. Write G = U_Q G_Q with U_Q the map from
+    the rung labels to the states (`core._rung_sectors`) and
+    G_Q = (+)_q V_q exp(-i E_q t) V_q^T B_Q, B_Q = U_Q^T B.
 
     * B in the labels. sz of spin (leg, site) is +1 on every label of a
       pattern that doubly occupies the site's column and -1 on every one

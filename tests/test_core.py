@@ -16,7 +16,7 @@ import scipy.sparse
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from charge_oracles import dressed_rung_charge, leg_swap
+from charge_oracles import charge_map, dressed_rung_charge, leg_swap
 from ladderxx import core, otoc
 from ladderxx.core import (
     ChargeBlocks,
@@ -105,6 +105,30 @@ def loop_hamiltonian(
             if ((s >> a) & 1) != ((s >> b) & 1):
                 H[index_of[s ^ ((1 << a) | (1 << b))], k] += 2.0 * J
     return H
+
+
+def csr_reference(
+    params: LadderParams, disorder: DisorderRealization, basis: SectorBasis
+) -> scipy.sparse.csr_array:
+    """H as a scipy.sparse CSR matrix: the field diagonal, then 2 J per hop, bond by bond."""
+    states, n = basis.states, basis.dim
+    index = np.arange(n)
+    h1, h2 = (np.asarray(disorder.fields_for_leg(leg)) for leg in (1, 2))
+    d = np.zeros(n)
+    for site in range(1, params.L + 1):
+        s1, s2 = (sigma_z_operator(basis, leg, site) for leg in (1, 2))
+        d += h1[site - 1] * s1 + h2[site - 1] * s2
+    rows, cols, values = [index], [index], [d]
+    for a, b, J in core._bonds(params):
+        if J == 0.0:
+            continue
+        hops = ((states >> a) ^ (states >> b)) & 1 == 1
+        rows.append(np.searchsorted(states, states[hops] ^ ((1 << a) | (1 << b))))
+        cols.append(index[hops])
+        values.append(np.full(cols[-1].size, 2.0 * J))
+    return scipy.sparse.csr_array(
+        (np.concatenate(values), (np.concatenate(rows), np.concatenate(cols))), shape=(n, n)
+    )
 
 
 def restrict_to_sector(H_full: np.ndarray, L: int) -> np.ndarray:
@@ -228,7 +252,7 @@ def test_disorder_independent_legs():
 def test_uniform_couplings_l2():
     params = LadderParams(L=2, alpha=1.0, h=0.0)
     basis = SectorBasis(2)
-    H = build_hamiltonian(params, sample_disorder(params, 0), basis).matrix.toarray()
+    H = build_hamiltonian(params, sample_disorder(params, 0), basis).dense()
     off = H[~np.eye(6, dtype=bool)]
     assert set(np.round(off[off != 0.0], 12)) == {2.0}
     assert np.allclose(np.diag(H), 0.0)
@@ -239,7 +263,7 @@ def test_trace_is_zero_even_with_disorder():
     # field term is traceless too.
     params = LadderParams(L=4, alpha=0.7, h=3.0)
     basis = SectorBasis(4)
-    H = build_hamiltonian(params, sample_disorder(params, 5), basis).matrix.toarray()
+    H = build_hamiltonian(params, sample_disorder(params, 5), basis).dense()
     assert abs(np.trace(H)) < 1e-12
 
 
@@ -248,7 +272,7 @@ def test_sector_matches_full_space_oracle(alpha, h, seed):
     params = LadderParams(L=2, alpha=alpha, h=h)
     disorder = sample_disorder(params, seed)
     basis = SectorBasis(2)
-    H = build_hamiltonian(params, disorder, basis).matrix.toarray()
+    H = build_hamiltonian(params, disorder, basis).dense()
     H_oracle = restrict_to_sector(full_space_hamiltonian(params, disorder), L=2)
     assert np.max(np.abs(H - H_oracle)) < 1e-12
 
@@ -257,7 +281,7 @@ def test_sector_matches_full_space_oracle_l3_independent_legs():
     params = LadderParams(L=3, alpha=0.5, h=1.5)
     disorder = sample_disorder(params, 21, independent_legs=True)
     basis = SectorBasis(3)
-    H = build_hamiltonian(params, disorder, basis).matrix.toarray()
+    H = build_hamiltonian(params, disorder, basis).dense()
     H_oracle = restrict_to_sector(full_space_hamiltonian(params, disorder), L=3)
     assert np.max(np.abs(H - H_oracle)) < 1e-12
 
@@ -270,8 +294,22 @@ def test_hamiltonian_matches_loop_reference(L, independent_legs):
     params = LadderParams(L=L, alpha=0.8, h=2.0)
     disorder = sample_disorder(params, 31 + L, independent_legs=independent_legs)
     basis = SectorBasis(L)
-    H = build_hamiltonian(params, disorder, basis).matrix.toarray()
+    H = build_hamiltonian(params, disorder, basis).dense()
     assert np.array_equal(H, loop_hamiltonian(params, disorder, basis))
+
+
+@pytest.mark.parametrize("independent_legs", [False, True])
+@pytest.mark.parametrize("L", [2, 3, 4, 5, 6, 7])
+def test_dense_hamiltonian_is_the_csr_matrix_bit_for_bit(L, independent_legs):
+    # diagonalize(H) solves this Fortran-order array in place, so its bits
+    # fix the full eigensystem and every output computed from it.
+    params = LadderParams(L=L, J_par=0.9, alpha=0.8, h=2.0)
+    disorder = sample_disorder(params, 50 + L, independent_legs=independent_legs)
+    basis = SectorBasis(L)
+    got = build_hamiltonian(params, disorder, basis).dense(order="F")
+    want = csr_reference(params, disorder, basis).toarray(order="F")
+    assert got.flags.f_contiguous
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 def test_dimension_mismatch_rejected():
@@ -301,7 +339,7 @@ def test_leg_swap_symmetry_of_shared_disorder():
     # but maps H onto itself exactly.
     params = LadderParams(L=4, alpha=1.3, h=2.0)
     basis = SectorBasis(4)
-    H = build_hamiltonian(params, sample_disorder(params, 17), basis).matrix.toarray()
+    H = build_hamiltonian(params, sample_disorder(params, 17), basis).dense()
     perm = leg_swap(basis)
     assert np.array_equal(H[np.ix_(perm, perm)], H)
 
@@ -310,22 +348,35 @@ def test_leg_swap_symmetry_of_shared_disorder():
 
 @pytest.mark.parametrize("L", [2, 3, 4, 5, 6, 7])
 def test_charge_sectors_have_squared_binomial_sizes(L):
-    sectors = SectorBasis(L).charge_sectors
-    assert list(sectors) == list(range(-L, L + 1, 2))
-    assert [U.shape for U in sectors.values()] == [
-        (comb(2 * L, L), comb(L, k) ** 2) for k in range(L + 1)
-    ]
+    charges, counts = np.unique(SectorBasis(L).charge_labels.charge, return_counts=True)
+    assert charges.tolist() == list(range(-L, L + 1, 2))
+    assert counts.tolist() == [comb(L, k) ** 2 for k in range(L + 1)]
 
 
 @pytest.mark.parametrize("L", [2, 3, 4, 5, 6, 7])
 def test_charge_map_is_orthonormal(L):
     basis = SectorBasis(L)
-    U = scipy.sparse.hstack(list(basis.charge_sectors.values())).tocsc()
-    gram = (U.T @ U - scipy.sparse.identity(basis.dim)).tocoo()
-    assert np.max(np.abs(gram.data), initial=0.0) < 1e-14
+    U = np.hstack(list(charge_map(basis).values()))
+    assert np.max(np.abs(U.T @ U - np.eye(basis.dim))) < 1e-14
     # Each state's Hadamard transform has 2^z entries, z the singly occupied columns.
     z = [bin((int(s) ^ (int(s) >> L)) & ((1 << L) - 1)).count("1") for s in basis.states]
-    assert U.nnz == sum(2**w for w in z)
+    assert np.count_nonzero(U) == sum(2**w for w in z)
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.7, 1.3])
+@pytest.mark.parametrize("L", [2, 3, 4, 5, 6, 7])
+def test_rung_blocks_match_the_charge_map_oracle(L, alpha):
+    # The oracle's columns, and so the blocks' rows, come in
+    # `ChargeLabels.order`, which the W-route's Hadamard input relies on.
+    params = LadderParams(L=L, J_par=0.8, alpha=alpha, h=1.5)
+    basis = SectorBasis(L)
+    H = build_hamiltonian(params, sample_disorder(params, 80 + L), basis)
+    oracle = charge_map(basis)
+    blocks = core._rung_sectors(H)
+    assert list(blocks) == list(oracle)
+    dense = H.dense()
+    for q, U in oracle.items():
+        assert np.max(np.abs(core._dense(*blocks[q]) - U.T @ dense @ U)) < 1e-13
 
 
 @pytest.mark.parametrize("L", [2, 3, 4, 5, 6, 7])
@@ -334,8 +385,7 @@ def test_charge_sectors_have_the_leg_swap_parity_their_charge_fixes(L):
     # with a parity set by q alone.
     basis = SectorBasis(L)
     swap = leg_swap(basis)
-    for q, U in basis.charge_sectors.items():
-        U = U.toarray()
+    for q, U in charge_map(basis).items():
         PU = U[swap]
         parity = np.sign(np.sum(PU * U, axis=0))
         assert np.all(parity == parity[0])
@@ -358,7 +408,7 @@ def test_spectrum_matches_characteristic_polynomial():
     basis = SectorBasis(2)
     H = build_hamiltonian(params, sample_disorder(params, 0), basis)
     eig = diagonalize(H)
-    roots = np.sort(np.roots(char_poly_coefficients(H.matrix.toarray())).real)
+    roots = np.sort(np.roots(char_poly_coefficients(H.dense())).real)
     assert np.allclose(np.sort(eig.eigenvalues), roots, atol=1e-8)
 
 
@@ -367,7 +417,7 @@ def test_eigensystem_invariants():
     basis = SectorBasis(4)
     H = build_hamiltonian(params, sample_disorder(params, 2), basis)
     eig = diagonalize(H)
-    dense = H.matrix.toarray()
+    dense = H.dense()
     assert np.all(np.diff(eig.eigenvalues) >= 0)
     assert abs(eig.eigenvalues.sum() - np.trace(dense)) <= 1e-9 * max(1.0, abs(np.trace(dense)))
     V = eig.eigenvectors
@@ -386,7 +436,7 @@ def test_leg_swap_spectrum_invariance():
     )
     H = build_hamiltonian(params, disorder, basis)
     H_swapped = build_hamiltonian(params, swapped, basis)
-    assert not np.array_equal(H.matrix.toarray(), H_swapped.matrix.toarray())
+    assert not np.array_equal(H.dense(), H_swapped.dense())
     assert np.max(np.abs(diagonalize(H).eigenvalues - diagonalize(H_swapped).eigenvalues)) < 1e-12
 
 
@@ -394,7 +444,7 @@ def test_default_diagonalize_is_one_full_eigh():
     # wavefront and decay need the eigensystem bit for bit as a plain eigh gives it.
     params = LadderParams(L=4, alpha=1.3, h=1.0)
     H = build_hamiltonian(params, sample_disorder(params, 8), SectorBasis(4))
-    w, v = scipy.linalg.eigh(H.matrix.toarray())
+    w, v = scipy.linalg.eigh(H.dense())
     eig = diagonalize(H)
     assert np.array_equal(eig.eigenvalues, w)
     assert np.array_equal(eig.eigenvectors, v)
@@ -418,7 +468,7 @@ def test_eigenvalues_only_matches_full_solve(L, alpha, h, independent_legs):
     assert list(spectra.sectors) == charges
     sizes = [comb(L, (L + q) // 2) ** 2 for q in charges]
     assert [E.size for E in spectra.sectors.values()] == sizes
-    dense = H.matrix.toarray()
+    dense = H.dense()
     assert np.max(np.abs(w - scipy.linalg.eigh(dense, eigvals_only=True))) < 1e-12
 
 
@@ -430,13 +480,14 @@ def test_sector_eigensystems_diagonalize_the_charge_blocks(L, alpha, h):
     basis = SectorBasis(L)
     H = build_hamiltonian(params, sample_disorder(params, 40 + L), basis)
     eig = diagonalize_sectors(H)
-    dense = H.matrix.toarray()
+    dense = H.dense()
+    charge_sectors = charge_map(basis)
     assert list(eig.sectors) == list(range(-L, L + 1, 2))
     assert eig.dim == basis.dim
     w = np.sort(np.concatenate([E for E, _ in eig.sectors.values()]))
     assert np.max(np.abs(w - scipy.linalg.eigh(dense, eigvals_only=True))) < 1e-12
     for q, (E, V) in eig.sectors.items():
-        U = basis.charge_sectors[q].toarray()
+        U = charge_sectors[q]
         assert np.all(np.diff(E) >= 0)
         assert np.max(np.abs(V.T @ V - np.eye(E.size))) < 1e-13
         assert np.max(np.abs(U.T @ dense @ U @ V - V * E)) < 1e-12 * (1.0 + h)
@@ -461,7 +512,7 @@ def test_independent_legs_block_is_the_dense_hamiltonian(L):
     basis = SectorBasis(L)
     H = build_hamiltonian(params, sample_disorder(params, 70 + L, independent_legs=True), basis)
     spectra = diagonalize(ChargeBlocks(H))
-    want = scipy.linalg.eigh(H.matrix.toarray(), eigvals_only=True)
+    want = scipy.linalg.eigh(H.dense(), eigvals_only=True)
     assert np.array_equal(spectra.eigenvalues, want)
     assert spectra.sectors == {}
 
@@ -479,13 +530,14 @@ def test_spectral_blocks_match_reference(L, alpha):
     params = LadderParams(L=L, alpha=alpha, h=1.0)
     basis = SectorBasis(L)
     H = build_hamiltonian(params, sample_disorder(params, 60 + L), basis)
-    dense = H.matrix.toarray()
+    dense = H.dense()
     reference = reference_charge_projections(dressed_rung_charge(basis))
+    charge_sectors = charge_map(basis)
     spectra = diagonalize(ChargeBlocks(H))
     # Only the sectors q >= 0 are solved; each q < 0 one is a mirror image.
     assert list(spectra.sectors) == [q for q in reference if q >= 0]
     for q, E in spectra.sectors.items():
-        U = basis.charge_sectors[q].toarray()
+        U = charge_sectors[q]
         V = reference[q]
         # The map spans the eigenspace of the dense Q ...
         assert np.max(np.abs(U @ U.T - V @ V.T)) < 1e-12
@@ -503,7 +555,7 @@ def test_frobenius2_is_the_sum_of_squared_entries_of_h(L, independent_legs):
     disorder = sample_disorder(params, 8, independent_legs=independent_legs)
     basis = SectorBasis(L)
     H = build_hamiltonian(params, disorder, basis)
-    want = fsum(np.square(H.matrix.data))
+    want = fsum(np.square(np.concatenate([H.diagonal, H.values])))
     # N levels that carry exactly ||H||_F^2 pass the spectral-weight check;
     # a relative miss of 2e-9, far above its rounding allowance, does not.
     w = np.full(basis.dim, np.sqrt(want / basis.dim))
@@ -514,14 +566,16 @@ def test_frobenius2_is_the_sum_of_squared_entries_of_h(L, independent_legs):
 
 @pytest.mark.parametrize("L", [4, 5])
 def test_eigenvalues_only_rejects_a_charge_map_without_the_string(L, monkeypatch):
-    # Without the Jordan-Wigner signs the map diagonalizes the plain rung
-    # exchange, which H does not conserve: its blocks drop the coupling.
+    # Without the Jordan-Wigner signs the labels' charges are those of the
+    # plain rung exchange, which H does not conserve: (E, D) -> BB changes it.
     monkeypatch.setattr(core, "_STRING_SIGNS", 0)
     params = LadderParams(L=L, alpha=1.0, h=1.0)
     H = build_hamiltonian(params, sample_disorder(params, 5), SectorBasis(L))
-    with pytest.raises(RuntimeError, match="misses weight"):
+    with pytest.raises(RuntimeError, match="leaves its charge sector"):
+        core._rung_sectors(H)
+    with pytest.raises(RuntimeError, match="leaves its charge sector"):
         diagonalize(ChargeBlocks(H))
-    with pytest.raises(RuntimeError, match="misses weight"):
+    with pytest.raises(RuntimeError, match="leaves its charge sector"):
         diagonalize_sectors(H)
 
 
@@ -553,7 +607,7 @@ def test_mirror_guard_rejects_an_even_diagonal():
         params = LadderParams(L=L, h=1.0)
         basis = SectorBasis(L)
         H = build_hamiltonian(params, sample_disorder(params, 3), basis)
-        H = dataclasses.replace(H, matrix=H.matrix + scipy.sparse.eye_array(basis.dim))
+        H = dataclasses.replace(H, diagonal=H.diagonal + 1.0)
         with pytest.raises(RuntimeError, match="not odd under the global spin flip"):
             diagonalize(ChargeBlocks(H))
 
@@ -890,7 +944,7 @@ def test_sigma_z_rejects_bad_indices():
 def test_hamiltonian_properties(L, alpha, h, seed):
     params = LadderParams(L=L, alpha=alpha, h=h)
     basis = SectorBasis(L)
-    H = build_hamiltonian(params, sample_disorder(params, seed), basis).matrix.toarray()
+    H = build_hamiltonian(params, sample_disorder(params, seed), basis).dense()
     assert np.max(np.abs(H - H.T)) <= 1e-12
     assert abs(np.trace(H)) < 1e-10
 

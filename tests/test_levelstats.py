@@ -214,10 +214,10 @@ def test_shared_fields_conserve_the_dressed_rung_charge(L):
     basis = SectorBasis(L)
     Q = dressed_rung_charge(basis)
     assert np.array_equal(Q, Q.T)
-    shared = build_hamiltonian(params, sample_disorder(params, 11), basis).matrix.toarray()
+    shared = build_hamiltonian(params, sample_disorder(params, 11), basis).dense()
     assert np.max(np.abs(shared @ Q - Q @ shared)) == 0.0
     legs = sample_disorder(params, 11, independent_legs=True)
-    independent = build_hamiltonian(params, legs, basis).matrix.toarray()
+    independent = build_hamiltonian(params, legs, basis).dense()
     assert np.max(np.abs(independent @ Q - Q @ independent)) > 1.0
 
 
@@ -240,7 +240,7 @@ def reference_sector_means(params, h, realizations, seed, middle_fraction):
     means = {}
     for k in range(realizations):
         stream = derive_seed(seed, "level_stats", p.L, p.alpha, p.h, k)
-        H = build_hamiltonian(p, sample_disorder(p, stream), basis).matrix.toarray()
+        H = build_hamiltonian(p, sample_disorder(p, stream), basis).dense()
         for c in range(params.L % 2, params.L + 1, 2):
             Vc = V[:, q == c]
             E = np.linalg.eigvalsh(Vc.T @ H @ Vc)

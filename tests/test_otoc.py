@@ -6,10 +6,10 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.linalg
-import scipy.sparse
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from charge_oracles import charge_map
 from ladderxx import core, otoc
 from ladderxx.core import (
     LadderParams,
@@ -58,8 +58,9 @@ def make_sector_eig(L, alpha=1.0, h=1.0, seed=1):
 
 def identity_sectors(basis):
     """A ChargeEigenSystem with V_q = 1 and E_q = 0: enough for the layout."""
+    charges, counts = np.unique(basis.charge_labels.charge, return_counts=True)
     return core.ChargeEigenSystem(
-        basis, {q: (np.zeros(U.shape[1]), np.eye(U.shape[1])) for q, U in basis.charge_sectors.items()}
+        basis, {int(q): (np.zeros(m), np.eye(m)) for q, m in zip(charges, counts)}
     )
 
 
@@ -173,7 +174,7 @@ def test_exact_otoc_matches_expm_reference():
     d_1 = sigma_z_operator(basis, 1, 1)
     for t in (0.7, 2.2):
         series = exact_otoc(eig, d_i, d_1, [t])
-        assert abs(series.values[0].real - expm_otoc(H.matrix.toarray(), d_i, d_1, t)) < 1e-9
+        assert abs(series.values[0].real - expm_otoc(H.dense(), d_i, d_1, t)) < 1e-9
 
 
 def test_exact_otoc_is_real_and_bounded():
@@ -549,25 +550,29 @@ def test_exact_otoc_refuses_an_even_probe_before_the_trace_route(monkeypatch):
             exact_otoc(eig, op_i, op_1, [0.0, 1.0])
 
 
-def assert_w_route_refuses_the_ladder(extra_diagonal=0.0, sector_message="breaks the chiral mirror"):
+def assert_w_route_refuses_the_ladder(extra_diagonal=0.0):
+    """Check that the W-route refuses the ladder H plus ``extra_diagonal``; return that H.
+
+    The sector eigensolve refuses it before any W-route: its rung-basis
+    blocks hold the ladder model alone, so they miss the weight of the
+    added terms."""
     # The trace route needs no chiral symmetry, so exact_otoc still holds.
     params = LadderParams(L=4, h=1.0)
     basis = SectorBasis(4)
     H = build_hamiltonian(params, sample_disorder(params, 3), basis)
-    H = dataclasses.replace(
-        H, matrix=H.matrix + scipy.sparse.diags_array(extra_diagonal * np.ones(basis.dim))
-    )
+    H = dataclasses.replace(H, diagonal=H.diagonal + extra_diagonal)
     eig = diagonalize(H)
     d_1 = sigma_z_operator(basis, 1, 1)
     probes = np.stack([sigma_z_operator(basis, 1, site) for site in (2, 3, 4)])
     times = np.linspace(0.0, 2.0, 5)
     with pytest.raises(RuntimeError, match="breaks the chiral mirror"):
         multi_distance_otoc_values(eig, probes, d_1, times)
-    with pytest.raises(RuntimeError, match=sector_message):
-        multi_distance_otoc_values(diagonalize_sectors(H), probes, d_1, times)
+    with pytest.raises(RuntimeError, match="misses weight"):
+        diagonalize_sectors(H)
     series = exact_otoc(eig, probes[0], d_1, times)
-    reference = [expm_otoc(H.matrix.toarray(), probes[0], d_1, t) for t in times]
+    reference = [expm_otoc(H.dense(), probes[0], d_1, t) for t in times]
     assert np.max(np.abs(series.values - reference)) < 1e-12
+    return H
 
 
 def test_w_route_rejects_a_same_sublattice_bond(monkeypatch):
@@ -582,9 +587,7 @@ def test_w_route_rejects_a_same_sublattice_bond(monkeypatch):
         return bonds(params) + extra
 
     monkeypatch.setattr(core, "_bonds", with_next_nearest)
-    # This hop also breaks the dressed rung charge, so the sector eigensolve
-    # refuses first: its blocks miss the weight of the coupling.
-    assert_w_route_refuses_the_ladder(sector_message="misses weight")
+    assert_w_route_refuses_the_ladder()
 
 
 def test_w_route_rejects_an_even_diagonal():
@@ -592,7 +595,18 @@ def test_w_route_rejects_an_even_diagonal():
     # too, but only multiplies U(t) by a phase and leaves |W| unchanged.)
     basis = SectorBasis(4)
     zz = sigma_z_operator(basis, 1, 1) * sigma_z_operator(basis, 2, 1)
-    assert_w_route_refuses_the_ladder(0.7 * zz)
+    H = assert_w_route_refuses_the_ladder(0.7 * zz)
+    # The term keeps the dressed rung charge, so the projections of H on
+    # the sectors carry it whole; the sector W-route then finds the mirror broken.
+    dense = H.dense()
+    sectors = core.ChargeEigenSystem(
+        basis, {q: np.linalg.eigh(U.T @ dense @ U) for q, U in charge_map(basis).items()}
+    )
+    probes = sigma_z_operator(basis, 1, 3)[None, :]
+    with pytest.raises(RuntimeError, match="breaks the chiral mirror"):
+        multi_distance_otoc_values(
+            sectors, probes, sigma_z_operator(basis, 1, 1), np.linspace(0.0, 2.0, 5)
+        )
 
 
 @pytest.mark.parametrize("spin", [(1, 1), (2, 3)])
@@ -632,11 +646,11 @@ def test_w_routes_match_full_rows_on_the_lightcone_grid(L, h):
 
 
 def charge_map_by_slot(basis):
-    """U_Q from `charge_sectors`, its column s the label in slot s.
+    """U_Q from the `charge_map` oracle, its column s the label in slot s.
 
     The sectors come by ascending q, each with its labels in `ChargeLabels.order`.
     """
-    U = scipy.sparse.hstack(list(basis.charge_sectors.values())).toarray()
+    U = np.hstack(list(charge_map(basis).values()))
     order = basis.charge_labels.order
     by_slot = np.empty_like(U)
     by_slot[:, order[np.argsort(basis.charge_labels.charge[order], kind="stable")]] = U

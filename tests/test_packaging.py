@@ -142,13 +142,15 @@ def test_importing_the_workload_modules_leaves_scipy_optimize_unloaded():
 def test_a_wavefront_grid_leaves_scipy_linalg_unloaded():
     # Only core.diagonalize needs scipy.linalg, so a space-time grid with
     # shared fields never loads scipy's LAPACK and its own OpenBLAS copy.
+    # Nor does it load scipy.sparse, whose scipy._lib._util pulls in
+    # numpy.f2py, numpy.testing and numpy.ma (~0.2 s and ~20 MiB).
     code = (
         "import sys, numpy as np; "
         "from ladderxx import core, fits, levelstats, otoc, wavefront; "
         "p = core.LadderParams(L=4, h=1.0); "
         "g = wavefront.build_spacetime_grid(p, [core.sample_disorder(p, 1)], np.linspace(0, 2, 5)); "
         "assert g.values.shape == (3, 5); "
-        "sys.exit('scipy.linalg' in sys.modules)"
+        "sys.exit(any(m in sys.modules for m in ('scipy.linalg', 'scipy.sparse', 'scipy._lib._util')))"
     )
     assert run_fresh(code) == 0
 
@@ -162,10 +164,32 @@ def test_diagonalize_loads_scipy_linalg_in_a_fresh_process(blocks):
         "p = core.LadderParams(L=4, h=1.0); "
         "H = core.build_hamiltonian(p, core.sample_disorder(p, 1), core.SectorBasis(4)); "
         f"w = core.diagonalize(core.ChargeBlocks(H) if {blocks} else H).eigenvalues; "
-        "assert np.max(np.abs(w - np.linalg.eigvalsh(H.matrix.toarray()))) < 1e-12; "
+        "assert np.max(np.abs(w - np.linalg.eigvalsh(H.dense()))) < 1e-12; "
         "sys.exit('scipy.linalg' not in sys.modules)"
     )
     assert run_fresh(code) == 0
+
+
+def test_src_imports_scipy_only_inside_functions():
+    # A module-level scipy import is paid by every process that imports
+    # ladderxx; each scipy use imports its subpackage where it is called.
+    found = []
+    for path in sorted((ROOT / "src").rglob("*.py")):
+        nodes = list(ast.parse(path.read_text(), filename=str(path)).body)
+        while nodes:
+            node = nodes.pop()
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                nodes.extend(ast.iter_child_nodes(node))
+                continue
+            if any(name == "scipy" or name.startswith("scipy.") for name in names):
+                found.append(f"{path.relative_to(ROOT)}:{node.lineno}")
+    assert found == []
 
 
 def test_src_has_no_assert_statements():
