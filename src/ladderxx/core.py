@@ -51,8 +51,9 @@ __all__ = [
 
 L_MIN = 2
 L_MAX = 8
-# Relative tolerance per basis state on sum(lambda^2) = ||H||_F^2 in diagonalize:
-# backward-stable eigensolvers move each eigenvalue by O(N eps ||H||).
+# Relative tolerance per basis state on sum(lambda^2) = ||H||_F^2 and, in units
+# of ||H||_F, on sum(lambda) = tr H in diagonalize: backward-stable
+# eigensolvers move each eigenvalue by O(N eps ||H||).
 SPECTRAL_WEIGHT_RTOL = 16 * np.finfo(float).eps
 # Peak memory of each dense step in units of one N x N float64 array (8 N^2
 # bytes): the larger tracemalloc peak of L = 5 and 6, rounded up.
@@ -270,9 +271,9 @@ class SectorHamiltonian:
     disorder: DisorderRealization
     basis: SectorBasis
 
-    def dense(self, order: str = "C") -> np.ndarray:
-        """H as an N x N array in C or Fortran ``order``."""
-        return _dense(self.diagonal, self.rows, self.cols, self.values, order)
+    def dense(self) -> np.ndarray:
+        """H as an N x N Fortran-order array."""
+        return _dense(self.diagonal, self.rows, self.cols, self.values)
 
 
 @dataclass(frozen=True)
@@ -441,7 +442,12 @@ def sample_disorder(
 
 
 def _bonds(params: LadderParams) -> list[tuple[int, int, float]]:
-    """All hopping bonds as (bit_a, bit_b, J). Open boundaries."""
+    """All hopping bonds as (bit_a, bit_b, J). Open boundaries.
+
+    `_rung_sectors` restates the same bonds, leg bonds and rungs, in the
+    rung basis without reading this list, so a change to the model edits
+    both; test_rung_blocks_match_the_charge_map_oracle pins them together.
+    """
     L = params.L
     bonds: list[tuple[int, int, float]] = []
     for leg in (1, 2):
@@ -517,10 +523,14 @@ def build_hamiltonian(
 
 
 def _dense(
-    diagonal: np.ndarray, rows: np.ndarray, cols: np.ndarray, values: np.ndarray, order: str = "C"
+    diagonal: np.ndarray, rows: np.ndarray, cols: np.ndarray, values: np.ndarray
 ) -> np.ndarray:
-    """The square array with ``diagonal`` and ``values[k]`` at (rows[k], cols[k])."""
-    out = np.zeros((diagonal.size, diagonal.size), order=order)
+    """The square array with ``diagonal`` and ``values[k]`` at (rows[k], cols[k]).
+
+    It is Fortran-order, so LAPACK can overwrite it in place; a symmetric
+    array holds the same bytes in either order.
+    """
+    out = np.zeros((diagonal.size, diagonal.size), order="F")
     np.fill_diagonal(out, diagonal)
     out[rows, cols] = values
     return out
@@ -635,10 +645,13 @@ def diagonalize(H: SectorHamiltonian | ChargeBlocks) -> EigenSystem | SectorSpec
     (`_rung_sectors`) and solved before the next one is made dense, so the
     peak holds one block. The negation of each q > 0 spectrum stands for
     sector -q (`_check_chiral_symmetry`, which raises if a term of H breaks
-    that). With independent legs the one block is H made dense. The merged
-    spectrum agrees with a full solve to rounding, not bit for bit. Raises
-    RuntimeError when the spectrum misses weight of H's entries
-    (`_check_spectral_weight`).
+    that). These blocks hold the model given by ``H.params`` and
+    ``H.disorder``, not H's arrays; `_check_spectral_weight` compares their
+    spectrum with H's entries through ||H||_F^2 and the trace, so an edit
+    of H that keeps both goes unseen. With independent legs the one block
+    is H made dense. The merged spectrum agrees with a full solve to
+    rounding, not bit for bit. Raises RuntimeError when the spectrum misses
+    weight or trace of H (`_check_spectral_weight`).
 
     scipy.linalg is imported here, by this function alone, and not at
     module load: a process that never calls it never loads scipy's LAPACK
@@ -649,7 +662,7 @@ def diagonalize(H: SectorHamiltonian | ChargeBlocks) -> EigenSystem | SectorSpec
     if not isinstance(H, ChargeBlocks):
         check_memory("diagonalize", H.basis.dim, EIGH_COPIES)
         try:
-            w, v = scipy.linalg.eigh(H.dense(order="F"), overwrite_a=True)
+            w, v = scipy.linalg.eigh(H.dense(), overwrite_a=True)
         except scipy.linalg.LinAlgError as exc:
             raise _solve_failed(H) from exc
         return EigenSystem(eigenvalues=w, eigenvectors=v)
@@ -683,8 +696,9 @@ def diagonalize_sectors(H: SectorHamiltonian) -> ChargeEigenSystem | EigenSystem
     threads still spin when the next realization is solved; scipy's copy
     then competes with them for the cores. A `wavefront` process with
     shared fields never loads scipy's copy (`diagonalize` imports it).
-    Raises RuntimeError when the spectrum misses weight of H's entries
-    (`_check_spectral_weight`).
+    The blocks hold the model given by ``H.params`` and ``H.disorder``, not
+    H's arrays, as in `diagonalize(ChargeBlocks(H))`. Raises RuntimeError
+    when the spectrum misses weight or trace of H (`_check_spectral_weight`).
 
     When the legs see different fields, H conserves no charge, and the
     result is `diagonalize(H)`'s full EigenSystem.
@@ -723,14 +737,15 @@ def _solve_failed(H: SectorHamiltonian) -> DiagonalizationError:
 
 
 def _check_spectral_weight(H: SectorHamiltonian, w: np.ndarray) -> None:
-    """Raise RuntimeError unless sum(w^2) equals ||H||_F^2 to rounding.
+    """Raise RuntimeError unless sum(w^2) equals ||H||_F^2 and sum(w) tr H to rounding.
 
-    ||H||_F^2 is the sum of the squared entries that `build_hamiltonian`
+    ||H||_F^2 and tr H are sums over the entries that `build_hamiltonian`
     assembles in the states. A block solve takes its blocks from the
     independent rung-basis builder (`_rung_sectors`), so this cross-checks
     the two: weight goes missing, or appears, when they disagree, as when H
     holds a term that couples the blocks although its fields say it
-    conserves the charge. Both sums are numpy reductions, not BLAS dots: a
+    conserves the charge; the trace also catches a diagonal edit that keeps
+    the weight. The sums are numpy reductions, not BLAS dots: a
     dot that long (~4e4 entries at L = 7) starts OpenBLAS's thread pool,
     after which the next LAPACK eigensolve runs slower.
     """
@@ -740,6 +755,12 @@ def _check_spectral_weight(H: SectorHamiltonian, w: np.ndarray) -> None:
         raise RuntimeError(
             f"spectrum misses weight of H: |sum(lambda^2) - ||H||_F^2| = {lost:.3e} "
             f"of {frobenius2:.3e} (L={H.params.L}, seed={H.disorder.seed})"
+        )
+    trace_gap = abs(float(w.sum()) - float(H.diagonal.sum()))
+    if not trace_gap <= SPECTRAL_WEIGHT_RTOL * w.size * np.sqrt(frobenius2):
+        raise RuntimeError(
+            f"spectrum misses the trace of H: |sum(lambda) - tr H| = {trace_gap:.3e} "
+            f"(L={H.params.L}, seed={H.disorder.seed})"
         )
 
 

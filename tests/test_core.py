@@ -306,7 +306,7 @@ def test_dense_hamiltonian_is_the_csr_matrix_bit_for_bit(L, independent_legs):
     params = LadderParams(L=L, J_par=0.9, alpha=0.8, h=2.0)
     disorder = sample_disorder(params, 50 + L, independent_legs=independent_legs)
     basis = SectorBasis(L)
-    got = build_hamiltonian(params, disorder, basis).dense(order="F")
+    got = build_hamiltonian(params, disorder, basis).dense()
     want = csr_reference(params, disorder, basis).toarray(order="F")
     assert got.flags.f_contiguous
     assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
@@ -556,12 +556,33 @@ def test_frobenius2_is_the_sum_of_squared_entries_of_h(L, independent_legs):
     basis = SectorBasis(L)
     H = build_hamiltonian(params, disorder, basis)
     want = fsum(np.square(np.concatenate([H.diagonal, H.values])))
-    # N levels that carry exactly ||H||_F^2 pass the spectral-weight check;
-    # a relative miss of 2e-9, far above its rounding allowance, does not.
-    w = np.full(basis.dim, np.sqrt(want / basis.dim))
+    # N levels that carry exactly ||H||_F^2 and tr H pass the spectral-weight
+    # check; a relative miss of 2e-9, far above its rounding allowance, does not.
+    n, trace = basis.dim, fsum(H.diagonal)
+    w = trace / n + np.sqrt((want - trace**2 / n) / n) * np.resize([1.0, -1.0], n)
     core._check_spectral_weight(H, w)
     with pytest.raises(RuntimeError, match="misses weight"):
         core._check_spectral_weight(H, w * (1.0 + 1e-9))
+
+
+@pytest.mark.parametrize("L", [3, 4, 5])
+def test_sector_solves_reject_a_diagonal_edit_that_keeps_the_weight(L):
+    # The rung blocks hold the model, not H's arrays. Negating one diagonal
+    # entry keeps ||H||_F^2 but moves tr H, so the trace check sees it.
+    params = LadderParams(L=L, alpha=0.7, h=1.5)
+    H = build_hamiltonian(params, sample_disorder(params, 4), SectorBasis(L))
+    diagonal = H.diagonal.copy()
+    k = np.argmax(np.abs(diagonal))
+    diagonal[k] = -diagonal[k]
+    edited = dataclasses.replace(H, diagonal=diagonal)
+    with pytest.raises(RuntimeError, match="misses the trace"):
+        diagonalize_sectors(edited)
+    with pytest.raises(RuntimeError, match="not odd under the global spin flip"):
+        diagonalize(ChargeBlocks(edited))
+    w = np.linalg.eigvalsh(H.dense())
+    core._check_spectral_weight(H, w)
+    with pytest.raises(RuntimeError, match="misses the trace"):
+        core._check_spectral_weight(edited, w)
 
 
 @pytest.mark.parametrize("L", [4, 5])
