@@ -33,7 +33,6 @@ __all__ = [
     "DisorderRealization",
     "SectorBasis",
     "SectorHamiltonian",
-    "ChargeBlocks",
     "EigenSystem",
     "SectorSpectra",
     "ChargeLabels",
@@ -157,10 +156,10 @@ class ChargeLabels:
     and its rung labels m likewise (bit t set where the t-th singly occupied
     column is antibonding). Patterns take consecutive runs of slots, by
     ascending ``single | double << L``, so slot s holds state b = s - first
-    and label m = s - first of one pattern. ``slot[k]`` is the slot of state
-    k and ``state[s]`` the state in slot s. Per slot: ``z`` and the
-    pattern's ``single`` and ``double`` (doubly occupied) column bits,
-    ``index`` = b = m, and ``charge``, the q of label m.
+    and label m = s - first of one pattern. ``state[s]`` is the state in
+    slot s. Per slot: ``z`` and the pattern's ``single`` and ``double``
+    (doubly occupied) column bits, ``index`` = b = m, and ``charge``, the q
+    of label m.
 
     ``order`` lists the slots by (z, m, flip half, slot). The global spin
     flip keeps z and complements b, so the flip half is b's top bit; for
@@ -171,7 +170,6 @@ class ChargeLabels:
     holds all labels in it.
     """
 
-    slot: np.ndarray
     state: np.ndarray
     z: np.ndarray
     index: np.ndarray
@@ -237,7 +235,6 @@ class SectorBasis:
         empty = ((1 << L) - 1) & ~(single | double)
         flipped_half = np.where(z > 0, index >> np.maximum(z - 1, 0), double > empty)
         return ChargeLabels(
-            slot=slot,
             state=state,
             z=z,
             index=index,
@@ -274,13 +271,6 @@ class SectorHamiltonian:
     def dense(self) -> np.ndarray:
         """H as an N x N Fortran-order array."""
         return _dense(self.diagonal, self.rows, self.cols, self.values)
-
-
-@dataclass(frozen=True)
-class ChargeBlocks:
-    """``H``, to be solved by `diagonalize` for its eigenvalues alone, block by block."""
-
-    H: SectorHamiltonian
 
 
 @dataclass(frozen=True)
@@ -631,21 +621,21 @@ def _check_chiral_symmetry(params: LadderParams, d: np.ndarray) -> None:
             raise RuntimeError(f"bond across bits {a}, {b} joins one sublattice")
 
 
-def diagonalize(H: SectorHamiltonian | ChargeBlocks) -> EigenSystem | SectorSpectra:
+def diagonalize(H: SectorHamiltonian, vectors: bool = True) -> EigenSystem | SectorSpectra:
     """Dense symmetric eigensolve of one realization.
 
-    A SectorHamiltonian gets one full ``eigh``: an EigenSystem with ascending
+    By default H gets one full ``eigh``: an EigenSystem with ascending
     eigenvalues and column eigenvectors, as the OTOC routes need them. H is
     made dense here, once and in Fortran order, and LAPACK overwrites that
     copy in place, so the solve holds about two N x N arrays.
 
-    ChargeBlocks(H) gets SectorSpectra, from eigenvalues-only solves. With
-    the same fields on both legs, H conserves the dressed rung charge, and
-    the block H_q of each sector q >= 0 is built in the rung basis
-    (`_rung_sectors`) and solved before the next one is made dense, so the
-    peak holds one block. The negation of each q > 0 spectrum stands for
-    sector -q (`_check_chiral_symmetry`, which raises if a term of H breaks
-    that). These blocks hold the model given by ``H.params`` and
+    With ``vectors=False`` H gets SectorSpectra, from eigenvalues-only
+    solves. With the same fields on both legs, H conserves the dressed rung
+    charge, and the block H_q of each sector q >= 0 is built in the rung
+    basis (`_rung_sectors`) and solved before the next one is made dense,
+    so the peak holds one block. The negation of each q > 0 spectrum stands
+    for sector -q (`_check_chiral_symmetry`, which raises if a term of H
+    breaks that). These blocks hold the model given by ``H.params`` and
     ``H.disorder``, not H's arrays; `_check_spectral_weight` compares their
     spectrum with H's entries through ||H||_F^2 and the trace, so an edit
     of H that keeps both goes unseen. With independent legs the one block
@@ -659,26 +649,17 @@ def diagonalize(H: SectorHamiltonian | ChargeBlocks) -> EigenSystem | SectorSpec
     """
     import scipy.linalg
 
-    if not isinstance(H, ChargeBlocks):
-        check_memory("diagonalize", H.basis.dim, EIGH_COPIES)
-        try:
-            w, v = scipy.linalg.eigh(H.dense(), overwrite_a=True)
-        except scipy.linalg.LinAlgError as exc:
-            raise _solve_failed(H) from exc
-        return EigenSystem(eigenvalues=w, eigenvectors=v)
-    H = H.H
-    n = H.basis.dim
     sectors = {}
-    if H.disorder.fields_for_leg(1) == H.disorder.fields_for_leg(2):
+    if not vectors and H.disorder.fields_for_leg(1) == H.disorder.fields_for_leg(2):
         _check_chiral_symmetry(H.params, H.diagonal)
         sectors = {q: block for q, block in _rung_sectors(H).items() if q >= 0}
     blocks = list(sectors.values()) or [(H.diagonal, H.rows, H.cols, H.values)]
-    width = max(diagonal.size for diagonal, *_ in blocks)
-    check_memory("diagonalize", n, EIGVALS_COPIES * width**2 / n**2)
-    try:
-        parts = [scipy.linalg.eigh(_dense(*b), eigvals_only=True) for b in blocks]
-    except scipy.linalg.LinAlgError as exc:
-        raise _solve_failed(H) from exc
+    if vectors:
+        solve = functools.partial(scipy.linalg.eigh, overwrite_a=True)
+        [(w, v)] = _solve_blocks("diagonalize", H, blocks, solve, EIGH_COPIES)
+        return EigenSystem(eigenvalues=w, eigenvectors=v)
+    solve = functools.partial(scipy.linalg.eigh, eigvals_only=True)
+    parts = _solve_blocks("diagonalize", H, blocks, solve, EIGVALS_COPIES)
     sectors = dict(zip(sectors, parts))
     mirrors = [-e for q, e in sectors.items() if q > 0]
     w = np.sort(np.concatenate(parts + mirrors))
@@ -697,7 +678,7 @@ def diagonalize_sectors(H: SectorHamiltonian) -> ChargeEigenSystem | EigenSystem
     then competes with them for the cores. A `wavefront` process with
     shared fields never loads scipy's copy (`diagonalize` imports it).
     The blocks hold the model given by ``H.params`` and ``H.disorder``, not
-    H's arrays, as in `diagonalize(ChargeBlocks(H))`. Raises RuntimeError
+    H's arrays, as in `diagonalize(H, vectors=False)`. Raises RuntimeError
     when the spectrum misses weight or trace of H (`_check_spectral_weight`).
 
     When the legs see different fields, H conserves no charge, and the
@@ -705,20 +686,34 @@ def diagonalize_sectors(H: SectorHamiltonian) -> ChargeEigenSystem | EigenSystem
     """
     if H.disorder.fields_for_leg(1) != H.disorder.fields_for_leg(2):
         return diagonalize(H)
-    basis = H.basis
-    n = basis.dim
     blocks = _rung_sectors(H)
-    widths = [diagonal.size for diagonal, *_ in blocks.values()]
-    copies = (sum(w**2 for w in widths) + SECTOR_EIGH_COPIES * max(widths) ** 2) / n**2
-    check_memory("diagonalize_sectors", n, copies)
-    sectors = {}
+    parts = _solve_blocks(
+        "diagonalize_sectors", H, blocks.values(), np.linalg.eigh, SECTOR_EIGH_COPIES, held=1.0
+    )
+    sectors = dict(zip(blocks, parts))
+    _check_spectral_weight(H, np.concatenate([E for E, _ in parts]))
+    return ChargeEigenSystem(basis=H.basis, sectors=sectors)
+
+
+def _solve_blocks(caller: str, H: SectorHamiltonian, blocks, solve, copies: float, held=0.0):
+    """``solve`` of each block, given as `_dense`'s arguments, in a list.
+
+    Each block is made dense just before its solve. One memory check comes
+    first: ``held`` m x m float64 arrays per block (the results the caller
+    keeps) and ``copies`` of the widest block's (the dense block and the
+    solver's work). A LAPACK failure (scipy.linalg.LinAlgError is numpy's
+    class) is raised as a DiagonalizationError that names the realization.
+    """
+    n = H.basis.dim
+    widths = [diagonal.size for diagonal, *_ in blocks]
+    check_memory(caller, n, (held * sum(m**2 for m in widths) + copies * max(widths) ** 2) / n**2)
     try:
-        for q, block in blocks.items():
-            sectors[q] = np.linalg.eigh(_dense(*block))
+        return [solve(_dense(*block)) for block in blocks]
     except np.linalg.LinAlgError as exc:
-        raise _solve_failed(H) from exc
-    _check_spectral_weight(H, np.concatenate([E for E, _ in sectors.values()]))
-    return ChargeEigenSystem(basis=basis, sectors=sectors)
+        raise DiagonalizationError(
+            f"eigensolver failed for L={H.params.L}, alpha={H.params.alpha}, "
+            f"h={H.params.h}, seed={H.disorder.seed}"
+        ) from exc
 
 
 def _full_eigensystem(caller: str, eig) -> None:
@@ -727,13 +722,6 @@ def _full_eigensystem(caller: str, eig) -> None:
         raise TypeError(
             f"{caller} needs the full EigenSystem of diagonalize(H), not {type(eig).__name__}"
         )
-
-
-def _solve_failed(H: SectorHamiltonian) -> DiagonalizationError:
-    return DiagonalizationError(
-        f"eigensolver failed for L={H.params.L}, alpha={H.params.alpha}, "
-        f"h={H.params.h}, seed={H.disorder.seed}"
-    )
 
 
 def _check_spectral_weight(H: SectorHamiltonian, w: np.ndarray) -> None:

@@ -20,8 +20,8 @@ on its own, and sectors of fewer than three levels are left out.
 Independent legs (``independent_legs=True``) break Q and restore the
 GOE/Poisson dichotomy of the merged spectrum; their reports hold no sectors.
 
-The spectra come from ``diagonalize(ChargeBlocks(H))``, eigenvalues only and
-one sector block at a time, each built in the rung basis
+The spectra come from ``diagonalize(H, vectors=False)``, eigenvalues only
+and one sector block at a time, each built in the rung basis
 (`core.diagonalize`); shared fields never form the N x N Hamiltonian. The
 merged spectrum agrees with a full solve to rounding (below 1e-12 at L <= 7).
 """
@@ -33,7 +33,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import (
-    ChargeBlocks,
     LadderParams,
     SectorBasis,
     _checked_int,
@@ -138,7 +137,7 @@ def ensemble_gap_ratio(
         for k in range(realizations):
             stream = derive_seed(seed, "level_stats", p.L, p.alpha, p.h, k)
             dis = sample_disorder(p, stream, independent_legs=independent_legs)
-            spectra = diagonalize(ChargeBlocks(build_hamiltonian(p, dis, basis)))
+            spectra = diagonalize(build_hamiltonian(p, dis, basis), vectors=False)
             E = _middle(spectra.eigenvalues, middle_fraction)
             ratios = gap_ratios(E)
             means[k] = ratios.mean()

@@ -44,7 +44,10 @@ DEFAULT_ETA_GRID = (0.99, 0.9, 0.75, 0.5, 0.25, 0.1, 0.05, 0.01)
 
 @dataclass
 class WavefrontGrid:
-    """Ensemble-mean Re F on a (distance x time) grid, distances along leg 1."""
+    """Ensemble-mean Re F on a (distance x time) grid, distances along leg 1.
+
+    ``per_realization``, if given, is realizations x distances x times.
+    """
 
     distances: np.ndarray
     times: np.ndarray
@@ -58,6 +61,13 @@ class WavefrontGrid:
         self.values = np.asarray(self.values, dtype=float)
         if self.values.shape != (self.distances.size, self.times.size):
             raise ValueError("values must be (n_distances, n_times)")
+        if self.per_realization is not None:
+            self.per_realization = np.asarray(self.per_realization, dtype=float)
+            shape = self.per_realization.shape
+            if len(shape) != 3 or shape[0] < 1 or shape[1:] != self.values.shape:
+                raise ValueError(
+                    f"per_realization has shape {shape}, expected (R >= 1, n_distances, n_times)"
+                )
         at_zero = self.values[:, self.times == 0.0]
         if at_zero.size and not np.max(np.abs(at_zero - 1.0)) <= 1e-9:
             raise ValueError("grid must equal 1 at t = 0")

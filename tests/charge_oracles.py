@@ -28,10 +28,12 @@ def charge_map(basis: SectorBasis) -> dict[int, np.ndarray]:
 
     Row by row: the state whose leg-2 bits on its z singly occupied columns
     read b has entry 2^(-z/2) (-1)^popcount(b & m) on label m of its column
-    pattern, the label in slot slot[k] - b + m.
+    pattern, the label in slot slot[k] - b + m, where slot inverts
+    `ChargeLabels.state`.
     """
     L, labels = basis.L, basis.charge_labels
     order, charge = labels.order, labels.charge
+    slot = np.argsort(labels.state)
     charges, counts = np.unique(charge, return_counts=True)
     U = {int(q): np.zeros((basis.dim, count)) for q, count in zip(charges, counts)}
     column = np.empty(basis.dim, dtype=np.int64)
@@ -42,7 +44,7 @@ def charge_map(basis: SectorBasis) -> dict[int, np.ndarray]:
         leg1, leg2 = state & ((1 << L) - 1), state >> L
         singles = [i for i in range(L) if (leg1 ^ leg2) >> i & 1]
         b = sum((leg2 >> i & 1) << t for t, i in enumerate(singles))
-        first = labels.slot[k] - b
+        first = slot[k] - b
         for m in range(1 << len(singles)):
             entry = 2.0 ** (-len(singles) / 2) * (-1) ** bin(b & m).count("1")
             U[int(charge[first + m])][k, column[first + m]] = entry

@@ -19,7 +19,6 @@ from hypothesis import strategies as st
 from charge_oracles import charge_map, dressed_rung_charge, leg_swap
 from ladderxx import core, otoc
 from ladderxx.core import (
-    ChargeBlocks,
     DiagonalizationError,
     DisorderRealization,
     LadderParams,
@@ -458,7 +457,7 @@ def test_eigenvalues_only_matches_full_solve(L, alpha, h, independent_legs):
     params = LadderParams(L=L, alpha=alpha, h=h)
     basis = SectorBasis(L)
     H = build_hamiltonian(params, sample_disorder(params, 40 + L, independent_legs), basis)
-    spectra = diagonalize(ChargeBlocks(H))
+    spectra = diagonalize(H, vectors=False)
     assert isinstance(spectra, SectorSpectra)
     w = spectra.eigenvalues
     assert w.shape == (basis.dim,)
@@ -511,7 +510,7 @@ def test_independent_legs_block_is_the_dense_hamiltonian(L):
     params = LadderParams(L=L, alpha=1.3, h=2.0)
     basis = SectorBasis(L)
     H = build_hamiltonian(params, sample_disorder(params, 70 + L, independent_legs=True), basis)
-    spectra = diagonalize(ChargeBlocks(H))
+    spectra = diagonalize(H, vectors=False)
     want = scipy.linalg.eigh(H.dense(), eigvals_only=True)
     assert np.array_equal(spectra.eigenvalues, want)
     assert spectra.sectors == {}
@@ -533,7 +532,7 @@ def test_spectral_blocks_match_reference(L, alpha):
     dense = H.dense()
     reference = reference_charge_projections(dressed_rung_charge(basis))
     charge_sectors = charge_map(basis)
-    spectra = diagonalize(ChargeBlocks(H))
+    spectra = diagonalize(H, vectors=False)
     # Only the sectors q >= 0 are solved; each q < 0 one is a mirror image.
     assert list(spectra.sectors) == [q for q in reference if q >= 0]
     for q, E in spectra.sectors.items():
@@ -578,7 +577,7 @@ def test_sector_solves_reject_a_diagonal_edit_that_keeps_the_weight(L):
     with pytest.raises(RuntimeError, match="misses the trace"):
         diagonalize_sectors(edited)
     with pytest.raises(RuntimeError, match="not odd under the global spin flip"):
-        diagonalize(ChargeBlocks(edited))
+        diagonalize(edited, vectors=False)
     w = np.linalg.eigvalsh(H.dense())
     core._check_spectral_weight(H, w)
     with pytest.raises(RuntimeError, match="misses the trace"):
@@ -595,7 +594,7 @@ def test_eigenvalues_only_rejects_a_charge_map_without_the_string(L, monkeypatch
     with pytest.raises(RuntimeError, match="leaves its charge sector"):
         core._rung_sectors(H)
     with pytest.raises(RuntimeError, match="leaves its charge sector"):
-        diagonalize(ChargeBlocks(H))
+        diagonalize(H, vectors=False)
     with pytest.raises(RuntimeError, match="leaves its charge sector"):
         diagonalize_sectors(H)
 
@@ -618,7 +617,7 @@ def test_mirror_guard_rejects_a_same_sublattice_bond(monkeypatch):
         params = LadderParams(L=L, h=1.0)
         H = build_hamiltonian(params, sample_disorder(params, 3), SectorBasis(L))
         with pytest.raises(RuntimeError, match="joins one sublattice"):
-            diagonalize(ChargeBlocks(H))
+            diagonalize(H, vectors=False)
 
 
 def test_mirror_guard_rejects_an_even_diagonal():
@@ -630,7 +629,7 @@ def test_mirror_guard_rejects_an_even_diagonal():
         H = build_hamiltonian(params, sample_disorder(params, 3), basis)
         H = dataclasses.replace(H, diagonal=H.diagonal + 1.0)
         with pytest.raises(RuntimeError, match="not odd under the global spin flip"):
-            diagonalize(ChargeBlocks(H))
+            diagonalize(H, vectors=False)
 
 
 @pytest.mark.parametrize("L", [5, 6])
@@ -640,7 +639,7 @@ def test_eigenvalues_only_stays_below_one_dense_matrix(L):
     disorder = sample_disorder(params, 9)
     tracemalloc.start()
     try:
-        diagonalize(ChargeBlocks(build_hamiltonian(params, disorder, basis)))
+        diagonalize(build_hamiltonian(params, disorder, basis), vectors=False)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -649,19 +648,31 @@ def test_eigenvalues_only_stays_below_one_dense_matrix(L):
 
 @pytest.mark.parametrize("L", [5, 6])
 def test_sector_eigensolve_stays_below_its_estimate(L, monkeypatch):
+    # All three eigensolves, with shared and with independent legs, peak
+    # below the copies they pass to check_memory. scipy.linalg is imported
+    # at the top of this module: imported cold inside the trace, it alone
+    # reads about 30 copies.
     params = LadderParams(L=L, h=1.0)
     basis = SectorBasis(L)
-    H = build_hamiltonian(params, sample_disorder(params, 9), basis)
     estimates = []
     monkeypatch.setattr(core, "check_memory", lambda caller, n, copies: estimates.append(copies))
-    tracemalloc.start()
-    try:
-        diagonalize_sectors(H)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert len(estimates) == 1
-    assert peak < estimates[0] * 8 * basis.dim**2
+    solves = {
+        "full": diagonalize,
+        "eigenvalues only": lambda H: diagonalize(H, vectors=False),
+        "sectors": diagonalize_sectors,
+    }
+    for independent_legs in (False, True):
+        H = build_hamiltonian(params, sample_disorder(params, 9, independent_legs), basis)
+        for name, solve in solves.items():
+            estimates.clear()
+            tracemalloc.start()
+            try:
+                solve(H)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert len(estimates) == 1
+            assert peak < estimates[0] * 8 * basis.dim**2, (name, independent_legs)
 
 
 @pytest.mark.parametrize("L", [6, 7])
@@ -690,7 +701,7 @@ def test_eigensolver_failure_is_reported_with_the_realization(vectors, monkeypat
     monkeypatch.setattr(scipy.linalg, "eigh", failing_eigh)
     monkeypatch.setattr(np.linalg, "eigh", failing_eigh)
     with pytest.raises(DiagonalizationError, match="seed=4"):
-        diagonalize(H if vectors else ChargeBlocks(H))
+        diagonalize(H, vectors=vectors)
     with pytest.raises(DiagonalizationError, match="seed=4"):
         diagonalize_sectors(H)
 
@@ -706,7 +717,7 @@ def test_dense_steps_check_memory_first(monkeypatch):
     build_hamiltonian(params, disorder, basis)
     for caller, call in [
         ("diagonalize", lambda: diagonalize(H)),
-        ("diagonalize", lambda: diagonalize(ChargeBlocks(H))),
+        ("diagonalize", lambda: diagonalize(H, vectors=False)),
         ("diagonalize_sectors", lambda: diagonalize_sectors(H)),
     ]:
         with pytest.raises(MemoryError, match=rf"{caller} at N=\d+ needs about .* 1000 bytes"):
@@ -720,7 +731,7 @@ def test_independent_legs_block_is_charged_one_dense_block(monkeypatch):
     one_matrix = 8 * basis.dim**2
     tracemalloc.start()
     try:
-        diagonalize(ChargeBlocks(H))
+        diagonalize(H, vectors=False)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -728,10 +739,10 @@ def test_independent_legs_block_is_charged_one_dense_block(monkeypatch):
     monkeypatch.setattr(core, "_SELF_CGROUP", os.devnull)
     enough, short = (int((core.EIGVALS_COPIES + d) * one_matrix) for d in (0.01, -0.01))
     monkeypatch.setattr(core, "_physical_memory", lambda: enough)
-    diagonalize(ChargeBlocks(H))
+    diagonalize(H, vectors=False)
     monkeypatch.setattr(core, "_physical_memory", lambda: short)
     with pytest.raises(MemoryError, match="diagonalize at N=70"):
-        diagonalize(ChargeBlocks(H))
+        diagonalize(H, vectors=False)
 
 
 def test_memory_check_admits_l7_and_the_l8_w_route_and_stops_l8_exact_otoc(monkeypatch):

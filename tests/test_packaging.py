@@ -155,15 +155,15 @@ def test_a_wavefront_grid_leaves_scipy_linalg_unloaded():
     assert run_fresh(code) == 0
 
 
-@pytest.mark.parametrize("blocks", [False, True])
-def test_diagonalize_loads_scipy_linalg_in_a_fresh_process(blocks):
+@pytest.mark.parametrize("vectors", [False, True])
+def test_diagonalize_loads_scipy_linalg_in_a_fresh_process(vectors):
     code = (
         "import sys, numpy as np; "
         "from ladderxx import core; "
         "assert 'scipy.linalg' not in sys.modules; "
         "p = core.LadderParams(L=4, h=1.0); "
         "H = core.build_hamiltonian(p, core.sample_disorder(p, 1), core.SectorBasis(4)); "
-        f"w = core.diagonalize(core.ChargeBlocks(H) if {blocks} else H).eigenvalues; "
+        f"w = core.diagonalize(H, vectors={vectors}).eigenvalues; "
         "assert np.max(np.abs(w - np.linalg.eigvalsh(H.dense()))) < 1e-12; "
         "sys.exit('scipy.linalg' not in sys.modules)"
     )

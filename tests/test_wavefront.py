@@ -102,6 +102,28 @@ def test_per_realization_contour_misses_a_distance_some_rows_never_cross():
     assert extract_contour(both, 0.5).meta["crossings"] == [1]
 
 
+@pytest.mark.parametrize(
+    "shape",
+    [(1, 3, 2), (2, 2, 2), (2, 3), (0, 2, 3)],
+    ids=["swapped-axes", "too-few-times", "no-realization-axis", "no-realizations"],
+)
+def test_grid_rejects_per_realization_values_of_another_shape(shape):
+    # Each would give extract_contour(per_realization=True) a wrong contour
+    # without an error: every distance missing, or crossings dated on the
+    # wrong times.
+    times = np.array([0.0, 1.0, 2.0])
+    values = np.array([[1.0, 0.6, 0.2], [1.0, 0.8, 0.4]])
+    with pytest.raises(ValueError, match="per_realization has shape"):
+        WavefrontGrid(
+            distances=[1, 2], times=times, values=values, per_realization=np.ones(shape)
+        )
+    grid = WavefrontGrid(
+        distances=[1, 2], times=times, values=values, per_realization=[values.tolist()]
+    )
+    assert grid.per_realization.dtype == float
+    assert extract_contour(grid, 0.5, per_realization=True).points == [(1, 1.25), (2, 1.75)]
+
+
 @settings(max_examples=100, deadline=None)
 @given(
     data=st.data(),
