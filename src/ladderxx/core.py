@@ -58,9 +58,11 @@ SPECTRAL_WEIGHT_RTOL = 16 * np.finfo(float).eps
 # bytes): the larger tracemalloc peak of L = 5 and 6, rounded up.
 EIGH_COPIES = 2.2  # eigenvectors and the dense copy of H that LAPACK overwrites
 # Eigenvalues only, in units of the widest m x m block (H with independent
-# legs): the block, LAPACK's copy of it and its workspace, and the O(L N)
-# rung-basis entries of every block (2.84 at L = 5, 2.22 at L = 6).
-EIGVALS_COPIES = 2.9
+# legs): the block, which LAPACK overwrites in place, its workspace and
+# check_finite's boolean scan of it, and the O(L N) rung-basis entries of
+# every block (cold peaks 1.87 and 1.16 at L = 5, 1.25 and 1.13 at L = 6,
+# with shared and with independent legs).
+EIGVALS_COPIES = 2.0
 # diagonalize_sectors: the eigenvectors of every block, and this many copies of
 # the largest one: the block and the rung-basis entries (1.6 at L = 5, 0.8 at
 # L = 6 under tracemalloc), and numpy's eigh of it, whose input copy,
@@ -632,10 +634,10 @@ def diagonalize(H: SectorHamiltonian, vectors: bool = True) -> EigenSystem | Sec
     With ``vectors=False`` H gets SectorSpectra, from eigenvalues-only
     solves. With the same fields on both legs, H conserves the dressed rung
     charge, and the block H_q of each sector q >= 0 is built in the rung
-    basis (`_rung_sectors`) and solved before the next one is made dense,
-    so the peak holds one block. The negation of each q > 0 spectrum stands
-    for sector -q (`_check_chiral_symmetry`, which raises if a term of H
-    breaks that). These blocks hold the model given by ``H.params`` and
+    basis (`_rung_sectors`) and solved before the next one is made dense;
+    LAPACK overwrites each dense block in place, so the peak holds one
+    block. The negation of each q > 0 spectrum stands for sector -q
+    (`_check_chiral_symmetry`, which raises if a term of H breaks that). These blocks hold the model given by ``H.params`` and
     ``H.disorder``, not H's arrays; `_check_spectral_weight` compares their
     spectrum with H's entries through ||H||_F^2 and the trace, so an edit
     of H that keeps both goes unseen. With independent legs the one block
@@ -658,7 +660,7 @@ def diagonalize(H: SectorHamiltonian, vectors: bool = True) -> EigenSystem | Sec
         solve = functools.partial(scipy.linalg.eigh, overwrite_a=True)
         [(w, v)] = _solve_blocks("diagonalize", H, blocks, solve, EIGH_COPIES)
         return EigenSystem(eigenvalues=w, eigenvectors=v)
-    solve = functools.partial(scipy.linalg.eigh, eigvals_only=True)
+    solve = functools.partial(scipy.linalg.eigh, eigvals_only=True, overwrite_a=True)
     parts = _solve_blocks("diagonalize", H, blocks, solve, EIGVALS_COPIES)
     sectors = dict(zip(sectors, parts))
     mirrors = [-e for q, e in sectors.items() if q > 0]

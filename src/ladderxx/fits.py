@@ -131,9 +131,13 @@ def _fit_log_law(x, y, form: str, slope: tuple, min_points: int, points="points"
     """Least squares of ln y against x (the exp forms) or ln x (the power forms).
 
     Returns a = exp(intercept) and, under the name slope[0], the fitted slope
-    times slope[1]. Points are sorted by abscissa first, so the result does
-    not depend on their order. `points` names the input in error messages;
-    `window` defaults to the range of x.
+    times slope[1]. meta["stderr"] holds the standard errors of that slope
+    (under the same name) and of ln a (under "ln_a"), from the residual
+    variance s^2 = sum r^2 / (n - 2): se_b = sqrt(s^2 / Sxx) and se_ln_a =
+    sqrt(s^2 (1/n + mean(X)^2 / Sxx)), Sxx = sum (X - mean(X))^2. Points are
+    sorted by abscissa first, so the result does not depend on their order.
+    `points` names the input in error messages; `window` defaults to the
+    range of x.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -154,14 +158,20 @@ def _fit_log_law(x, y, form: str, slope: tuple, min_points: int, points="points"
     A = np.stack([X, np.ones_like(X)], axis=1)
     (b, intercept), *_ = np.linalg.lstsq(A, Y, rcond=None)
     residuals = Y - (b * X + intercept)
+    s2 = float(np.sum(residuals**2)) / (X.size - 2)
+    sxx = float(np.sum((X - X.mean()) ** 2))
     name, sign = slope
+    stderr = {
+        name: float(np.sqrt(s2 / sxx)),
+        "ln_a": float(np.sqrt(s2 * (1.0 / X.size + X.mean() ** 2 / sxx))),
+    }
     return FitResult(
         form=form,
         params={"a": float(np.exp(intercept)), name: float(sign * b)},
         r_squared=_r_squared(Y, residuals),
         window=(float(x.min()), float(x.max())) if window is None else window,
         residuals=residuals,
-        meta={"coordinates": "loglog" if log_x else "semilog"},
+        meta={"coordinates": "loglog" if log_x else "semilog", "stderr": stderr},
     )
 
 

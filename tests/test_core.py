@@ -516,6 +516,28 @@ def test_independent_legs_block_is_the_dense_hamiltonian(L):
     assert spectra.sectors == {}
 
 
+@pytest.mark.parametrize("independent_legs", [False, True])
+@pytest.mark.parametrize("L", [4, 5, 6])
+def test_eigenvalues_only_solve_in_place_changes_no_bit(L, independent_legs):
+    # LAPACK overwrites each dense block; the spectra are bit for bit those of
+    # a copying eigh of a fresh block, and H's own entries stay as they were.
+    params = LadderParams(L=L, alpha=1.3, h=2.0)
+    H = build_hamiltonian(params, sample_disorder(params, 30 + L, independent_legs), SectorBasis(L))
+    entries = [a.copy() for a in (H.diagonal, H.rows, H.cols, H.values)]
+    spectra = diagonalize(H, vectors=False)
+    for before, after in zip(entries, (H.diagonal, H.rows, H.cols, H.values)):
+        assert np.array_equal(before, after)
+    sectors = {} if independent_legs else core._rung_sectors(H)
+    sectors = {q: block for q, block in sectors.items() if q >= 0}
+    blocks = list(sectors.values()) or [(H.diagonal, H.rows, H.cols, H.values)]
+    want = [scipy.linalg.eigh(core._dense(*block), eigvals_only=True) for block in blocks]
+    assert list(spectra.sectors) == list(sectors)
+    for E, w in zip(spectra.sectors.values(), want):
+        assert E.tobytes() == w.tobytes()
+    mirrors = [-w for q, w in zip(sectors, want) if q > 0]
+    assert spectra.eigenvalues.tobytes() == np.sort(np.concatenate(want + mirrors)).tobytes()
+
+
 def reference_charge_projections(Q: np.ndarray) -> dict[int, np.ndarray]:
     """Orthonormal bases of the eigenspaces of the dense charge Q, by charge."""
     q, V = np.linalg.eigh(Q)

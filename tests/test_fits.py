@@ -116,6 +116,46 @@ def test_fit_is_invariant_under_point_reordering():
     assert a.params["lam"] == b.params["lam"]
 
 
+def noisy_log_law_fits(rng):
+    """(fit, X, Y) of each log-space form on noisy data: X, Y are its coordinates."""
+    t = np.linspace(0.1, 5.0, 30)
+    y = 1.4 * np.exp(-0.9 * t) * np.exp(rng.normal(0, 0.02, t.size))
+    x = np.geomspace(2.0, 64.0, 6)
+    err = 0.3 * x**-0.5 * np.exp(rng.normal(0, 0.1, x.size))
+    return [
+        (fit_exponential(series_from(t, y)), "lam", t, np.log(y)),
+        (fit_power_law((t, y)), "b", np.log(t), np.log(y)),
+        (fit_error_scaling((x, err), "scaling_power"), "b", np.log(x), np.log(err)),
+        (fit_error_scaling((x, err), "scaling_exp"), "b", x, np.log(err)),
+    ]
+
+
+def test_log_law_standard_errors_match_the_polyfit_covariance():
+    for fit, name, X, Y in noisy_log_law_fits(np.random.default_rng(3)):
+        _, cov = np.polyfit(X, Y, 1, cov=True)
+        se = fit.meta["stderr"]
+        assert se[name] == pytest.approx(np.sqrt(cov[0, 0]), rel=1e-12)
+        assert se["ln_a"] == pytest.approx(np.sqrt(cov[1, 1]), rel=1e-12)
+
+
+def test_log_law_standard_errors_vanish_on_exact_data():
+    t = np.geomspace(0.2, 8.0, 25)
+    for fit in (
+        fit_exponential(series_from(t, 2.0 * np.exp(-1.3 * t))),
+        fit_power_law(series_from(t, 5.0 * t**-2.5)),
+    ):
+        assert all(abs(v) < 1e-12 for v in fit.meta["stderr"].values())
+
+
+def test_log_law_standard_errors_are_invariant_under_point_reordering():
+    rng = np.random.default_rng(4)
+    t = np.linspace(0.1, 5.0, 30)
+    y = 1.4 * np.exp(-0.9 * t) * np.exp(rng.normal(0, 0.02, t.size))
+    perm = rng.permutation(t.size)
+    for fit in (fit_exponential, fit_power_law):
+        assert fit((t, y)).meta["stderr"] == fit((t[perm], y[perm])).meta["stderr"]
+
+
 def test_fits_that_drop_nonpositive_times_leave_them_out_of_the_window():
     t = np.concatenate([[-1.0, 0.0], np.geomspace(0.1, 1000.0, 60)])
     positive = np.maximum(t, 0.1)

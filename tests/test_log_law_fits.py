@@ -112,7 +112,9 @@ def test_dynamical_exponent_matches_its_reference():
             contour = Contour(eta=0.5, distances=distances[order], t_cross=t_cross[order])
             fit = fit_dynamical_exponent(contour, min_dx=min_dx)
             assert_bitwise(fit, "gamma", reference_dynamical_exponent(distances, t_cross, min_dx))
-            assert fit.meta == {"coordinates": "loglog", "eta": 0.5, "min_dx": min_dx}
+            stderr = fit.meta["stderr"]
+            assert fit.meta == {"coordinates": "loglog", "stderr": stderr, "eta": 0.5, "min_dx": min_dx}
+            assert set(stderr) == {"gamma", "ln_a"}
 
 
 def test_bad_input_is_named_in_the_error():

@@ -14,7 +14,7 @@ from ladderxx.core import (
     sample_disorder,
     sigma_z_operator,
 )
-from ladderxx.otoc import multi_distance_otoc_values
+from ladderxx.otoc import default_lightcone_times, multi_distance_otoc_values
 from ladderxx.wavefront import (
     Contour,
     WavefrontGrid,
@@ -266,6 +266,20 @@ def test_per_realization_contour_option(small_real_grid):
     assert per_contour.distances.size >= mean_contour.distances.size - 1
     # both see the same qualitative front; crossing times stay positive
     assert np.all(per_contour.t_cross > 0)
+
+
+@pytest.mark.parametrize("h", [0.0, 1.0])
+def test_light_cone_is_sublinear(h):
+    # The abstract's effective light cone, dx ~ t^gamma with gamma < 1, on the
+    # levels near 1; gamma grows towards the scrambled region. Levels
+    # eta <= 0.25 keep only dx >= 3, 3 points at L = 6: too few to judge
+    # the butterfly cone.
+    params = LadderParams(L=6, h=h)
+    grid = build_spacetime_grid(params, [sample_disorder(params, 1)], default_lightcone_times(100))
+    fits = {eta: fit_dynamical_exponent(extract_contour(grid, eta)) for eta in (0.99, 0.9, 0.75, 0.5)}
+    gamma = [fit.params["gamma"] for fit in fits.values()]
+    assert gamma == sorted(gamma) and len(set(gamma)) == len(gamma)
+    assert gamma[-1] + 2 * fits[0.5].meta["stderr"]["gamma"] < 1.0
 
 
 def test_grid_requires_realizations():
