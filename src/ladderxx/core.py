@@ -169,7 +169,8 @@ class ChargeLabels:
     flip half is whether the doubly occupied columns, read as a bit mask,
     exceed the empty ones. A sector's labels in this order are the rows of
     its block H_q, and the W-route's Hadamard input (`otoc._SectorRoute`)
-    holds all labels in it.
+    holds all labels in it. ``rank[s]`` is the position of slot s among its
+    sector's slots in ``order``: label s's row in H_q and in V_q.
     """
 
     state: np.ndarray
@@ -179,6 +180,7 @@ class ChargeLabels:
     double: np.ndarray
     charge: np.ndarray
     order: np.ndarray
+    rank: np.ndarray
 
 
 class SectorBasis:
@@ -236,14 +238,22 @@ class SectorBasis:
         z, index, single, double = z[state], b[state], single[state], double[state]
         empty = ((1 << L) - 1) & ~(single | double)
         flipped_half = np.where(z > 0, index >> np.maximum(z - 1, 0), double > empty)
+        charge = z - 2 * _POPCOUNT[(index ^ _STRING_SIGNS) & ((1 << z) - 1)]
+        order = np.lexsort((flipped_half, index, z))
+        # The slots by (charge, position in order); rank counts from each sector's first.
+        by_charge = order[np.argsort(charge[order], kind="stable")]
+        sorted_charge = charge[by_charge]
+        rank = np.empty_like(order)
+        rank[by_charge] = np.arange(self.dim) - np.searchsorted(sorted_charge, sorted_charge)
         return ChargeLabels(
             state=state,
             z=z,
             index=index,
             single=single,
             double=double,
-            charge=z - 2 * _POPCOUNT[(index ^ _STRING_SIGNS) & ((1 << z) - 1)],
-            order=np.lexsort((flipped_half, index, z)),
+            charge=charge,
+            order=order,
+            rank=rank,
         )
 
     def __len__(self) -> int:
@@ -588,19 +598,17 @@ def _rung_sectors(H: SectorHamiltonian) -> dict[int, tuple[np.ndarray, ...]]:
             values.append(np.full(split.size, sign * two_j))
     src, dst, values = (np.concatenate(x) for x in (src, dst, values))
     src, dst, values = np.concatenate([src, dst]), np.concatenate([dst, src]), np.tile(values, 2)
-    charge, order = labels.charge, labels.order
+    charge, order, rank = labels.charge, labels.order, labels.rank
     if np.any(charge[src] != charge[dst]):
         raise RuntimeError(
             "a hop of H leaves its charge sector: the rung labels do not "
             "diagonalize the dressed rung charge"
         )
-    position = np.empty(H.basis.dim, dtype=np.int64)
     sectors = {}
     for q in np.unique(charge).tolist():
         slots = order[charge[order] == q]
-        position[slots] = np.arange(slots.size)
         mine = np.flatnonzero(charge[src] == q)
-        sectors[q] = (diagonal[slots], position[dst[mine]], position[src[mine]], values[mine])
+        sectors[q] = (diagonal[slots], rank[dst[mine]], rank[src[mine]], values[mine])
     return sectors
 
 
@@ -637,13 +645,14 @@ def diagonalize(H: SectorHamiltonian, vectors: bool = True) -> EigenSystem | Sec
     basis (`_rung_sectors`) and solved before the next one is made dense;
     LAPACK overwrites each dense block in place, so the peak holds one
     block. The negation of each q > 0 spectrum stands for sector -q
-    (`_check_chiral_symmetry`, which raises if a term of H breaks that). These blocks hold the model given by ``H.params`` and
-    ``H.disorder``, not H's arrays; `_check_spectral_weight` compares their
-    spectrum with H's entries through ||H||_F^2 and the trace, so an edit
-    of H that keeps both goes unseen. With independent legs the one block
-    is H made dense. The merged spectrum agrees with a full solve to
-    rounding, not bit for bit. Raises RuntimeError when the spectrum misses
-    weight or trace of H (`_check_spectral_weight`).
+    (`_check_chiral_symmetry`, which raises if a term of H breaks that).
+    These blocks hold the model given by ``H.params`` and ``H.disorder``,
+    not H's arrays; `_check_spectral_weight` compares their spectrum with
+    H's entries through ||H||_F^2 and the trace, so an edit of H that
+    keeps both goes unseen. With independent legs the one block is H made
+    dense. The merged spectrum agrees with a full solve to rounding, not
+    bit for bit. Raises RuntimeError when the spectrum misses weight or
+    trace of H (`_check_spectral_weight`).
 
     scipy.linalg is imported here, by this function alone, and not at
     module load: a process that never calls it never loads scipy's LAPACK

@@ -205,14 +205,17 @@ def fit_mbl_form(series, window=None) -> FitResult:
     stretch exponents crossed with data-driven amplitude guesses); the best
     converged start wins. Raises FitConvergenceError when every start fails.
     Points at t <= 0 are dropped; the window defaults to the range of the rest.
+    Raises ValueError for a non-finite t or y among the rest.
     """
     import scipy.optimize  # here, its only use, so that importing fits stays cheap
 
     t, y, window = _extract_txy(series, window)
-    keep = t > 0
+    keep = ~(t <= 0)  # keeps NaN times, which are refused below
     t, y = t[keep], y[keep]
     if t.size < 5:
         raise ValueError("need at least 5 positive-t points")
+    if not (np.all(np.isfinite(t)) and np.all(np.isfinite(y))):
+        raise ValueError("mbl fit needs finite t and y on its positive-t points")
     if t.max() / t.min() < 100.0:
         raise ValueError("stretched-form fit needs data spanning >= 2 decades in t")
     if window is None:

@@ -76,10 +76,13 @@ def gap_ratios(eigenvalues: np.ndarray) -> np.ndarray:
     Pairs whose two spacings are both below ``ZERO_GAP_TOL`` (exact degeneracies)
     are excluded; a single vanishing spacing gives r = 0. Returns the N - 2
     ratios minus exclusions, so N - 2 - size is the number excluded.
+    Raises ValueError for a non-finite eigenvalue.
     """
     E = np.asarray(eigenvalues, dtype=float)
     if E.ndim != 1 or E.size < 3:
         raise ValueError("need at least three eigenvalues")
+    if not np.all(np.isfinite(E)):
+        raise ValueError("eigenvalues must be finite")
     if np.any(np.diff(E) < -ZERO_GAP_TOL):
         raise ValueError("eigenvalues must be ascending")
     gaps = np.abs(np.diff(E))

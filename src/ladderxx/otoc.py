@@ -410,11 +410,10 @@ def multi_distance_otoc_values(
     D_R = np.ascontiguousarray(D[:, rows[:half]])
     # A last row of ones makes the probe GEMM sum |W_ab|^2 too, for the defect.
     D = np.vstack([D[:, rows], np.ones(n)])
-    # work holds the route's inputs to S and to Y and K; stacked holds S
-    # and the sector route's spare rows (none on the dense route).
+    # work holds the route's inputs to S and to Y and K; the sector route
+    # also runs each block's products through S before writing S itself.
     work = np.empty((n, n))
-    stacked = np.empty((n + route.spare_rows, n))
-    S = stacked[:n]
+    S = np.empty((n, n))
 
     values = np.empty((D.shape[0] - 1, times.shape[0]), dtype=float)
     defects = np.empty(times.shape)
@@ -422,7 +421,7 @@ def multi_distance_otoc_values(
         route.form(t, work, S)
         flipped = np.einsum("ij,ij->i", S[half:], S[half:])[mirror]
         # Column a of Y and of K belongs to row a of R.
-        Y, K = route.product(work, stacked)
+        Y, K = route.product(work, S)
         # Re W_aa = 2 ||S_a||^2 - 1 must be odd under the flip.
         k_diag = K[:half].diagonal().copy()
         mismatch = np.max(np.abs(k_diag + flipped - 1.0))
@@ -450,6 +449,18 @@ def multi_distance_otoc_values(
     return values, float(np.max(defects))
 
 
+def _evolve(
+    E: np.ndarray, t: float, V: np.ndarray, W: np.ndarray, free: np.ndarray, out: np.ndarray
+) -> None:
+    """out = V [cos(E t) W, -sin(E t) W], Re and Im of each column of
+    exp(-i E t) W side by side, with the phased columns in `free`'s storage."""
+    m, c = W.shape
+    phased = free.reshape(-1)[: 2 * m * c].reshape(m, c, 2)
+    np.multiply(np.cos(E * t)[:, None], W, out=phased[:, :, 0])
+    np.multiply(-np.sin(E * t)[:, None], W, out=phased[:, :, 1])
+    np.matmul(V, phased.reshape(m, 2 * c), out=out)
+
+
 class _DenseRoute:
     """S from a full eigensystem, rows in basis order:
     G = V (exp(-i E t) * V[up, :]^T), the phased columns formed in `work`.
@@ -460,23 +471,16 @@ class _DenseRoute:
     N x N x N/2, and no array beside `work` and S.
     """
 
-    spare_rows = 0
-
     def __init__(self, eig: EigenSystem, d1: np.ndarray):
         self.V, self.E = eig.eigenvectors, eig.eigenvalues
         self.V_up = np.ascontiguousarray(self.V[d1 > 0, :].T)
         self.rows = np.arange(eig.dim)
 
     def form(self, t: float, work: np.ndarray, S: np.ndarray) -> None:
-        n, half = work.shape[0], work.shape[0] // 2
-        phased = work.reshape(n, half, 2)
-        np.multiply(np.cos(self.E * t)[:, None], self.V_up, out=phased[:, :, 0])
-        np.multiply(-np.sin(self.E * t)[:, None], self.V_up, out=phased[:, :, 1])
-        np.matmul(self.V, work, out=S)
+        _evolve(self.E, t, self.V, self.V_up, work, S)
 
     def product(self, work: np.ndarray, S: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Y and K (class notes), the two halves of `work` read flat; S has
-        no spare rows below it on this route."""
+        """Y and K (class notes), the two halves of `work` read flat."""
         n, half = work.shape[0], work.shape[0] // 2
         K, Y = work.reshape(2, n, half)
         # S_R J = -i S_R, with the column pairs read as complex numbers.
@@ -516,7 +520,9 @@ class _SectorRoute:
       The spin flip complements b, so each mirror pair has one state in
       each half. A z = 0 pattern holds one state, and the flip maps it to
       another z = 0 pattern; `ChargeLabels.order` puts one of each such
-      pair in the first half of the z = 0 rows.
+      pair in the first half of the z = 0 rows, and the z = 0 group's
+      matrix is the 2 x 2 identity, which sends the two halves of those
+      rows to the two halves of S.
 
     The Hadamard input, which `work` holds, has every label's row in
     `ChargeLabels.order`, as V_q has sector q's, and zeros outside the
@@ -527,17 +533,19 @@ class _SectorRoute:
     P_q A[:, span]^T. For A = S_R these are K's rows. J turns each (Re, Im)
     column pair into (Im, -Re), so P_q J^T = i P_q with the pairs read as
     complex numbers, and Y's rows are (i P_q) S_R[:, span]^T: S_R J is never
-    formed. `product` runs these two m_q x 2 c_q x N/2 GEMMs per block into
-    S's second half, copies them to K's and Y's Hadamard inputs, the halves
-    of `work` read flat, and maps each into the same half of S: GEMM work
-    sum_q m_q 2 c_q N in place of N^3. The P_q are kept from `form`, which
-    rebuilds them after `product` has multiplied them by i.
+    formed. `product` runs these two m_q x 2 c_q x N/2 GEMMs per block, one
+    after the other, into S's second half (an m_q x N/2 product fits its
+    N/2 x N for every m_q <= N), copies each to K's or Y's Hadamard input,
+    the halves of `work` read flat, and maps each input into the same half
+    of S: GEMM work sum_q m_q 2 c_q N in place of N^3. The P_q are kept
+    from `form`, which rebuilds them after `product` has multiplied them
+    by i.
     """
 
     def __init__(self, eig: ChargeEigenSystem, d1: np.ndarray):
         basis = eig.basis
         labels = basis.charge_labels
-        n, half, L = basis.dim, basis.dim // 2, basis.L
+        L = basis.L
         spins = [(leg, site) for leg in (1, 2) for site in range(1, L + 1)]
         match = [s for s in spins if np.array_equal(d1, sigma_z_operator(basis, *s))]
         if not match:
@@ -546,10 +554,10 @@ class _SectorRoute:
         charge = labels.charge
         # B_Q's columns: doubly occupied labels alone, pairs by their leading label.
         bit = 1 << (site - 1)
-        rank = _POPCOUNT[labels.single & (bit - 1)]
+        bit_rank = _POPCOUNT[labels.single & (bit - 1)]
         alone = np.flatnonzero(labels.double & bit)
-        lead = np.flatnonzero((labels.single & bit != 0) & ((labels.index >> rank) & 1 == 0))
-        partner = lead + (1 << rank[lead])
+        lead = np.flatnonzero((labels.single & bit != 0) & ((labels.index >> bit_rank) & 1 == 0))
+        partner = lead + (1 << bit_rank[lead])
         key = np.concatenate([2 * charge[alone], charge[lead] + charge[partner]])
         column = np.empty(key.size, dtype=np.int64)
         column[np.argsort(key, kind="stable")] = np.arange(key.size)
@@ -558,10 +566,7 @@ class _SectorRoute:
         entry_column = np.concatenate([column, column[alone.size :]])
         pair = np.full(lead.size, 0.5**0.5)
         entry_weight = np.concatenate([np.ones(alone.size), pair, (-1) ** (leg - 1) * pair])
-        # input_row[s]: the row of slot s in the Hadamard input.
         order = labels.order
-        input_row = np.empty(n, dtype=np.int64)
-        input_row[order] = np.arange(n)
         self.blocks = []
         for q, (E, V) in eig.sectors.items():
             sector_rows = np.flatnonzero(charge[order] == q)
@@ -571,20 +576,16 @@ class _SectorRoute:
             # Every sector meets the +1 states of every spin for L <= 8, so
             # `product` writes every row of its Hadamard inputs.
             if cols.size == 0 or not np.array_equal(cols, np.arange(cols[0], cols[0] + cols.size)):
-                raise RuntimeError(f"sector {q} meets no range of +1 states, or a non-contiguous one")
-            local = np.searchsorted(sector_rows, input_row[entry_slot[mine]])
+                raise RuntimeError(f"sector {q} meets no contiguous range of +1 states")
+            local = labels.rank[entry_slot[mine]]
             W = np.ascontiguousarray((V[local] * entry_weight[mine, None]).T)
             span = slice(2 * cols[0], 2 * (cols[0] + cols.size))
             P = np.empty((V.shape[0], 2 * cols.size))
             self.blocks.append((E, V, W, span, sector_rows, P))
-        # `product` writes each block's two m_q x N/2 products into the rows
-        # of `stacked` below S_R: S's second half, N/2 rows, and at L = 2 and
-        # 4, where the widest block has more rows, these spare rows.
-        self.spare_rows = max(0, max(V.shape[0] for _, V, *_ in self.blocks) - half)
         # One Hadamard group per z: its rows [first, first + 2 count) of the
-        # input map to rows [top, top + count) and [bottom, bottom + count) of S.
+        # input map to rows [top, top + count) and N/2 below them of S.
         self.groups = []
-        top, bottom = 0, half
+        top = 0
         first_half, second_half = [], []
         z_order = labels.z[order]
         for z in np.unique(z_order):
@@ -592,56 +593,47 @@ class _SectorRoute:
             count = np.count_nonzero(z_order == z) // 2
             m = np.arange(1 << z)
             hadamard = (1 - 2 * (_POPCOUNT[np.bitwise_and.outer(m, m)] & 1)) * 2.0 ** (-z / 2)
-            self.groups.append((hadamard, first, count, top, bottom))
+            # z = 0: one state per pattern, and the identity keeps both halves.
+            self.groups.append((np.eye(2) if z == 0 else hadamard, first, count, top))
             first_half.append(order[first : first + count])
             second_half.append(order[first + count : first + 2 * count])
             top += count
-            bottom += count
         self.rows = labels.state[np.concatenate(first_half + second_half)]
 
     def hadamard(self, work: np.ndarray, out: np.ndarray) -> None:
         """out = U_Q applied to the label rows in `work`, its rows in `self.rows` order."""
-        for hadamard, first, count, top, bottom in self.groups:
-            rows = work[first : first + 2 * count]
+        half = out.shape[0] // 2
+        for hadamard, first, count, top in self.groups:
             h = hadamard.shape[0] // 2
-            if h == 0:
-                # z = 0: one state per pattern, which the Hadamard map keeps.
-                out[top : top + count] = rows[:count]
-                out[bottom : bottom + count] = rows[count:]
-                continue
-            flat = rows.reshape(2 * h, -1)
-            np.matmul(hadamard[:h], flat, out=out[top : top + count].reshape(h, -1))
-            np.matmul(hadamard[h:], flat, out=out[bottom : bottom + count].reshape(h, -1))
+            flat = work[first : first + 2 * count].reshape(2 * h, -1)
+            for rows, at in ((hadamard[:h], top), (hadamard[h:], half + top)):
+                np.matmul(rows, flat, out=out[at : at + count].reshape(h, -1))
 
     def form(self, t: float, work: np.ndarray, S: np.ndarray) -> None:
         work.fill(0.0)
         # S is free until the Hadamard map writes it: it holds each block's
-        # phased columns, Re and Im of each side by side.
-        free = S.reshape(-1)
+        # phased columns.
         for E, V, W, span, sector_rows, P in self.blocks:
-            m, c = W.shape
-            phased = free[: 2 * m * c].reshape(m, c, 2)
-            np.multiply(np.cos(E * t)[:, None], W, out=phased[:, :, 0])
-            np.multiply(-np.sin(E * t)[:, None], W, out=phased[:, :, 1])
-            np.matmul(V, phased.reshape(m, 2 * c), out=P)
+            _evolve(E, t, V, W, S, P)
             work[sector_rows, span] = P
         self.hadamard(work, S)
 
-    def product(self, work: np.ndarray, stacked: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Y and K (class notes), the two halves of S = stacked[:N] read flat."""
+    def product(self, work: np.ndarray, S: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Y and K (class notes), the two halves of S read flat."""
         n, half = work.shape[0], work.shape[0] // 2
-        S_R, spare = stacked[:half], stacked[half:].reshape(-1)
+        S_R, free = S[:half], S[half:].reshape(-1)
         # K's and Y's Hadamard inputs and outputs: the halves of work and of S.
-        inputs = work.reshape(2, n, half)
-        outputs = stacked.reshape(-1)[: n * n].reshape(2, n, half)
+        inputs, outputs = work.reshape(2, n, half), S.reshape(2, n, half)
         for E, V, W, span, sector_rows, P in self.blocks:
-            block = spare[: V.shape[0] * n].reshape(2, V.shape[0], half)
+            block = free[: V.shape[0] * half].reshape(V.shape[0], half)
             right = S_R[:, span].T
-            np.matmul(P, right, out=block[0])
+            # A plane, then its rows: inputs[0, rows] would broadcast two index arrays.
+            np.matmul(P, right, out=block)
+            inputs[0][sector_rows] = block
             # P_q J^T = i P_q (class notes).
             P.view(complex)[...] *= 1j
-            np.matmul(P, right, out=block[1])
-            inputs[:, sector_rows] = block
+            np.matmul(P, right, out=block)
+            inputs[1][sector_rows] = block
         for into, out in zip(inputs, outputs):
             self.hadamard(into, out)
         return outputs[1], outputs[0]
@@ -792,5 +784,6 @@ def eon_distribution(eig: EigenSystem, state: InitialState) -> EonDistribution:
 
 
 def effective_dimension(eon: EonDistribution) -> float:
-    """Inverse participation ratio (sum of squared weights)^-1; 1 for an eigenstate, N for uniform."""
+    """Inverse participation ratio (sum of squared weights)^-1: 1 for an
+    eigenstate, N for uniform weights."""
     return float(1.0 / np.sum(eon.weights**2))

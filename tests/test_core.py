@@ -353,6 +353,14 @@ def test_charge_sectors_have_squared_binomial_sizes(L):
 
 
 @pytest.mark.parametrize("L", [2, 3, 4, 5, 6, 7])
+def test_charge_label_rank_is_the_row_within_its_sector(L):
+    labels = SectorBasis(L).charge_labels
+    for q in np.unique(labels.charge):
+        slots = labels.order[labels.charge[labels.order] == q]
+        assert np.array_equal(labels.rank[slots], np.arange(slots.size))
+
+
+@pytest.mark.parametrize("L", [2, 3, 4, 5, 6, 7])
 def test_charge_map_is_orthonormal(L):
     basis = SectorBasis(L)
     U = np.hstack(list(charge_map(basis).values()))

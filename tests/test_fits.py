@@ -194,6 +194,16 @@ def test_mbl_needs_two_decades():
         fit_mbl_form(series_from(t, mbl_curve(t, 0.5, 3.0, -0.5)))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("column", ["t", "y"])
+def test_mbl_refuses_non_finite_input(column, bad):
+    t = np.geomspace(0.1, 1000.0, 60)
+    y = mbl_curve(t, 0.7, 5.0, -0.8)
+    (t if column == "t" else y)[30] = bad
+    with pytest.raises(ValueError, match="mbl fit needs finite t and y on its positive-t points"):
+        fit_mbl_form((t, y))
+
+
 def test_logarithmic_window_against_numeric_solution():
     t = np.geomspace(0.1, 1000.0, 60)
     for a, b, c in ((0.725, 5.727, -0.812), (0.154, 8.661, -0.519)):

@@ -59,6 +59,16 @@ def test_unsorted_rejected():
         gap_ratios(np.array([1.0, 0.0, 2.0]))
 
 
+@pytest.mark.parametrize(
+    "E", [[0.0, 1.0, np.nan, 3.0, 4.5], [0.0, 1.0, 2.5, np.inf], [-np.inf, 0.0, 1.0, 2.0]]
+)
+def test_non_finite_eigenvalues_rejected(E):
+    # Unchecked, NaN levels read as excluded degeneracies and an infinite
+    # spacing as r = 0.
+    with pytest.raises(ValueError, match="eigenvalues must be finite"):
+        gap_ratios(np.array(E))
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     seed=st.integers(min_value=0, max_value=10**6),
