@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import functools
 import hashlib
-import itertools
 import os
 from dataclasses import dataclass, field
 from math import comb
@@ -58,10 +57,9 @@ SPECTRAL_WEIGHT_RTOL = 16 * np.finfo(float).eps
 # bytes): the larger tracemalloc peak of L = 5 and 6, rounded up.
 EIGH_COPIES = 2.2  # eigenvectors and the dense copy of H that LAPACK overwrites
 # Eigenvalues only, in units of the widest m x m block (H with independent
-# legs): the block, which LAPACK overwrites in place, its workspace and
-# check_finite's boolean scan of it, and the O(L N) rung-basis entries of
-# every block (cold peaks 1.87 and 1.16 at L = 5, 1.25 and 1.13 at L = 6,
-# with shared and with independent legs).
+# legs): the block, which LAPACK overwrites in place, its workspace, and the
+# O(L N) rung-basis entries of every block (cold peaks 1.65 and 1.16 at L = 5,
+# 1.18 and 1.04 at L = 6, with shared and with independent legs).
 EIGVALS_COPIES = 2.0
 # diagonalize_sectors: the eigenvectors of every block, and this many copies of
 # the largest one: the block and the rung-basis entries (1.6 at L = 5, 0.8 at
@@ -205,13 +203,9 @@ class SectorBasis:
                 f"[{L_MIN}, {L_MAX}]"
             )
         self.num_spins = 2 * self.L
-        masks = [
-            sum(1 << p for p in positions)
-            for positions in itertools.combinations(range(self.num_spins), self.L)
-        ]
-        masks.sort()
-        self.states = np.array(masks, dtype=np.int64)
-        self.dim = len(masks)
+        masks = np.arange(1 << self.num_spins, dtype=np.int64)
+        self.states = masks[_POPCOUNT[masks & 255] + _POPCOUNT[masks >> 8] == self.L]
+        self.dim = self.states.size
         if self.dim != comb(self.num_spins, self.L):
             raise RuntimeError(
                 f"enumerated {self.dim} states, expected C({self.num_spins}, {self.L})"
@@ -269,7 +263,10 @@ class SectorHamiltonian:
 
     It is kept as its entries, each (row, col) once: ``diagonal`` over the
     states, and ``values[k]`` at (``rows[k]``, ``cols[k]``) off the
-    diagonal. `dense` forms the N x N matrix.
+    diagonal. `dense` forms the N x N matrix. Construction, by
+    `build_hamiltonian` or ``dataclasses.replace``, raises ValueError for a
+    NaN or infinite entry; this O(L N) check is the only finiteness check
+    before `diagonalize`'s LAPACK calls.
     """
 
     diagonal: np.ndarray
@@ -279,6 +276,14 @@ class SectorHamiltonian:
     params: LadderParams
     disorder: DisorderRealization
     basis: SectorBasis
+
+    def __post_init__(self) -> None:
+        for name in ("diagonal", "values"):
+            if not np.all(np.isfinite(getattr(self, name))):
+                raise ValueError(
+                    f"H has a non-finite entry in {name} "
+                    f"(L={self.params.L}, seed={self.disorder.seed})"
+                )
 
     def dense(self) -> np.ndarray:
         """H as an N x N Fortran-order array."""
@@ -510,6 +515,11 @@ def build_hamiltonian(
         cols.append(index[hops])
         values.append(np.full(target.size, 2.0 * J))
     rows, cols, values = (np.concatenate(x) for x in (rows, cols, values))
+    # Made first, so that an entry that overflowed fails as such.
+    H = SectorHamiltonian(
+        diagonal=d, rows=rows, cols=cols, values=values,
+        params=params, disorder=disorder, basis=basis,
+    )
     # Sorted by (row, col) and by (col, row), the pairs of a symmetric H,
     # each once, read the same, and so do their values.
     key, mirror = rows * n + cols, cols * n + rows
@@ -518,10 +528,7 @@ def build_hamiltonian(
     asymmetry = np.max(np.abs(values[by_key] - values[by_mirror])) if paired else np.inf
     if not asymmetry <= 1e-12:
         raise RuntimeError(f"assembled Hamiltonian is not symmetric ({asymmetry:.3e})")
-    return SectorHamiltonian(
-        diagonal=d, rows=rows, cols=cols, values=values,
-        params=params, disorder=disorder, basis=basis,
-    )
+    return H
 
 
 def _dense(
@@ -637,7 +644,11 @@ def diagonalize(H: SectorHamiltonian, vectors: bool = True) -> EigenSystem | Sec
     By default H gets one full ``eigh``: an EigenSystem with ascending
     eigenvalues and column eigenvectors, as the OTOC routes need them. H is
     made dense here, once and in Fortran order, and LAPACK overwrites that
-    copy in place, so the solve holds about two N x N arrays.
+    copy in place, so the solve holds about two N x N arrays. Each ``eigh``
+    passes check_finite=False, so scipy makes no boolean copy of a block:
+    the entries of H were checked when H was constructed
+    (`SectorHamiltonian`), and the rung blocks are built from the checked
+    ``H.params`` and ``H.disorder``.
 
     With ``vectors=False`` H gets SectorSpectra, from eigenvalues-only
     solves. With the same fields on both legs, H conserves the dressed rung
@@ -651,8 +662,10 @@ def diagonalize(H: SectorHamiltonian, vectors: bool = True) -> EigenSystem | Sec
     H's entries through ||H||_F^2 and the trace, so an edit of H that
     keeps both goes unseen. With independent legs the one block is H made
     dense. The merged spectrum agrees with a full solve to rounding, not
-    bit for bit. Raises RuntimeError when the spectrum misses weight or
-    trace of H (`_check_spectral_weight`).
+    bit for bit.
+
+    Both modes raise RuntimeError when the spectrum misses weight or trace
+    of H (`_check_spectral_weight`), as a non-finite spectrum does.
 
     scipy.linalg is imported here, by this function alone, and not at
     module load: a process that never calls it never loads scipy's LAPACK
@@ -665,11 +678,12 @@ def diagonalize(H: SectorHamiltonian, vectors: bool = True) -> EigenSystem | Sec
         _check_chiral_symmetry(H.params, H.diagonal)
         sectors = {q: block for q, block in _rung_sectors(H).items() if q >= 0}
     blocks = list(sectors.values()) or [(H.diagonal, H.rows, H.cols, H.values)]
+    eigh = functools.partial(scipy.linalg.eigh, overwrite_a=True, check_finite=False)
     if vectors:
-        solve = functools.partial(scipy.linalg.eigh, overwrite_a=True)
-        [(w, v)] = _solve_blocks("diagonalize", H, blocks, solve, EIGH_COPIES)
+        [(w, v)] = _solve_blocks("diagonalize", H, blocks, eigh, EIGH_COPIES)
+        _check_spectral_weight(H, w)
         return EigenSystem(eigenvalues=w, eigenvectors=v)
-    solve = functools.partial(scipy.linalg.eigh, eigvals_only=True, overwrite_a=True)
+    solve = functools.partial(eigh, eigvals_only=True)
     parts = _solve_blocks("diagonalize", H, blocks, solve, EIGVALS_COPIES)
     sectors = dict(zip(sectors, parts))
     mirrors = [-e for q, e in sectors.items() if q > 0]

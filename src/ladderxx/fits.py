@@ -99,11 +99,13 @@ class ErrorSignal:
         return float(self.eps[start:].mean())
 
 
-def _extract_txy(series, window):
+def _extract_txy(series, window, positive=False):
     """Pull (t, Re y) from an OtocSeries or an (x, y) pair, window-restricted.
 
-    Without a window the returned window is None: each fit then reports the
-    range of the points it keeps."""
+    With ``positive``, points at t <= 0 are dropped too. Only finite times
+    are dropped: a NaN or infinite one reaches the fit's finiteness check,
+    whatever the window. Without a window the returned window is None: each
+    fit then reports the range of the points it keeps."""
     if isinstance(series, OtocSeries):
         t = series.times
         y = series.values.real
@@ -111,11 +113,13 @@ def _extract_txy(series, window):
         t, y = series
         t = np.asarray(t, dtype=float)
         y = np.asarray(y, dtype=float).real
+    drop = (t <= 0) & positive
     if window is not None:
         lo, hi = window
-        keep = (t >= lo) & (t <= hi)
-        return t[keep], y[keep], (float(lo), float(hi))
-    return t, y, None
+        drop |= (t < lo) | (t > hi)
+        window = (float(lo), float(hi))
+    keep = ~drop | ~np.isfinite(t)
+    return t[keep], y[keep], window
 
 
 def _r_squared(y: np.ndarray, residuals: np.ndarray) -> float:
@@ -176,7 +180,10 @@ def _fit_log_law(x, y, form: str, slope: tuple, min_points: int, points="points"
 
 
 def fit_exponential(series, window=None) -> FitResult:
-    """Fit Re F = a exp(-lambda t) by linear least squares on (t, ln Re F)."""
+    """Fit Re F = a exp(-lambda t) by linear least squares on (t, ln Re F).
+
+    Raises ValueError for a non-finite t or y, window or not.
+    """
     t, y, window = _extract_txy(series, window)
     return _fit_log_law(t, y, "exp", ("lam", -1), 4, "points in the window", window)
 
@@ -185,12 +192,10 @@ def fit_power_law(series_or_xy, window=None) -> FitResult:
     """Fit Re F = a t^(-b) on (ln t, ln Re F); b is positive for decaying data.
 
     Points at t <= 0 are dropped; the window defaults to the range of the rest.
+    Raises ValueError for a non-finite t or y, window or not.
     """
-    t, y, window = _extract_txy(series_or_xy, window)
-    keep = ~(t <= 0)  # keeps NaN times, which _fit_log_law refuses
-    return _fit_log_law(
-        t[keep], y[keep], "power", ("b", -1), 4, "positive-t points in the window", window
-    )
+    t, y, window = _extract_txy(series_or_xy, window, positive=True)
+    return _fit_log_law(t, y, "power", ("b", -1), 4, "positive-t points in the window", window)
 
 
 def mbl_curve(t: np.ndarray, a: float, b: float, c: float) -> np.ndarray:
@@ -205,13 +210,11 @@ def fit_mbl_form(series, window=None) -> FitResult:
     stretch exponents crossed with data-driven amplitude guesses); the best
     converged start wins. Raises FitConvergenceError when every start fails.
     Points at t <= 0 are dropped; the window defaults to the range of the rest.
-    Raises ValueError for a non-finite t or y among the rest.
+    Raises ValueError for a non-finite t or y, window or not.
     """
     import scipy.optimize  # here, its only use, so that importing fits stays cheap
 
-    t, y, window = _extract_txy(series, window)
-    keep = ~(t <= 0)  # keeps NaN times, which are refused below
-    t, y = t[keep], y[keep]
+    t, y, window = _extract_txy(series, window, positive=True)
     if t.size < 5:
         raise ValueError("need at least 5 positive-t points")
     if not (np.all(np.isfinite(t)) and np.all(np.isfinite(y))):

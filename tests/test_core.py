@@ -1,6 +1,7 @@
 """Basis, Hamiltonian, and evolution checks against independent small-system oracles."""
 
 import dataclasses
+import itertools
 import os
 import subprocess
 import sys
@@ -206,6 +207,15 @@ def test_all_states_half_filled():
     assert set(pops) == {5}
 
 
+@pytest.mark.parametrize("L", range(2, 9))
+def test_states_are_the_sorted_combinations_of_l_spins(L):
+    combinations = itertools.combinations(range(2 * L), L)
+    reference = sorted(sum(1 << p for p in positions) for positions in combinations)
+    states = SectorBasis(L).states
+    assert states.dtype == np.int64
+    assert np.array_equal(states, reference)
+
+
 # ---------------------------------------------------------------- disorder
 
 def test_disorder_zero_strength():
@@ -333,6 +343,38 @@ def test_non_finite_leg2_fields_rejected(bad):
         DisorderRealization(fields=(0.0, 0.1, 0.2), seed=0, leg2_fields=(0.3, bad, 0.5))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("name", ["diagonal", "values"])
+def test_hamiltonian_refuses_a_non_finite_entry(name, bad, monkeypatch):
+    # diagonalize skips scipy's finiteness scan, so H refuses such an entry
+    # when it is made, by dataclasses.replace as by build_hamiltonian.
+    params = LadderParams(L=3, h=1.0)
+    H = build_hamiltonian(params, sample_disorder(params, 6), SectorBasis(3))
+    entries = getattr(H, name).copy()
+    entries[1] = bad
+    monkeypatch.setattr(core, "_dense", None)
+    with pytest.raises(ValueError, match=rf"non-finite entry in {name} \(L=3, seed=6\)"):
+        dataclasses.replace(H, **{name: entries})
+
+
+@pytest.mark.parametrize(
+    "params, fields, name",
+    [
+        # inf + (-inf) on the columns' diagonal sums gives NaN, inf and -inf.
+        (LadderParams(L=2), (1e308, 1e308), "diagonal"),
+        (LadderParams(L=2), (1e308, 0.0), "diagonal"),
+        # 2 J = inf on every leg bond.
+        (LadderParams(L=2, J_par=1e308), (0.0, 0.0), "values"),
+    ],
+)
+def test_build_hamiltonian_refuses_finite_inputs_that_overflow(params, fields, name, monkeypatch):
+    monkeypatch.setattr(core, "_dense", None)
+    disorder = DisorderRealization(fields=fields, seed=11)
+    match = rf"non-finite entry in {name} \(L=2, seed=11\)"
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError, match=match):
+        build_hamiltonian(params, disorder, SectorBasis(2))
+
+
 def test_leg_swap_symmetry_of_shared_disorder():
     # With column-identical fields, exchanging the two legs permutes the basis
     # but maps H onto itself exactly.
@@ -445,6 +487,37 @@ def test_leg_swap_spectrum_invariance():
     H_swapped = build_hamiltonian(params, swapped, basis)
     assert not np.array_equal(H.dense(), H_swapped.dense())
     assert np.max(np.abs(diagonalize(H).eigenvalues - diagonalize(H_swapped).eigenvalues)) < 1e-12
+
+
+@pytest.mark.parametrize("independent_legs", [False, True])
+@pytest.mark.parametrize("vectors", [True, False])
+def test_diagonalize_skips_scipys_finiteness_scan(vectors, independent_legs, monkeypatch):
+    # The entries were checked when H was made (SectorHamiltonian).
+    params = LadderParams(L=4, h=1.0)
+    H = build_hamiltonian(params, sample_disorder(params, 8, independent_legs), SectorBasis(4))
+    eigh, check_finite = scipy.linalg.eigh, []
+
+    def recording_eigh(a, **kwargs):
+        check_finite.append(kwargs.get("check_finite", True))
+        return eigh(a, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "eigh", recording_eigh)
+    diagonalize(H, vectors=vectors)
+    assert check_finite and not any(check_finite)
+
+
+def test_full_solve_checks_its_spectrum(monkeypatch):
+    params = LadderParams(L=4, alpha=1.3, h=1.0)
+    H = build_hamiltonian(params, sample_disorder(params, 8), SectorBasis(4))
+    eigh = scipy.linalg.eigh
+
+    def shifted_eigh(a, **kwargs):
+        w, v = eigh(a, **kwargs)
+        return w + 1e-6, v
+
+    monkeypatch.setattr(scipy.linalg, "eigh", shifted_eigh)
+    with pytest.raises(RuntimeError, match="spectrum misses the trace of H"):
+        diagonalize(H)
 
 
 def test_default_diagonalize_is_one_full_eigh():
@@ -674,6 +747,21 @@ def test_eigenvalues_only_stays_below_one_dense_matrix(L):
     finally:
         tracemalloc.stop()
     assert peak < 8 * basis.dim**2
+
+
+def test_eigenvalues_only_solve_holds_little_beyond_its_block():
+    # LAPACK overwrites the 924-wide block in place, and with check_finite
+    # off scipy makes no boolean copy of it (1.125 blocks with the copy).
+    params = LadderParams(L=6, h=1.0)
+    basis = SectorBasis(6)
+    H = build_hamiltonian(params, sample_disorder(params, 9, independent_legs=True), basis)
+    tracemalloc.start()
+    try:
+        diagonalize(H, vectors=False)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.08 * 8 * basis.dim**2
 
 
 @pytest.mark.parametrize("L", [5, 6])

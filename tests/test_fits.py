@@ -29,6 +29,7 @@ from ladderxx.fits import (
 from ladderxx.otoc import (
     OtocSeries,
     complete_fock_basis,
+    default_decay_times,
     exact_otoc,
     fock_state,
     sampled_otoc,
@@ -164,6 +165,29 @@ def test_fits_that_drop_nonpositive_times_leave_them_out_of_the_window():
     assert power.window == mbl.window == (0.1, 1000.0)
     # A window given by the caller is reported as given.
     assert fit_power_law((t, np.exp(-positive)), window=(0.0, 5.0)).window == (0.0, 5.0)
+
+
+def refuses_every_non_finite_time(fit):
+    """Check that ``fit`` raises ValueError for a NaN or infinite time, window or not."""
+    for bad in (np.nan, np.inf, -np.inf):
+        for window in (None, (0.1, 1000.0)):
+            t = default_decay_times(60)
+            y = mbl_curve(t, 0.7, 5.0, -0.8)
+            t[30] = bad
+            with pytest.raises(ValueError, match="fit needs finite"):
+                fit((t, y), window=window)
+
+
+def test_exponential_refuses_non_finite_times():
+    refuses_every_non_finite_time(fit_exponential)
+
+
+def test_power_law_refuses_non_finite_times():
+    refuses_every_non_finite_time(fit_power_law)
+
+
+def test_mbl_refuses_non_finite_times():
+    refuses_every_non_finite_time(fit_mbl_form)
 
 
 # ---------------------------------------------------------------- stretched form

@@ -114,6 +114,21 @@ def test_ci_runs_the_traced_pass_of_every_workload():
     assert workflow.count('["correct"] is True') == workflow.count("python3 perfbench/run.py") == 3
 
 
+def test_ci_keeps_the_traced_spans():
+    # ROADMAP aim 4: a reader judges a CI run from its spans without re-running
+    # it, even when a gate failed.
+    workflow = (ROOT / ".github" / "workflows" / "tier1.yml").read_text()
+    traced = workflow.index("--trace 1")
+    upload = re.search(
+        r"\n      - name: [^\n]+\n        if: always\(\)\n"
+        r"        uses: actions/upload-artifact@v4\n        with:\n"
+        r"          name: [\w-]+\n          path: \.perfbench-out/\n",
+        workflow,
+    )
+    assert upload and upload.start() > traced
+    assert (ROOT / "perfbench" / "run.py").read_text().count('ROOT / ".perfbench-out"') == 1
+
+
 def ci_installs():
     """The package specs of the workflow's one pip install line."""
     workflow = (ROOT / ".github" / "workflows" / "tier1.yml").read_text()
