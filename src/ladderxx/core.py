@@ -41,7 +41,6 @@ __all__ = [
     "build_hamiltonian",
     "diagonalize",
     "diagonalize_sectors",
-    "evolve_state",
     "sigma_z_operator",
     "bit_position",
     "derive_seed",
@@ -758,49 +757,28 @@ def _check_spectral_weight(H: SectorHamiltonian, w: np.ndarray) -> None:
     the two: weight goes missing, or appears, when they disagree, as when H
     holds a term that couples the blocks although its fields say it
     conserves the charge; the trace also catches a diagonal edit that keeps
-    the weight. The sums are numpy reductions, not BLAS dots: a
+    the weight. H and w are first divided by H's largest |entry|, so the
+    squares of entries beyond ~1e154 do not overflow; the messages give the
+    sums in those units. The sums are numpy reductions, not BLAS dots: a
     dot that long (~4e4 entries at L = 7) starts OpenBLAS's thread pool,
     after which the next LAPACK eigensolve runs slower.
     """
-    frobenius2 = float(np.square(H.diagonal).sum() + np.square(H.values).sum())
+    scale = max(np.abs(H.diagonal).max(), np.abs(H.values).max())
+    diagonal, values, w = H.diagonal / scale, H.values / scale, w / scale
+    frobenius2 = float(np.square(diagonal).sum() + np.square(values).sum())
     lost = abs(float(np.square(w).sum()) - frobenius2)
     if not lost <= SPECTRAL_WEIGHT_RTOL * w.size * frobenius2:
         raise RuntimeError(
             f"spectrum misses weight of H: |sum(lambda^2) - ||H||_F^2| = {lost:.3e} "
-            f"of {frobenius2:.3e} (L={H.params.L}, seed={H.disorder.seed})"
-        )
-    trace_gap = abs(float(w.sum()) - float(H.diagonal.sum()))
-    if not trace_gap <= SPECTRAL_WEIGHT_RTOL * w.size * np.sqrt(frobenius2):
-        raise RuntimeError(
-            f"spectrum misses the trace of H: |sum(lambda) - tr H| = {trace_gap:.3e} "
+            f"of {frobenius2:.3e}, in units of max |H_ab|^2 "
             f"(L={H.params.L}, seed={H.disorder.seed})"
         )
-
-
-def evolve_state(eig: EigenSystem, psi: np.ndarray, t: float) -> np.ndarray:
-    """Apply U(t) = V exp(-i E t) V^T to a normalized state. Negative t runs backward.
-
-    V is applied to the real and imaginary parts apart, so the real V is
-    never cast to a complex N x N copy. ``eig`` must be the full EigenSystem
-    of `diagonalize`; anything else raises TypeError.
-    """
-    _full_eigensystem("evolve_state", eig)
-    psi = np.asarray(psi)
-    if psi.shape != (eig.dim,):
-        raise ValueError(f"state has shape {psi.shape}, expected ({eig.dim},)")
-    if not np.isfinite(t):
-        raise ValueError(f"t must be finite, got {t}")
-    norm = np.linalg.norm(psi)
-    if not abs(norm - 1.0) <= 1e-10:
-        raise ValueError(f"state norm {norm} deviates from 1 beyond 1e-10")
-    V = eig.eigenvectors
-    coeff = V.T @ psi.real + 1j * (V.T @ psi.imag)
-    coeff *= np.exp(-1j * eig.eigenvalues * t)
-    out = V @ coeff.real + 1j * (V @ coeff.imag)
-    out_norm = np.linalg.norm(out)
-    if not abs(out_norm - 1.0) <= 1e-10:
-        raise RuntimeError(f"evolution broke unitarity: output norm {out_norm}")
-    return out
+    trace_gap = abs(float(w.sum()) - float(diagonal.sum()))
+    if not trace_gap <= SPECTRAL_WEIGHT_RTOL * w.size * np.sqrt(frobenius2):
+        raise RuntimeError(
+            f"spectrum misses the trace of H: |sum(lambda) - tr H| = {trace_gap:.3e}, "
+            f"in units of max |H_ab| (L={H.params.L}, seed={H.disorder.seed})"
+        )
 
 
 def sigma_z_operator(basis: SectorBasis, leg: int, site: int) -> np.ndarray:

@@ -1,21 +1,18 @@
 """Decay-law and scaling-law fits, and sampling-error signals.
 
-Four decay/scaling families cover everything measured here:
+Two families of fits cover everything measured here:
 
-* exponential   Re F = a exp(-lambda t)       (early-time chaotic decay)
-* power law     Re F = a t^(-b)               (wavefront tail, b > 0 decaying)
-* stretched     Re F = 1 - a exp(-b t^c)      (localized regime, c < 0)
-* scaling laws  y = a exp(b x), y = a x^b     (sampling-error collapses,
-                                               b kept signed)
-
-Log-space fits are plain linear least squares in the transformed
-coordinates and quote R^2 there; the stretched form is a damped nonlinear
-least-squares fit with c < 0 enforced through c = -exp(u).
+* log-space laws y = a exp(b x) and y = a x^b, by linear least squares of
+  ln y against x or ln x, with R^2 quoted in those coordinates:
+  `fit_error_scaling` (the sampling-error collapses, b kept signed) and
+  `wavefront.fit_dynamical_exponent` (the front dx = a t^gamma);
+* the stretched form Re F = 1 - a exp(-b t^c) of the localized regime
+  (`fit_mbl_form`), a damped nonlinear least-squares fit with c < 0
+  enforced through c = -exp(u).
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -26,13 +23,9 @@ __all__ = [
     "FitResult",
     "ErrorSignal",
     "FitConvergenceError",
-    "fit_exponential",
-    "fit_power_law",
     "fit_mbl_form",
-    "logarithmic_window",
     "error_signal",
     "fit_error_scaling",
-    "decay_onset",
 ]
 
 SATURATION_FRACTION = 0.25  # trailing fraction of the grid used for "saturated" means
@@ -56,18 +49,6 @@ class FitResult:
         if not self.r_squared <= 1.0 + 1e-12:
             raise ValueError(f"r_squared cannot exceed 1, got {self.r_squared}")
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "form": self.form,
-                "params": self.params,
-                "r_squared": self.r_squared,
-                "window": list(self.window),
-                "n_points": int(self.residuals.size),
-                "coordinates": self.meta.get("coordinates", "linear"),
-            }
-        )
-
 
 class FitConvergenceError(RuntimeError):
     """No start point converged; carries the best residual seen."""
@@ -90,22 +71,17 @@ class ErrorSignal:
         if not np.all(self.eps >= 0):
             raise ValueError("error signal must be nonnegative")
 
-    def saturation_mean(self, fraction: float = SATURATION_FRACTION) -> float:
-        """Mean over the trailing `fraction` of the grid, where the signal has
-        flattened; at least the last point, however short the grid."""
-        if not 0.0 < fraction <= 1.0:
-            raise ValueError(f"fraction must be in (0, 1], got {fraction}")
-        start = min(int(round((1.0 - fraction) * self.times.size)), self.times.size - 1)
+    def saturation_mean(self) -> float:
+        """Mean over the trailing `SATURATION_FRACTION` of the grid, where the
+        signal has flattened; at least the last point, however short the grid."""
+        start = min(int(round((1.0 - SATURATION_FRACTION) * self.times.size)), self.times.size - 1)
         return float(self.eps[start:].mean())
 
 
-def _extract_txy(series, window, positive=False):
-    """Pull (t, Re y) from an OtocSeries or an (x, y) pair, window-restricted.
-
-    With ``positive``, points at t <= 0 are dropped too. Only finite times
-    are dropped: a NaN or infinite one reaches the fit's finiteness check,
-    whatever the window. Without a window the returned window is None: each
-    fit then reports the range of the points it keeps."""
+def _extract_txy(series):
+    """Pull (t, Re y) from an OtocSeries or an (x, y) pair, without the points
+    at t <= 0. Only finite times are dropped: a NaN or infinite one reaches
+    the fit's finiteness check."""
     if isinstance(series, OtocSeries):
         t = series.times
         y = series.values.real
@@ -113,13 +89,8 @@ def _extract_txy(series, window, positive=False):
         t, y = series
         t = np.asarray(t, dtype=float)
         y = np.asarray(y, dtype=float).real
-    drop = (t <= 0) & positive
-    if window is not None:
-        lo, hi = window
-        drop |= (t < lo) | (t > hi)
-        window = (float(lo), float(hi))
-    keep = ~drop | ~np.isfinite(t)
-    return t[keep], y[keep], window
+    keep = (t > 0) | ~np.isfinite(t)
+    return t[keep], y[keep]
 
 
 def _r_squared(y: np.ndarray, residuals: np.ndarray) -> float:
@@ -131,7 +102,7 @@ def _r_squared(y: np.ndarray, residuals: np.ndarray) -> float:
     return 1.0 - ss_res / max(ss_tot, 1e-300)
 
 
-def _fit_log_law(x, y, form: str, slope: tuple, min_points: int, points="points", window=None):
+def _fit_log_law(x, y, form: str, slope: tuple, min_points: int, points="points"):
     """Least squares of ln y against x (the exp forms) or ln x (the power forms).
 
     Returns a = exp(intercept) and, under the name slope[0], the fitted slope
@@ -140,8 +111,7 @@ def _fit_log_law(x, y, form: str, slope: tuple, min_points: int, points="points"
     variance s^2 = sum r^2 / (n - 2): se_b = sqrt(s^2 / Sxx) and se_ln_a =
     sqrt(s^2 (1/n + mean(X)^2 / Sxx)), Sxx = sum (X - mean(X))^2. Points are
     sorted by abscissa first, so the result does not depend on their order.
-    `points` names the input in error messages; `window` defaults to the
-    range of x.
+    `points` names the input in error messages; the window is the range of x.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -173,29 +143,10 @@ def _fit_log_law(x, y, form: str, slope: tuple, min_points: int, points="points"
         form=form,
         params={"a": float(np.exp(intercept)), name: float(sign * b)},
         r_squared=_r_squared(Y, residuals),
-        window=(float(x.min()), float(x.max())) if window is None else window,
+        window=(float(x.min()), float(x.max())),
         residuals=residuals,
         meta={"coordinates": "loglog" if log_x else "semilog", "stderr": stderr},
     )
-
-
-def fit_exponential(series, window=None) -> FitResult:
-    """Fit Re F = a exp(-lambda t) by linear least squares on (t, ln Re F).
-
-    Raises ValueError for a non-finite t or y, window or not.
-    """
-    t, y, window = _extract_txy(series, window)
-    return _fit_log_law(t, y, "exp", ("lam", -1), 4, "points in the window", window)
-
-
-def fit_power_law(series_or_xy, window=None) -> FitResult:
-    """Fit Re F = a t^(-b) on (ln t, ln Re F); b is positive for decaying data.
-
-    Points at t <= 0 are dropped; the window defaults to the range of the rest.
-    Raises ValueError for a non-finite t or y, window or not.
-    """
-    t, y, window = _extract_txy(series_or_xy, window, positive=True)
-    return _fit_log_law(t, y, "power", ("b", -1), 4, "positive-t points in the window", window)
 
 
 def mbl_curve(t: np.ndarray, a: float, b: float, c: float) -> np.ndarray:
@@ -203,26 +154,27 @@ def mbl_curve(t: np.ndarray, a: float, b: float, c: float) -> np.ndarray:
     return 1.0 - a * np.exp(-b * np.asarray(t, dtype=float) ** c)
 
 
-def fit_mbl_form(series, window=None) -> FitResult:
+def fit_mbl_form(series) -> FitResult:
     """Fit Re F = 1 - a exp(-b t^c) with c < 0 enforced via c = -exp(u).
 
     Damped nonlinear least squares from a grid of start points (several
     stretch exponents crossed with data-driven amplitude guesses); the best
     converged start wins. Raises FitConvergenceError when every start fails.
-    Points at t <= 0 are dropped; the window defaults to the range of the rest.
-    Raises ValueError for a non-finite t or y, window or not.
+    Points at t <= 0 are dropped; the window is the range of the rest.
+    Raises ValueError for a non-finite t or y. The starts run with numpy's
+    overflow and invalid-value warnings off: a trial c = -exp(u) can send
+    t^c to inf, and a warnings filter that raises on RuntimeWarning would
+    otherwise drop that start and change the result.
     """
     import scipy.optimize  # here, its only use, so that importing fits stays cheap
 
-    t, y, window = _extract_txy(series, window, positive=True)
+    t, y = _extract_txy(series)
     if t.size < 5:
         raise ValueError("need at least 5 positive-t points")
     if not (np.all(np.isfinite(t)) and np.all(np.isfinite(y))):
         raise ValueError("mbl fit needs finite t and y on its positive-t points")
     if t.max() / t.min() < 100.0:
         raise ValueError("stretched-form fit needs data spanning >= 2 decades in t")
-    if window is None:
-        window = (float(t.min()), float(t.max()))
 
     def residual(p):
         a, log_b, u = p
@@ -241,7 +193,8 @@ def fit_mbl_form(series, window=None) -> FitResult:
     best = None
     for x0 in starts:
         try:
-            res = scipy.optimize.least_squares(residual, x0, method="lm", max_nfev=2000)
+            with np.errstate(over="ignore", invalid="ignore"):
+                res = scipy.optimize.least_squares(residual, x0, method="lm", max_nfev=2000)
         except Exception:
             continue
         if not np.all(np.isfinite(res.x)):
@@ -256,25 +209,10 @@ def fit_mbl_form(series, window=None) -> FitResult:
         form="mbl",
         params={"a": float(a), "b": float(np.exp(log_b)), "c": float(-np.exp(u))},
         r_squared=_r_squared(y, best.fun),
-        window=window,
+        window=(float(t.min()), float(t.max())),
         residuals=best.fun,
         meta={"coordinates": "linear", "n_starts": len(starts)},
     )
-
-
-def logarithmic_window(fit: FitResult) -> tuple[float, float]:
-    """Center and slope of the logarithmic-decay regime of a stretched fit.
-
-    Around b t^c = 1 the fitted curve is locally 1 - a/e + (a c / e) ln(...),
-    so the window center is t = b^(-1/c) and the local slope against ln t is
-    a c / e (negative for decaying fits).
-    """
-    if fit.form != "mbl":
-        raise ValueError(f"needs an mbl fit, got form {fit.form!r}")
-    a, b, c = fit.params["a"], fit.params["b"], fit.params["c"]
-    t_center = b ** (-1.0 / c)
-    slope = a * c / np.e
-    return float(t_center), float(slope)
 
 
 def error_signal(exact: OtocSeries, sampled: OtocSeries, kind: str) -> ErrorSignal:
@@ -311,11 +249,3 @@ def fit_error_scaling(points, form: str) -> FitResult:
         raise ValueError(f"form must be scaling_exp or scaling_power, got {form!r}")
     x, y = points
     return _fit_log_law(x, y, form, ("b", 1), 3)
-
-
-def decay_onset(series: OtocSeries, threshold: float = 0.999) -> float:
-    """First grid time where Re F drops below the threshold (default 0.999)."""
-    below = np.flatnonzero(series.values.real < threshold)
-    if below.size == 0:
-        raise ValueError(f"series never drops below {threshold}")
-    return float(series.times[below[0]])

@@ -48,7 +48,6 @@ __all__ = [
     "GapRatioReport",
     "gap_ratios",
     "ensemble_gap_ratio",
-    "reports_to_csv",
 ]
 
 R_GOE = 0.5307
@@ -170,15 +169,3 @@ def ensemble_gap_ratio(
             )
         )
     return reports
-
-
-def reports_to_csv(reports: list[GapRatioReport]) -> str:
-    """Serialize reports as the standard (h, L, alpha, realizations, mean_r, stderr) table."""
-    lines = ["h,L,alpha,realizations,mean_r,stderr"]
-    for rep in reports:
-        m = rep.meta
-        lines.append(
-            f"{m['h']!r},{m['L']},{m['alpha']!r},{m['realizations']},"
-            f"{rep.ensemble_mean!r},{rep.stderr!r}"
-        )
-    return "\n".join(lines) + "\n"

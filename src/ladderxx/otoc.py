@@ -57,14 +57,10 @@ from .core import (
 __all__ = [
     "OtocSeries",
     "InitialState",
-    "EonDistribution",
     "exact_otoc",
     "sampled_otoc",
     "haar_state",
     "fock_state",
-    "complete_fock_basis",
-    "eon_distribution",
-    "effective_dimension",
     "multi_distance_otoc_values",
     "default_decay_times",
     "default_lightcone_times",
@@ -165,24 +161,6 @@ class InitialState:
             nonzero = np.abs(self.amplitudes) > 1e-15
             if nonzero.sum() != 1 or not abs(np.abs(self.amplitudes[nonzero][0]) - 1.0) <= 1e-12:
                 raise ValueError("fock state must have a single unit-modulus amplitude")
-
-
-@dataclass
-class EonDistribution:
-    """Eigenstate occupation weights |c_beta|^2 of one initial state."""
-
-    weights: np.ndarray
-    energies: np.ndarray
-
-    def __post_init__(self) -> None:
-        self.weights = np.asarray(self.weights, dtype=float)
-        self.energies = np.asarray(self.energies, dtype=float)
-        if self.weights.shape != self.energies.shape:
-            raise ValueError("weights and energies must align")
-        if not np.all(self.weights >= -1e-12):
-            raise ValueError("weights must be nonnegative")
-        if not abs(self.weights.sum() - 1.0) <= 1e-10:
-            raise ValueError("weights must sum to 1")
 
 
 def _checked_times(times: np.ndarray) -> np.ndarray:
@@ -764,26 +742,3 @@ def fock_state(basis: SectorBasis, seed: int) -> InitialState:
     amplitudes = np.zeros(basis.dim, dtype=complex)
     amplitudes[index] = 1.0
     return InitialState(amplitudes=amplitudes, kind="fock", seed=seed)
-
-
-def complete_fock_basis(basis: SectorBasis) -> list[InitialState]:
-    """All N one-hot sector states, in basis order: views of one complex N x N
-    identity, two float64 N x N arrays' worth, checked against memory first."""
-    check_memory("complete_fock_basis", basis.dim, 2.0)
-    eye = np.eye(basis.dim, dtype=complex)
-    return [InitialState(amplitudes=eye[:, j], kind="fock", seed=None) for j in range(basis.dim)]
-
-
-def eon_distribution(eig: EigenSystem, state: InitialState) -> EonDistribution:
-    """Overlap weights |<eigenstate_beta | psi>|^2 against the full spectrum
-    of `diagonalize(H)`; any other eigensystem raises TypeError."""
-    _full_eigensystem("eon_distribution", eig)
-    Vt, psi = eig.eigenvectors.T, state.amplitudes
-    c = Vt @ psi.real + 1j * (Vt @ psi.imag)
-    return EonDistribution(weights=np.abs(c) ** 2, energies=eig.eigenvalues.copy())
-
-
-def effective_dimension(eon: EonDistribution) -> float:
-    """Inverse participation ratio (sum of squared weights)^-1: 1 for an
-    eigenstate, N for uniform weights."""
-    return float(1.0 / np.sum(eon.weights**2))

@@ -31,12 +31,10 @@ from .otoc import _checked_times, multi_distance_otoc_values
 __all__ = [
     "WavefrontGrid",
     "Contour",
-    "WavefrontRates",
     "DEFAULT_ETA_GRID",
     "build_spacetime_grid",
     "extract_contour",
     "fit_dynamical_exponent",
-    "wavefront_rates",
 ]
 
 DEFAULT_ETA_GRID = (0.99, 0.9, 0.75, 0.5, 0.25, 0.1, 0.05, 0.01)
@@ -86,14 +84,6 @@ class Contour:
     @property
     def points(self) -> list[tuple[int, float]]:
         return list(zip(self.distances.tolist(), self.t_cross.tolist()))
-
-
-@dataclass
-class WavefrontRates:
-    """Front velocities: the fitted power law's derivative, and raw finite differences."""
-
-    fitted: list[tuple[float, float]]
-    raw: list[tuple[float, float]]
 
 
 def build_spacetime_grid(
@@ -220,24 +210,3 @@ def fit_dynamical_exponent(contour: Contour, min_dx: int | None = None) -> FitRe
     fit.meta.update(eta=contour.eta, min_dx=min_dx)
     contour.fit = fit
     return fit
-
-
-def wavefront_rates(contour: Contour) -> WavefrontRates:
-    """Front speed dx/dt: the fitted law's derivative a gamma t^(gamma-1) on the
-    contour's times, plus finite-difference rates of the raw points (at midpoints)."""
-    if contour.fit is None:
-        raise ValueError("contour has no fitted exponent; run fit_dynamical_exponent")
-    a = contour.fit.params["a"]
-    gamma = contour.fit.params["gamma"]
-    fitted = [
-        (float(t), float(a * gamma * t ** (gamma - 1.0))) for t in contour.t_cross
-    ]
-    raw = []
-    for k in range(contour.distances.size - 1):
-        dt = contour.t_cross[k + 1] - contour.t_cross[k]
-        if dt != 0:
-            mid = 0.5 * (contour.t_cross[k + 1] + contour.t_cross[k])
-            raw.append(
-                (float(mid), float((contour.distances[k + 1] - contour.distances[k]) / dt))
-            )
-    return WavefrontRates(fitted=fitted, raw=raw)

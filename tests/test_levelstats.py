@@ -21,7 +21,6 @@ from ladderxx.levelstats import (
     R_POISSON,
     ensemble_gap_ratio,
     gap_ratios,
-    reports_to_csv,
 )
 
 
@@ -203,16 +202,6 @@ def test_middle_fraction_filter():
     assert middle.meta["middle_fraction"] == 0.5
     assert 0.0 <= middle.ensemble_mean <= 1.0
     assert middle.ensemble_mean != full.ensemble_mean
-
-
-def test_csv_emission():
-    params = LadderParams(L=3, alpha=1.0)
-    reports = ensemble_gap_ratio(params, [1.0, 2.0], realizations=2, seed=1)
-    text = reports_to_csv(reports)
-    lines = text.strip().split("\n")
-    assert lines[0] == "h,L,alpha,realizations,mean_r,stderr"
-    assert len(lines) == 3
-    assert lines[1].startswith("1.0,3,1.0,2,")
 
 
 # ---------------------------------------------------------------- hidden charge

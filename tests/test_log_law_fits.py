@@ -9,8 +9,7 @@ exactly, whatever the order of the input points.
 import numpy as np
 import pytest
 
-from ladderxx.fits import fit_error_scaling, fit_exponential, fit_power_law
-from ladderxx.otoc import OtocSeries
+from ladderxx.fits import fit_error_scaling
 from ladderxx.wavefront import Contour, fit_dynamical_exponent
 
 
@@ -24,21 +23,6 @@ def reference_least_squares(x, y):
     ss_tot = float(np.sum((y - y.mean()) ** 2))
     r2 = 1.0 if ss_tot == 0.0 and ss_res < 1e-28 else 1.0 - ss_res / max(ss_tot, 1e-300)
     return slope, intercept, r2, residuals
-
-
-def reference_exponential(t, y, window):
-    lo, hi = window
-    keep = (t >= lo) & (t <= hi)
-    slope, intercept, r2, res = reference_least_squares(t[keep], np.log(y[keep]))
-    return float(np.exp(intercept)), float(-slope), r2, res, (float(lo), float(hi))
-
-
-def reference_power_law(t, y):
-    keep = t > 0
-    t, y = t[keep], y[keep]
-    window = (float(t.min()), float(t.max()))
-    slope, intercept, r2, res = reference_least_squares(np.log(t), np.log(y))
-    return float(np.exp(intercept)), float(-slope), r2, res, window
 
 
 def reference_scaling(x, y, form):
@@ -69,28 +53,6 @@ def shuffled_draws(n_draws=20):
     for _ in range(n_draws):
         n = int(rng.integers(5, 40))
         yield rng, n, rng.permutation(n)
-
-
-def test_exponential_matches_its_reference():
-    for rng, n, perm in shuffled_draws():
-        t = np.sort(rng.uniform(0.0, 6.0, n))
-        y = rng.uniform(0.3, 2.0) * np.exp(-rng.uniform(0.1, 2.0) * t + rng.normal(0, 0.05, n))
-        window = (float(t[1]), float(t[-2]))
-        for order in (np.arange(n), perm):
-            series = OtocSeries(times=t[order], values=y[order].astype(complex))
-            for w in (None, window):
-                fit = fit_exponential(series, window=w)
-                want = reference_exponential(t, y, window if w else (t.min(), t.max()))
-                assert_bitwise(fit, "lam", want)
-
-
-def test_power_law_matches_its_reference():
-    for rng, n, perm in shuffled_draws():
-        t = np.concatenate([[0.0], np.sort(rng.uniform(0.1, 50.0, n - 1))])
-        y = rng.uniform(0.3, 2.0) * (t + 1.0) ** -rng.uniform(0.1, 3.0) * np.exp(rng.normal(0, 0.05, n))
-        for order in (np.arange(n), perm):
-            fit = fit_power_law((t[order], y[order]))
-            assert_bitwise(fit, "b", reference_power_law(t, y))
 
 
 @pytest.mark.parametrize("form", ["scaling_exp", "scaling_power"])
@@ -125,10 +87,10 @@ def test_bad_input_is_named_in_the_error():
     with pytest.raises(ValueError, match="positive x on its contour points with dx >= 1"):
         fit_dynamical_exponent(contour)
     t = np.linspace(0.0, 1.0, 6)
-    with pytest.raises(ValueError, match="positive y on its points in the window"):
-        fit_exponential((t, 1.0 - t))
-    with pytest.raises(ValueError, match="abscissae of the positive-t points in the window are degenerate"):
-        fit_power_law((np.ones(5), np.arange(1.0, 6.0)))
+    with pytest.raises(ValueError, match="positive y on its points"):
+        fit_error_scaling((t, 1.0 - t), "scaling_exp")
+    with pytest.raises(ValueError, match="abscissae of the points are degenerate"):
+        fit_error_scaling((np.ones(5), np.arange(1.0, 6.0)), "scaling_power")
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -138,8 +100,6 @@ def test_non_finite_input_is_named_in_the_error(column, bad):
     y = np.exp(-x)
     (x if column == "x" else y)[2] = bad
     front_ends = [
-        (lambda: fit_exponential((x, y)), "exp", "points in the window"),
-        (lambda: fit_power_law((x, y)), "power", "positive-t points in the window"),
         (lambda: fit_error_scaling((x, y), "scaling_exp"), "scaling_exp", "points"),
         (lambda: fit_error_scaling((x, y), "scaling_power"), "scaling_power", "points"),
     ]

@@ -1,4 +1,4 @@
-"""OTOC engine checks: trace/W-route agreement, estimator limits, state diagnostics."""
+"""OTOC engine checks: trace/W-route agreement, estimator limits, initial states."""
 
 import dataclasses
 import tracemalloc
@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from charge_oracles import charge_map
+from fock_oracles import complete_fock_basis
 from ladderxx import core, otoc
 from ladderxx.core import (
     LadderParams,
@@ -18,20 +19,15 @@ from ladderxx.core import (
     build_hamiltonian,
     diagonalize,
     diagonalize_sectors,
-    evolve_state,
     sample_disorder,
     sigma_z_operator,
 )
 from ladderxx.fits import ErrorSignal, FitResult
 from ladderxx.otoc import (
-    EonDistribution,
     InitialState,
     OtocSeries,
-    complete_fock_basis,
     default_decay_times,
     default_lightcone_times,
-    effective_dimension,
-    eon_distribution,
     exact_otoc,
     fock_state,
     haar_state,
@@ -249,7 +245,7 @@ def test_every_route_names_non_orthonormal_eigenvectors(route):
         call(perturbed(eig))
 
 
-@pytest.mark.parametrize("name", ["exact_otoc", "sampled_otoc", "eon_distribution", "evolve_state"])
+@pytest.mark.parametrize("name", ["exact_otoc", "sampled_otoc"])
 def test_full_eigensystem_routes_refuse_a_charge_eigensystem(name, monkeypatch):
     basis, _, sectors = make_sector_eig(3)
     d_i, d_1 = sigma_z_operator(basis, 1, 3), sigma_z_operator(basis, 1, 1)
@@ -262,8 +258,6 @@ def test_full_eigensystem_routes_refuse_a_charge_eigensystem(name, monkeypatch):
     call = {
         "exact_otoc": lambda: exact_otoc(sectors, d_i, d_1, [0.0, 1.0]),
         "sampled_otoc": lambda: sampled_otoc(sectors, d_i, d_1, [state], [0.0, 1.0]),
-        "eon_distribution": lambda: eon_distribution(sectors, state),
-        "evolve_state": lambda: evolve_state(sectors, state.amplitudes, 1.0),
     }[name]
     with pytest.raises(TypeError, match=f"{name} needs the full EigenSystem of diagonalize"):
         call()
@@ -994,48 +988,6 @@ def test_fock_state_covers_all_indices():
     assert indices == set(range(basis.dim))
 
 
-# ---------------------------------------------------------------- eon
-
-def test_eon_of_eigenvector_is_delta():
-    basis, eig = make_eig(3, seed=12)
-    from ladderxx.otoc import InitialState
-
-    v = InitialState(amplitudes=eig.eigenvectors[:, 5].astype(complex), kind="haar")
-    eon = eon_distribution(eig, v)
-    assert abs(eon.weights[5] - 1.0) < 1e-10
-    assert effective_dimension(eon) == pytest.approx(1.0, abs=1e-9)
-
-
-def test_eon_uniform_superposition():
-    basis, eig = make_eig(3, seed=13)
-    from ladderxx.otoc import InitialState
-
-    n = basis.dim
-    psi = eig.eigenvectors @ (np.ones(n) / np.sqrt(n))
-    eon = eon_distribution(eig, InitialState(amplitudes=psi.astype(complex), kind="haar"))
-    assert np.max(np.abs(eon.weights - 1.0 / n)) < 1e-10
-    assert effective_dimension(eon) == pytest.approx(n, rel=1e-9)
-
-
-def test_eon_fock_state_is_broad():
-    # A random Fock state overlaps most of the spectrum in the ergodic regime.
-    basis, eig = make_eig(6, h=1.0, seed=2)
-    eon = eon_distribution(eig, fock_state(basis, 1))
-    assert abs(eon.weights.sum() - 1.0) < 1e-10
-    assert np.mean(eon.weights > 1e-6) > 0.5
-
-
-def test_effective_dimension_of_fock_states_near_third_of_n():
-    # Chaotic eigenvectors give d_e about N/3 for basis states.
-    basis, eig = make_eig(5, h=1.0, seed=4, independent_legs=True)
-    d_es = [
-        effective_dimension(eon_distribution(eig, fock_state(basis, seed)))
-        for seed in range(10)
-    ]
-    ratio = np.mean(d_es) / basis.dim
-    assert 0.2 < ratio < 0.45
-
-
 BAD_GRIDS = {
     "empty": ([], "at least one time"),
     "nan": ([0.0, float("nan")], "finite"),
@@ -1069,7 +1021,6 @@ def test_otoc_routes_check_memory_first(monkeypatch):
         ("multi_distance_otoc_values", lambda: multi_distance_otoc_values(eig, d_i[None, :], d_1, times)),
         ("multi_distance_otoc_values", lambda: multi_distance_otoc_values(sectors, d_i[None, :], d_1, times)),
         ("sampled_otoc", lambda: sampled_otoc(eig, d_i, d_1, [fock_state(basis, 0)], times)),
-        ("complete_fock_basis", lambda: complete_fock_basis(basis)),
     ]:
         with pytest.raises(MemoryError, match=f"{caller} at N=20 needs about .* 1000 bytes"):
             call()
@@ -1082,12 +1033,8 @@ NAN = float("nan")
     "make",
     [
         lambda eig: InitialState(np.full(eig.dim, NAN), kind="haar"),
-        lambda eig: evolve_state(eig, np.full(eig.dim, NAN), 1.0),
-        lambda eig: evolve_state(eig, eig.eigenvectors[:, 0], NAN),
-        lambda eig: evolve_state(eig, eig.eigenvectors[:, 0], np.inf),
         lambda eig: OtocSeries(times=[0.0, 1.0], values=[NAN, 0.5]),
         lambda eig: WavefrontGrid(distances=[1], times=[0.0, 1.0], values=[[NAN, 0.5]]),
-        lambda eig: EonDistribution(weights=np.full(eig.dim, NAN), energies=eig.eigenvalues),
         lambda eig: FitResult(
             form="exp", params={"a": 1.0}, r_squared=NAN, window=(1.0, 2.0), residuals=[0.0]
         ),
@@ -1095,12 +1042,8 @@ NAN = float("nan")
     ],
     ids=[
         "initial-state",
-        "evolve-state",
-        "evolve-time-nan",
-        "evolve-time-inf",
         "otoc-series",
         "wavefront-grid",
-        "eon-weights",
         "fit-r-squared",
         "error-signal",
     ],

@@ -282,6 +282,33 @@ def test_every_exported_name_resolves(name):
     assert missing == []
 
 
+def names_read(tree, outside=None):
+    """The names that `tree` reads, bare or as an attribute, outside its top-level def `outside`."""
+    return {
+        node.id if isinstance(node, ast.Name) else node.attr
+        for top in tree.body
+        if not (isinstance(top, ast.FunctionDef) and top.name == outside)
+        for node in ast.walk(top)
+        if isinstance(node, (ast.Name, ast.Attribute))
+    }
+
+
+def test_every_exported_function_has_a_caller():
+    # ROADMAP aim 2: a public function stays while src/ or a benchmark
+    # workload uses it; a helper that only tests use belongs in tests/.
+    trees = {name: ast.parse((ROOT / "src" / "ladderxx" / f"{name}.py").read_text()) for name in MODULES}
+    workloads = names_read(ast.parse((ROOT / "perfbench" / "bench_workloads.py").read_text()))
+    uncalled = [
+        f"{name}.{export}"
+        for name, tree in trees.items()
+        for export in importlib.import_module(f"ladderxx.{name}").__all__
+        if any(isinstance(node, ast.FunctionDef) and node.name == export for node in tree.body)
+        and export not in workloads
+        and not any(export in names_read(t, export if t is tree else None) for t in trees.values())
+    ]
+    assert uncalled == []
+
+
 def test_ci_tier1_job_has_a_timeout():
     workflow = (ROOT / ".github" / "workflows" / "tier1.yml").read_text()
     job = workflow.split("\n  tier1:\n", 1)[1]

@@ -21,7 +21,6 @@ from ladderxx.wavefront import (
     build_spacetime_grid,
     extract_contour,
     fit_dynamical_exponent,
-    wavefront_rates,
 )
 
 
@@ -192,44 +191,6 @@ def test_too_few_points_rejected():
     )
     with pytest.raises(ValueError):
         fit_dynamical_exponent(contour)
-
-
-# ---------------------------------------------------------------- rates
-
-def test_rates_constant_for_ballistic_front():
-    contour = Contour(
-        eta=0.5,
-        distances=np.array([1, 2, 3, 4]),
-        t_cross=np.array([0.5, 1.0, 1.5, 2.0]),
-    )
-    fit_dynamical_exponent(contour, min_dx=1)
-    rates = wavefront_rates(contour)
-    fitted_values = [r for _, r in rates.fitted]
-    assert np.allclose(fitted_values, fitted_values[0], rtol=1e-9)
-    raw_values = [r for _, r in rates.raw]
-    assert np.allclose(raw_values, 2.0, rtol=1e-9)
-
-
-def test_rates_decrease_for_sublinear_front():
-    contour = Contour(
-        eta=0.5,
-        distances=np.array([1, 2, 3, 4, 5]),
-        t_cross=np.array([1.0, 4.0, 9.0, 16.0, 25.0]),
-    )
-    fit_dynamical_exponent(contour, min_dx=1)
-    rates = wavefront_rates(contour)
-    ts = np.array([t for t, _ in rates.fitted])
-    vs = np.array([v for _, v in rates.fitted])
-    assert np.allclose(vs, 0.5 * ts**-0.5, rtol=1e-9)
-    assert np.all(np.diff(vs) < 0)
-
-
-def test_rates_require_fit():
-    contour = Contour(
-        eta=0.5, distances=np.array([1, 2, 3]), t_cross=np.array([1.0, 2.0, 3.0])
-    )
-    with pytest.raises(ValueError):
-        wavefront_rates(contour)
 
 
 # ---------------------------------------------------------------- real grids
