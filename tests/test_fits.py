@@ -43,6 +43,35 @@ def series_from(t, y):
 
 # ---------------------------------------------------------------- log-space laws
 
+def test_exponential_exact_recovery():
+    t = np.linspace(0.1, 4.0, 40)
+    fit = fit_error_scaling((t, 2.0 * np.exp(-1.3 * t)), "scaling_exp")
+    assert fit.params["a"] == pytest.approx(2.0, rel=1e-10)
+    assert fit.params["b"] == pytest.approx(-1.3, rel=1e-10)
+    assert fit.r_squared > 0.9999
+
+
+def test_exponential_rejects_nonpositive():
+    t = np.linspace(0.0, 1.0, 10)
+    y = np.linspace(1.0, -0.1, 10)
+    with pytest.raises(ValueError, match="positive y"):
+        fit_error_scaling((t, y), "scaling_exp")
+
+
+def test_exponential_rejects_short_window():
+    t = np.array([1.0, 2.0])
+    with pytest.raises(ValueError, match="need at least 3 points, have 2"):
+        fit_error_scaling((t, np.exp(-t)), "scaling_exp")
+
+
+def test_power_law_exact_recovery():
+    t = np.geomspace(0.5, 50.0, 30)
+    fit = fit_error_scaling((t, 5.0 * t**-2.5), "scaling_power")
+    assert fit.params["a"] == pytest.approx(5.0, rel=1e-12)
+    assert fit.params["b"] == pytest.approx(-2.5, rel=1e-12)
+    assert fit.r_squared == pytest.approx(1.0, abs=1e-12)
+
+
 @settings(max_examples=30, deadline=None)
 @given(
     a=st.floats(min_value=0.1, max_value=10.0),
