@@ -51,7 +51,7 @@ class FitResult:
 
 
 class FitConvergenceError(RuntimeError):
-    """No start point converged; carries the best residual seen."""
+    """No start point converged; the message says how many were tried."""
 
 
 @dataclass
@@ -202,7 +202,7 @@ def fit_mbl_form(series) -> FitResult:
         if res.status > 0 and (best is None or res.cost < best.cost):
             best = res
     if best is None:
-        raise FitConvergenceError("stretched-form fit failed from every start point")
+        raise FitConvergenceError(f"stretched-form fit failed from all {len(starts)} start points")
 
     a, log_b, u = best.x
     return FitResult(

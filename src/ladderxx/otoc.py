@@ -27,8 +27,10 @@ takes a full `EigenSystem`, or with shared fields a `ChargeEigenSystem`,
 from which it forms the columns of U(t) sector by sector, maps them to the
 states by Hadamard transforms, and takes the column side of each step's two
 N x N/2 products, Y and K, from the same blocks (`_SectorRoute` states the
-identities). Either route holds two N x N work arrays; only the dense one
-forms S_R J, inside one of them (`_DenseRoute`).
+identities). A step keeps only the mirror half of the rows of U(t) and takes
+Y and K in pieces that are contracted while they are in cache, so either
+route holds about two N x N arrays in all, and fewer at L >= 6
+(`MULTI_DISTANCE_COPIES`).
 
 All three routines refuse a time grid that is empty, not 1-D or not finite,
 and check their operators before any O(N^3) work. Their memory checks count
@@ -73,12 +75,11 @@ __all__ = [
 # plus its two work blocks of 2 N^2 floats (6.04 at L = 6); at L = 5 numpy's
 # fixed-size cast buffers add half a copy more (6.54).
 EXACT_COPIES = 6.6
-# multi_distance_otoc_values holds two N x N arrays, the route's input block
-# and S, whose halves read flat end each step as Y and K (the input block's
-# in the dense route). Beside them it holds V[up, :]^T from an EigenSystem
-# (2.69 at L = 5), or the weighted rows W_q and the block products P_q from
-# a ChargeEigenSystem (2.98): the larger, for both.
-MULTI_DISTANCE_COPIES = 3.0
+# multi_distance_otoc_values holds S_R, N/2 x N. The sector route adds its
+# N x N/2 Hadamard input, W_q, P_q and a scratch array as large as a block's
+# m_q x N/2 product (2.28 at L = 5, 2.04 at L = 6, 1.86 at L = 7); the dense
+# route V[up, :]^T and three buffers of N/4 rows (2.00 at L = 5).
+MULTI_DISTANCE_COPIES = 2.3
 # sampled_otoc: 3.1 while it rotates the two operators, then 2 for them plus
 # 12 M K / N for the state coefficients and two chunk buffers of 4 M K real
 # columns each, with M states and K steps per chunk.
@@ -95,6 +96,10 @@ DEFECT_TOL = 1e-9
 SAMPLE_TOL = 1e-9
 # Rotated diagonals kept per eigensystem: the two operators of one OTOC.
 _ROTATED_KEPT = 2
+# The sector W-route maps and contracts K and Y in pieces of about this many
+# rows, and at least one Hadamard pattern: up to L = 7 a piece of N/2 floats
+# a row fits in a 2 MiB L2 cache.
+_PIECE_ROWS = 64
 # multi_distance_otoc_values raises when a diagonal pair W_aa, W_f(a)f(a) of
 # W(t) misses the chiral mirror W_f(a)f(a) = -W_aa by more than this.
 MIRROR_TOL = 1e-9
@@ -335,31 +340,35 @@ def multi_distance_otoc_values(
     every probe operator at O(N^2) extra cost each. Since sz_1 = 2 P - 1
     with P the projector on its +1 states, W = 2 G G^dagger - 1, where
     G = U(t) B holds U(t) on any real orthonormal basis B of those states
-    (N x N/2 in the Sz = 0 sector). Let S hold Re G and Im G, column j of
-    each side by side (columns 2j and 2j + 1), and X = Im G Re G^T; then
-    Re W = 2 S S^T - 1 and Im W = 2 (X - X^T). Neither changes when B is
-    rotated, so each eigensystem forms S its own way:
+    (N x N/2 in the Sz = 0 sector). Let S hold the columns of Re G and of
+    Im G, and X = Im G Re G^T; then Re W = 2 S S^T - 1 and
+    Im W = 2 (X - X^T). Neither changes when B is rotated, so each
+    eigensystem forms S its own way, and orders its columns its own way:
 
     * an `EigenSystem` takes B = the unit vectors of the +1 states, and
-      G = V (exp(-i E t) * V[up, :]^T), one N x N x N GEMM;
+      G = V (exp(-i E t) * V[up, :]^T), N x N x N of GEMM (`_DenseRoute`);
     * a `ChargeEigenSystem` forms G in the rung labels and maps it to the
       states with the Hadamard transforms (`_SectorRoute`).
 
     The rows of S come in the route's order, whose first half R holds one
     state of every mirror pair, and each step forms only the rows R of W.
     By the chiral mirror (module notes) and d_f(a) = -d_a for every probe,
-    F_i = (2/N) sum_{a in R} sum_b d_a d_b |W_ab|^2. With S_R the rows R of
-    S and S_R J its columns 2j and 2j + 1 turned into Im G_R and -Re G_R,
-    the route returns the two N x N/2 products Y = S (S_R J)^T and
-    K = S S_R^T, whose column a holds row a of X - X^T and of S S^T
-    (`_DenseRoute` and `_SectorRoute` state how each forms them). Then
-    |W_ab|^2 = 4 (K_ab^2 + Y_ab^2) off the diagonal and (2 K_aa - 1)^2 on it,
-    where Im W vanishes. Every step checks the data: it raises RuntimeError
-    on non-finite data, then when the health figure below exceeds
-    `DEFECT_TOL` (non-orthonormal eigenvectors), then unless
-    W_f(a)f(a) = -W_aa, i.e. ||S_a||^2 + ||S_f(a)||^2 = 1, to `MIRROR_TOL`.
-    Rounding in the computed eigensystem breaks the mirror slightly, so the
-    half-row values differ from a full-row sum by up to about eps ||H|| t.
+    F_i = (2/N) sum_{a in R} sum_b d_a d_b |W_ab|^2. A step keeps S_R, the
+    rows R of S, and the squared norms of the other rows. With S J^T the
+    columns of -Im G in place of those of Re G and of Re G in place of
+    those of Im G, the two N x N/2 products K = S S_R^T and
+    Y = (S J^T) S_R^T hold in column a row a of S S^T and of X - X^T. The
+    route hands them over in pieces of rows, first K's, then Y's, or row
+    chunks of both; each piece is squared and contracted with the probes
+    while it is in cache, so neither exists whole. Then
+    |W_ab|^2 = 4 (K_ab^2 + Y_ab^2) off the diagonal and (2 K_aa - 1)^2 on
+    it, where Im W vanishes, with K_aa = ||S_a||^2. Every step checks the
+    data: it raises RuntimeError on non-finite data, then when the health
+    figure below exceeds `DEFECT_TOL` (non-orthonormal eigenvectors), then
+    unless W_f(a)f(a) = -W_aa, i.e. ||S_a||^2 + ||S_f(a)||^2 = 1, to
+    `MIRROR_TOL`. Rounding in the computed eigensystem breaks the mirror
+    slightly, so the half-row values differ from a full-row sum by up to
+    about eps ||H|| t.
 
     Parameters
     ----------
@@ -386,31 +395,36 @@ def multi_distance_otoc_values(
     position[rows] = np.arange(n)
     mirror = position[n - 1 - rows[:half]] - half
     D_R = np.ascontiguousarray(D[:, rows[:half]])
-    # A last row of ones makes the probe GEMM sum |W_ab|^2 too, for the defect.
+    # A last row of ones makes the probe GEMMs sum |W_ab|^2 too, for the defect.
     D = np.vstack([D[:, rows], np.ones(n)])
-    # work holds the route's inputs to S and to Y and K; the sector route
-    # also runs each block's products through S before writing S itself.
-    work = np.empty((n, n))
-    S = np.empty((n, n))
+    # Per piece: the probe columns of its rows, and the flat positions where
+    # its rows in R meet their own column, with those rows.
+    probes, diagonal = [], []
+    for at in route.piece_rows:
+        probes.append(np.ascontiguousarray(D[:, at]))
+        mine = np.flatnonzero(at < half)
+        diagonal.append((mine * half + at[mine], at[mine]))
+    weighted = np.empty((D.shape[0], half))
+    term = np.empty_like(weighted)
 
     values = np.empty((D.shape[0] - 1, times.shape[0]), dtype=float)
     defects = np.empty(times.shape)
     for k, t in enumerate(times):
-        route.form(t, work, S)
-        flipped = np.einsum("ij,ij->i", S[half:], S[half:])[mirror]
-        # Column a of Y and of K belongs to row a of R.
-        Y, K = route.product(work, S)
+        S_R = route.form(t)
+        k_diag = np.einsum("ij,ij->i", S_R, S_R)
+        # |W_ab|^2 / 4 = K_ab^2 + Y_ab^2, and (K_aa - 1/2)^2 where Im W_aa = 0.
+        on_diagonal = ((k_diag - 0.5) ** 2, np.zeros(half))
+        weighted.fill(0.0)
+        for j, y_side, piece in route.pieces():
+            np.square(piece, out=piece)
+            flat, a = diagonal[j]
+            piece.reshape(-1)[flat] = on_diagonal[y_side][a]
+            np.matmul(probes[j], piece, out=term)
+            weighted += term
         # Re W_aa = 2 ||S_a||^2 - 1 must be odd under the flip.
-        k_diag = K[:half].diagonal().copy()
-        mismatch = np.max(np.abs(k_diag + flipped - 1.0))
+        mismatch = np.max(np.abs(k_diag + route.norms[mirror] - 1.0))
         if not np.isfinite(mismatch):
             raise RuntimeError(f"W(t={t}) is not finite: the eigensystem holds NaN or inf")
-        # |W_ab|^2 / 4 = K_ab^2 + Y_ab^2, and (K_aa - 1/2)^2 where Im W_aa = 0.
-        np.square(Y, out=Y)
-        np.square(K, out=K)
-        np.fill_diagonal(Y[:half], 0.0)
-        np.fill_diagonal(K[:half], (k_diag - 0.5) ** 2)
-        weighted = D @ Y + D @ K
         defects[k] = abs(8.0 * weighted[-1].sum() / n - 1.0)
         # Every row of a unitary W has norm 1, mirror or not.
         if not defects[k] <= DEFECT_TOL:
@@ -427,46 +441,86 @@ def multi_distance_otoc_values(
     return values, float(np.max(defects))
 
 
-def _evolve(
-    E: np.ndarray, t: float, V: np.ndarray, W: np.ndarray, free: np.ndarray, out: np.ndarray
-) -> None:
-    """out = V [cos(E t) W, -sin(E t) W], Re and Im of each column of
-    exp(-i E t) W side by side, with the phased columns in `free`'s storage."""
+def _phased(E: np.ndarray, t: float, W: np.ndarray, free: np.ndarray) -> np.ndarray:
+    """[cos(E t) W, -sin(E t) W], Re and Im of each column of exp(-i E t) W
+    side by side, in `free`'s storage."""
     m, c = W.shape
     phased = free.reshape(-1)[: 2 * m * c].reshape(m, c, 2)
     np.multiply(np.cos(E * t)[:, None], W, out=phased[:, :, 0])
     np.multiply(-np.sin(E * t)[:, None], W, out=phased[:, :, 1])
-    np.matmul(V, phased.reshape(m, 2 * c), out=out)
+    return phased.reshape(m, 2 * c)
 
 
 class _DenseRoute:
-    """S from a full eigensystem, rows in basis order:
-    G = V (exp(-i E t) * V[up, :]^T), the phased columns formed in `work`.
+    """S from a full eigensystem, rows in basis order, in row chunks of about
+    N/4: G = (V exp(-i E t)) V[up, :]^T, so a chunk's rows of Re G and of Im G
+    are V cos(E t) V[up, :]^T and -V sin(E t) V[up, :]^T, two real GEMMs.
+    S keeps Re G and Im G in its two column halves, and S J^T is
+    [-Im G, Re G].
 
-    `product` owns S_R J: it writes it into the first N/2 rows of `work`,
-    which `form` no longer needs, Y = S (S_R J)^T into the second half,
-    viewed as N x N/2, and then K = S S_R^T over S_R J: two GEMMs of
-    N x N x N/2, and no array beside `work` and S.
+    `form` writes S_R. `pieces` takes every row chunk of S, those of R from
+    S_R and the others formed anew, whose squared norms it keeps, and gives
+    the chunk's rows of K = S S_R^T and Y = (S J^T) S_R^T: GEMM work N^3
+    for S and N^3 for K and Y, and beside S_R and V[up, :]^T only
+    chunk-sized arrays.
     """
 
     def __init__(self, eig: EigenSystem, d1: np.ndarray):
         self.V, self.E = eig.eigenvectors, eig.eigenvalues
         self.V_up = np.ascontiguousarray(self.V[d1 > 0, :].T)
-        self.rows = np.arange(eig.dim)
+        n = eig.dim
+        half = n // 2
+        # Two chunks per half: GEMMs of N/4 rows, and N/4-row buffers.
+        rows = (half + 1) // 2
+        self.rows = np.arange(n)
+        self.piece_rows = [
+            np.arange(a, min(a + rows, stop))
+            for start, stop in ((0, half), (half, n))
+            for a in range(start, stop, rows)
+        ]
+        self.S_R = np.empty((half, n))
+        self.norms = np.empty(half)
+        # Per chunk: the phased rows of V, then the chunk's S J^T.
+        self.work = np.empty(rows * n)
+        self.chunk = np.empty((rows, n))
+        self.piece = np.empty((rows, half))
 
-    def form(self, t: float, work: np.ndarray, S: np.ndarray) -> None:
-        _evolve(self.E, t, self.V, self.V_up, work, S)
+    def _form_rows(self, a: int, b: int, out: np.ndarray) -> np.ndarray:
+        """Rows a..b of S into `out`, at the last `form`'s t."""
+        half = self.S_R.shape[0]
+        # The phased rows as columns, read from V^T, which `diagonalize` makes C-ordered.
+        phased = self.work[: self.V.shape[0] * (b - a)].reshape(-1, b - a)
+        for phase, part in ((self.cos, out[:, :half]), (self.minus_sin, out[:, half:])):
+            np.multiply(phase[:, None], self.V.T[:, a:b], out=phased)
+            np.matmul(phased.T, self.V_up, out=part)
+        return out
 
-    def product(self, work: np.ndarray, S: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Y and K (class notes), the two halves of `work` read flat."""
-        n, half = work.shape[0], work.shape[0] // 2
-        K, Y = work.reshape(2, n, half)
-        # S_R J = -i S_R, with the column pairs read as complex numbers.
-        S_R_J = K.reshape(half, n)
-        np.multiply(S[:half].view(complex), -1j, out=S_R_J.view(complex))
-        np.matmul(S, S_R_J.T, out=Y)
-        np.matmul(S, S[:half].T, out=K)
-        return Y, K
+    def form(self, t: float) -> np.ndarray:
+        self.cos, self.minus_sin = np.cos(self.E * t), -np.sin(self.E * t)
+        half = self.S_R.shape[0]
+        for at in self.piece_rows:
+            if at[0] < half:
+                self._form_rows(at[0], at[-1] + 1, self.S_R[at[0] : at[-1] + 1])
+        return self.S_R
+
+    def pieces(self):
+        """(j, y_side, piece): the chunk piece_rows[j] of K, then of Y."""
+        half = self.S_R.shape[0]
+        for j, at in enumerate(self.piece_rows):
+            a, b = at[0], at[-1] + 1
+            if a < half:
+                S = self.S_R[a:b]
+            else:
+                S = self._form_rows(a, b, self.chunk[: b - a])
+                self.norms[a - half : b - half] = np.einsum("ij,ij->i", S, S)
+            piece = self.piece[: b - a]
+            np.matmul(S, self.S_R.T, out=piece)
+            yield j, False, piece
+            turned = self.work[: S.size].reshape(S.shape)
+            np.negative(S[:, half:], out=turned[:, :half])
+            np.copyto(turned[:, half:], S[:, :half])
+            np.matmul(turned, self.S_R.T, out=piece)
+            yield j, True, piece
 
 
 class _SectorRoute:
@@ -493,31 +547,31 @@ class _SectorRoute:
       weighted rows of V_q^T.
     * U_Q is the normalized Sylvester-Hadamard matrix H_z on each pattern.
       In `ChargeLabels.order` each z is a (2^z, patterns) array of label
-      rows, so two GEMMs with the top and bottom halves of H_z write states
-      b < 2^(z-1) into the first half of S and the others into the second.
-      The spin flip complements b, so each mirror pair has one state in
-      each half. A z = 0 pattern holds one state, and the flip maps it to
-      another z = 0 pattern; `ChargeLabels.order` puts one of each such
-      pair in the first half of the z = 0 rows, and the z = 0 group's
-      matrix is the 2 x 2 identity, which sends the two halves of those
-      rows to the two halves of S.
+      rows, so a GEMM with H_z maps the rows of a few patterns at once; its
+      top half gives states b < 2^(z-1), which go to the first half of S,
+      and its bottom half the others. The spin flip complements b, so each
+      mirror pair has one state in each half. A z = 0 pattern holds one
+      state, and the flip maps it to another z = 0 pattern;
+      `ChargeLabels.order` puts one of each such pair in the first half of
+      the z = 0 rows, and the z = 0 group's matrix is the 2 x 2 identity,
+      which sends the two halves of those rows to the two halves of S.
 
-    The Hadamard input, which `work` holds, has every label's row in
-    `ChargeLabels.order`, as V_q has sector q's, and zeros outside the
-    blocks; each block writes its rows with one indexed assignment.
+    The Hadamard input, N x N/2, has every label's row in
+    `ChargeLabels.order`, as V_q has sector q's. `form` fills it with one
+    column half of S_Q at a time, the blocks' slices of it and zeros
+    elsewhere, each block by one indexed assignment, and keeps of the
+    mapped rows S_R and the squared norms of the others.
 
-    The column side of Y and K follows from S = U_Q S_Q: for any A with N
+    The column side of K and Y follows from S = U_Q S_Q: for any A with N
     columns, S A^T = U_Q (S_Q A^T), and the rows of S_Q A^T in sector q are
-    P_q A[:, span]^T. For A = S_R these are K's rows. J turns each (Re, Im)
-    column pair into (Im, -Re), so P_q J^T = i P_q with the pairs read as
-    complex numbers, and Y's rows are (i P_q) S_R[:, span]^T: S_R J is never
-    formed. `product` runs these two m_q x 2 c_q x N/2 GEMMs per block, one
-    after the other, into S's second half (an m_q x N/2 product fits its
-    N/2 x N for every m_q <= N), copies each to K's or Y's Hadamard input,
-    the halves of `work` read flat, and maps each input into the same half
-    of S: GEMM work sum_q m_q 2 c_q N in place of N^3. The P_q are kept
-    from `form`, which rebuilds them after `product` has multiplied them
-    by i.
+    P_q A[:, span]^T. For A = S_R these are K's rows, and with
+    P_q J^T = i P_q, (i P_q) S_R[:, span]^T are Y's. `pieces` runs every
+    block's m_q x 2 c_q x N/2 GEMM for K into the Hadamard input, maps it
+    piece by piece, and then does the same for Y: GEMM work
+    sum_q m_q 2 c_q N in place of N^3. The P_q are kept from `form`, which
+    rebuilds them after `pieces` has multiplied them by i. One scratch
+    array serves the phased columns, a block's product and a piece, each
+    dead before the next is written, and is as large as the largest.
     """
 
     def __init__(self, eig: ChargeEigenSystem, d1: np.ndarray):
@@ -530,6 +584,8 @@ class _SectorRoute:
             raise ValueError("op_1 must be sz of one spin for a ChargeEigenSystem")
         leg, site = match[0]
         charge = labels.charge
+        n = eig.dim
+        half = n // 2
         # B_Q's columns: doubly occupied labels alone, pairs by their leading label.
         bit = 1 << (site - 1)
         bit_rank = _POPCOUNT[labels.single & (bit - 1)]
@@ -546,13 +602,14 @@ class _SectorRoute:
         entry_weight = np.concatenate([np.ones(alone.size), pair, (-1) ** (leg - 1) * pair])
         order = labels.order
         self.blocks = []
+        scratch = 0
         for q, (E, V) in eig.sectors.items():
             sector_rows = np.flatnonzero(charge[order] == q)
             mine = np.flatnonzero(charge[entry_slot] == q)
             mine = mine[np.argsort(entry_column[mine])]
             cols = entry_column[mine]
             # Every sector meets the +1 states of every spin for L <= 8, so
-            # `product` writes every row of its Hadamard inputs.
+            # `pieces` writes every row of its Hadamard inputs.
             if cols.size == 0 or not np.array_equal(cols, np.arange(cols[0], cols[0] + cols.size)):
                 raise RuntimeError(f"sector {q} meets no contiguous range of +1 states")
             local = labels.rank[entry_slot[mine]]
@@ -560,9 +617,12 @@ class _SectorRoute:
             span = slice(2 * cols[0], 2 * (cols[0] + cols.size))
             P = np.empty((V.shape[0], 2 * cols.size))
             self.blocks.append((E, V, W, span, sector_rows, P))
-        # One Hadamard group per z: its rows [first, first + 2 count) of the
-        # input map to rows [top, top + count) and N/2 below them of S.
-        self.groups = []
+            scratch = max(scratch, P.size, V.shape[0] * half)
+        # Hadamard pieces: a few patterns of one z, whose rows
+        # [first, first + 2 count) of the input are a (2^z, patterns) array.
+        # Row (b, p) of a piece is row top + b patterns + p of S, or N/2 below
+        # for the bottom half of b.
+        self.layout, self.piece_rows = [], []
         top = 0
         first_half, second_half = [], []
         z_order = labels.z[order]
@@ -572,49 +632,64 @@ class _SectorRoute:
             m = np.arange(1 << z)
             hadamard = (1 - 2 * (_POPCOUNT[np.bitwise_and.outer(m, m)] & 1)) * 2.0 ** (-z / 2)
             # z = 0: one state per pattern, and the identity keeps both halves.
-            self.groups.append((np.eye(2) if z == 0 else hadamard, first, count, top))
+            hadamard = np.eye(2) if z == 0 else hadamard
+            h = hadamard.shape[0] // 2
+            patterns = count // h
+            step = max(1, _PIECE_ROWS // (2 * h))
+            for p0 in range(0, patterns, step):
+                p1 = min(p0 + step, patterns)
+                b = top + np.arange(h)[:, None] * patterns + np.arange(p0, p1)
+                self.layout.append((hadamard, first, count, p0, p1))
+                self.piece_rows.append(np.concatenate([b, half + b]).reshape(-1))
+                scratch = max(scratch, 2 * h * (p1 - p0) * half)
             first_half.append(order[first : first + count])
             second_half.append(order[first + count : first + 2 * count])
             top += count
         self.rows = labels.state[np.concatenate(first_half + second_half)]
+        self.inputs = np.empty((n, half))
+        self.scratch = np.empty(scratch)
+        self.S_R = np.empty((half, n))
+        self.norms = np.empty(half)
 
-    def hadamard(self, work: np.ndarray, out: np.ndarray) -> None:
-        """out = U_Q applied to the label rows in `work`, its rows in `self.rows` order."""
-        half = out.shape[0] // 2
-        for hadamard, first, count, top in self.groups:
-            h = hadamard.shape[0] // 2
-            flat = work[first : first + 2 * count].reshape(2 * h, -1)
-            for rows, at in ((hadamard[:h], top), (hadamard[h:], half + top)):
-                np.matmul(rows, flat, out=out[at : at + count].reshape(h, -1))
+    def hadamard(self, inputs: np.ndarray):
+        """U_Q applied to the label rows in `inputs`, as (j, piece): row i of
+        the piece is row piece_rows[j][i] of the result, in `rows` order."""
+        width = inputs.shape[1]
+        for j, (hadamard, first, count, p0, p1) in enumerate(self.layout):
+            flat = inputs[first : first + 2 * count].reshape(hadamard.shape[0], -1)
+            piece = self.scratch[: hadamard.shape[0] * (p1 - p0) * width]
+            np.matmul(hadamard, flat[:, p0 * width : p1 * width], out=piece.reshape(hadamard.shape[0], -1))
+            yield j, piece.reshape(-1, width)
 
-    def form(self, t: float, work: np.ndarray, S: np.ndarray) -> None:
-        work.fill(0.0)
-        # S is free until the Hadamard map writes it: it holds each block's
-        # phased columns.
+    def form(self, t: float) -> np.ndarray:
+        half = self.S_R.shape[0]
         for E, V, W, span, sector_rows, P in self.blocks:
-            _evolve(E, t, V, W, S, P)
-            work[sector_rows, span] = P
-        self.hadamard(work, S)
+            np.matmul(V, _phased(E, t, W, self.scratch), out=P)
+        self.norms.fill(0.0)
+        for c0 in (0, half):
+            self.inputs.fill(0.0)
+            for *_, span, sector_rows, P in self.blocks:
+                lo, hi = max(span.start, c0), min(span.stop, c0 + half)
+                if lo < hi:
+                    self.inputs[sector_rows, lo - c0 : hi - c0] = P[:, lo - span.start : hi - span.start]
+            for j, piece in self.hadamard(self.inputs):
+                at, low = self.piece_rows[j], piece.shape[0] // 2
+                self.S_R[at[:low], c0 : c0 + half] = piece[:low]
+                self.norms[at[low:] - half] += np.einsum("ij,ij->i", piece[low:], piece[low:])
+        return self.S_R
 
-    def product(self, work: np.ndarray, S: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Y and K (class notes), the two halves of S read flat."""
-        n, half = work.shape[0], work.shape[0] // 2
-        S_R, free = S[:half], S[half:].reshape(-1)
-        # K's and Y's Hadamard inputs and outputs: the halves of work and of S.
-        inputs, outputs = work.reshape(2, n, half), S.reshape(2, n, half)
-        for E, V, W, span, sector_rows, P in self.blocks:
-            block = free[: V.shape[0] * half].reshape(V.shape[0], half)
-            right = S_R[:, span].T
-            # A plane, then its rows: inputs[0, rows] would broadcast two index arrays.
-            np.matmul(P, right, out=block)
-            inputs[0][sector_rows] = block
-            # P_q J^T = i P_q (class notes).
-            P.view(complex)[...] *= 1j
-            np.matmul(P, right, out=block)
-            inputs[1][sector_rows] = block
-        for into, out in zip(inputs, outputs):
-            self.hadamard(into, out)
-        return outputs[1], outputs[0]
+    def pieces(self):
+        """(j, y_side, piece): the rows piece_rows[j] of K, all pieces, then of Y."""
+        half = self.S_R.shape[0]
+        for y_side in (False, True):
+            for *_, span, sector_rows, P in self.blocks:
+                if y_side:
+                    P.view(complex)[...] *= 1j
+                block = self.scratch[: P.shape[0] * half].reshape(-1, half)
+                np.matmul(P, self.S_R[:, span].T, out=block)
+                self.inputs[sector_rows] = block
+            for j, piece in self.hadamard(self.inputs):
+                yield j, y_side, piece
 
 
 def sampled_otoc(

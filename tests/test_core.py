@@ -888,14 +888,18 @@ def test_memory_check_admits_l7_and_the_l8_w_route_and_stops_l8_exact_otoc(monke
         otoc.SAMPLED_COPIES + otoc.SAMPLED_COPIES_PER_STATE * 64 * 4 / n7 + 1.0,
     ):
         check_memory("step", n7, copies)
-    # At L = 8 one N x N array is 1.3 GB: the half-row W-route holds about
-    # 3.5 beside the caller's eigensystem, exact_otoc's trace route 6.6 and
-    # V, over the 6.48 of 8 GiB.
+    # At L = 8 one N x N array is 1.3 GB (1.23 GiB). The W-route holds
+    # MULTI_DISTANCE_COPIES beside the caller's eigensystem, V or the sector
+    # blocks (0.27 copies); exact_otoc's trace route holds 6.6 and V, over
+    # the 6.48 of 8 GiB.
     sector_blocks = sum(comb(8, k) ** 4 for k in range(9)) / n8**2
     check_memory("multi_distance_otoc_values", n8, otoc.MULTI_DISTANCE_COPIES + 1.0)
     check_memory("multi_distance_otoc_values", n8, otoc.MULTI_DISTANCE_COPIES + sector_blocks)
     with pytest.raises(MemoryError, match="exact_otoc at N=12870"):
         check_memory("exact_otoc", n8, otoc.EXACT_COPIES + 1.0)
+    # The sector W-route at L = 8 fits in 4 GiB.
+    monkeypatch.setattr(core, "_physical_memory", lambda: 4 * 2**30)
+    check_memory("multi_distance_otoc_values", n8, otoc.MULTI_DISTANCE_COPIES + sector_blocks)
 
 
 @pytest.mark.parametrize(

@@ -1,6 +1,7 @@
 """Fit recovery on synthetic curves, scaling laws, and error signals."""
 
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -210,6 +211,19 @@ def test_mbl_fit_does_not_depend_on_the_warnings_filter():
             fits.append(fit_mbl_form((times, values[0])))
     assert fits[0].params == fits[1].params
     assert np.array_equal(fits[0].residuals, fits[1].residuals)
+
+
+def test_mbl_fit_raises_when_every_start_fails(monkeypatch):
+    import scipy.optimize
+
+    def fail(fun, x0, **kwargs):
+        x0 = np.asarray(x0, dtype=float)
+        return SimpleNamespace(x=x0, status=0, cost=0.0, fun=fun(x0))
+
+    monkeypatch.setattr(scipy.optimize, "least_squares", fail)
+    t = np.geomspace(0.1, 1000.0, 60)
+    with pytest.raises(FitConvergenceError, match="failed from all 8 start points"):
+        fit_mbl_form((t, mbl_curve(t, 0.7, 5.0, -0.8)))
 
 
 # ---------------------------------------------------------------- error signals

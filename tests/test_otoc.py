@@ -17,6 +17,7 @@ from ladderxx.core import (
     SectorBasis,
     bit_position,
     build_hamiltonian,
+    derive_seed,
     diagonalize,
     diagonalize_sectors,
     sample_disorder,
@@ -656,9 +657,18 @@ def test_hadamard_plan_rebuilds_the_charge_map(L):
     basis = SectorBasis(L)
     n = basis.dim
     route = otoc._SectorRoute(identity_sectors(basis), sigma_z_operator(basis, 1, 1))
-    S = np.empty((n, n))
-    # Row k of the Hadamard input is the label in slot order[k].
-    route.hadamard(np.eye(n), S)
+    S = np.full((n, n), np.nan)
+    # Row k of the Hadamard input is the label in slot order[k]; the route
+    # maps N/2 columns at a time, piece by piece.
+    half = n // 2
+    for start in (0, half):
+        written = np.zeros(n, dtype=int)
+        for j, piece in route.hadamard(np.ascontiguousarray(np.eye(n)[:, start : start + half])):
+            at = route.piece_rows[j]
+            written[at] += 1
+            S[at, start : start + half] = piece
+        # Every row of the result comes in exactly one piece.
+        assert np.all(written == 1)
     want = charge_map_by_slot(basis)[route.rows][:, basis.charge_labels.order]
     assert np.max(np.abs(S - want)) < 1e-15
 
@@ -706,20 +716,26 @@ def test_w_route_raises_on_a_nan_eigensystem(route):
         multi_distance_otoc_values(eig, probes, sigma_z_operator(basis, 1, 1), [0.5, 1.0])
 
 
-@pytest.mark.parametrize("route", ["dense", "sectors"])
-@pytest.mark.parametrize("L", [5, 6])
+@pytest.mark.parametrize(
+    "L, route", [(5, "dense"), (5, "sectors"), (6, "dense"), (6, "sectors"), (7, "sectors")]
+)
 def test_w_route_peak_memory_stays_below_its_estimate(L, route, monkeypatch):
-    basis, dense, sectors = make_sector_eig(L, seed=3)
-    eig = {"dense": dense, "sectors": sectors}[route]
+    # L = 7 is the wavefront grid's next size; its full solve alone takes
+    # several seconds, so only the sector route runs there, on three times.
+    params = LadderParams(L=L, alpha=1.0, h=1.0)
+    basis = SectorBasis(L)
+    H = build_hamiltonian(params, sample_disorder(params, 3), basis)
+    eig = diagonalize_sectors(H) if route == "sectors" else diagonalize(H)
     probes = np.stack([sigma_z_operator(basis, 1, site) for site in range(2, L + 1)])
     d_1 = sigma_z_operator(basis, 1, 1)
+    times = np.linspace(0.0, 5.0, 3 if L == 7 else 11)
     peak, estimate = peak_and_estimate(
-        monkeypatch, lambda: multi_distance_otoc_values(eig, probes, d_1, np.linspace(0.0, 5.0, 11))
+        monkeypatch, lambda: multi_distance_otoc_values(eig, probes, d_1, times)
     )
     copies = otoc.MULTI_DISTANCE_COPIES
     # The check also counts the eigensystem the caller holds, which is
     # allocated before tracing starts: one N x N copy, or the sector blocks.
-    held = {"dense": 1.0, "sectors": sum(V.size for _, V in sectors.sectors.values()) / basis.dim**2}[route]
+    held = 1.0 if route == "dense" else sum(V.size for _, V in eig.sectors.values()) / basis.dim**2
     assert estimate == pytest.approx((copies + held) * 8 * basis.dim**2)
     assert peak < copies * 8 * basis.dim**2
 
@@ -1052,3 +1068,30 @@ def test_tolerance_checks_refuse_nan(make):
     _, eig = make_eig(3)
     with pytest.raises(ValueError):
         make(eig)
+
+
+# ---------------------------------------------------------------- claims
+
+def test_late_otoc_rises_from_the_ergodic_to_the_mbl_phase():
+    # The abstract's phase claim: the OTOC decays to near 0 in the ergodic
+    # phase and stays finite in the MBL phase. F_inf, the mean of the last
+    # 15 points of the decay grid (t >= 100), over 8 realizations at L = 5
+    # read 0.022 +- 0.002, 0.149 +- 0.019 and 0.468 +- 0.060 at h = 0.5, 2
+    # and 8; each step of h must raise it by more than 2 standard errors.
+    basis = SectorBasis(5)
+    times = default_decay_times(60)
+    probe, op_1 = sigma_z_operator(basis, 1, 5), sigma_z_operator(basis, 1, 1)
+    means, errors = [], []
+    for h in (0.5, 2.0, 8.0):
+        params = LadderParams(L=5, alpha=1.0, h=h)
+        late = []
+        for r in range(8):
+            disorder = sample_disorder(params, derive_seed(7, "decayform", 5, h, r))
+            eig = diagonalize_sectors(build_hamiltonian(params, disorder, basis))
+            values, _ = multi_distance_otoc_values(eig, probe[None], op_1, times)
+            late.append(values[0, -15:].mean())
+        means.append(np.mean(late))
+        errors.append(np.std(late, ddof=1) / np.sqrt(len(late)))
+    assert means[0] == pytest.approx(0.022, abs=0.001)
+    for k in range(2):
+        assert means[k + 1] - means[k] > 2.0 * np.hypot(errors[k], errors[k + 1])
