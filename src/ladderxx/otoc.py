@@ -78,7 +78,8 @@ EXACT_COPIES = 6.6
 # multi_distance_otoc_values holds S_R, N/2 x N. The sector route adds its
 # N x N/2 Hadamard input, W_q, P_q and a scratch array as large as a block's
 # m_q x N/2 product (2.28 at L = 5, 2.04 at L = 6, 1.86 at L = 7); the dense
-# route V[up, :]^T and three buffers of N/4 rows (2.00 at L = 5).
+# route V[up, :]^T and three buffers of N/4 rows (2.00 at L = 5, 1.68 at
+# L = 6). Tracemalloc peaks of one call; the constant is the largest, rounded up.
 MULTI_DISTANCE_COPIES = 2.3
 # sampled_otoc: 3.1 while it rotates the two operators, then 2 for them plus
 # 12 M K / N for the state coefficients and two chunk buffers of 4 M K real
@@ -358,9 +359,9 @@ def multi_distance_otoc_values(
     columns of -Im G in place of those of Re G and of Re G in place of
     those of Im G, the two N x N/2 products K = S S_R^T and
     Y = (S J^T) S_R^T hold in column a row a of S S^T and of X - X^T. The
-    route hands them over in pieces of rows, first K's, then Y's, or row
-    chunks of both; each piece is squared and contracted with the probes
-    while it is in cache, so neither exists whole. Then
+    route hands them over in pieces of a few rows (`pieces`), and each
+    piece is squared and contracted with the probes while it is in cache,
+    so neither product exists whole. Then
     |W_ab|^2 = 4 (K_ab^2 + Y_ab^2) off the diagonal and (2 K_aa - 1)^2 on
     it, where Im W vanishes, with K_aa = ||S_a||^2. Every step checks the
     data: it raises RuntimeError on non-finite data, then when the health
