@@ -432,7 +432,10 @@ def sample_disorder(
     second, independent set of L values is drawn for leg 2 from the same
     stream; level statistics in the ergodic regime need this variant because
     column-identical fields keep a charge conserved
-    (`_rung_sectors`). ``seed`` must be an integer >= 0.
+    (`_rung_sectors`). Such a realization has no charge sectors, so
+    `diagonalize_sectors`, and with it the W-route, refuse it; its OTOCs
+    come from `diagonalize` and `exact_otoc`. ``seed`` must be an integer
+    >= 0.
     """
     seed = _checked_int("seed", seed, 0)
     rng = np.random.Generator(np.random.Philox(key=seed))
@@ -691,7 +694,7 @@ def diagonalize(H: SectorHamiltonian, vectors: bool = True) -> EigenSystem | Sec
     return SectorSpectra(eigenvalues=w, sectors=sectors)
 
 
-def diagonalize_sectors(H: SectorHamiltonian) -> ChargeEigenSystem | EigenSystem:
+def diagonalize_sectors(H: SectorHamiltonian) -> ChargeEigenSystem:
     """Eigensystem of every charge sector of a ladder with shared fields.
 
     The block H_q of each sector, the q < 0 ones included, is built in the
@@ -705,11 +708,14 @@ def diagonalize_sectors(H: SectorHamiltonian) -> ChargeEigenSystem | EigenSystem
     H's arrays, as in `diagonalize(H, vectors=False)`. Raises RuntimeError
     when the spectrum misses weight or trace of H (`_check_spectral_weight`).
 
-    When the legs see different fields, H conserves no charge, and the
-    result is `diagonalize(H)`'s full EigenSystem.
+    When the legs see different fields, H conserves no charge, and
+    ValueError is raised before any block is built; `diagonalize(H)` solves
+    such a ladder.
     """
     if H.disorder.fields_for_leg(1) != H.disorder.fields_for_leg(2):
-        return diagonalize(H)
+        raise ValueError(
+            "diagonalize_sectors needs shared fields; diagonalize(H) solves independent legs"
+        )
     blocks = _rung_sectors(H)
     parts = _solve_blocks(
         "diagonalize_sectors", H, blocks.values(), np.linalg.eigh, SECTOR_EIGH_COPIES, held=1.0

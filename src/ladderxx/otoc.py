@@ -23,12 +23,13 @@ C U(t) C^-1 = conj U(t), and sz_1 is odd under the flip, so
 C W C^-1 = -conj W. Hence |W_f(a)f(b)| = |W_ab|, where f(a) = N - 1 - a is
 the flip in the sorted basis. For probes that are odd under the flip too,
 half the rows, one of each mirror pair, carry the whole OTOC. The route
-takes a full `EigenSystem`, or with shared fields a `ChargeEigenSystem`,
-from which it forms the columns of U(t) sector by sector, maps them to the
-states by Hadamard transforms, and takes the column side of each step's two
+takes the `ChargeEigenSystem` of `diagonalize_sectors`, so it needs shared
+fields; a ladder with independent legs gets its OTOC from `exact_otoc`. It
+forms the columns of U(t) sector by sector, maps them to the states by
+Hadamard transforms, and takes the column side of each step's two
 N x N/2 products, Y and K, from the same blocks (`_SectorRoute` states the
 identities). A step keeps only the mirror half of the rows of U(t) and takes
-Y and K in pieces that are contracted while they are in cache, so either
+Y and K in pieces that are contracted while they are in cache, so the
 route holds about two N x N arrays in all, and fewer at L >= 6
 (`MULTI_DISTANCE_COPIES`).
 
@@ -75,11 +76,10 @@ __all__ = [
 # plus its two work blocks of 2 N^2 floats (6.04 at L = 6); at L = 5 numpy's
 # fixed-size cast buffers add half a copy more (6.54).
 EXACT_COPIES = 6.6
-# multi_distance_otoc_values holds S_R, N/2 x N. The sector route adds its
-# N x N/2 Hadamard input, W_q, P_q and a scratch array as large as a block's
-# m_q x N/2 product (2.28 at L = 5, 2.04 at L = 6, 1.86 at L = 7); the dense
-# route V[up, :]^T and three buffers of N/4 rows (2.00 at L = 5, 1.68 at
-# L = 6). Tracemalloc peaks of one call; the constant is the largest, rounded up.
+# multi_distance_otoc_values holds S_R, N/2 x N, its N x N/2 Hadamard input,
+# W_q, P_q and a scratch array as large as a block's m_q x N/2 product
+# (tracemalloc peaks of one call: 2.28 at L = 5, 2.04 at L = 6, 1.86 at
+# L = 7; the constant is the largest, rounded up).
 MULTI_DISTANCE_COPIES = 2.3
 # sampled_otoc: 3.1 while it rotates the two operators, then 2 for them plus
 # 12 M K / N for the state coefficients and two chunk buffers of 4 M K real
@@ -329,7 +329,7 @@ def exact_otoc(
 
 
 def multi_distance_otoc_values(
-    eig: EigenSystem | ChargeEigenSystem,
+    eig: ChargeEigenSystem,
     probe_ops: np.ndarray,
     op_1: np.ndarray,
     times: np.ndarray,
@@ -343,13 +343,9 @@ def multi_distance_otoc_values(
     G = U(t) B holds U(t) on any real orthonormal basis B of those states
     (N x N/2 in the Sz = 0 sector). Let S hold the columns of Re G and of
     Im G, and X = Im G Re G^T; then Re W = 2 S S^T - 1 and
-    Im W = 2 (X - X^T). Neither changes when B is rotated, so each
-    eigensystem forms S its own way, and orders its columns its own way:
-
-    * an `EigenSystem` takes B = the unit vectors of the +1 states, and
-      G = V (exp(-i E t) * V[up, :]^T), N x N x N of GEMM (`_DenseRoute`);
-    * a `ChargeEigenSystem` forms G in the rung labels and maps it to the
-      states with the Hadamard transforms (`_SectorRoute`).
+    Im W = 2 (X - X^T). Neither changes when B is rotated, so the route
+    forms G in the rung labels and maps it to the states with the Hadamard
+    transforms (`_SectorRoute`).
 
     The rows of S come in the route's order, whose first half R holds one
     state of every mirror pair, and each step forms only the rows R of W.
@@ -361,21 +357,24 @@ def multi_distance_otoc_values(
     Y = (S J^T) S_R^T hold in column a row a of S S^T and of X - X^T. The
     route hands them over in pieces of a few rows (`pieces`), and each
     piece is squared and contracted with the probes while it is in cache,
-    so neither product exists whole. Then
-    |W_ab|^2 = 4 (K_ab^2 + Y_ab^2) off the diagonal and (2 K_aa - 1)^2 on
-    it, where Im W vanishes, with K_aa = ||S_a||^2. Every step checks the
-    data: it raises RuntimeError on non-finite data, then when the health
-    figure below exceeds `DEFECT_TOL` (non-orthonormal eigenvectors), then
-    unless W_f(a)f(a) = -W_aa, i.e. ||S_a||^2 + ||S_f(a)||^2 = 1, to
-    `MIRROR_TOL`. Rounding in the computed eigensystem breaks the mirror
-    slightly, so the half-row values differ from a full-row sum by up to
-    about eps ||H|| t.
+    so neither product exists whole. Off the diagonal
+    |W_ab|^2 = 4 (K_ab^2 + Y_ab^2); on it Im W vanishes, Y_aa = 0 and
+    |W_aa|^2 = 4 (K_aa - 1/2)^2 with K_aa = ||S_a||^2, which one term
+    after the pieces, 1/4 - K_aa per diagonal entry, makes of K_aa^2.
+    Every step checks the data: it raises RuntimeError on non-finite data,
+    then when the health figure below exceeds `DEFECT_TOL`
+    (non-orthonormal eigenvectors), then unless W_f(a)f(a) = -W_aa, i.e.
+    ||S_a||^2 + ||S_f(a)||^2 = 1, to `MIRROR_TOL`. Rounding in the computed
+    eigensystem breaks the mirror slightly, so the half-row values differ
+    from a full-row sum by up to about eps ||H|| t.
 
     Parameters
     ----------
+    eig : the ChargeEigenSystem of `diagonalize_sectors(H)`; anything else
+    raises TypeError before any O(N^3) work.
     probe_ops : array (n_probes, N) of diagonals, each odd under the flip.
-    op_1 : +-1 diagonal, odd under the flip; sz of one spin for a
-    `ChargeEigenSystem`. Any other op_1 or probe raises ValueError.
+    op_1 : sz of one spin. Any other op_1, or a probe even under the flip,
+    raises ValueError.
 
     Returns
     -------
@@ -383,11 +382,16 @@ def multi_distance_otoc_values(
     max over the grid of | 2 sum_{a in R} sum_b |W_ab|^2 / N - 1 |, which
     is 0 for exactly unitary evolution and so bounds the rounding error.
     """
+    if not isinstance(eig, ChargeEigenSystem):
+        raise TypeError(
+            "multi_distance_otoc_values needs the ChargeEigenSystem of "
+            f"diagonalize_sectors(H), not {type(eig).__name__}"
+        )
     n = eig.dim
     D, d1 = _checked_operators(n, probe_ops, op_1)
     times = _checked_times(times)
     check_memory("multi_distance_otoc_values", n, MULTI_DISTANCE_COPIES + _held_copies(eig))
-    route = (_SectorRoute if isinstance(eig, ChargeEigenSystem) else _DenseRoute)(eig, d1)
+    route = _SectorRoute(eig, d1)
     half = n // 2
     # Row r of S is state rows[r]; its mirror f(a) = N - 1 - a is row
     # half + mirror[r] for r < N/2.
@@ -395,16 +399,10 @@ def multi_distance_otoc_values(
     position = np.empty(n, dtype=np.int64)
     position[rows] = np.arange(n)
     mirror = position[n - 1 - rows[:half]] - half
-    D_R = np.ascontiguousarray(D[:, rows[:half]])
     # A last row of ones makes the probe GEMMs sum |W_ab|^2 too, for the defect.
     D = np.vstack([D[:, rows], np.ones(n)])
-    # Per piece: the probe columns of its rows, and the flat positions where
-    # its rows in R meet their own column, with those rows.
-    probes, diagonal = [], []
-    for at in route.piece_rows:
-        probes.append(np.ascontiguousarray(D[:, at]))
-        mine = np.flatnonzero(at < half)
-        diagonal.append((mine * half + at[mine], at[mine]))
+    D_R = D[:, :half]
+    probes = [np.ascontiguousarray(D[:, at]) for at in route.piece_rows]
     weighted = np.empty((D.shape[0], half))
     term = np.empty_like(weighted)
 
@@ -413,15 +411,13 @@ def multi_distance_otoc_values(
     for k, t in enumerate(times):
         S_R = route.form(t)
         k_diag = np.einsum("ij,ij->i", S_R, S_R)
-        # |W_ab|^2 / 4 = K_ab^2 + Y_ab^2, and (K_aa - 1/2)^2 where Im W_aa = 0.
-        on_diagonal = ((k_diag - 0.5) ** 2, np.zeros(half))
         weighted.fill(0.0)
-        for j, y_side, piece in route.pieces():
+        for j, piece in route.pieces():
             np.square(piece, out=piece)
-            flat, a = diagonal[j]
-            piece.reshape(-1)[flat] = on_diagonal[y_side][a]
             np.matmul(probes[j], piece, out=term)
             weighted += term
+        # (K_aa - 1/2)^2 = K_aa^2 + 1/4 - K_aa, and Y_aa = 0.
+        weighted += D_R * (0.25 - k_diag)
         # Re W_aa = 2 ||S_a||^2 - 1 must be odd under the flip.
         mismatch = np.max(np.abs(k_diag + route.norms[mirror] - 1.0))
         if not np.isfinite(mismatch):
@@ -438,7 +434,7 @@ def multi_distance_otoc_values(
                 f"W(t={t}) breaks the chiral mirror by {mismatch:.3e}: "
                 "H does not anticommute with the sublattice sign times the spin flip"
             )
-        values[:, k] = np.sum(weighted[:-1] * D_R, axis=1) * (8.0 / n)
+        values[:, k] = np.sum(weighted[:-1] * D_R[:-1], axis=1) * (8.0 / n)
     return values, float(np.max(defects))
 
 
@@ -450,78 +446,6 @@ def _phased(E: np.ndarray, t: float, W: np.ndarray, free: np.ndarray) -> np.ndar
     np.multiply(np.cos(E * t)[:, None], W, out=phased[:, :, 0])
     np.multiply(-np.sin(E * t)[:, None], W, out=phased[:, :, 1])
     return phased.reshape(m, 2 * c)
-
-
-class _DenseRoute:
-    """S from a full eigensystem, rows in basis order, in row chunks of about
-    N/4: G = (V exp(-i E t)) V[up, :]^T, so a chunk's rows of Re G and of Im G
-    are V cos(E t) V[up, :]^T and -V sin(E t) V[up, :]^T, two real GEMMs.
-    S keeps Re G and Im G in its two column halves, and S J^T is
-    [-Im G, Re G].
-
-    `form` writes S_R. `pieces` takes every row chunk of S, those of R from
-    S_R and the others formed anew, whose squared norms it keeps, and gives
-    the chunk's rows of K = S S_R^T and Y = (S J^T) S_R^T: GEMM work N^3
-    for S and N^3 for K and Y, and beside S_R and V[up, :]^T only
-    chunk-sized arrays.
-    """
-
-    def __init__(self, eig: EigenSystem, d1: np.ndarray):
-        self.V, self.E = eig.eigenvectors, eig.eigenvalues
-        self.V_up = np.ascontiguousarray(self.V[d1 > 0, :].T)
-        n = eig.dim
-        half = n // 2
-        # Two chunks per half: GEMMs of N/4 rows, and N/4-row buffers.
-        rows = (half + 1) // 2
-        self.rows = np.arange(n)
-        self.piece_rows = [
-            np.arange(a, min(a + rows, stop))
-            for start, stop in ((0, half), (half, n))
-            for a in range(start, stop, rows)
-        ]
-        self.S_R = np.empty((half, n))
-        self.norms = np.empty(half)
-        # Per chunk: the phased rows of V, then the chunk's S J^T.
-        self.work = np.empty(rows * n)
-        self.chunk = np.empty((rows, n))
-        self.piece = np.empty((rows, half))
-
-    def _form_rows(self, a: int, b: int, out: np.ndarray) -> np.ndarray:
-        """Rows a..b of S into `out`, at the last `form`'s t."""
-        half = self.S_R.shape[0]
-        # The phased rows as columns, read from V^T, which `diagonalize` makes C-ordered.
-        phased = self.work[: self.V.shape[0] * (b - a)].reshape(-1, b - a)
-        for phase, part in ((self.cos, out[:, :half]), (self.minus_sin, out[:, half:])):
-            np.multiply(phase[:, None], self.V.T[:, a:b], out=phased)
-            np.matmul(phased.T, self.V_up, out=part)
-        return out
-
-    def form(self, t: float) -> np.ndarray:
-        self.cos, self.minus_sin = np.cos(self.E * t), -np.sin(self.E * t)
-        half = self.S_R.shape[0]
-        for at in self.piece_rows:
-            if at[0] < half:
-                self._form_rows(at[0], at[-1] + 1, self.S_R[at[0] : at[-1] + 1])
-        return self.S_R
-
-    def pieces(self):
-        """(j, y_side, piece): the chunk piece_rows[j] of K, then of Y."""
-        half = self.S_R.shape[0]
-        for j, at in enumerate(self.piece_rows):
-            a, b = at[0], at[-1] + 1
-            if a < half:
-                S = self.S_R[a:b]
-            else:
-                S = self._form_rows(a, b, self.chunk[: b - a])
-                self.norms[a - half : b - half] = np.einsum("ij,ij->i", S, S)
-            piece = self.piece[: b - a]
-            np.matmul(S, self.S_R.T, out=piece)
-            yield j, False, piece
-            turned = self.work[: S.size].reshape(S.shape)
-            np.negative(S[:, half:], out=turned[:, :half])
-            np.copyto(turned[:, half:], S[:, :half])
-            np.matmul(turned, self.S_R.T, out=piece)
-            yield j, True, piece
 
 
 class _SectorRoute:
@@ -680,7 +604,7 @@ class _SectorRoute:
         return self.S_R
 
     def pieces(self):
-        """(j, y_side, piece): the rows piece_rows[j] of K, all pieces, then of Y."""
+        """(j, piece): the rows piece_rows[j] of K, all pieces, then of Y."""
         half = self.S_R.shape[0]
         for y_side in (False, True):
             for *_, span, sector_rows, P in self.blocks:
@@ -689,8 +613,7 @@ class _SectorRoute:
                 block = self.scratch[: P.shape[0] * half].reshape(-1, half)
                 np.matmul(P, self.S_R[:, span].T, out=block)
                 self.inputs[sector_rows] = block
-            for j, piece in self.hadamard(self.inputs):
-                yield j, y_side, piece
+            yield from self.hadamard(self.inputs)
 
 
 def sampled_otoc(

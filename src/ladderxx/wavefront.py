@@ -2,13 +2,13 @@
 
 The probe operator walks down leg 1: row dx of a grid holds the ensemble-mean
 exact OTOC of sz_{1,1} against sz_{1,1+dx}, all rows from one W-route call
-per realization, on its charge-sector eigensystems when the legs share
-their fields. A contour at level eta collects,
-per distance, the first time Re F drops below eta (linear interpolation
-between bracketing grid points; later re-crossings are ignored, fronts are
-leading edges). Fitting ln dx against ln t_cross gives the dynamical exponent
-gamma of the front x ~ t^gamma: sublinear gamma < 1 for levels near 1, growing
-past 1 toward the low-eta butterfly cone.
+per realization on its charge-sector eigensystems, so every realization
+must have shared fields. A contour at level eta collects, per distance, the
+first time Re F drops below eta (linear interpolation between bracketing
+grid points; later re-crossings are ignored, fronts are leading edges).
+Fitting ln dx against ln t_cross gives the dynamical exponent gamma of the
+front x ~ t^gamma: sublinear gamma < 1 for levels near 1, growing past 1
+toward the low-eta butterfly cone.
 """
 
 from __future__ import annotations
@@ -95,15 +95,18 @@ def build_spacetime_grid(
 
     One eigensolve per realization, `diagonalize_sectors`, serves all
     distances at once (W(t), which does not depend on the probe, is formed
-    once per time): with shared fields its blocks feed the W-route's
-    charge-sector form, and independent legs get a full eigensystem. The
-    time grid is checked before any eigensolve. Each realization's own grid
-    is kept in ``per_realization``, realizations x distances x times, for
+    once per time). The time grid is checked, and an ensemble that holds a
+    realization with independent legs refused with ValueError, before any
+    eigensolve. Each realization's own grid is kept in ``per_realization``,
+    realizations x distances x times, for
     `extract_contour(per_realization=True)`.
     """
     if len(disorder_ensemble) == 0:
         raise ValueError("need at least one disorder realization")
     times = _checked_times(times)
+    for dis in disorder_ensemble:
+        if dis.fields_for_leg(1) != dis.fields_for_leg(2):
+            raise ValueError(f"realization seed={dis.seed} has independent legs, not shared fields")
     basis = SectorBasis(params.L)
     distances = np.arange(1, params.L)
     probes = np.stack(

@@ -568,15 +568,18 @@ def test_sector_eigensystems_diagonalize_the_charge_blocks(L, alpha, h):
         assert np.max(np.abs(U.T @ dense @ U @ V - V * E)) < 1e-12 * (1.0 + h)
 
 
-def test_sector_eigensystems_need_shared_fields():
-    # Independent legs conserve no charge: they get the full eigensystem.
+def test_sector_eigensystems_need_shared_fields(monkeypatch):
+    # Independent legs conserve no charge: no block is built for them.
     params = LadderParams(L=3, h=1.0)
     basis = SectorBasis(3)
     H = build_hamiltonian(params, sample_disorder(params, 2, independent_legs=True), basis)
-    eig, want = diagonalize_sectors(H), diagonalize(H)
-    assert isinstance(eig, core.EigenSystem)
-    assert np.array_equal(eig.eigenvalues, want.eigenvalues)
-    assert np.array_equal(eig.eigenvectors, want.eigenvectors)
+
+    def no_blocks(*args):
+        pytest.fail("a charge block was built for independent legs")
+
+    monkeypatch.setattr(core, "_rung_sectors", no_blocks)
+    with pytest.raises(ValueError, match="diagonalize_sectors needs shared fields"):
+        diagonalize_sectors(H)
 
 
 @pytest.mark.parametrize("L", [3, 4, 5, 6])
@@ -776,10 +779,10 @@ def test_eigenvalues_only_solve_holds_little_beyond_its_block():
 
 @pytest.mark.parametrize("L", [5, 6])
 def test_sector_eigensolve_stays_below_its_estimate(L, monkeypatch):
-    # All three eigensolves, with shared and with independent legs, peak
-    # below the copies they pass to check_memory. scipy.linalg is imported
-    # at the top of this module: imported cold inside the trace, it alone
-    # reads about 30 copies.
+    # All three eigensolves peak below the copies they pass to check_memory,
+    # the two of diagonalize with shared and with independent legs.
+    # scipy.linalg is imported at the top of this module: imported cold
+    # inside the trace, it alone reads about 30 copies.
     params = LadderParams(L=L, h=1.0)
     basis = SectorBasis(L)
     estimates = []
@@ -792,6 +795,8 @@ def test_sector_eigensolve_stays_below_its_estimate(L, monkeypatch):
     for independent_legs in (False, True):
         H = build_hamiltonian(params, sample_disorder(params, 9, independent_legs), basis)
         for name, solve in solves.items():
+            if independent_legs and name == "sectors":
+                continue
             estimates.clear()
             tracemalloc.start()
             try:
@@ -878,28 +883,27 @@ def test_memory_check_admits_l7_and_the_l8_w_route_and_stops_l8_exact_otoc(monke
     monkeypatch.setattr(core, "_SELF_CGROUP", os.devnull)
     n7, n8 = comb(14, 7), comb(16, 8)
     # Each OTOC route's check adds the caller's eigensystem: one copy of V
-    # (and the rotation memo's entries), or the sector blocks, C(L, k)^2 wide.
+    # (and the rotation memo's entries), or for the W-route the sector
+    # blocks, C(L, k)^2 wide.
+    sector_blocks = {L: sum(comb(L, k) ** 4 for k in range(L + 1)) / comb(2 * L, L) ** 2 for L in (7, 8)}
     for copies in (
         core.EIGH_COPIES,
         core.EIGVALS_COPIES,
         otoc.EXACT_COPIES + 1.0,
-        otoc.MULTI_DISTANCE_COPIES + 1.0,
+        otoc.MULTI_DISTANCE_COPIES + sector_blocks[7],
         # M = 64 states, four steps per chunk
         otoc.SAMPLED_COPIES + otoc.SAMPLED_COPIES_PER_STATE * 64 * 4 / n7 + 1.0,
     ):
         check_memory("step", n7, copies)
     # At L = 8 one N x N array is 1.3 GB (1.23 GiB). The W-route holds
-    # MULTI_DISTANCE_COPIES beside the caller's eigensystem, V or the sector
-    # blocks (0.27 copies); exact_otoc's trace route holds 6.6 and V, over
-    # the 6.48 of 8 GiB.
-    sector_blocks = sum(comb(8, k) ** 4 for k in range(9)) / n8**2
-    check_memory("multi_distance_otoc_values", n8, otoc.MULTI_DISTANCE_COPIES + 1.0)
-    check_memory("multi_distance_otoc_values", n8, otoc.MULTI_DISTANCE_COPIES + sector_blocks)
+    # MULTI_DISTANCE_COPIES beside the sector blocks (0.27 copies);
+    # exact_otoc's trace route holds 6.6 and V, over the 6.48 of 8 GiB.
+    check_memory("multi_distance_otoc_values", n8, otoc.MULTI_DISTANCE_COPIES + sector_blocks[8])
     with pytest.raises(MemoryError, match="exact_otoc at N=12870"):
         check_memory("exact_otoc", n8, otoc.EXACT_COPIES + 1.0)
-    # The sector W-route at L = 8 fits in 4 GiB.
+    # The W-route at L = 8 fits in 4 GiB.
     monkeypatch.setattr(core, "_physical_memory", lambda: 4 * 2**30)
-    check_memory("multi_distance_otoc_values", n8, otoc.MULTI_DISTANCE_COPIES + sector_blocks)
+    check_memory("multi_distance_otoc_values", n8, otoc.MULTI_DISTANCE_COPIES + sector_blocks[8])
 
 
 @pytest.mark.parametrize(

@@ -194,14 +194,14 @@ def test_exact_otoc_is_real_and_bounded():
     seed=st.integers(min_value=0, max_value=2**32),
 )
 def test_exact_otoc_is_bounded_and_one_at_t0(L, alpha, h, seed):
-    basis, eig = make_eig(L, alpha=alpha, h=h, seed=seed)
+    basis, eig, sectors = make_sector_eig(L, alpha=alpha, h=h, seed=seed)
     times = np.concatenate([[0.0], default_decay_times(12)])
     d_i, d_1 = sigma_z_operator(basis, 1, L), sigma_z_operator(basis, 1, 1)
     series = exact_otoc(eig, d_i, d_1, times)
     assert abs(series.values[0] - 1.0) <= 1e-12
     assert np.all(np.abs(series.values) <= 1.0 + 1e-12)
     assert np.all(series.re >= -1.0 - 1e-12)
-    w_values, _ = multi_distance_otoc_values(eig, d_i[None, :], d_1, times)
+    w_values, _ = multi_distance_otoc_values(sectors, d_i[None, :], d_1, times)
     assert np.max(np.abs(series.values - w_values[0])) <= 1e-10
 
 
@@ -226,7 +226,7 @@ def perturbed(eig):
     return core.EigenSystem(eig.eigenvalues, eig.eigenvectors + noise)
 
 
-@pytest.mark.parametrize("route", ["exact", "w-dense", "w-sectors", "sampled"])
+@pytest.mark.parametrize("route", ["exact", "w-sectors", "sampled"])
 def test_every_route_names_non_orthonormal_eigenvectors(route):
     # Before, the W-route blamed the chiral mirror and sampled_otoc returned
     # values without an error.
@@ -236,7 +236,6 @@ def test_every_route_names_non_orthonormal_eigenvectors(route):
     states = [haar_state(basis, 0), fock_state(basis, 1)]
     call = {
         "exact": lambda eig: exact_otoc(eig, d_i, d_1, times),
-        "w-dense": lambda eig: multi_distance_otoc_values(eig, d_i[None, :], d_1, times),
         "w-sectors": lambda eig: multi_distance_otoc_values(eig, d_i[None, :], d_1, times),
         "sampled": lambda eig: sampled_otoc(eig, d_i, d_1, states, times),
     }[route]
@@ -262,6 +261,20 @@ def test_full_eigensystem_routes_refuse_a_charge_eigensystem(name, monkeypatch):
     }[name]
     with pytest.raises(TypeError, match=f"{name} needs the full EigenSystem of diagonalize"):
         call()
+
+
+def test_w_route_refuses_a_full_eigensystem(monkeypatch):
+    # The W-route runs on charge sectors only; a ladder with independent
+    # legs has none, and its full eigensystem is refused before any work.
+    basis, eig = make_eig(3, independent_legs=True)
+    d_i, d_1 = sigma_z_operator(basis, 1, 3), sigma_z_operator(basis, 1, 1)
+
+    def no_memory_check(*args):
+        pytest.fail("the W-route checked its memory before its eigensystem")
+
+    monkeypatch.setattr(otoc, "check_memory", no_memory_check)
+    with pytest.raises(TypeError, match="needs the ChargeEigenSystem of diagonalize_sectors"):
+        multi_distance_otoc_values(eig, d_i[None, :], d_1, [0.0, 1.0])
 
 
 def test_exact_otoc_makes_no_w_route_call(monkeypatch):
@@ -443,23 +456,23 @@ def test_each_operator_is_rotated_once_per_eigensystem():
 # ---------------------------------------------------------------- fast routes
 
 def test_pair_route_matches_exact():
-    basis, eig = make_eig(3, alpha=0.9, h=1.2, seed=6)
+    basis, eig, sectors = make_sector_eig(3, alpha=0.9, h=1.2, seed=6)
     d_i = sigma_z_operator(basis, 1, 3)
     d_1 = sigma_z_operator(basis, 1, 1)
     times = np.linspace(0.0, 8.0, 17)
     reference = exact_otoc(eig, d_i, d_1, times)
-    fast, defect = multi_distance_otoc_values(eig, d_i[None, :], d_1, times)
+    fast, defect = multi_distance_otoc_values(sectors, d_i[None, :], d_1, times)
     assert fast.shape == (1, times.size)
     assert np.max(np.abs(fast[0] - reference.values.real)) < 1e-10
     assert defect < 1e-10
 
 
 def test_multi_distance_route_matches_exact():
-    basis, eig = make_eig(4, alpha=1.0, h=0.8, seed=2)
+    basis, eig, sectors = make_sector_eig(4, alpha=1.0, h=0.8, seed=2)
     d_1 = sigma_z_operator(basis, 1, 1)
     probes = np.stack([sigma_z_operator(basis, 1, 1 + dx) for dx in (1, 2, 3)])
     times = np.linspace(0.0, 5.0, 11)
-    grid, defect = multi_distance_otoc_values(eig, probes, d_1, times)
+    grid, defect = multi_distance_otoc_values(sectors, probes, d_1, times)
     assert defect < 1e-10
     for row, dx in zip(grid, (1, 2, 3)):
         reference = exact_otoc(eig, probes[dx - 1], d_1, times)
@@ -467,60 +480,41 @@ def test_multi_distance_route_matches_exact():
 
 
 def test_w_route_rejects_op_1_that_is_not_plus_minus_one():
-    basis, eig = make_eig(3, seed=6)
+    basis, eig, sectors = make_sector_eig(3, seed=6)
     d_i = sigma_z_operator(basis, 1, 3)
     d_1 = sigma_z_operator(basis, 1, 1)
     for bad in (0.5 * d_1, d_1 + sigma_z_operator(basis, 2, 1), np.ones(basis.dim + 1)):
         with pytest.raises(ValueError):
-            multi_distance_otoc_values(eig, d_i[None, :], bad, [0.0, 1.0])
+            multi_distance_otoc_values(sectors, d_i[None, :], bad, [0.0, 1.0])
     with pytest.raises(ValueError):
         exact_otoc(eig, d_i, 0.5 * d_1, [0.0, 1.0])
-
-
-@pytest.mark.parametrize("independent_legs", [False, True])
-@pytest.mark.parametrize("h", [0.0, 1.0, 8.0])
-@pytest.mark.parametrize("alpha", [0.0, 1.3])
-@pytest.mark.parametrize("L", [2, 3, 4, 5, 6])
-def test_half_row_w_route_matches_full_rows(L, alpha, h, independent_legs):
-    basis, eig = make_eig(L, alpha=alpha, h=h, seed=11, independent_legs=independent_legs)
-    probes = np.stack(
-        [sigma_z_operator(basis, leg, site) for leg in (1, 2) for site in range(1, L + 1)]
-    )
-    # Any diagonal odd under the flip is a valid probe, +-1 or not.
-    probes = np.vstack([probes, 0.5 * probes[L - 1] - 0.3 * probes[L]])
-    d_1 = sigma_z_operator(basis, 1, 1)
-    times = np.array([0.0, 0.7, 3.1])
-    values, defect = multi_distance_otoc_values(eig, probes, d_1, times)
-    reference, reference_defect = full_row_reference(eig, probes, d_1, times)
-    assert np.max(np.abs(values - reference)) < 1e-12
-    assert defect < 1e-12 and reference_defect < 1e-12
 
 
 @pytest.mark.parametrize("h", [0.0, 1.0, 8.0])
 @pytest.mark.parametrize("alpha", [0.0, 1.3])
 @pytest.mark.parametrize("L", [2, 3, 4, 5, 6])
 def test_exact_otoc_matches_the_w_route(L, alpha, h):
-    basis, eig = make_eig(L, alpha=alpha, h=h, seed=11)
+    basis, eig, sectors = make_sector_eig(L, alpha=alpha, h=h, seed=11)
     # The far end of leg 1 and the rung partner of sz_1.
     probes = np.stack([sigma_z_operator(basis, 1, L), sigma_z_operator(basis, 2, 1)])
     d_1 = sigma_z_operator(basis, 1, 1)
     times = np.array([0.0, 0.7, 3.1, 10.0])
-    w_values, _ = multi_distance_otoc_values(eig, probes, d_1, times)
+    w_values, _ = multi_distance_otoc_values(sectors, probes, d_1, times)
     for probe, w_row in zip(probes, w_values):
         exact = exact_otoc(eig, probe, d_1, times)
         assert np.max(np.abs(exact.values - w_row)) < 1e-12
 
 
 def test_w_route_rejects_operators_even_under_the_spin_flip():
-    basis, eig = make_eig(3, seed=6)
+    basis, eig, sectors = make_sector_eig(3, seed=6)
     d_1 = sigma_z_operator(basis, 1, 1)
     d_i = sigma_z_operator(basis, 1, 3)
     times = [0.0, 1.0]
     for even in (d_1 * sigma_z_operator(basis, 1, 2), np.ones(basis.dim)):
         with pytest.raises(ValueError, match="odd under the global spin flip"):
-            multi_distance_otoc_values(eig, np.stack([d_i, even]), d_1, times)
+            multi_distance_otoc_values(sectors, np.stack([d_i, even]), d_1, times)
         with pytest.raises(ValueError, match="odd under the global spin flip"):
-            multi_distance_otoc_values(eig, d_i[None, :], even, times)
+            multi_distance_otoc_values(sectors, d_i[None, :], even, times)
         with pytest.raises(ValueError, match="odd under the global spin flip"):
             exact_otoc(eig, even, d_1, times)
 
@@ -548,9 +542,9 @@ def test_exact_otoc_refuses_an_even_probe_before_the_trace_route(monkeypatch):
 def assert_w_route_refuses_the_ladder(extra_diagonal=0.0):
     """Check that the W-route refuses the ladder H plus ``extra_diagonal``; return that H.
 
-    The sector eigensolve refuses it before any W-route: its rung-basis
-    blocks hold the ladder model alone, so they miss the weight of the
-    added terms."""
+    The sector eigensolve, whose result the W-route needs, refuses it: its
+    rung-basis blocks hold the ladder model alone, so they miss the weight
+    of the added terms."""
     # The trace route needs no chiral symmetry, so exact_otoc still holds.
     params = LadderParams(L=4, h=1.0)
     basis = SectorBasis(4)
@@ -560,8 +554,6 @@ def assert_w_route_refuses_the_ladder(extra_diagonal=0.0):
     d_1 = sigma_z_operator(basis, 1, 1)
     probes = np.stack([sigma_z_operator(basis, 1, site) for site in (2, 3, 4)])
     times = np.linspace(0.0, 2.0, 5)
-    with pytest.raises(RuntimeError, match="breaks the chiral mirror"):
-        multi_distance_otoc_values(eig, probes, d_1, times)
     with pytest.raises(RuntimeError, match="misses weight"):
         diagonalize_sectors(H)
     series = exact_otoc(eig, probes[0], d_1, times)
@@ -615,6 +607,8 @@ def test_sector_w_route_matches_full_rows(L, alpha, h, spin):
     probes = np.stack(
         [sigma_z_operator(basis, leg, site) for leg in (1, 2) for site in range(1, L + 1)]
     )
+    # Any diagonal odd under the flip is a valid probe, +-1 or not.
+    probes = np.vstack([probes, 0.5 * probes[L - 1] - 0.3 * probes[L]])
     d_1 = sigma_z_operator(basis, spin[0], min(spin[1], L))
     times = np.array([0.0, 0.7, 3.1])
     values, defect = multi_distance_otoc_values(sectors, probes, d_1, times)
@@ -634,10 +628,9 @@ def test_w_routes_match_full_rows_on_the_lightcone_grid(L, h):
     d_1 = sigma_z_operator(basis, 1, 1)
     times = default_lightcone_times()
     reference, _ = full_row_reference(dense, probes, d_1, times)
-    for eig in (dense, sectors):
-        values, defect = multi_distance_otoc_values(eig, probes, d_1, times)
-        assert np.max(np.abs(values - reference)) < 1e-12
-        assert defect < 1e-12
+    values, defect = multi_distance_otoc_values(sectors, probes, d_1, times)
+    assert np.max(np.abs(values - reference)) < 1e-12
+    assert defect < 1e-12
 
 
 def charge_map_by_slot(basis):
@@ -707,25 +700,21 @@ def test_sector_w_route_takes_only_sz_of_one_spin():
             multi_distance_otoc_values(sectors, probes, bad, [0.0, 1.0])
 
 
-@pytest.mark.parametrize("route", ["dense", "sectors"])
+@pytest.mark.parametrize("route", ["sectors"])
 def test_w_route_raises_on_a_nan_eigensystem(route):
-    basis, dense, sectors = make_sector_eig(3, seed=6)
-    eig = nan_poisoned({"dense": dense, "sectors": sectors}[route])
+    basis, _, sectors = make_sector_eig(3, seed=6)
+    eig = nan_poisoned(sectors)
     probes = sigma_z_operator(basis, 1, 3)[None, :]
     with pytest.raises(RuntimeError, match="not finite: the eigensystem holds NaN"):
         multi_distance_otoc_values(eig, probes, sigma_z_operator(basis, 1, 1), [0.5, 1.0])
 
 
-@pytest.mark.parametrize(
-    "L, route", [(5, "dense"), (5, "sectors"), (6, "dense"), (6, "sectors"), (7, "sectors")]
-)
+@pytest.mark.parametrize("L, route", [(5, "sectors"), (6, "sectors"), (7, "sectors")])
 def test_w_route_peak_memory_stays_below_its_estimate(L, route, monkeypatch):
-    # L = 7 is the wavefront grid's next size; its full solve alone takes
-    # several seconds, so only the sector route runs there, on three times.
+    # L = 7 is the wavefront grid's next size; it runs on three times.
     params = LadderParams(L=L, alpha=1.0, h=1.0)
     basis = SectorBasis(L)
-    H = build_hamiltonian(params, sample_disorder(params, 3), basis)
-    eig = diagonalize_sectors(H) if route == "sectors" else diagonalize(H)
+    eig = diagonalize_sectors(build_hamiltonian(params, sample_disorder(params, 3), basis))
     probes = np.stack([sigma_z_operator(basis, 1, site) for site in range(2, L + 1)])
     d_1 = sigma_z_operator(basis, 1, 1)
     times = np.linspace(0.0, 5.0, 3 if L == 7 else 11)
@@ -733,9 +722,9 @@ def test_w_route_peak_memory_stays_below_its_estimate(L, route, monkeypatch):
         monkeypatch, lambda: multi_distance_otoc_values(eig, probes, d_1, times)
     )
     copies = otoc.MULTI_DISTANCE_COPIES
-    # The check also counts the eigensystem the caller holds, which is
-    # allocated before tracing starts: one N x N copy, or the sector blocks.
-    held = 1.0 if route == "dense" else sum(V.size for _, V in eig.sectors.values()) / basis.dim**2
+    # The check also counts the sector blocks the caller holds, which are
+    # allocated before tracing starts.
+    held = sum(V.size for _, V in eig.sectors.values()) / basis.dim**2
     assert estimate == pytest.approx((copies + held) * 8 * basis.dim**2)
     assert peak < copies * 8 * basis.dim**2
 
@@ -1015,12 +1004,12 @@ BAD_GRIDS = {
 @pytest.mark.parametrize("route", ["exact_otoc", "multi_distance_otoc_values", "sampled_otoc"])
 @pytest.mark.parametrize("grid", sorted(BAD_GRIDS))
 def test_otoc_routes_reject_bad_time_grids(route, grid):
-    basis, eig = make_eig(3)
+    basis, eig, sectors = make_sector_eig(3)
     d_1, d_i = sigma_z_operator(basis, 1, 1), sigma_z_operator(basis, 1, 2)
     times, message = BAD_GRIDS[grid]
     call = {
         "exact_otoc": lambda: exact_otoc(eig, d_i, d_1, times),
-        "multi_distance_otoc_values": lambda: multi_distance_otoc_values(eig, d_i[None, :], d_1, times),
+        "multi_distance_otoc_values": lambda: multi_distance_otoc_values(sectors, d_i[None, :], d_1, times),
         "sampled_otoc": lambda: sampled_otoc(eig, d_i, d_1, [haar_state(basis, 0)], times),
     }[route]
     with pytest.raises(ValueError, match=message):
@@ -1034,7 +1023,6 @@ def test_otoc_routes_check_memory_first(monkeypatch):
     monkeypatch.setattr(core, "_physical_memory", lambda: 1000)
     for caller, call in [
         ("exact_otoc", lambda: exact_otoc(eig, d_i, d_1, times)),
-        ("multi_distance_otoc_values", lambda: multi_distance_otoc_values(eig, d_i[None, :], d_1, times)),
         ("multi_distance_otoc_values", lambda: multi_distance_otoc_values(sectors, d_i[None, :], d_1, times)),
         ("sampled_otoc", lambda: sampled_otoc(eig, d_i, d_1, [fock_state(basis, 0)], times)),
     ]:

@@ -11,10 +11,11 @@ from ladderxx.core import (
     SectorBasis,
     build_hamiltonian,
     diagonalize,
+    diagonalize_sectors,
     sample_disorder,
     sigma_z_operator,
 )
-from ladderxx.otoc import default_lightcone_times, multi_distance_otoc_values
+from ladderxx.otoc import default_lightcone_times, exact_otoc, multi_distance_otoc_values
 from ladderxx.wavefront import (
     Contour,
     WavefrontGrid,
@@ -278,19 +279,23 @@ def test_grid_refuses_a_bad_time_grid_before_any_eigensolve(times, message, monk
 
 
 def test_grid_solves_charge_sectors_only_with_shared_fields(monkeypatch):
+    # Independent legs conserve no charge, so an ensemble that holds one is
+    # refused before its first realization is solved.
     counts = counted_eigensolves(monkeypatch)
     params = LadderParams(L=4, alpha=1.3, h=2.0)
     basis = SectorBasis(4)
-    ensemble = [sample_disorder(params, 5), sample_disorder(params, 6, independent_legs=True)]
+    shared = sample_disorder(params, 5)
     times = np.linspace(0.0, 4.0, 9)
-    grid = build_spacetime_grid(params, ensemble, times)
-    assert counts == {"diagonalize": 1, "diagonalize_sectors": 2}
+    with pytest.raises(ValueError, match="seed=6 has independent legs"):
+        build_spacetime_grid(params, [shared, sample_disorder(params, 6, independent_legs=True)], times)
+    assert counts == {"diagonalize": 0, "diagonalize_sectors": 0}
+    grid = build_spacetime_grid(params, [shared], times)
+    assert counts == {"diagonalize": 0, "diagonalize_sectors": 1}
+    eig = diagonalize(build_hamiltonian(params, shared, basis))
     d_1 = sigma_z_operator(basis, 1, 1)
-    probes = np.stack([sigma_z_operator(basis, 1, 1 + dx) for dx in (1, 2, 3)])
-    for dis, got in zip(ensemble, grid.per_realization):
-        eig = diagonalize(build_hamiltonian(params, dis, basis))
-        want, _ = multi_distance_otoc_values(eig, probes, d_1, times)
-        assert np.max(np.abs(got - want)) < 1e-12
+    for dx, got in zip((1, 2, 3), grid.values):
+        want = exact_otoc(eig, sigma_z_operator(basis, 1, 1 + dx), d_1, times)
+        assert np.max(np.abs(got - want.values)) < 1e-12
 
 
 def test_decoupled_legs_never_scramble_across():
@@ -298,7 +303,7 @@ def test_decoupled_legs_never_scramble_across():
     # the caricature of a never-crossing grid row.
     params = LadderParams(L=3, alpha=0.0, h=1.0)
     basis = SectorBasis(3)
-    eig = diagonalize(build_hamiltonian(params, sample_disorder(params, 3), basis))
+    eig = diagonalize_sectors(build_hamiltonian(params, sample_disorder(params, 3), basis))
     d_1 = sigma_z_operator(basis, 1, 1)
     d_other = sigma_z_operator(basis, 2, 3)
     values, _ = multi_distance_otoc_values(eig, d_other[None, :], d_1, np.linspace(0.0, 8.0, 17))
