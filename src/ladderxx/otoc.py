@@ -78,7 +78,7 @@ __all__ = [
 EXACT_COPIES = 6.6
 # multi_distance_otoc_values holds S_R, N/2 x N, its N x N/2 Hadamard input,
 # W_q, P_q and a scratch array as large as a block's m_q x N/2 product
-# (tracemalloc peaks of one call: 2.28 at L = 5, 2.04 at L = 6, 1.86 at
+# (tracemalloc peaks of one call: 2.26 at L = 5, 2.03 at L = 6, 1.86 at
 # L = 7; the constant is the largest, rounded up).
 MULTI_DISTANCE_COPIES = 2.3
 # sampled_otoc: 3.1 while it rotates the two operators, then 2 for them plus
@@ -358,15 +358,16 @@ def multi_distance_otoc_values(
     route hands them over in pieces of a few rows (`pieces`), and each
     piece is squared and contracted with the probes while it is in cache,
     so neither product exists whole. Off the diagonal
-    |W_ab|^2 = 4 (K_ab^2 + Y_ab^2); on it Im W vanishes, Y_aa = 0 and
-    |W_aa|^2 = 4 (K_aa - 1/2)^2 with K_aa = ||S_a||^2, which one term
-    after the pieces, 1/4 - K_aa per diagonal entry, makes of K_aa^2.
-    Every step checks the data: it raises RuntimeError on non-finite data,
-    then when the health figure below exceeds `DEFECT_TOL`
-    (non-orthonormal eigenvectors), then unless W_f(a)f(a) = -W_aa, i.e.
-    ||S_a||^2 + ||S_f(a)||^2 = 1, to `MIRROR_TOL`. Rounding in the computed
-    eigensystem breaks the mirror slightly, so the half-row values differ
-    from a full-row sum by up to about eps ||H|| t.
+    |W_ab|^2 = 4 (K_ab^2 + Y_ab^2). On it Im W vanishes and Y_aa = 0, so
+    |W_aa|^2 = 4 (K_aa - 1/2)^2 = 4 (K_aa^2 + 1/4 - K_aa) with
+    K_aa = ||S_a||^2: the pieces are squared whole, and one term after
+    them adds 1/4 - K_aa for each diagonal entry. Every step checks the
+    data: it raises RuntimeError on non-finite data, then when the health
+    figure below exceeds `DEFECT_TOL` (non-orthonormal eigenvectors), then
+    unless W_f(a)f(a) = -W_aa, i.e. ||S_a||^2 + ||S_f(a)||^2 = 1, to
+    `MIRROR_TOL`. Rounding in the computed eigensystem breaks the mirror
+    slightly, so the half-row values differ from a full-row sum by up to
+    about eps ||H|| t.
 
     Parameters
     ----------
@@ -416,7 +417,7 @@ def multi_distance_otoc_values(
             np.square(piece, out=piece)
             np.matmul(probes[j], piece, out=term)
             weighted += term
-        # (K_aa - 1/2)^2 = K_aa^2 + 1/4 - K_aa, and Y_aa = 0.
+        # The diagonal entries: (K_aa - 1/2)^2 in place of K_aa^2.
         weighted += D_R * (0.25 - k_diag)
         # Re W_aa = 2 ||S_a||^2 - 1 must be odd under the flip.
         mismatch = np.max(np.abs(k_diag + route.norms[mirror] - 1.0))
