@@ -382,10 +382,11 @@ def _memory_limit() -> int:
     return min(limits)
 
 
-def check_memory(caller: str, n: int, copies: float) -> None:
+def check_memory(caller: str, n: int, copies: float, fixed_bytes: int = 0) -> None:
     """Raise MemoryError before `caller` allocates `copies` dense N x N float64
-    arrays, if together they exceed physical memory or the cgroup limit."""
-    need = int(copies * 8 * n * n)
+    arrays and `fixed_bytes` more, if together they exceed physical memory or
+    the cgroup limit."""
+    need = int(copies * 8 * n * n) + fixed_bytes
     have = _memory_limit()
     if need > have:
         raise MemoryError(

@@ -6,12 +6,13 @@ estimator: the mean of F_j(t) = <psi_j| sz_i(t) sz_1 sz_i(t) sz_1 |psi_j>
 over M random initial states (Haar vectors or Fock basis states).
 
 `exact_otoc` is the reference implementation, the trace route, valid for
-any real symmetric H. `sampled_otoc` evolves its M states in the
-eigenbasis and never returns to the computational basis. Both rotate their
-diagonal operators through `_eigenbasis_diagonal`, which keeps the two
-most recently used rotations on the `EigenSystem`: an exact OTOC and its
-sampled estimators of the same operator pair rotate each operator once per
-eigensystem.
+any real symmetric H. Its steps work in one block of 2 N^2 floats and one
+N x N array, bitwise as a loop of fresh temporaries. `sampled_otoc`
+evolves its M states in the eigenbasis and never returns to the
+computational basis. Both rotate their diagonal operators through
+`_eigenbasis_diagonal`, which keeps the two most recently used rotations
+on the `EigenSystem`: an exact OTOC and its sampled estimators of the same
+operator pair rotate each operator once per eigensystem.
 
 The W-route, `multi_distance_otoc_values`, builds W(t) = U(t) sz_1 U+(t) in
 the computational basis. It is the fast kernel of ensemble loops, where one
@@ -30,12 +31,12 @@ Hadamard transforms, and takes the column side of each step's two
 N x N/2 products, Y and K, from the same blocks (`_SectorRoute` states the
 identities). A step keeps only the mirror half of the rows of U(t) and takes
 Y and K in pieces that are contracted while they are in cache, so the
-route holds about two N x N arrays in all, and fewer at L >= 6
-(`MULTI_DISTANCE_COPIES`).
+route holds about two N x N arrays in all (`MULTI_DISTANCE_COPIES`).
 
 All three routines refuse a time grid that is empty, not 1-D or not finite,
 and check their operators before any O(N^3) work. Their memory checks count
-the eigensystem that the caller holds (`_held_copies`), and each checks a
+the eigensystem that the caller holds beside the call's own operators
+(`_held_copies`), so a memoized rotation is counted once, and each checks a
 unitarity figure to `DEFECT_TOL`, raising RuntimeError that names
 non-orthonormal eigenvectors as the cause.
 """
@@ -70,17 +71,21 @@ __all__ = [
 ]
 
 
-# Peak memory in units of one N x N float64 array (8 N^2 bytes): the larger
-# tracemalloc peak of L = 5 and 6, rounded up. Each memory check adds what
-# the caller's eigensystem holds (`_held_copies`). exact_otoc's is A~ and B~
-# plus its two work blocks of 2 N^2 floats (6.04 at L = 6); at L = 5 numpy's
-# fixed-size cast buffers add half a copy more (6.54).
-EXACT_COPIES = 6.6
+# Peak memory in units of one N x N float64 array (8 N^2 bytes), from the
+# tracemalloc peak of one call that rotates both its operators. Each memory
+# check adds what the caller's eigensystem holds beside them
+# (`_held_copies`). exact_otoc and the W-route also ask for FIXED_BYTES:
+# numpy's ufunc buffers (up to 8192 elements per buffered operand) and the
+# per-call tables, which weigh most at L = 5. Their copies are the L = 6 peak
+# less that allowance, rounded up with 0.04 copies to spare at least, and
+# cover L = 5 with it. exact_otoc's are A~ and B~, its block of 2 N^2 floats,
+# Re P and a scratch piece of N^2 / 8 floats (5.16 at L = 6, 4.99 at L = 5).
+EXACT_COPIES = 5.2
 # multi_distance_otoc_values holds S_R, N/2 x N, its N x N/2 Hadamard input,
 # W_q, P_q and a scratch array as large as a block's m_q x N/2 product
-# (tracemalloc peaks of one call: 2.26 at L = 5, 2.03 at L = 6, 1.86 at
-# L = 7; the constant is the largest, rounded up).
-MULTI_DISTANCE_COPIES = 2.3
+# (1.99 at L = 6, 1.73 at L = 5; 1.86 at L = 7 with the allowance in).
+MULTI_DISTANCE_COPIES = 2.05
+FIXED_BYTES = 256 * 1024
 # sampled_otoc: 3.1 while it rotates the two operators, then 2 for them plus
 # 12 M K / N for the state coefficients and two chunk buffers of 4 M K real
 # columns each, with M states and K steps per chunk.
@@ -97,6 +102,9 @@ DEFECT_TOL = 1e-9
 SAMPLE_TOL = 1e-9
 # Rotated diagonals kept per eigensystem: the two operators of one OTOC.
 _ROTATED_KEPT = 2
+# exact_otoc phases A(t) and squares P in row pieces of about N / this many
+# rows, so its one scratch piece holds about N^2 / 8 floats.
+_EXACT_PIECES = 16
 # The sector W-route maps and contracts K and Y in pieces of about this many
 # rows, and at least one Hadamard pattern: up to L = 7 a piece of N/2 floats
 # a row fits in a 2 MiB L2 cache.
@@ -212,14 +220,16 @@ def _pm1_diagonal(name: str, d: np.ndarray, n: int) -> np.ndarray:
     return d
 
 
-def _held_copies(eig: EigenSystem | ChargeEigenSystem) -> float:
-    """What the caller's eigensystem holds, in N x N float64 arrays: the
-    eigenvectors (the sector blocks of a ChargeEigenSystem) and the rotation
-    memo's entries, which stay allocated while a call rotates its own
-    operators."""
+def _held_copies(eig: EigenSystem | ChargeEigenSystem, *own: np.ndarray) -> float:
+    """What the caller's eigensystem holds beside the call's own figures, in
+    N x N float64 arrays: the eigenvectors (the sector blocks of a
+    ChargeEigenSystem) and the rotation memo's entries for diagonals other
+    than `own`, which stay allocated while the call rotates its operators.
+    The call's constant counts the rotations of `own`, memoized or not."""
     if isinstance(eig, ChargeEigenSystem):
         return sum(V.size for _, V in eig.sectors.values()) / eig.dim**2
-    return 1.0 + len(eig._rotated)
+    keys = {d.tobytes() for d in own}
+    return 1.0 + sum(key not in keys for key in eig._rotated)
 
 
 def _eigenbasis_diagonal(eig: EigenSystem, diag: np.ndarray) -> np.ndarray:
@@ -259,13 +269,16 @@ def exact_otoc(
     and RuntimeError is raised above `DEFECT_TOL` or when it is NaN; the
     check is O(N^2) a step.
 
-    A and B come from the rotation memo on `eig`. Each step writes into two
-    blocks of 2 N^2 floats allocated once per call: A(t) in place, its Re and
-    Im copied out contiguous, two real GEMMs Re A(t) B and Im A(t) B (kept
-    apart: one stacked GEMM rounds differently), P assembled from them, and
-    the elementwise P * P^T summed. These are the operations, in the order,
-    that fresh temporaries would take, so the values are bitwise those of an
-    unbuffered loop; the peak is about 6 N x N arrays (`EXACT_COPIES`).
+    A and B come from the rotation memo on `eig`. Each step works in one
+    block of 2 N^2 floats and one of N^2, allocated once per call. A(t) is
+    formed in row pieces, each split into the block's Re and Im halves; two
+    real GEMMs (kept apart: one stacked GEMM rounds differently) put
+    Re A(t) B in the N^2 array and Im A(t) B over Re A(t); P is interleaved
+    into the block from its last rows to its first, and P * P^T is formed
+    there in place and summed. Every entry goes through the ufuncs and GEMMs
+    that fresh temporaries would take, with the same operands, so the values
+    are bitwise those of an unbuffered loop; the peak is about 5.2 N x N
+    arrays with A and B (`EXACT_COPIES`).
 
     Parameters
     ----------
@@ -282,36 +295,56 @@ def exact_otoc(
     # The defect check below holds only for A(t)^2 = 1.
     D, d1 = _checked_operators(n, [_pm1_diagonal("op_i", op_i, n)], op_1)
     times = _checked_times(times)
-    check_memory("exact_otoc", n, EXACT_COPIES + _held_copies(eig))
+    check_memory("exact_otoc", n, EXACT_COPIES + _held_copies(eig, D[0], d1), FIXED_BYTES)
 
     A = _eigenbasis_diagonal(eig, D[0])
     B = _eigenbasis_diagonal(eig, d1)
 
-    # Two blocks of 2 N^2 floats, each viewed by role. The first holds A(t),
-    # then Re P and Im P, then P * P^T; the second holds Re A(t) and Im A(t),
-    # then P.
-    first = np.empty(2 * n * n)
-    second = np.empty(2 * n * n)
-    At = first.view(complex).reshape(n, n)
-    products = first.reshape(2, n, n)
-    parts = second.reshape(2, n, n)
-    P = second.view(complex).reshape(n, n)
+    # One block of 2 N^2 floats, one of N^2 and a scratch piece. The block
+    # holds Re A(t) and Im A(t), then Im P over Re A(t), then P, then
+    # P * P^T; `re_p` holds Re P.
+    block = np.empty(2 * n * n)
+    parts = block.reshape(2, n, n)
+    P = block.view(complex).reshape(n, n)
+    re_p = np.empty((n, n))
+    # An even number of rows, so every piece has two at least (N is even):
+    # numpy takes an in-place product of one element for a reduction, which
+    # rounds differently.
+    step = 2 * -(-n // (2 * _EXACT_PIECES))
+    scratch = np.empty(step * n, dtype=complex)
+    pieces = [slice(r0, min(r0 + step, n)) for r0 in range(0, n, step)]
     values = np.empty(times.shape, dtype=complex)
     defects = np.empty(times.shape)
     for k, t in enumerate(times):
         u = np.exp(1j * E * t)
-        np.multiply(u[:, None], A, out=At)
-        np.multiply(At, u.conj()[None, :], out=At)
+        u_conj = u.conj()[None, :]
+        for rows in pieces:
+            At = scratch[: (rows.stop - rows.start) * n].reshape(-1, n)
+            np.multiply(u[rows, None], A[rows], out=At)
+            np.multiply(At, u_conj, out=At)
+            parts[0, rows] = At.real
+            parts[1, rows] = At.imag
         # Two real products keep BLAS in dgemm.
-        np.copyto(parts[0], At.real)
-        np.copyto(parts[1], At.imag)
-        np.matmul(parts[0], B, out=products[0])
-        np.matmul(parts[1], B, out=products[1])
-        P.real = products[0]
-        P.imag = products[1]
-        np.multiply(P, P.T, out=At)
-        values[k] = np.sum(At) / n
+        np.matmul(parts[0], B, out=re_p)
+        np.matmul(parts[1], B, out=parts[0])
+        # Row i of P covers rows 2i and 2i + 1 of Im P, so from the last rows
+        # to the first every Im P row is read before it is overwritten; numpy
+        # copies the one source that overlaps its target, the first piece.
+        for rows in reversed(pieces):
+            P.imag[rows] = parts[0, rows]
+            P.real[rows] = re_p[rows]
         defects[k] = abs(np.vdot(P, P).real / n - 1.0)
+        # P * P^T in place, a piece of columns (the diagonal square in) and
+        # then its mirror rows left of the diagonal. Each entry keeps the
+        # operand order P_ij P_ji (complex multiplication does not commute
+        # bit for bit), so the bits are those of the whole product.
+        for rows in pieces:
+            upto, left = slice(0, rows.stop), slice(0, rows.start)
+            upper = scratch[: rows.stop * (rows.stop - rows.start)].reshape(rows.stop, -1)
+            np.multiply(P[upto, rows], P[rows, upto].T, out=upper)
+            P[rows, left] *= P[left, rows].T
+            P[upto, rows] = upper
+        values[k] = np.sum(P) / n
     defect = np.max(defects)
     if not defect <= DEFECT_TOL:
         raise RuntimeError(
@@ -391,7 +424,9 @@ def multi_distance_otoc_values(
     n = eig.dim
     D, d1 = _checked_operators(n, probe_ops, op_1)
     times = _checked_times(times)
-    check_memory("multi_distance_otoc_values", n, MULTI_DISTANCE_COPIES + _held_copies(eig))
+    check_memory(
+        "multi_distance_otoc_values", n, MULTI_DISTANCE_COPIES + _held_copies(eig), FIXED_BYTES
+    )
     route = _SectorRoute(eig, d1)
     half = n // 2
     # Row r of S is state rows[r]; its mirror f(a) = N - 1 - a is row
@@ -664,7 +699,7 @@ def sampled_otoc(
     m = len(states)
     steps = max(1, min(times.size, _CHUNK_COLUMNS // (4 * m)))
     per_state = SAMPLED_COPIES_PER_STATE * m * steps / n
-    check_memory("sampled_otoc", n, SAMPLED_COPIES + per_state + _held_copies(eig))
+    check_memory("sampled_otoc", n, SAMPLED_COPIES + per_state + _held_copies(eig, d_i, d_1))
 
     A = _eigenbasis_diagonal(eig, d_i)
     B = _eigenbasis_diagonal(eig, d_1)

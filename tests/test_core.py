@@ -883,27 +883,30 @@ def test_memory_check_admits_l7_and_the_l8_w_route_and_stops_l8_exact_otoc(monke
     monkeypatch.setattr(core, "_SELF_CGROUP", os.devnull)
     n7, n8 = comb(14, 7), comb(16, 8)
     # Each OTOC route's check adds the caller's eigensystem: one copy of V
-    # (and the rotation memo's entries), or for the W-route the sector
-    # blocks, C(L, k)^2 wide.
+    # (and the rotation memo's entries for other operators), or for the
+    # W-route the sector blocks, C(L, k)^2 wide.
     sector_blocks = {L: sum(comb(L, k) ** 4 for k in range(L + 1)) / comb(2 * L, L) ** 2 for L in (7, 8)}
-    for copies in (
-        core.EIGH_COPIES,
-        core.EIGVALS_COPIES,
-        otoc.EXACT_COPIES + 1.0,
-        otoc.MULTI_DISTANCE_COPIES + sector_blocks[7],
+    for copies, fixed in (
+        (core.EIGH_COPIES, 0),
+        (core.EIGVALS_COPIES, 0),
+        (otoc.EXACT_COPIES + 1.0, otoc.FIXED_BYTES),
+        (otoc.MULTI_DISTANCE_COPIES + sector_blocks[7], otoc.FIXED_BYTES),
         # M = 64 states, four steps per chunk
-        otoc.SAMPLED_COPIES + otoc.SAMPLED_COPIES_PER_STATE * 64 * 4 / n7 + 1.0,
+        (otoc.SAMPLED_COPIES + otoc.SAMPLED_COPIES_PER_STATE * 64 * 4 / n7 + 1.0, 0),
     ):
-        check_memory("step", n7, copies)
+        check_memory("step", n7, copies, fixed)
     # At L = 8 one N x N array is 1.3 GB (1.23 GiB). The W-route holds
-    # MULTI_DISTANCE_COPIES beside the sector blocks (0.27 copies);
-    # exact_otoc's trace route holds 6.6 and V, over the 6.48 of 8 GiB.
-    check_memory("multi_distance_otoc_values", n8, otoc.MULTI_DISTANCE_COPIES + sector_blocks[8])
-    with pytest.raises(MemoryError, match="exact_otoc at N=12870"):
-        check_memory("exact_otoc", n8, otoc.EXACT_COPIES + 1.0)
-    # The W-route at L = 8 fits in 4 GiB.
+    # MULTI_DISTANCE_COPIES beside the sector blocks (0.27 copies, 2.86 GiB
+    # in all); exact_otoc's trace route holds EXACT_COPIES and V (7.65 GiB),
+    # which 8 GiB admits.
+    w_route = otoc.MULTI_DISTANCE_COPIES + sector_blocks[8]
+    check_memory("multi_distance_otoc_values", n8, w_route, otoc.FIXED_BYTES)
+    check_memory("exact_otoc", n8, otoc.EXACT_COPIES + 1.0, otoc.FIXED_BYTES)
+    # The W-route at L = 8 fits in 4 GiB; exact_otoc does not.
     monkeypatch.setattr(core, "_physical_memory", lambda: 4 * 2**30)
-    check_memory("multi_distance_otoc_values", n8, otoc.MULTI_DISTANCE_COPIES + sector_blocks[8])
+    check_memory("multi_distance_otoc_values", n8, w_route, otoc.FIXED_BYTES)
+    with pytest.raises(MemoryError, match="exact_otoc at N=12870"):
+        check_memory("exact_otoc", n8, otoc.EXACT_COPIES + 1.0, otoc.FIXED_BYTES)
 
 
 @pytest.mark.parametrize(

@@ -311,7 +311,7 @@ def trace_route_reference(eig, op_i, op_1, times):
     return values
 
 
-@pytest.mark.parametrize("L,h,seed", [(4, 1.0, 5), (5, 2.0, 4), (6, 4.0, 3)])
+@pytest.mark.parametrize("L,h,seed", [(2, 1.0, 7), (3, 8.0, 6), (4, 1.0, 5), (5, 2.0, 4), (6, 4.0, 3)])
 def test_exact_otoc_is_bitwise_the_unbuffered_trace_route(L, h, seed):
     basis, eig = make_eig(L, h=h, seed=seed)
     d_i, d_1 = sigma_z_operator(basis, 1, L), sigma_z_operator(basis, 1, 1)
@@ -344,8 +344,8 @@ def peak_and_estimate(monkeypatch, call):
     """The tracemalloc peak of call() and the bytes its one memory check asked for."""
     estimates = []
 
-    def recording_check(caller, n, copies):
-        estimates.append(copies * 8 * n * n)
+    def recording_check(caller, n, copies, fixed_bytes=0):
+        estimates.append(copies * 8 * n * n + fixed_bytes)
 
     monkeypatch.setattr(otoc, "check_memory", recording_check)
     tracemalloc.start()
@@ -364,10 +364,11 @@ def warm_memo(eig, basis):
         otoc._eigenbasis_diagonal(eig, sigma_z_operator(basis, 2, site))
 
 
-def assert_peak_within_held_estimate(monkeypatch, basis, eig, copies, call, warm=False):
-    """The memory check asks for copies plus what eig holds: V, allocated
-    before tracing starts, and the memo's entries, here rotated under tracing
-    when warm. The traced peak stays below all but V."""
+def assert_peak_within_held_estimate(monkeypatch, basis, eig, copies, call, warm=False, fixed=0):
+    """The memory check asks for copies and fixed bytes plus what eig holds:
+    V, allocated before tracing starts, and the memo's entries for other
+    operators, here rotated under tracing when warm. The traced peak stays
+    below all but V."""
     one = 8 * basis.dim**2
 
     def warmed_call():
@@ -377,8 +378,8 @@ def assert_peak_within_held_estimate(monkeypatch, basis, eig, copies, call, warm
 
     peak, estimate = peak_and_estimate(monkeypatch, warmed_call)
     held = 1.0 + 2 * warm
-    assert estimate == pytest.approx((copies + held) * one)
-    assert peak < (copies + held - 1.0) * one
+    assert estimate == pytest.approx((copies + held) * one + fixed)
+    assert peak < (copies + held - 1.0) * one + fixed
 
 
 @pytest.mark.parametrize("L", [5, 6])
@@ -387,7 +388,7 @@ def test_exact_peak_memory_stays_below_its_estimate(L, monkeypatch):
     d_i, d_1 = sigma_z_operator(basis, 1, L), sigma_z_operator(basis, 1, 1)
     assert_peak_within_held_estimate(
         monkeypatch, basis, eig, otoc.EXACT_COPIES,
-        lambda: exact_otoc(eig, d_i, d_1, default_decay_times()),
+        lambda: exact_otoc(eig, d_i, d_1, default_decay_times()), fixed=otoc.FIXED_BYTES,
     )
 
 
@@ -399,14 +400,39 @@ def test_peak_memory_with_a_warm_memo_stays_below_its_estimate(L, route, monkeyp
     basis, eig = make_eig(L, h=4.0, seed=3)
     d_i, d_1 = sigma_z_operator(basis, 1, L), sigma_z_operator(basis, 1, 1)
     times = default_decay_times()
-    copies, call = {
-        "exact": (otoc.EXACT_COPIES, lambda: exact_otoc(eig, d_i, d_1, times)),
+    copies, fixed, call = {
+        "exact": (otoc.EXACT_COPIES, otoc.FIXED_BYTES, lambda: exact_otoc(eig, d_i, d_1, times)),
         "sampled": (
             otoc.SAMPLED_COPIES + otoc.SAMPLED_COPIES_PER_STATE * times.size / basis.dim,
+            0,
             lambda: sampled_otoc(eig, d_i, d_1, [haar_state(basis, 0)], times),
         ),
     }[route]
-    assert_peak_within_held_estimate(monkeypatch, basis, eig, copies, call, warm=True)
+    assert_peak_within_held_estimate(monkeypatch, basis, eig, copies, call, warm=True, fixed=fixed)
+
+
+@pytest.mark.parametrize("L", [5, 6])
+def test_sampled_peak_memory_after_exact_otoc_counts_the_memo_once(L, monkeypatch):
+    # decay's order: the exact OTOC leaves A~ and B~ in the memo, and the
+    # sampled estimators of the same pair rotate nothing.
+    basis, eig = make_eig(L, h=4.0, seed=3)
+    d_i, d_1 = sigma_z_operator(basis, 1, L), sigma_z_operator(basis, 1, 1)
+    times = default_decay_times()
+    exact_otoc(eig, d_i, d_1, times)
+    M = 64
+    states = [haar_state(basis, j) for j in range(M)]
+    steps = max(1, min(times.size, otoc._CHUNK_COLUMNS // (4 * M)))
+    copies = otoc.SAMPLED_COPIES + otoc.SAMPLED_COPIES_PER_STATE * M * steps / basis.dim
+    one = 8 * basis.dim**2
+    peak, estimate = peak_and_estimate(monkeypatch, lambda: sampled_otoc(eig, d_i, d_1, states, times))
+    # The constant counts A~ and B~, so the check adds V alone: two copies
+    # fewer than counting the memo's entries again.
+    memo = len(eig._rotated)
+    assert memo == 2
+    assert estimate == pytest.approx((copies + 1.0) * one)
+    assert estimate < (copies + 1.0 + memo) * one
+    # V, A~ and B~, allocated before tracing starts, and the traced peak.
+    assert peak + (1.0 + memo) * one < estimate
 
 
 def test_each_operator_is_rotated_once_per_eigensystem():
@@ -700,8 +726,7 @@ def test_sector_w_route_takes_only_sz_of_one_spin():
             multi_distance_otoc_values(sectors, probes, bad, [0.0, 1.0])
 
 
-@pytest.mark.parametrize("route", ["sectors"])
-def test_w_route_raises_on_a_nan_eigensystem(route):
+def test_w_route_raises_on_a_nan_eigensystem():
     basis, _, sectors = make_sector_eig(3, seed=6)
     eig = nan_poisoned(sectors)
     probes = sigma_z_operator(basis, 1, 3)[None, :]
@@ -709,8 +734,8 @@ def test_w_route_raises_on_a_nan_eigensystem(route):
         multi_distance_otoc_values(eig, probes, sigma_z_operator(basis, 1, 1), [0.5, 1.0])
 
 
-@pytest.mark.parametrize("L, route", [(5, "sectors"), (6, "sectors"), (7, "sectors")])
-def test_w_route_peak_memory_stays_below_its_estimate(L, route, monkeypatch):
+@pytest.mark.parametrize("L", [5, 6, 7])
+def test_w_route_peak_memory_stays_below_its_estimate(L, monkeypatch):
     # L = 7 is the wavefront grid's next size; it runs on three times.
     params = LadderParams(L=L, alpha=1.0, h=1.0)
     basis = SectorBasis(L)
@@ -725,8 +750,8 @@ def test_w_route_peak_memory_stays_below_its_estimate(L, route, monkeypatch):
     # The check also counts the sector blocks the caller holds, which are
     # allocated before tracing starts.
     held = sum(V.size for _, V in eig.sectors.values()) / basis.dim**2
-    assert estimate == pytest.approx((copies + held) * 8 * basis.dim**2)
-    assert peak < copies * 8 * basis.dim**2
+    assert estimate == pytest.approx((copies + held) * 8 * basis.dim**2 + otoc.FIXED_BYTES)
+    assert peak < copies * 8 * basis.dim**2 + otoc.FIXED_BYTES
 
 
 # ---------------------------------------------------------------- sampled
