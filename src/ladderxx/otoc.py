@@ -77,15 +77,17 @@ __all__ = [
 # (`_held_copies`). exact_otoc and the W-route also ask for FIXED_BYTES:
 # numpy's ufunc buffers (up to 8192 elements per buffered operand) and the
 # per-call tables, which weigh most at L = 5. Their copies are the L = 6 peak
-# less that allowance, rounded up with 0.04 copies to spare at least, and
-# cover L = 5 with it. exact_otoc's are A~ and B~, its block of 2 N^2 floats,
-# Re P and a scratch piece of N^2 / 8 floats (5.16 at L = 6, 4.99 at L = 5).
+# less that allowance, rounded up with 0.04 copies to spare at least; with
+# it they cover L = 5.
+FIXED_BYTES = 256 * 1024
+# exact_otoc holds A~ and B~, its block of 2 N^2 floats, Re P and a scratch
+# piece of N^2 / 8 floats (peaks less the allowance: 5.16 at L = 6, 4.99 at
+# L = 5).
 EXACT_COPIES = 5.2
 # multi_distance_otoc_values holds S_R, N/2 x N, its N x N/2 Hadamard input,
 # W_q, P_q and a scratch array as large as a block's m_q x N/2 product
 # (1.99 at L = 6, 1.73 at L = 5; 1.86 at L = 7 with the allowance in).
 MULTI_DISTANCE_COPIES = 2.05
-FIXED_BYTES = 256 * 1024
 # sampled_otoc: 3.1 while it rotates the two operators, then 2 for them plus
 # 12 M K / N for the state coefficients and two chunk buffers of 4 M K real
 # columns each, with M states and K steps per chunk.
