@@ -75,6 +75,10 @@ _SELF_CGROUP = "/proc/self/cgroup"
 # _rung_sectors): s_t = (-1)^t.
 _STRING_SIGNS = sum(1 << t for t in range(1, L_MAX, 2))
 _POPCOUNT = np.array([bin(k).count("1") for k in range(1 << L_MAX)])
+# The Hadamard plan maps label rows in pieces of about this many rows, and at
+# least one pattern: up to L = 7 a piece of N/2 floats a row fits in a 2 MiB
+# L2 cache.
+_PIECE_ROWS = 64
 
 
 def _checked_int(name: str, value, minimum: int) -> int:
@@ -165,8 +169,8 @@ class ChargeLabels:
     z = 0 it swaps the doubly occupied columns with the empty ones, and the
     flip half is whether the doubly occupied columns, read as a bit mask,
     exceed the empty ones. A sector's labels in this order are the rows of
-    its block H_q, and the W-route's Hadamard input (`otoc._SectorRoute`)
-    holds all labels in it. ``rank[s]`` is the position of slot s among its
+    its block H_q, and the input of `SectorBasis.hadamard_plan` holds all
+    labels in it. ``rank[s]`` is the position of slot s among its
     sector's slots in ``order``: label s's row in H_q and in V_q.
     """
 
@@ -178,6 +182,43 @@ class ChargeLabels:
     charge: np.ndarray
     order: np.ndarray
     rank: np.ndarray
+
+
+@dataclass(frozen=True)
+class _HadamardPlan:
+    """U_Q, the map from the rung labels to the states, in row pieces.
+
+    U_Q is the normalized Sylvester-Hadamard matrix H_z on each pattern. In
+    `ChargeLabels.order` each z is a (2^z, patterns) array of label rows, so
+    a GEMM with H_z maps the rows of a few patterns at once; its top half
+    gives states b < 2^(z-1), which go to the first half of the result, and
+    its bottom half the others. The spin flip complements b, so each mirror
+    pair has one state in each half. A z = 0 pattern holds one state, and
+    the flip maps it to another z = 0 pattern; `ChargeLabels.order` puts one
+    of each such pair in the first half of the z = 0 rows, and the z = 0
+    group's matrix is the 2 x 2 identity, which sends the two halves of
+    those rows to the two halves of the result.
+
+    ``pieces`` holds, for a few patterns of one z (about `_PIECE_ROWS`
+    rows), (H_z, its input rows, its pattern columns (p0, p1), its result
+    rows). ``rows[r]`` is the state of result row r. The plan depends on the
+    labels alone, so `SectorBasis.hadamard_plan` builds it once per basis,
+    with read-only arrays.
+    """
+
+    pieces: tuple
+    rows: np.ndarray
+
+    def apply(self, inputs: np.ndarray, scratch: np.ndarray):
+        """U_Q applied to the label columns in `inputs`, rows in
+        `ChargeLabels.order`, as (at, piece): row i of the piece, in
+        `scratch`'s storage, is row at[i] of the result."""
+        width = inputs.shape[1]
+        for hadamard, label_rows, (p0, p1), at in self.pieces:
+            flat = inputs[label_rows].reshape(hadamard.shape[0], -1)
+            piece = scratch[: at.size * width].reshape(hadamard.shape[0], -1)
+            np.matmul(hadamard, flat[:, p0 * width : p1 * width], out=piece)
+            yield at, piece.reshape(-1, width)
 
 
 class SectorBasis:
@@ -192,6 +233,7 @@ class SectorBasis:
     dim : sector dimension.
     charge_labels : the slots of the states and rung labels
         (`ChargeLabels`); built on first use.
+    hadamard_plan : U_Q in row pieces (`_HadamardPlan`); built on first use.
     """
 
     def __init__(self, L: int):
@@ -248,6 +290,41 @@ class SectorBasis:
             order=order,
             rank=rank,
         )
+
+    @functools.cached_property
+    def hadamard_plan(self) -> _HadamardPlan:
+        """U_Q in row pieces; see `_HadamardPlan`."""
+        labels = self.charge_labels
+        order, half = labels.order, self.dim // 2
+        pieces = []
+        # The first half of each z's rows maps to the first half of the result.
+        top_half = np.zeros(self.dim, dtype=bool)
+        # Row (b, p) of a piece is result row top + b patterns + p, or N/2
+        # below for the bottom half of b.
+        top = 0
+        z_order = labels.z[order]
+        for z in np.unique(z_order):
+            first = np.searchsorted(z_order, z)
+            count = np.count_nonzero(z_order == z) // 2
+            m = np.arange(1 << z)
+            hadamard = (1 - 2 * (_POPCOUNT[np.bitwise_and.outer(m, m)] & 1)) * 2.0 ** (-z / 2)
+            # z = 0: one state per pattern, and the identity keeps both halves.
+            hadamard = np.eye(2) if z == 0 else hadamard
+            hadamard.flags.writeable = False
+            h = hadamard.shape[0] // 2
+            patterns = count // h
+            step = max(1, _PIECE_ROWS // (2 * h))
+            for p0 in range(0, patterns, step):
+                p1 = min(p0 + step, patterns)
+                b = top + np.arange(h)[:, None] * patterns + np.arange(p0, p1)
+                at = np.concatenate([b, half + b]).reshape(-1)
+                at.flags.writeable = False
+                pieces.append((hadamard, slice(first, first + 2 * count), (p0, p1), at))
+            top_half[first : first + count] = True
+            top += count
+        rows = labels.state[np.concatenate([order[top_half], order[~top_half]])]
+        rows.flags.writeable = False
+        return _HadamardPlan(pieces=tuple(pieces), rows=rows)
 
     def __len__(self) -> int:
         return self.dim

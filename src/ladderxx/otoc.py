@@ -28,10 +28,11 @@ takes the `ChargeEigenSystem` of `diagonalize_sectors`, so it needs shared
 fields; a ladder with independent legs gets its OTOC from `exact_otoc`. It
 forms the columns of U(t) sector by sector, maps them to the states by
 Hadamard transforms, and takes the column side of each step's two
-N x N/2 products, Y and K, from the same blocks (`_SectorRoute` states the
-identities). A step keeps only the mirror half of the rows of U(t) and takes
-Y and K in pieces that are contracted while they are in cache, so the
-route holds about two N x N arrays in all (`MULTI_DISTANCE_COPIES`).
+N x N/2 products, Y and K, from the same blocks (`_sector_blocks` and
+`core._HadamardPlan` state the identities). A step keeps only the mirror
+half of the rows of U(t) and takes Y and K in pieces that are contracted
+while they are in cache, so the route holds about two N x N arrays in all
+(`MULTI_DISTANCE_COPIES`).
 
 All three routines refuse a time grid that is empty, not 1-D or not finite,
 and check their operators before any O(N^3) work. Their memory checks count
@@ -88,9 +89,10 @@ EXACT_COPIES = 5.2
 # W_q, P_q and a scratch array as large as a block's m_q x N/2 product
 # (1.99 at L = 6, 1.73 at L = 5; 1.86 at L = 7 with the allowance in).
 MULTI_DISTANCE_COPIES = 2.05
-# sampled_otoc: 3.1 while it rotates the two operators, then 2 for them plus
-# 12 M K / N for the state coefficients and two chunk buffers of 4 M K real
-# columns each, with M states and K steps per chunk.
+# sampled_otoc asks for the larger of its two phases: 3.1 while it rotates
+# the two operators, then 2 for them plus (12 M + 2) K / N for the state
+# coefficients, two chunk buffers of 4 M K real columns each and the chunk's
+# N x K complex phases, with M states and K steps per chunk.
 SAMPLED_COPIES = 3.1
 SAMPLED_COPIES_PER_STATE = 12.0
 # sampled_otoc puts this many real columns, the 4M of each of its M states'
@@ -107,10 +109,6 @@ _ROTATED_KEPT = 2
 # exact_otoc phases A(t) and squares P in row pieces of about N / this many
 # rows, so its one scratch piece holds about N^2 / 8 floats.
 _EXACT_PIECES = 16
-# The sector W-route maps and contracts K and Y in pieces of about this many
-# rows, and at least one Hadamard pattern: up to L = 7 a piece of N/2 floats
-# a row fits in a 2 MiB L2 cache.
-_PIECE_ROWS = 64
 # multi_distance_otoc_values raises when a diagonal pair W_aa, W_f(a)f(a) of
 # W(t) misses the chiral mirror W_f(a)f(a) = -W_aa by more than this.
 MIRROR_TOL = 1e-9
@@ -379,23 +377,27 @@ def multi_distance_otoc_values(
     (N x N/2 in the Sz = 0 sector). Let S hold the columns of Re G and of
     Im G, and X = Im G Re G^T; then Re W = 2 S S^T - 1 and
     Im W = 2 (X - X^T). Neither changes when B is rotated, so the route
-    forms G in the rung labels and maps it to the states with the Hadamard
-    transforms (`_SectorRoute`).
+    forms G = U_Q G_Q in the rung labels, block by block (`_sector_blocks`),
+    and maps it to the states with the Hadamard transforms U_Q
+    (`SectorBasis.hadamard_plan`).
 
-    The rows of S come in the route's order, whose first half R holds one
-    state of every mirror pair, and each step forms only the rows R of W.
+    The rows of S come in the plan's `rows` order, whose first half R holds
+    one state of every mirror pair, and each step forms only the rows R of W.
     By the chiral mirror (module notes) and d_f(a) = -d_a for every probe,
     F_i = (2/N) sum_{a in R} sum_b d_a d_b |W_ab|^2. A step keeps S_R, the
     rows R of S, and the squared norms of the other rows. With S J^T the
     columns of -Im G in place of those of Re G and of Re G in place of
     those of Im G, the two N x N/2 products K = S S_R^T and
-    Y = (S J^T) S_R^T hold in column a row a of S S^T and of X - X^T. The
-    route hands them over in pieces of a few rows (`pieces`), and each
-    piece is squared and contracted with the probes while it is in cache,
-    so neither product exists whole. Off the diagonal
-    |W_ab|^2 = 4 (K_ab^2 + Y_ab^2). On it Im W vanishes and Y_aa = 0, so
-    |W_aa|^2 = 4 (K_aa - 1/2)^2 = 4 (K_aa^2 + 1/4 - K_aa) with
-    K_aa = ||S_a||^2: the pieces are squared whole, and one term after
+    Y = (S J^T) S_R^T hold in column a row a of S S^T and of X - X^T. Their
+    column side follows from S = U_Q S_Q, S_Q = [Re G_Q, Im G_Q]: the rows
+    of S_Q S_R^T in sector q are P_q S_R[:, span]^T, and with
+    P_q J^T = i P_q those of Y are (i P_q) S_R[:, span]^T, GEMM work
+    sum_q m_q 2 c_q N in place of N^3. The plan maps them to the states in
+    pieces of a few rows, and each piece is squared and contracted with the
+    probes while it is in cache, so neither product exists whole. Off the
+    diagonal |W_ab|^2 = 4 (K_ab^2 + Y_ab^2). On it Im W vanishes and
+    Y_aa = 0, so |W_aa|^2 = 4 (K_aa - 1/2)^2 = 4 (K_aa^2 + 1/4 - K_aa)
+    with K_aa = ||S_a||^2: the pieces are squared whole, and one term after
     them adds 1/4 - K_aa for each diagonal entry. Every step checks the
     data: it raises RuntimeError on non-finite data, then when the health
     figure below exceeds `DEFECT_TOL` (non-orthonormal eigenvectors), then
@@ -429,35 +431,67 @@ def multi_distance_otoc_values(
     check_memory(
         "multi_distance_otoc_values", n, MULTI_DISTANCE_COPIES + _held_copies(eig), FIXED_BYTES
     )
-    route = _SectorRoute(eig, d1)
+    blocks = _sector_blocks(eig, d1)
+    plan = eig.basis.hadamard_plan
     half = n // 2
-    # Row r of S is state rows[r]; its mirror f(a) = N - 1 - a is row
+    # The Hadamard input has every label's row in `ChargeLabels.order`, as
+    # V_q has sector q's. One scratch array serves a block's phased columns,
+    # its m_q x N/2 product and a mapped piece, each dead before the next is
+    # written.
+    inputs = np.empty((n, half))
+    scratch = np.empty(max(
+        [P.shape[0] * max(P.shape[1], half) for *_, P in blocks]
+        + [at.size * half for *_, at in plan.pieces]
+    ))
+    S_R = np.empty((half, n))
+    norms = np.empty(half)
+    # Row r of S is state plan.rows[r]; its mirror f(a) = N - 1 - a is row
     # half + mirror[r] for r < N/2.
-    rows = route.rows
-    position = np.empty(n, dtype=np.int64)
-    position[rows] = np.arange(n)
-    mirror = position[n - 1 - rows[:half]] - half
+    mirror = np.argsort(plan.rows)[n - 1 - plan.rows[:half]] - half
     # A last row of ones makes the probe GEMMs sum |W_ab|^2 too, for the defect.
-    D = np.vstack([D[:, rows], np.ones(n)])
+    D = np.vstack([D[:, plan.rows], np.ones(n)])
     D_R = D[:, :half]
-    probes = [np.ascontiguousarray(D[:, at]) for at in route.piece_rows]
+    probes = [np.ascontiguousarray(D[:, at]) for *_, at in plan.pieces]
     weighted = np.empty((D.shape[0], half))
     term = np.empty_like(weighted)
 
     values = np.empty((D.shape[0] - 1, times.shape[0]), dtype=float)
     defects = np.empty(times.shape)
     for k, t in enumerate(times):
-        S_R = route.form(t)
+        for E, V, W, span, sector_rows, P in blocks:
+            np.matmul(V, _phased(E, t, W, scratch), out=P)
+        # S_R and the squared norms of the other rows of S, one column half
+        # of S_Q at a time: the blocks' slices of it and zeros elsewhere.
+        norms.fill(0.0)
+        for c0 in (0, half):
+            inputs.fill(0.0)
+            for *_, span, sector_rows, P in blocks:
+                lo, hi = max(span.start, c0), min(span.stop, c0 + half)
+                if lo < hi:
+                    inputs[sector_rows, lo - c0 : hi - c0] = P[:, lo - span.start : hi - span.start]
+            for at, piece in plan.apply(inputs, scratch):
+                low = piece.shape[0] // 2
+                S_R[at[:low], c0 : c0 + half] = piece[:low]
+                norms[at[low:] - half] += np.einsum("ij,ij->i", piece[low:], piece[low:])
         k_diag = np.einsum("ij,ij->i", S_R, S_R)
         weighted.fill(0.0)
-        for j, piece in route.pieces():
-            np.square(piece, out=piece)
-            np.matmul(probes[j], piece, out=term)
-            weighted += term
+        # K's pieces, then Y's. The rows of K in sector q's labels are
+        # P_q S_R[:, span]^T, and those of Y (i P_q) S_R[:, span]^T.
+        for y_side in (False, True):
+            for *_, span, sector_rows, P in blocks:
+                if y_side:
+                    P.view(complex)[...] *= 1j
+                block = scratch[: P.shape[0] * half].reshape(-1, half)
+                np.matmul(P, S_R[:, span].T, out=block)
+                inputs[sector_rows] = block
+            for probe, (at, piece) in zip(probes, plan.apply(inputs, scratch)):
+                np.square(piece, out=piece)
+                np.matmul(probe, piece, out=term)
+                weighted += term
         # The diagonal entries: (K_aa - 1/2)^2 in place of K_aa^2.
         weighted += D_R * (0.25 - k_diag)
         # Re W_aa = 2 ||S_a||^2 - 1 must be odd under the flip.
-        mismatch = np.max(np.abs(k_diag + route.norms[mirror] - 1.0))
+        mismatch = np.max(np.abs(k_diag + norms[mirror] - 1.0))
         if not np.isfinite(mismatch):
             raise RuntimeError(f"W(t={t}) is not finite: the eigensystem holds NaN or inf")
         defects[k] = abs(8.0 * weighted[-1].sum() / n - 1.0)
@@ -486,172 +520,67 @@ def _phased(E: np.ndarray, t: float, W: np.ndarray, free: np.ndarray) -> np.ndar
     return phased.reshape(m, 2 * c)
 
 
-class _SectorRoute:
-    """S from a `ChargeEigenSystem`, rows in `rows` order.
+def _sector_blocks(eig: ChargeEigenSystem, d1: np.ndarray) -> list[tuple]:
+    """Each sector's (E_q, V_q, W_q, span, sector rows, P_q) for op_1 = d1.
 
-    Two identities make G cheap. Write G = U_Q G_Q with U_Q the map from
-    the rung labels to the states (`core._rung_sectors`) and
-    G_Q = (+)_q V_q exp(-i E_q t) V_q^T B_Q, B_Q = U_Q^T B.
+    Write G = U_Q G_Q with U_Q the map from the rung labels to the states
+    (`core._HadamardPlan`) and G_Q = (+)_q V_q exp(-i E_q t) V_q^T B_Q,
+    B_Q = U_Q^T B. sz of spin (leg, site) is +1 on every label of a pattern
+    that doubly occupies the site's column and -1 on every one that leaves
+    it empty. Where the column is the t-th singly occupied one, the Hadamard
+    transform turns sz into +-X_t (- on leg 2), which flips bit t of the
+    label m, so its +1 states are (e_m +- e_(m ^ 2^t)) / sqrt 2 for m with
+    bit t clear. Bit t of `_STRING_SIGNS` is t's parity, so the partner lies
+    in sector q - 2 for even t and q + 2 for odd t. With the columns of B_Q
+    sorted by the edge {q, q + 2} of each pair, and the doubly occupied
+    labels of sector q between the edges below and above q, the columns
+    that touch sector q are one range, and each holds one weighted row of
+    V_q. With Re and Im of each column side by side, block q's columns of
+    S_Q = [Re G_Q, Im G_Q] are one slice, `span`, and the block costs one
+    real GEMM P_q = V_q [cos, -sin] (E_q t) * W_q per step, W_q the
+    weighted rows of V_q^T. The sector rows are the block's rows among all
+    labels in `ChargeLabels.order`.
 
-    * B in the labels. sz of spin (leg, site) is +1 on every label of a
-      pattern that doubly occupies the site's column and -1 on every one
-      that leaves it empty. Where the column is the t-th singly occupied
-      one, the Hadamard transform turns sz into +-X_t (- on leg 2), which
-      flips bit t of the label m, so its +1 states are
-      (e_m +- e_(m ^ 2^t)) / sqrt 2 for m with bit t clear. Bit t of
-      `_STRING_SIGNS` is t's parity, so the partner lies in sector q - 2 for
-      even t and q + 2 for odd t. With the columns of B_Q sorted by the
-      edge {q, q + 2} of each pair, and the doubly occupied labels of
-      sector q between the edges below and above q, the columns that touch
-      sector q are one range, and each holds one weighted row of V_q. With
-      Re and Im of each column side by side, block q's columns of
-      S_Q = [Re G_Q, Im G_Q] are one slice, `span`, and the block costs one
-      real GEMM P_q = V_q [cos, -sin] (E_q t) * W_q per step, W_q the
-      weighted rows of V_q^T.
-    * U_Q is the normalized Sylvester-Hadamard matrix H_z on each pattern.
-      In `ChargeLabels.order` each z is a (2^z, patterns) array of label
-      rows, so a GEMM with H_z maps the rows of a few patterns at once; its
-      top half gives states b < 2^(z-1), which go to the first half of S,
-      and its bottom half the others. The spin flip complements b, so each
-      mirror pair has one state in each half. A z = 0 pattern holds one
-      state, and the flip maps it to another z = 0 pattern;
-      `ChargeLabels.order` puts one of each such pair in the first half of
-      the z = 0 rows, and the z = 0 group's matrix is the 2 x 2 identity,
-      which sends the two halves of those rows to the two halves of S.
-
-    The Hadamard input, N x N/2, has every label's row in
-    `ChargeLabels.order`, as V_q has sector q's. `form` fills it with one
-    column half of S_Q at a time, the blocks' slices of it and zeros
-    elsewhere, each block by one indexed assignment, and keeps of the
-    mapped rows S_R and the squared norms of the others.
-
-    The column side of K and Y follows from S = U_Q S_Q: for any A with N
-    columns, S A^T = U_Q (S_Q A^T), and the rows of S_Q A^T in sector q are
-    P_q A[:, span]^T. For A = S_R these are K's rows, and with
-    P_q J^T = i P_q, (i P_q) S_R[:, span]^T are Y's. `pieces` runs every
-    block's m_q x 2 c_q x N/2 GEMM for K into the Hadamard input, maps it
-    piece by piece, and then does the same for Y: GEMM work
-    sum_q m_q 2 c_q N in place of N^3. The P_q are kept from `form`, which
-    rebuilds them after `pieces` has multiplied them by i. One scratch
-    array serves the phased columns, a block's product and a piece, each
-    dead before the next is written, and is as large as the largest.
+    Raises ValueError unless d1 is sz of one spin, and RuntimeError when a
+    sector meets no contiguous range of the +1 states.
     """
-
-    def __init__(self, eig: ChargeEigenSystem, d1: np.ndarray):
-        basis = eig.basis
-        labels = basis.charge_labels
-        L = basis.L
-        spins = [(leg, site) for leg in (1, 2) for site in range(1, L + 1)]
-        match = [s for s in spins if np.array_equal(d1, sigma_z_operator(basis, *s))]
-        if not match:
-            raise ValueError("op_1 must be sz of one spin for a ChargeEigenSystem")
-        leg, site = match[0]
-        charge = labels.charge
-        n = eig.dim
-        half = n // 2
-        # B_Q's columns: doubly occupied labels alone, pairs by their leading label.
-        bit = 1 << (site - 1)
-        bit_rank = _POPCOUNT[labels.single & (bit - 1)]
-        alone = np.flatnonzero(labels.double & bit)
-        lead = np.flatnonzero((labels.single & bit != 0) & ((labels.index >> bit_rank) & 1 == 0))
-        partner = lead + (1 << bit_rank[lead])
-        key = np.concatenate([2 * charge[alone], charge[lead] + charge[partner]])
-        column = np.empty(key.size, dtype=np.int64)
-        column[np.argsort(key, kind="stable")] = np.arange(key.size)
-        # B_Q's nonzero entries: one per lone label, two per pair.
-        entry_slot = np.concatenate([alone, lead, partner])
-        entry_column = np.concatenate([column, column[alone.size :]])
-        pair = np.full(lead.size, 0.5**0.5)
-        entry_weight = np.concatenate([np.ones(alone.size), pair, (-1) ** (leg - 1) * pair])
-        order = labels.order
-        self.blocks = []
-        scratch = 0
-        for q, (E, V) in eig.sectors.items():
-            sector_rows = np.flatnonzero(charge[order] == q)
-            mine = np.flatnonzero(charge[entry_slot] == q)
-            mine = mine[np.argsort(entry_column[mine])]
-            cols = entry_column[mine]
-            # Every sector meets the +1 states of every spin for L <= 8, so
-            # `pieces` writes every row of its Hadamard inputs.
-            if cols.size == 0 or not np.array_equal(cols, np.arange(cols[0], cols[0] + cols.size)):
-                raise RuntimeError(f"sector {q} meets no contiguous range of +1 states")
-            local = labels.rank[entry_slot[mine]]
-            W = np.ascontiguousarray((V[local] * entry_weight[mine, None]).T)
-            span = slice(2 * cols[0], 2 * (cols[0] + cols.size))
-            P = np.empty((V.shape[0], 2 * cols.size))
-            self.blocks.append((E, V, W, span, sector_rows, P))
-            scratch = max(scratch, P.size, V.shape[0] * half)
-        # Hadamard pieces: a few patterns of one z, whose rows
-        # [first, first + 2 count) of the input are a (2^z, patterns) array.
-        # Row (b, p) of a piece is row top + b patterns + p of S, or N/2 below
-        # for the bottom half of b.
-        self.layout, self.piece_rows = [], []
-        top = 0
-        first_half, second_half = [], []
-        z_order = labels.z[order]
-        for z in np.unique(z_order):
-            first = np.searchsorted(z_order, z)
-            count = np.count_nonzero(z_order == z) // 2
-            m = np.arange(1 << z)
-            hadamard = (1 - 2 * (_POPCOUNT[np.bitwise_and.outer(m, m)] & 1)) * 2.0 ** (-z / 2)
-            # z = 0: one state per pattern, and the identity keeps both halves.
-            hadamard = np.eye(2) if z == 0 else hadamard
-            h = hadamard.shape[0] // 2
-            patterns = count // h
-            step = max(1, _PIECE_ROWS // (2 * h))
-            for p0 in range(0, patterns, step):
-                p1 = min(p0 + step, patterns)
-                b = top + np.arange(h)[:, None] * patterns + np.arange(p0, p1)
-                self.layout.append((hadamard, first, count, p0, p1))
-                self.piece_rows.append(np.concatenate([b, half + b]).reshape(-1))
-                scratch = max(scratch, 2 * h * (p1 - p0) * half)
-            first_half.append(order[first : first + count])
-            second_half.append(order[first + count : first + 2 * count])
-            top += count
-        self.rows = labels.state[np.concatenate(first_half + second_half)]
-        self.inputs = np.empty((n, half))
-        self.scratch = np.empty(scratch)
-        self.S_R = np.empty((half, n))
-        self.norms = np.empty(half)
-
-    def hadamard(self, inputs: np.ndarray):
-        """U_Q applied to the label rows in `inputs`, as (j, piece): row i of
-        the piece is row piece_rows[j][i] of the result, in `rows` order."""
-        width = inputs.shape[1]
-        for j, (hadamard, first, count, p0, p1) in enumerate(self.layout):
-            flat = inputs[first : first + 2 * count].reshape(hadamard.shape[0], -1)
-            piece = self.scratch[: hadamard.shape[0] * (p1 - p0) * width]
-            np.matmul(hadamard, flat[:, p0 * width : p1 * width], out=piece.reshape(hadamard.shape[0], -1))
-            yield j, piece.reshape(-1, width)
-
-    def form(self, t: float) -> np.ndarray:
-        half = self.S_R.shape[0]
-        for E, V, W, span, sector_rows, P in self.blocks:
-            np.matmul(V, _phased(E, t, W, self.scratch), out=P)
-        self.norms.fill(0.0)
-        for c0 in (0, half):
-            self.inputs.fill(0.0)
-            for *_, span, sector_rows, P in self.blocks:
-                lo, hi = max(span.start, c0), min(span.stop, c0 + half)
-                if lo < hi:
-                    self.inputs[sector_rows, lo - c0 : hi - c0] = P[:, lo - span.start : hi - span.start]
-            for j, piece in self.hadamard(self.inputs):
-                at, low = self.piece_rows[j], piece.shape[0] // 2
-                self.S_R[at[:low], c0 : c0 + half] = piece[:low]
-                self.norms[at[low:] - half] += np.einsum("ij,ij->i", piece[low:], piece[low:])
-        return self.S_R
-
-    def pieces(self):
-        """(j, piece): the rows piece_rows[j] of K, all pieces, then of Y."""
-        half = self.S_R.shape[0]
-        for y_side in (False, True):
-            for *_, span, sector_rows, P in self.blocks:
-                if y_side:
-                    P.view(complex)[...] *= 1j
-                block = self.scratch[: P.shape[0] * half].reshape(-1, half)
-                np.matmul(P, self.S_R[:, span].T, out=block)
-                self.inputs[sector_rows] = block
-            yield from self.hadamard(self.inputs)
+    basis = eig.basis
+    labels = basis.charge_labels
+    spins = [(leg, site) for leg in (1, 2) for site in range(1, basis.L + 1)]
+    match = [s for s in spins if np.array_equal(d1, sigma_z_operator(basis, *s))]
+    if not match:
+        raise ValueError("op_1 must be sz of one spin for a ChargeEigenSystem")
+    leg, site = match[0]
+    charge = labels.charge
+    # B_Q's columns: doubly occupied labels alone, pairs by their leading label.
+    bit = 1 << (site - 1)
+    bit_rank = _POPCOUNT[labels.single & (bit - 1)]
+    alone = np.flatnonzero(labels.double & bit)
+    lead = np.flatnonzero((labels.single & bit != 0) & ((labels.index >> bit_rank) & 1 == 0))
+    partner = lead + (1 << bit_rank[lead])
+    key = np.concatenate([2 * charge[alone], charge[lead] + charge[partner]])
+    column = np.empty(key.size, dtype=np.int64)
+    column[np.argsort(key, kind="stable")] = np.arange(key.size)
+    # B_Q's nonzero entries: one per lone label, two per pair.
+    entry_slot = np.concatenate([alone, lead, partner])
+    entry_column = np.concatenate([column, column[alone.size :]])
+    pair = np.full(lead.size, 0.5**0.5)
+    entry_weight = np.concatenate([np.ones(alone.size), pair, (-1) ** (leg - 1) * pair])
+    blocks = []
+    for q, (E, V) in eig.sectors.items():
+        sector_rows = np.flatnonzero(charge[labels.order] == q)
+        mine = np.flatnonzero(charge[entry_slot] == q)
+        mine = mine[np.argsort(entry_column[mine])]
+        cols = entry_column[mine]
+        # Every sector meets the +1 states of every spin for L <= 8, so the
+        # K and Y products write every row of the Hadamard input.
+        if cols.size == 0 or not np.array_equal(cols, np.arange(cols[0], cols[0] + cols.size)):
+            raise RuntimeError(f"sector {q} meets no contiguous range of +1 states")
+        local = labels.rank[entry_slot[mine]]
+        W = np.ascontiguousarray((V[local] * entry_weight[mine, None]).T)
+        span = slice(2 * cols[0], 2 * (cols[0] + cols.size))
+        blocks.append((E, V, W, span, sector_rows, np.empty((V.shape[0], 2 * cols.size))))
+    return blocks
 
 
 def sampled_otoc(
@@ -700,8 +629,8 @@ def sampled_otoc(
         raise ValueError(f"every initial state must have {n} amplitudes")
     m = len(states)
     steps = max(1, min(times.size, _CHUNK_COLUMNS // (4 * m)))
-    per_state = SAMPLED_COPIES_PER_STATE * m * steps / n
-    check_memory("sampled_otoc", n, SAMPLED_COPIES + per_state + _held_copies(eig, d_i, d_1))
+    per_state = 2.0 + (SAMPLED_COPIES_PER_STATE * m + 2) * steps / n
+    check_memory("sampled_otoc", n, max(SAMPLED_COPIES, per_state) + _held_copies(eig, d_i, d_1))
 
     A = _eigenbasis_diagonal(eig, d_i)
     B = _eigenbasis_diagonal(eig, d_1)

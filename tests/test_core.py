@@ -436,6 +436,61 @@ def test_charge_sectors_have_the_leg_swap_parity_their_charge_fixes(L):
         assert np.max(np.abs(PU - parity[0] * U)) < 1e-14
 
 
+def charge_map_by_slot(basis):
+    """U_Q from the `charge_map` oracle, its column s the label in slot s.
+
+    The sectors come by ascending q, each with its labels in `ChargeLabels.order`.
+    """
+    U = np.hstack(list(charge_map(basis).values()))
+    order = basis.charge_labels.order
+    by_slot = np.empty_like(U)
+    by_slot[:, order[np.argsort(basis.charge_labels.charge[order], kind="stable")]] = U
+    return by_slot
+
+
+@pytest.mark.parametrize("L", [2, 3, 4, 5, 6, 7])
+def test_hadamard_plan_rebuilds_the_charge_map(L):
+    basis = SectorBasis(L)
+    n = basis.dim
+    plan = basis.hadamard_plan
+    S = np.full((n, n), np.nan)
+    # Row k of the plan's input is the label in slot order[k]; it is mapped
+    # N/2 columns at a time, piece by piece.
+    half = n // 2
+    scratch = np.empty(max(at.size for *_, at in plan.pieces) * half)
+    for start in (0, half):
+        written = np.zeros(n, dtype=int)
+        for at, piece in plan.apply(np.ascontiguousarray(np.eye(n)[:, start : start + half]), scratch):
+            written[at] += 1
+            S[at, start : start + half] = piece
+        # Every row of the result comes in exactly one piece.
+        assert np.all(written == 1)
+    want = charge_map_by_slot(basis)[plan.rows][:, basis.charge_labels.order]
+    assert np.max(np.abs(S - want)) < 1e-15
+
+
+@pytest.mark.parametrize("L", [2, 3, 4, 5, 6, 7])
+def test_first_half_of_s_holds_one_state_of_each_mirror_pair(L):
+    basis = SectorBasis(L)
+    n = basis.dim
+    rows = basis.hadamard_plan.rows
+    assert np.array_equal(np.sort(rows), np.arange(n))
+    # The flip of state a is state N - 1 - a.
+    first = rows[: n // 2]
+    assert np.array_equal(np.sort(np.concatenate([first, n - 1 - first])), np.arange(n))
+
+
+def test_hadamard_plan_is_built_once_per_basis_and_read_only():
+    basis = SectorBasis(4)
+    plan = basis.hadamard_plan
+    assert basis.hadamard_plan is plan
+    arrays = [plan.rows] + [a for piece in plan.pieces for a in piece if isinstance(a, np.ndarray)]
+    assert len(arrays) == 1 + 2 * len(plan.pieces)
+    for a in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            a[...] = 0
+
+
 # ---------------------------------------------------------------- spectra
 
 def test_decoupled_dimer_spectrum():
@@ -892,7 +947,7 @@ def test_memory_check_admits_l7_and_the_l8_w_route_and_stops_l8_exact_otoc(monke
         (otoc.EXACT_COPIES + 1.0, otoc.FIXED_BYTES),
         (otoc.MULTI_DISTANCE_COPIES + sector_blocks[7], otoc.FIXED_BYTES),
         # M = 64 states, four steps per chunk
-        (otoc.SAMPLED_COPIES + otoc.SAMPLED_COPIES_PER_STATE * 64 * 4 / n7 + 1.0, 0),
+        (max(otoc.SAMPLED_COPIES, 2 + (otoc.SAMPLED_COPIES_PER_STATE * 64 + 2) * 4 / n7) + 1.0, 0),
     ):
         check_memory("step", n7, copies, fixed)
     # At L = 8 one N x N array is 1.3 GB (1.23 GiB). The W-route holds

@@ -54,7 +54,7 @@ def make_sector_eig(L, alpha=1.0, h=1.0, seed=1):
 
 
 def identity_sectors(basis):
-    """A ChargeEigenSystem with V_q = 1 and E_q = 0: enough for the layout."""
+    """A ChargeEigenSystem with V_q = 1 and E_q = 0: enough for the block layout."""
     charges, counts = np.unique(basis.charge_labels.charge, return_counts=True)
     return core.ChargeEigenSystem(
         basis, {int(q): (np.zeros(m), np.eye(m)) for q, m in zip(charges, counts)}
@@ -403,7 +403,7 @@ def test_peak_memory_with_a_warm_memo_stays_below_its_estimate(L, route, monkeyp
     copies, fixed, call = {
         "exact": (otoc.EXACT_COPIES, otoc.FIXED_BYTES, lambda: exact_otoc(eig, d_i, d_1, times)),
         "sampled": (
-            otoc.SAMPLED_COPIES + otoc.SAMPLED_COPIES_PER_STATE * times.size / basis.dim,
+            max(otoc.SAMPLED_COPIES, 2 + (otoc.SAMPLED_COPIES_PER_STATE + 2) * times.size / basis.dim),
             0,
             lambda: sampled_otoc(eig, d_i, d_1, [haar_state(basis, 0)], times),
         ),
@@ -422,7 +422,9 @@ def test_sampled_peak_memory_after_exact_otoc_counts_the_memo_once(L, monkeypatc
     M = 64
     states = [haar_state(basis, j) for j in range(M)]
     steps = max(1, min(times.size, otoc._CHUNK_COLUMNS // (4 * M)))
-    copies = otoc.SAMPLED_COPIES + otoc.SAMPLED_COPIES_PER_STATE * M * steps / basis.dim
+    copies = max(
+        otoc.SAMPLED_COPIES, 2 + (otoc.SAMPLED_COPIES_PER_STATE * M + 2) * steps / basis.dim
+    )
     one = 8 * basis.dim**2
     peak, estimate = peak_and_estimate(monkeypatch, lambda: sampled_otoc(eig, d_i, d_1, states, times))
     # The constant counts A~ and B~, so the check adds V alone: two copies
@@ -659,60 +661,16 @@ def test_w_routes_match_full_rows_on_the_lightcone_grid(L, h):
     assert defect < 1e-12
 
 
-def charge_map_by_slot(basis):
-    """U_Q from the `charge_map` oracle, its column s the label in slot s.
-
-    The sectors come by ascending q, each with its labels in `ChargeLabels.order`.
-    """
-    U = np.hstack(list(charge_map(basis).values()))
-    order = basis.charge_labels.order
-    by_slot = np.empty_like(U)
-    by_slot[:, order[np.argsort(basis.charge_labels.charge[order], kind="stable")]] = U
-    return by_slot
-
-
-@pytest.mark.parametrize("L", [2, 3, 4, 5, 6, 7])
-def test_hadamard_plan_rebuilds_the_charge_map(L):
-    basis = SectorBasis(L)
-    n = basis.dim
-    route = otoc._SectorRoute(identity_sectors(basis), sigma_z_operator(basis, 1, 1))
-    S = np.full((n, n), np.nan)
-    # Row k of the Hadamard input is the label in slot order[k]; the route
-    # maps N/2 columns at a time, piece by piece.
-    half = n // 2
-    for start in (0, half):
-        written = np.zeros(n, dtype=int)
-        for j, piece in route.hadamard(np.ascontiguousarray(np.eye(n)[:, start : start + half])):
-            at = route.piece_rows[j]
-            written[at] += 1
-            S[at, start : start + half] = piece
-        # Every row of the result comes in exactly one piece.
-        assert np.all(written == 1)
-    want = charge_map_by_slot(basis)[route.rows][:, basis.charge_labels.order]
-    assert np.max(np.abs(S - want)) < 1e-15
-
-
-@pytest.mark.parametrize("L", [2, 3, 4, 5, 6, 7])
-def test_first_half_of_s_holds_one_state_of_each_mirror_pair(L):
-    basis = SectorBasis(L)
-    n = basis.dim
-    rows = otoc._SectorRoute(identity_sectors(basis), sigma_z_operator(basis, 2, L)).rows
-    assert np.array_equal(np.sort(rows), np.arange(n))
-    # The flip of state a is state N - 1 - a.
-    first = rows[: n // 2]
-    assert np.array_equal(np.sort(np.concatenate([first, n - 1 - first])), np.arange(n))
-
-
 @pytest.mark.parametrize("L", [2, 3, 4, 5, 6, 7])
 def test_every_sector_meets_the_plus_one_states_of_every_spin(L):
-    # The route refuses a sector without them: its products write every row
-    # of the Hadamard inputs, so there is no row left to zero.
+    # `_sector_blocks` refuses a sector without them: the K and Y products
+    # write every row of the Hadamard input, so there is no row left to zero.
     basis = SectorBasis(L)
     eig = identity_sectors(basis)
     for leg in (1, 2):
         for site in range(1, L + 1):
-            route = otoc._SectorRoute(eig, sigma_z_operator(basis, leg, site))
-            rows = np.concatenate([sector_rows for *_, sector_rows, _ in route.blocks])
+            blocks = otoc._sector_blocks(eig, sigma_z_operator(basis, leg, site))
+            rows = np.concatenate([sector_rows for *_, sector_rows, _ in blocks])
             assert np.array_equal(np.sort(rows), np.arange(basis.dim))
 
 
@@ -953,7 +911,9 @@ def test_sampled_peak_memory_stays_below_its_estimate(L, M, monkeypatch):
     states = [haar_state(basis, j) for j in range(M)]
     times = default_decay_times()
     steps = max(1, min(times.size, otoc._CHUNK_COLUMNS // (4 * M)))
-    copies = otoc.SAMPLED_COPIES + otoc.SAMPLED_COPIES_PER_STATE * M * steps / basis.dim
+    copies = max(
+        otoc.SAMPLED_COPIES, 2 + (otoc.SAMPLED_COPIES_PER_STATE * M + 2) * steps / basis.dim
+    )
     assert_peak_within_held_estimate(
         monkeypatch, basis, eig, copies, lambda: sampled_otoc(eig, d_i, d_1, states, times)
     )

@@ -244,6 +244,17 @@ def test_light_cone_is_sublinear(h):
     assert gamma[-1] + 2 * fits[0.5].meta["stderr"]["gamma"] < 1.0
 
 
+def test_two_realization_grid_is_bitwise_the_stack_of_one_realization_grids():
+    # The realizations of one grid share the basis and its Hadamard plan,
+    # which must carry nothing from one realization to the next.
+    params = LadderParams(L=4, alpha=1.0, h=1.0)
+    ensemble = [sample_disorder(params, seed) for seed in (31, 32)]
+    times = np.linspace(0.0, 6.0, 31)
+    both = build_spacetime_grid(params, ensemble, times)
+    alone = [build_spacetime_grid(params, [dis], times).values for dis in ensemble]
+    assert np.array_equal(both.per_realization, np.stack(alone))
+
+
 def test_grid_requires_realizations():
     params = LadderParams(L=3, alpha=1.0, h=1.0)
     with pytest.raises(ValueError):
