@@ -326,9 +326,6 @@ class SectorBasis:
         rows.flags.writeable = False
         return _HadamardPlan(pieces=tuple(pieces), rows=rows)
 
-    def __len__(self) -> int:
-        return self.dim
-
     def __repr__(self) -> str:
         return f"SectorBasis(L={self.L}, dim={self.dim})"
 
@@ -822,14 +819,6 @@ def _solve_blocks(caller: str, H: SectorHamiltonian, blocks, solve, copies: floa
             f"eigensolver failed for L={H.params.L}, alpha={H.params.alpha}, "
             f"h={H.params.h}, seed={H.disorder.seed}"
         ) from exc
-
-
-def _full_eigensystem(caller: str, eig) -> None:
-    """Raise TypeError unless eig is the full EigenSystem of `diagonalize(H)`."""
-    if not isinstance(eig, EigenSystem):
-        raise TypeError(
-            f"{caller} needs the full EigenSystem of diagonalize(H), not {type(eig).__name__}"
-        )
 
 
 def _check_spectral_weight(H: SectorHamiltonian, w: np.ndarray) -> None:

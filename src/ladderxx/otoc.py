@@ -30,9 +30,9 @@ forms the columns of U(t) sector by sector, maps them to the states by
 Hadamard transforms, and takes the column side of each step's two
 N x N/2 products, Y and K, from the same blocks (`_sector_blocks` and
 `core._HadamardPlan` state the identities). A step keeps only the mirror
-half of the rows of U(t) and takes Y and K in pieces that are contracted
-while they are in cache, so the route holds about two N x N arrays in all
-(`MULTI_DISTANCE_COPIES`).
+half of the rows of U(t) and the squared norm of every row, and takes Y
+and K in pieces that are contracted while they are in cache, so the route
+holds about two N x N arrays in all (`MULTI_DISTANCE_COPIES`).
 
 All three routines refuse a time grid that is empty, not 1-D or not finite,
 and check their operators before any O(N^3) work. Their memory checks count
@@ -54,7 +54,6 @@ from .core import (
     EigenSystem,
     SectorBasis,
     _checked_int,
-    _full_eigensystem,
     check_memory,
     sigma_z_operator,
 )
@@ -153,10 +152,6 @@ class OtocSeries:
         if at_zero.size and not at_zero.max() <= 1e-10:
             raise ValueError("OTOC must equal 1 at t = 0")
 
-    @property
-    def re(self) -> np.ndarray:
-        return np.real(self.values)
-
 
 @dataclass
 class InitialState:
@@ -218,6 +213,14 @@ def _pm1_diagonal(name: str, d: np.ndarray, n: int) -> np.ndarray:
     if not np.all(np.abs(d) == 1.0):
         raise ValueError(f"{name} must be a +-1 diagonal")
     return d
+
+
+def _full_eigensystem(caller: str, eig) -> None:
+    """Raise TypeError unless eig is the full EigenSystem of `diagonalize(H)`."""
+    if not isinstance(eig, EigenSystem):
+        raise TypeError(
+            f"{caller} needs the full EigenSystem of diagonalize(H), not {type(eig).__name__}"
+        )
 
 
 def _held_copies(eig: EigenSystem | ChargeEigenSystem, *own: np.ndarray) -> float:
@@ -385,7 +388,7 @@ def multi_distance_otoc_values(
     one state of every mirror pair, and each step forms only the rows R of W.
     By the chiral mirror (module notes) and d_f(a) = -d_a for every probe,
     F_i = (2/N) sum_{a in R} sum_b d_a d_b |W_ab|^2. A step keeps S_R, the
-    rows R of S, and the squared norms of the other rows. With S J^T the
+    rows R of S, and the squared norm of every row of S. With S J^T the
     columns of -Im G in place of those of Re G and of Re G in place of
     those of Im G, the two N x N/2 products K = S S_R^T and
     Y = (S J^T) S_R^T hold in column a row a of S S^T and of X - X^T. Their
@@ -444,10 +447,10 @@ def multi_distance_otoc_values(
         + [at.size * half for *_, at in plan.pieces]
     ))
     S_R = np.empty((half, n))
-    norms = np.empty(half)
+    norms = np.empty(n)
     # Row r of S is state plan.rows[r]; its mirror f(a) = N - 1 - a is row
-    # half + mirror[r] for r < N/2.
-    mirror = np.argsort(plan.rows)[n - 1 - plan.rows[:half]] - half
+    # mirror[r] >= N/2 for r < N/2.
+    mirror = np.argsort(plan.rows)[n - 1 - plan.rows[:half]]
     # A last row of ones makes the probe GEMMs sum |W_ab|^2 too, for the defect.
     D = np.vstack([D[:, plan.rows], np.ones(n)])
     D_R = D[:, :half]
@@ -460,8 +463,8 @@ def multi_distance_otoc_values(
     for k, t in enumerate(times):
         for E, V, W, span, sector_rows, P in blocks:
             np.matmul(V, _phased(E, t, W, scratch), out=P)
-        # S_R and the squared norms of the other rows of S, one column half
-        # of S_Q at a time: the blocks' slices of it and zeros elsewhere.
+        # S_R and the squared norm of every row of S, one column half of S_Q
+        # at a time: the blocks' slices of it and zeros elsewhere.
         norms.fill(0.0)
         for c0 in (0, half):
             inputs.fill(0.0)
@@ -472,8 +475,8 @@ def multi_distance_otoc_values(
             for at, piece in plan.apply(inputs, scratch):
                 low = piece.shape[0] // 2
                 S_R[at[:low], c0 : c0 + half] = piece[:low]
-                norms[at[low:] - half] += np.einsum("ij,ij->i", piece[low:], piece[low:])
-        k_diag = np.einsum("ij,ij->i", S_R, S_R)
+                norms[at] += np.einsum("ij,ij->i", piece, piece)
+        k_diag = norms[:half]
         weighted.fill(0.0)
         # K's pieces, then Y's. The rows of K in sector q's labels are
         # P_q S_R[:, span]^T, and those of Y (i P_q) S_R[:, span]^T.

@@ -78,7 +78,6 @@ class Contour:
     eta: float
     distances: np.ndarray
     t_cross: np.ndarray
-    fit: FitResult | None = None
     meta: dict = field(default_factory=dict)
 
     @property
@@ -197,7 +196,7 @@ def fit_dynamical_exponent(contour: Contour, min_dx: int | None = None) -> FitRe
 
     For levels deep in the scrambled region (eta < 0.5) distances dx <= 2 are
     excluded by default; near-unity levels keep every point. Override with
-    ``min_dx``. The fitted contour is also stored on the input contour.
+    ``min_dx``.
     """
     if min_dx is None:
         min_dx = 3 if contour.eta < 0.5 else 1
@@ -211,5 +210,4 @@ def fit_dynamical_exponent(contour: Contour, min_dx: int | None = None) -> FitRe
         f"contour points with dx >= {min_dx}",
     )
     fit.meta.update(eta=contour.eta, min_dx=min_dx)
-    contour.fit = fit
     return fit

@@ -200,7 +200,7 @@ def test_exact_otoc_is_bounded_and_one_at_t0(L, alpha, h, seed):
     series = exact_otoc(eig, d_i, d_1, times)
     assert abs(series.values[0] - 1.0) <= 1e-12
     assert np.all(np.abs(series.values) <= 1.0 + 1e-12)
-    assert np.all(series.re >= -1.0 - 1e-12)
+    assert np.all(series.values.real >= -1.0 - 1e-12)
     w_values, _ = multi_distance_otoc_values(sectors, d_i[None, :], d_1, times)
     assert np.max(np.abs(series.values - w_values[0])) <= 1e-10
 

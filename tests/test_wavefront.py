@@ -1,5 +1,8 @@
 """Contour extraction on analytic grids and real small-system front ordering."""
 
+import copy
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -184,6 +187,21 @@ def test_deep_eta_excludes_short_distances_by_default():
         eta=0.9, distances=contour.distances, t_cross=contour.t_cross
     )
     assert fit_dynamical_exponent(shallow).meta["min_dx"] == 1
+
+
+@pytest.mark.parametrize("eta", [0.25, 0.75])
+def test_fit_leaves_its_contour_as_it_was(eta):
+    contour = Contour(
+        eta=eta,
+        distances=np.array([1, 2, 3, 4, 5]),
+        t_cross=np.array([0.5, 1.0, 2.0, 2.7, 3.5]),
+        meta={"missing": [], "crossings": [1, 1, 1, 1, 1]},
+    )
+    before = copy.deepcopy(contour)
+    fit_dynamical_exponent(contour)
+    for f in dataclasses.fields(Contour):
+        old, new = getattr(before, f.name), getattr(contour, f.name)
+        assert type(new) is type(old) and np.array_equal(new, old), f.name
 
 
 def test_too_few_points_rejected():
