@@ -1,10 +1,10 @@
 """Sector basis, Hamiltonian assembly, and eigensolves for the disordered ladder-XX model.
 
 The model is two XX chains of L sites each (legs 1 and 2, open ends) with
-intra-leg coupling J_par, rung coupling J_perp = alpha * J_par, and a random
-longitudinal field h_i drawn uniformly from [-h, h]. By default the same
-field acts on both legs of column i; independent per-leg draws are available
-as an option. All work happens in the half-filling sector (total Sz = 0),
+intra-leg coupling J, rung coupling alpha * J, and a random longitudinal
+field h_i drawn uniformly from [-h, h]. By default the same field acts on
+both legs of column i; independent per-leg draws are available as an
+option. All work happens in the half-filling sector (total Sz = 0),
 whose dimension is C(2L, L).
 
 Conventions
@@ -14,7 +14,8 @@ Conventions
   numeric order. The sigma^z eigenvalue is +1 where the bit is set.
 * The hopping term sx.sx + sy.sy moves one excitation across a bond and
   contributes matrix element 2J per allowed swap.
-* Energies are stated in units of J_par, times in 1/J_par.
+* J = 1 is the unit of energy, so the rung coupling is alpha, and times are
+  in 1/J. No generality is lost: H(J, alpha, h) = J H(1, alpha, h / J).
 """
 
 from __future__ import annotations
@@ -90,10 +91,9 @@ def _checked_int(name: str, value, minimum: int) -> int:
 
 @dataclass(frozen=True)
 class LadderParams:
-    """Couplings of one ladder: L sites per leg, J_perp = alpha * J_par, field strength h."""
+    """One ladder, J = 1: L sites per leg, rung coupling alpha, field strength h."""
 
     L: int
-    J_par: float = 1.0
     alpha: float = 1.0
     h: float = 0.0
 
@@ -101,23 +101,17 @@ class LadderParams:
         # Store plain Python numbers so that how a value was typed (1, 1.0,
         # np.float64(1.0)) never reaches the seed labels built from it.
         object.__setattr__(self, "L", _checked_int("L", self.L, L_MIN))
-        for name in ("J_par", "alpha", "h"):
+        for name in ("alpha", "h"):
             # + 0.0 turns -0.0 into 0.0, whose repr, and so seed label, differs.
             value = float(getattr(self, name)) + 0.0
             # NaN slips through every comparison below, so test it first.
             if not np.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value}")
             object.__setattr__(self, name, value)
-        if self.J_par <= 0:
-            raise ValueError(f"J_par must be positive, got {self.J_par}")
         if self.alpha < 0:
             raise ValueError(f"alpha must be nonnegative, got {self.alpha}")
         if self.h < 0:
             raise ValueError(f"h must be nonnegative, got {self.h}")
-
-    @property
-    def J_perp(self) -> float:
-        return self.alpha * self.J_par
 
 
 @dataclass(frozen=True)
@@ -526,7 +520,7 @@ def sample_disorder(
 
 
 def _bonds(params: LadderParams) -> list[tuple[int, int, float]]:
-    """All hopping bonds as (bit_a, bit_b, J). Open boundaries.
+    """All hopping bonds as (bit_a, bit_b, J): 1 on the legs, alpha on the rungs. Open ends.
 
     `_rung_sectors` restates the same bonds, leg bonds and rungs, in the
     rung basis without reading this list, so a change to the model edits
@@ -536,13 +530,9 @@ def _bonds(params: LadderParams) -> list[tuple[int, int, float]]:
     bonds: list[tuple[int, int, float]] = []
     for leg in (1, 2):
         for site in range(1, L):
-            bonds.append(
-                (bit_position(L, leg, site), bit_position(L, leg, site + 1), params.J_par)
-            )
+            bonds.append((bit_position(L, leg, site), bit_position(L, leg, site + 1), 1.0))
     for site in range(1, L + 1):
-        bonds.append(
-            (bit_position(L, 1, site), bit_position(L, 2, site), params.J_perp)
-        )
+        bonds.append((bit_position(L, 1, site), bit_position(L, 2, site), params.alpha))
     return bonds
 
 
@@ -555,8 +545,8 @@ def build_hamiltonian(
 
     The diagonal holds the fields, sum_i h_i^(leg) s_{leg,i} with s = +-1
     read off the bitmask. Off the diagonal there is one entry 2 J per bond
-    and per state whose two occupations across the bond differ (J = J_par
-    on intra-leg bonds, alpha * J_par on rungs): 3 L - 2 bonds, so H holds
+    and per state whose two occupations across the bond differ (J = 1 on
+    intra-leg bonds, alpha on rungs): 3 L - 2 bonds, so H holds
     O(L N) entries and no N x N array is formed. Every hop appears in both
     directions, and no (row, col) pair appears twice.
     """
@@ -642,8 +632,8 @@ def _rung_sectors(H: SectorHamiltonian) -> dict[int, tuple[np.ndarray, ...]]:
     H is a sum of one- and two-column terms without a string, so in these
     labels it reads:
     * diagonal: +2 h_i on a D column, -2 h_i on an E column, and, from the
-      rung exchange, +2 J_perp per B and -2 J_perp per A;
-    * leg bond (i, i + 1), coefficient 2 J_par: a single moves,
+      rung exchange, +2 alpha per B and -2 alpha per A;
+    * leg bond (i, i + 1), coefficient 2 (J = 1): a single moves,
       (x, E) <-> (E, x) and (x, D) <-> (D, x), keeping its label bit;
       (E, D) and (D, E) go to BB - AA, two label bits inserted at the
       single rank t of column i; BB goes to ED + DE, AA to -(ED + DE), and
@@ -654,10 +644,10 @@ def _rung_sectors(H: SectorHamiltonian) -> dict[int, tuple[np.ndarray, ...]]:
     q's labels in `ChargeLabels.order`.
     """
     params, labels = H.params, H.basis.charge_labels
-    L, two_j = params.L, 2.0 * params.J_par
+    L = params.L
     single, double, m = labels.single, labels.double, labels.index
     empty = ((1 << L) - 1) & ~(single | double)
-    diagonal = 2.0 * params.J_perp * (labels.z - 2 * _POPCOUNT[m])
+    diagonal = 2.0 * params.alpha * (labels.z - 2 * _POPCOUNT[m])
     for i, h in enumerate(H.disorder.fields):
         diagonal += 2.0 * h * ((double >> i & 1) - (empty >> i & 1))
     # Slots run by pattern, patterns by ascending key: a pattern's first
@@ -671,7 +661,7 @@ def _rung_sectors(H: SectorHamiltonian) -> dict[int, tuple[np.ndarray, ...]]:
         moved = key[move] ^ pair ^ ((d[move] >> 1) * pair) << L
         src.append(move)
         dst.append(np.searchsorted(key, moved) + m[move])
-        values.append(np.full(move.size, two_j))
+        values.append(np.full(move.size, 2.0))
         split = np.flatnonzero((s == 0) & ((d == 1) | (d == 2)))
         first = np.searchsorted(key, key[split] ^ pair ^ (double[split] & pair) << L)
         ms, ts = m[split], t[split]
@@ -679,7 +669,7 @@ def _rung_sectors(H: SectorHamiltonian) -> dict[int, tuple[np.ndarray, ...]]:
         for inserted, sign in ((0, 1.0), (3, -1.0)):
             src.append(split)
             dst.append(first + (spread | inserted << ts))
-            values.append(np.full(split.size, sign * two_j))
+            values.append(np.full(split.size, 2.0 * sign))
     src, dst, values = (np.concatenate(x) for x in (src, dst, values))
     src, dst, values = np.concatenate([src, dst]), np.concatenate([dst, src]), np.tile(values, 2)
     charge, order, rank = labels.charge, labels.order, labels.rank

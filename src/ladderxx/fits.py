@@ -78,21 +78,6 @@ class ErrorSignal:
         return float(self.eps[start:].mean())
 
 
-def _extract_txy(series):
-    """Pull (t, Re y) from an OtocSeries or an (x, y) pair, without the points
-    at t <= 0. Only finite times are dropped: a NaN or infinite one reaches
-    the fit's finiteness check."""
-    if isinstance(series, OtocSeries):
-        t = series.times
-        y = series.values.real
-    else:
-        t, y = series
-        t = np.asarray(t, dtype=float)
-        y = np.asarray(y, dtype=float).real
-    keep = (t > 0) | ~np.isfinite(t)
-    return t[keep], y[keep]
-
-
 def _r_squared(y: np.ndarray, residuals: np.ndarray) -> float:
     """Coefficient of determination; 1 for an exact fit of constant data."""
     ss_res = float(np.sum(residuals**2))
@@ -102,12 +87,12 @@ def _r_squared(y: np.ndarray, residuals: np.ndarray) -> float:
     return 1.0 - ss_res / max(ss_tot, 1e-300)
 
 
-def _fit_log_law(x, y, form: str, slope: tuple, min_points: int, points="points"):
+def _fit_log_law(x, y, form: str, name: str, points="points"):
     """Least squares of ln y against x (the exp forms) or ln x (the power forms).
 
-    Returns a = exp(intercept) and, under the name slope[0], the fitted slope
-    times slope[1]. meta["stderr"] holds the standard errors of that slope
-    (under the same name) and of ln a (under "ln_a"), from the residual
+    Returns a = exp(intercept) and, under `name`, the fitted slope, from
+    three points at least. meta["stderr"] holds the standard errors of that
+    slope (under the same name) and of ln a (under "ln_a"), from the residual
     variance s^2 = sum r^2 / (n - 2): se_b = sqrt(s^2 / Sxx) and se_ln_a =
     sqrt(s^2 (1/n + mean(X)^2 / Sxx)), Sxx = sum (X - mean(X))^2. Points are
     sorted by abscissa first, so the result does not depend on their order.
@@ -116,8 +101,8 @@ def _fit_log_law(x, y, form: str, slope: tuple, min_points: int, points="points"
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     log_x = form.endswith("power")
-    if x.size < min_points:
-        raise ValueError(f"need at least {min_points} {points}, have {x.size}")
+    if x.size < 3:
+        raise ValueError(f"need at least 3 {points}, have {x.size}")
     if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
         raise ValueError(f"{form} fit needs finite x and y on its {points}")
     if np.any(y <= 0):
@@ -134,14 +119,13 @@ def _fit_log_law(x, y, form: str, slope: tuple, min_points: int, points="points"
     residuals = Y - (b * X + intercept)
     s2 = float(np.sum(residuals**2)) / (X.size - 2)
     sxx = float(np.sum((X - X.mean()) ** 2))
-    name, sign = slope
     stderr = {
         name: float(np.sqrt(s2 / sxx)),
         "ln_a": float(np.sqrt(s2 * (1.0 / X.size + X.mean() ** 2 / sxx))),
     }
     return FitResult(
         form=form,
-        params={"a": float(np.exp(intercept)), name: float(sign * b)},
+        params={"a": float(np.exp(intercept)), name: float(b)},
         r_squared=_r_squared(Y, residuals),
         window=(float(x.min()), float(x.max())),
         residuals=residuals,
@@ -154,21 +138,23 @@ def mbl_curve(t: np.ndarray, a: float, b: float, c: float) -> np.ndarray:
     return 1.0 - a * np.exp(-b * np.asarray(t, dtype=float) ** c)
 
 
-def fit_mbl_form(series) -> FitResult:
+def fit_mbl_form(series: OtocSeries) -> FitResult:
     """Fit Re F = 1 - a exp(-b t^c) with c < 0 enforced via c = -exp(u).
 
-    Damped nonlinear least squares from a grid of start points (several
-    stretch exponents crossed with data-driven amplitude guesses); the best
-    converged start wins. Raises FitConvergenceError when every start fails.
-    Points at t <= 0 are dropped; the window is the range of the rest.
-    Raises ValueError for a non-finite t or y. The starts run with numpy's
-    overflow and invalid-value warnings off: a trial c = -exp(u) can send
-    t^c to inf, and a warnings filter that raises on RuntimeWarning would
-    otherwise drop that start and change the result.
+    ``series`` is an OtocSeries, and the fit takes the real part of its
+    values. Damped nonlinear least squares from a grid of start points
+    (several stretch exponents crossed with data-driven amplitude guesses);
+    the best converged start wins. Raises FitConvergenceError when every
+    start fails. Points at finite t <= 0 are dropped; the window is the
+    range of the rest. Raises ValueError for a non-finite t or y. The starts
+    run with numpy's overflow and invalid-value warnings off: a trial
+    c = -exp(u) can send t^c to inf, and a warnings filter that raises on
+    RuntimeWarning would otherwise drop that start and change the result.
     """
     import scipy.optimize  # here, its only use, so that importing fits stays cheap
 
-    t, y = _extract_txy(series)
+    keep = (series.times > 0) | ~np.isfinite(series.times)
+    t, y = series.times[keep], series.values.real[keep]
     if t.size < 5:
         raise ValueError("need at least 5 positive-t points")
     if not (np.all(np.isfinite(t)) and np.all(np.isfinite(y))):
@@ -248,4 +234,4 @@ def fit_error_scaling(points, form: str) -> FitResult:
     if form not in ("scaling_exp", "scaling_power"):
         raise ValueError(f"form must be scaling_exp or scaling_power, got {form!r}")
     x, y = points
-    return _fit_log_law(x, y, form, ("b", 1), 3)
+    return _fit_log_law(x, y, form, "b")

@@ -28,7 +28,7 @@ merged spectrum agrees with a full solve to rounding (below 1e-12 at L <= 7).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -132,7 +132,7 @@ def ensemble_gap_ratio(
     basis = SectorBasis(params.L)
     reports = []
     for h in h_list:
-        p = LadderParams(L=params.L, J_par=params.J_par, alpha=params.alpha, h=float(h))
+        p = replace(params, h=float(h))
         means = np.empty(realizations)
         sector_means: dict[int, list[float]] = {}
         dropped_total = 0

@@ -97,24 +97,21 @@ SAMPLED_COPIES_PER_STATE = 12.0
 # sampled_otoc puts this many real columns, the 4M of each of its M states'
 # steps, into one GEMM with A~, and at least one step.
 _CHUNK_COLUMNS = 1024
-# Each route raises when its unitarity figure misses 1 by more than this:
-# exact_otoc's ||A(t) sz_1||_F^2 / N, the W-route's half-row sum of |W_ab|^2
-# and sampled_otoc's ||V^T psi_j||^2.
+# Each of the five checks of an identity that orthonormal eigenvectors keep
+# raises when its figure misses by more than this: exact_otoc's
+# ||A(t) sz_1||_F^2 / N = 1, the W-route's half-row sum of |W_ab|^2 = 1 and
+# its chiral mirror W_f(a)f(a) = -W_aa, sampled_otoc's ||V^T psi_j||^2 = 1
+# and its |F_j(t)| <= 1.
 DEFECT_TOL = 1e-9
-# sampled_otoc raises when some |F_j(t)| exceeds 1 by more than this.
-SAMPLE_TOL = 1e-9
 # Rotated diagonals kept per eigensystem: the two operators of one OTOC.
 _ROTATED_KEPT = 2
 # exact_otoc phases A(t) and squares P in row pieces of about N / this many
 # rows, so its one scratch piece holds about N^2 / 8 floats.
 _EXACT_PIECES = 16
-# multi_distance_otoc_values raises when a diagonal pair W_aa, W_f(a)f(a) of
-# W(t) misses the chiral mirror W_f(a)f(a) = -W_aa by more than this.
-MIRROR_TOL = 1e-9
 
 
 def default_decay_times(n: int = 60) -> np.ndarray:
-    """Log-spaced grid 0.1 .. 1000 (units 1/J_par) used for decay studies."""
+    """Log-spaced grid 0.1 .. 1000 (units 1/J) used for decay studies."""
     return np.geomspace(0.1, 1000.0, n)
 
 
@@ -290,7 +287,7 @@ def exact_otoc(
     op_i, op_1 : +-1 diagonals from `sigma_z_operator`. Unless both are +-1
     and odd under the global spin flip, ValueError is raised before any
     O(N^3) work.
-    times : evaluation grid in units of 1/J_par.
+    times : evaluation grid in units of 1/J, the inverse leg coupling.
     """
     _full_eigensystem("exact_otoc", eig)
     E = eig.eigenvalues
@@ -405,7 +402,7 @@ def multi_distance_otoc_values(
     data: it raises RuntimeError on non-finite data, then when the health
     figure below exceeds `DEFECT_TOL` (non-orthonormal eigenvectors), then
     unless W_f(a)f(a) = -W_aa, i.e. ||S_a||^2 + ||S_f(a)||^2 = 1, to
-    `MIRROR_TOL`. Rounding in the computed eigensystem breaks the mirror
+    `DEFECT_TOL` too. Rounding in the computed eigensystem breaks the mirror
     slightly, so the half-row values differ from a full-row sum by up to
     about eps ||H|| t.
 
@@ -504,7 +501,7 @@ def multi_distance_otoc_values(
                 f"W(t={t}) misses unitarity by {defects[k]:.3e} (tolerance "
                 f"{DEFECT_TOL:.1e}): the eigenvectors are not orthonormal enough"
             )
-        if not mismatch <= MIRROR_TOL:
+        if not mismatch <= DEFECT_TOL:
             raise RuntimeError(
                 f"W(t={t}) breaks the chiral mirror by {mismatch:.3e}: "
                 "H does not anticommute with the sublattice sign times the spin flip"
@@ -613,7 +610,7 @@ def sampled_otoc(
 
     values holds the mean over states, per_sample the individual complex
     F_j series. Each F_j is the expectation of a unitary, so RuntimeError is
-    raised when some |F_j| exceeds 1 by more than `SAMPLE_TOL`, or is NaN.
+    raised when some |F_j| exceeds 1 by more than `DEFECT_TOL`, or is NaN.
     That needs op_i and op_1 to be +-1 diagonals; any other raises
     ValueError before any O(N^3) work. The coefficients must keep the
     states' norms, ||V^T psi_j||^2 = ||V^T sz_1 psi_j||^2 = 1; above
@@ -673,9 +670,9 @@ def sampled_otoc(
         per_sample[:, start : start + k] = np.einsum("akj,akj->jk", z, By)
     # Each F_j is the expectation of a unitary, so |F_j| <= 1.
     largest = np.max(np.abs(per_sample))
-    if not largest <= 1.0 + SAMPLE_TOL:
+    if not largest <= 1.0 + DEFECT_TOL:
         raise RuntimeError(
-            f"sampled OTOC reached |F_j| = {largest:.3e}, above 1 + {SAMPLE_TOL:.0e}: "
+            f"sampled OTOC reached |F_j| - 1 = {largest - 1.0:.3e}, above {DEFECT_TOL:.0e}: "
             "the eigenvectors are not orthonormal enough"
         )
 

@@ -205,8 +205,7 @@ def fit_dynamical_exponent(contour: Contour, min_dx: int | None = None) -> FitRe
         contour.t_cross[keep],
         contour.distances[keep],
         "power",
-        ("gamma", 1),
-        3,
+        "gamma",
         f"contour points with dx >= {min_dx}",
     )
     fit.meta.update(eta=contour.eta, min_dx=min_dx)

@@ -54,11 +54,9 @@ def full_space_hamiltonian(params: LadderParams, disorder: DisorderRealization) 
     bonds = []
     for leg in (1, 2):
         for site in range(1, L):
-            bonds.append(
-                (bit_position(L, leg, site), bit_position(L, leg, site + 1), params.J_par)
-            )
+            bonds.append((bit_position(L, leg, site), bit_position(L, leg, site + 1), 1.0))
     for site in range(1, L + 1):
-        bonds.append((bit_position(L, 1, site), bit_position(L, 2, site), params.J_perp))
+        bonds.append((bit_position(L, 1, site), bit_position(L, 2, site), params.alpha))
     for a, b, J in bonds:
         H += J * (op_on(n, a, SX) @ op_on(n, b, SX) + op_on(n, a, SY) @ op_on(n, b, SY))
     for leg in (1, 2):
@@ -79,11 +77,11 @@ def loop_hamiltonian(
     h1 = np.asarray(disorder.fields_for_leg(1))
     h2 = np.asarray(disorder.fields_for_leg(2))
     bonds = [
-        (bit_position(L, leg, site), bit_position(L, leg, site + 1), params.J_par)
+        (bit_position(L, leg, site), bit_position(L, leg, site + 1), 1.0)
         for leg in (1, 2)
         for site in range(1, L)
     ] + [
-        (bit_position(L, 1, site), bit_position(L, 2, site), params.J_perp)
+        (bit_position(L, 1, site), bit_position(L, 2, site), params.alpha)
         for site in range(1, L + 1)
     ]
     H = np.zeros((n, n))
@@ -307,7 +305,7 @@ def test_hamiltonian_matches_loop_reference(L, independent_legs):
 def test_dense_hamiltonian_is_the_csr_matrix_bit_for_bit(L, independent_legs):
     # diagonalize(H) solves this Fortran-order array in place, so its bits
     # fix the full eigensystem and every output computed from it.
-    params = LadderParams(L=L, J_par=0.9, alpha=0.8, h=2.0)
+    params = LadderParams(L=L, alpha=0.8, h=2.0)
     disorder = sample_disorder(params, 50 + L, independent_legs=independent_legs)
     basis = SectorBasis(L)
     got = build_hamiltonian(params, disorder, basis).dense()
@@ -358,8 +356,8 @@ def test_hamiltonian_refuses_a_non_finite_entry(name, bad, monkeypatch):
         # inf + (-inf) on the columns' diagonal sums gives NaN, inf and -inf.
         (LadderParams(L=2), (1e308, 1e308), "diagonal"),
         (LadderParams(L=2), (1e308, 0.0), "diagonal"),
-        # 2 J = inf on every leg bond.
-        (LadderParams(L=2, J_par=1e308), (0.0, 0.0), "values"),
+        # 2 alpha = inf on every rung.
+        (LadderParams(L=2, alpha=1e308), (0.0, 0.0), "values"),
     ],
 )
 def test_build_hamiltonian_refuses_finite_inputs_that_overflow(params, fields, name, monkeypatch):
@@ -412,7 +410,7 @@ def test_charge_map_is_orthonormal(L):
 def test_rung_blocks_match_the_charge_map_oracle(L, alpha):
     # The oracle's columns, and so the blocks' rows, come in
     # `ChargeLabels.order`, which the W-route's Hadamard input relies on.
-    params = LadderParams(L=L, J_par=0.8, alpha=alpha, h=1.5)
+    params = LadderParams(L=L, alpha=alpha, h=1.5)
     basis = SectorBasis(L)
     H = build_hamiltonian(params, sample_disorder(params, 80 + L), basis)
     oracle = charge_map(basis)
@@ -779,7 +777,7 @@ def test_mirror_guard_rejects_a_same_sublattice_bond(monkeypatch):
     def with_next_nearest(params):
         L = params.L
         extra = [
-            (bit_position(L, leg, 1), bit_position(L, leg, 3), params.J_par) for leg in (1, 2)
+            (bit_position(L, leg, 1), bit_position(L, leg, 3), 1.0) for leg in (1, 2)
         ]
         return bonds(params) + extra
 
@@ -1082,10 +1080,10 @@ def test_hamiltonian_properties(L, alpha, h, seed):
 
 
 def test_params_store_plain_numbers():
-    a = LadderParams(L=np.int64(4), J_par=1, alpha=1, h=np.float64(2.0))
-    assert a == LadderParams(L=4, J_par=1.0, alpha=1.0, h=2.0)
+    a = LadderParams(L=np.int64(4), alpha=1, h=np.float64(2.0))
+    assert a == LadderParams(L=4, alpha=1.0, h=2.0)
     assert type(a.L) is int
-    assert all(type(v) is float for v in (a.J_par, a.alpha, a.h))
+    assert all(type(v) is float for v in (a.alpha, a.h))
     signed = LadderParams(L=4, alpha=-0.0, h=-0.0)
     assert (repr(signed.alpha), repr(signed.h)) == ("0.0", "0.0")
     with pytest.raises(ValueError):
@@ -1133,12 +1131,10 @@ def test_params_validation():
     with pytest.raises(ValueError):
         LadderParams(L=1)
     with pytest.raises(ValueError):
-        LadderParams(L=3, J_par=0.0)
-    with pytest.raises(ValueError):
         LadderParams(L=3, alpha=-0.1)
     with pytest.raises(ValueError):
         LadderParams(L=3, h=-1.0)
     nan, inf = float("nan"), float("inf")
-    for field, value in (("h", nan), ("alpha", nan), ("J_par", inf), ("h", inf)):
+    for field, value in (("h", nan), ("alpha", nan), ("alpha", inf), ("h", inf)):
         with pytest.raises(ValueError, match=field):
             LadderParams(L=3, **{field: value})

@@ -142,8 +142,9 @@ def test_log_law_standard_errors_are_invariant_under_point_reordering():
 
 def test_fits_that_drop_nonpositive_times_leave_them_out_of_the_window():
     t = np.concatenate([[-1.0, 0.0], np.geomspace(0.1, 1000.0, 60)])
-    positive = np.maximum(t, 0.1)
-    mbl = fit_mbl_form((t, mbl_curve(positive, 0.7, 5.0, -0.8)))
+    # An OtocSeries holds F = 1 at t = 0.
+    y = np.where(t == 0.0, 1.0, mbl_curve(np.maximum(t, 0.1), 0.7, 5.0, -0.8))
+    mbl = fit_mbl_form(series_from(t, y))
     assert mbl.window == (0.1, 1000.0)
 
 
@@ -154,7 +155,7 @@ def test_mbl_refuses_non_finite_times():
         y = mbl_curve(t, 0.7, 5.0, -0.8)
         t[30] = bad
         with pytest.raises(ValueError, match="fit needs finite"):
-            fit_mbl_form((t, y))
+            fit_mbl_form(series_from(t, y))
 
 
 def test_mbl_exact_recovery():
@@ -190,7 +191,7 @@ def test_mbl_refuses_non_finite_input(column, bad):
     y = mbl_curve(t, 0.7, 5.0, -0.8)
     (t if column == "t" else y)[30] = bad
     with pytest.raises(ValueError, match="mbl fit needs finite t and y on its positive-t points"):
-        fit_mbl_form((t, y))
+        fit_mbl_form(series_from(t, y))
 
 
 def test_mbl_fit_does_not_depend_on_the_warnings_filter():
@@ -208,7 +209,7 @@ def test_mbl_fit_does_not_depend_on_the_warnings_filter():
     for action in ("error", "ignore"):
         with warnings.catch_warnings():
             warnings.simplefilter(action, RuntimeWarning)
-            fits.append(fit_mbl_form((times, values[0])))
+            fits.append(fit_mbl_form(series_from(times, values[0])))
     assert fits[0].params == fits[1].params
     assert np.array_equal(fits[0].residuals, fits[1].residuals)
 
@@ -223,7 +224,7 @@ def test_mbl_fit_raises_when_every_start_fails(monkeypatch):
     monkeypatch.setattr(scipy.optimize, "least_squares", fail)
     t = np.geomspace(0.1, 1000.0, 60)
     with pytest.raises(FitConvergenceError, match="failed from all 8 start points"):
-        fit_mbl_form((t, mbl_curve(t, 0.7, 5.0, -0.8)))
+        fit_mbl_form(series_from(t, mbl_curve(t, 0.7, 5.0, -0.8)))
 
 
 # ---------------------------------------------------------------- error signals

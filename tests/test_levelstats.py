@@ -142,7 +142,7 @@ def full_solve_means(params, h_list, realizations, seed, independent_legs):
     basis = SectorBasis(params.L)
     out = []
     for h in h_list:
-        p = LadderParams(L=params.L, J_par=params.J_par, alpha=params.alpha, h=h)
+        p = LadderParams(L=params.L, alpha=params.alpha, h=h)
         means = []
         for k in range(realizations):
             stream = derive_seed(seed, "level_stats", p.L, p.alpha, h, k)

@@ -597,7 +597,7 @@ def test_w_route_rejects_a_same_sublattice_bond(monkeypatch):
     def with_next_nearest(params):
         L = params.L
         extra = [
-            (bit_position(L, leg, 1), bit_position(L, leg, 3), params.J_par) for leg in (1, 2)
+            (bit_position(L, leg, 1), bit_position(L, leg, 3), 1.0) for leg in (1, 2)
         ]
         return bonds(params) + extra
 
@@ -827,6 +827,24 @@ def test_sampled_otoc_raises_on_a_nan_eigensystem():
     d_i, d_1 = sigma_z_operator(basis, 1, 3), sigma_z_operator(basis, 1, 1)
     with pytest.raises(RuntimeError, match="sampled OTOC reached"):
         sampled_otoc(nan_poisoned(eig), d_i, d_1, [haar_state(basis, 0)], [0.5, 1.0])
+
+
+@pytest.mark.parametrize("delta, raises", [(1e-10, False), (2e-10, False), (1e-9, True)])
+def test_sampled_otoc_bounds_f_j_at_1_plus_the_defect_tolerance(delta, raises, monkeypatch):
+    # Rotations scaled by 1 + delta leave ||V^T psi_j|| alone, and F_j holds
+    # A~ twice and B~ once, so a Fock state near t = 0 has |F_j| - 1 = 3 delta.
+    basis, eig = make_eig(3, seed=6)
+    d_i, d_1 = sigma_z_operator(basis, 1, 3), sigma_z_operator(basis, 1, 1)
+    rotate = otoc._eigenbasis_diagonal
+    monkeypatch.setattr(otoc, "_eigenbasis_diagonal", lambda *a: rotate(*a) * (1.0 + delta))
+    args = (eig, d_i, d_1, [fock_state(basis, 0)], [1e-6])
+    if raises:
+        with pytest.raises(RuntimeError, match=r"\|F_j\| - 1 = \S+, above 1e-09") as caught:
+            sampled_otoc(*args)
+        overshoot = float(str(caught.value).split(" = ")[1].split(",")[0])
+    else:
+        overshoot = np.max(np.abs(sampled_otoc(*args).per_sample)) - 1.0
+    assert overshoot == pytest.approx(3 * delta, rel=0.01)
 
 
 def test_sampled_rejects_empty_states():
